@@ -246,7 +246,7 @@ def _multi_process_cell(model, images, backend, length, clients,
         facade.predict_one(images[0])
         multi_s, multi_out = _multi_spec_loop(
             facade.predict_one, images, clients, requests_each)
-        routed = {facade._route(facade.resolver.resolve({"seed": c})[0])
+        routed = {facade.executor._route(facade.resolver.resolve({"seed": c})[0])
                   for c in range(clients)}
     finally:
         facade.close()

@@ -8,10 +8,10 @@ of requests is in flight* (every required series must be present and no
 sample may be NaN) — then exercises the graceful-drain path: with a
 fault-injected slow batch in flight, SIGTERM must flip ``/healthz`` to
 draining, complete the in-flight reply (a dropped reply fails the
-smoke), and exit 0.  The server runs with ``REPRO_TRACE`` armed
-(honoring a caller-set path so CI can upload the JSONL as an artifact);
-after shutdown the trace must reconstruct at least one request's
-queue → coalesce → compute → engine critical path.  Uses only the
+smoke), and exit 0 within 5 s of that reply.  The server runs with
+``REPRO_TRACE`` armed (honoring a caller-set path so CI can upload the
+JSONL as an artifact); after shutdown the trace must reconstruct at
+least one request's queue → coalesce → compute → engine critical path.  Uses only the
 standard library so it runs on every CI job unchanged::
 
     PYTHONPATH=src python benchmarks/smoke_serve.py
@@ -43,6 +43,10 @@ from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 STARTUP_TIMEOUT_S = 180.0
+
+#: Once its last in-flight reply is out, a draining server only has to
+#: shut down; a close that has to SIGTERM its workers takes longer.
+EXIT_AFTER_DRAIN_S = 5.0
 
 #: Injected slow-down for the drain phase: only the drain request uses
 #: the float backend, so only its compute batches sleep — guaranteeing
@@ -229,7 +233,12 @@ def _drain_phase(proc, base: str) -> None:
     print("drain: in-flight batch completed"
           + (" (draining health observed)" if draining_seen else ""))
 
-    code = proc.wait(timeout=120)
+    try:
+        code = proc.wait(timeout=EXIT_AFTER_DRAIN_S)
+    except subprocess.TimeoutExpired:
+        raise AssertionError(
+            f"server still running {EXIT_AFTER_DRAIN_S:.0f}s after its "
+            "last in-flight reply") from None
     assert code == 0, f"server exited {code} after drain, want 0"
     try:
         _request(f"{base}/healthz")

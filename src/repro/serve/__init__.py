@@ -1,33 +1,28 @@
-"""``repro.serve`` — dynamic micro-batching inference service.
+"""``repro.serve`` — micro-batched inference serving.
 
-The serving subsystem turns the unified layer-graph engine into a
-servable system: concurrent single-image requests are coalesced into
-micro-batches (where the batched exact backend is ~3x faster per image
-than request-at-a-time execution), hot compiled plans and engines are
-shared contention-free across worker threads, and a stdlib HTTP JSON
-API exposes prediction, liveness and telemetry endpoints.
+One **frontend** over two **executors**.
+:class:`~repro.serve.service.ServeFrontend` owns the request lifecycle:
+validation (:class:`RequestResolver`), admission and drain, the root
+``serve.predict``/``serve.scene`` spans, :class:`LatencyTracker`
+accounting, ``/stats`` and ``/metrics``.  Its executor runs the work:
 
-Layers, bottom-up:
+* :class:`~repro.serve.service.LocalExecutor` — in process: the
+  :class:`EnginePool` LRU cache of compiled plans and engines behind
+  the :class:`MicroBatcher`, which coalesces concurrent same-spec
+  requests under a ``max_batch``/``max_wait_ms`` policy;
+* :class:`~repro.serve.procpool.ProcExecutor` — N worker processes,
+  each a full in-process service, fed by spec-affine routing, with
+  compiled plans shared zero-copy through a :class:`PlanArena` and an
+  explicit close message per worker at shutdown (``--procs N``).
 
-* :mod:`repro.serve.pool` — :class:`EnginePool`, the thread-safe LRU
-  cache of compiled plans and constructed engines;
-* :mod:`repro.serve.batcher` — :class:`MicroBatcher`, the queue +
-  worker-thread coalescer with a ``max_batch``/``max_wait_ms`` policy;
-* :mod:`repro.serve.service` — :class:`InferenceService`, the
-  embeddable in-process service tying pool, batcher and telemetry
-  together (plus :class:`RequestResolver`, the engine-free request
-  validation shared with the multi-process frontend);
-* :mod:`repro.serve.procpool` — :class:`ProcServeFacade`, N worker
-  processes behind a spec-affine routing frontend, with compiled plans
-  shared zero-copy through a :class:`PlanArena` of
-  ``multiprocessing.shared_memory`` segments (``--procs N``);
-* :mod:`repro.serve.server` — the ``ThreadingHTTPServer`` JSON API
-  (``POST /predict``, ``GET /healthz``, ``GET /stats``);
-* :mod:`repro.serve.stats` — :class:`LatencyTracker` telemetry.
+:class:`InferenceService` and :class:`ProcServeFacade` are the frontend
+bound to each executor; :mod:`repro.serve.server` puts either behind a
+``ThreadingHTTPServer`` JSON API (``POST /predict``, ``GET /healthz``,
+``/stats``, ``/metrics``).
 
 Exact-backend responses are *bit-identical* to dedicated single-request
-``Engine.predict`` calls with the same per-request seed, no matter how
-requests are coalesced — the guarantee rests on
+``Engine.predict`` calls with the same per-request seed, however
+requests are coalesced or routed — the guarantee rests on
 :meth:`repro.engine.exact.ExactBackend.forward_independent` (see
 DESIGN.md, "Serving layer").
 
@@ -49,30 +44,22 @@ from repro.serve.batcher import (
     Ticket,
 )
 from repro.serve.pool import EnginePool
-from repro.serve.procpool import PlanArena, ProcServeFacade
+from repro.serve.procpool import PlanArena, ProcExecutor, ProcServeFacade
 from repro.serve.server import ServeHTTPServer, create_server, run_server
 from repro.serve.service import (
     InferenceService,
+    LocalExecutor,
     RequestResolver,
+    ServeFrontend,
     ServiceDraining,
     payload_fingerprint,
 )
 from repro.serve.stats import LatencyTracker
 
 __all__ = [
-    "DeadlineExceeded",
-    "EnginePool",
-    "MicroBatcher",
-    "PlanArena",
-    "ProcServeFacade",
-    "QueueFull",
-    "RequestResolver",
-    "ServeHTTPServer",
-    "ServiceDraining",
-    "Ticket",
-    "InferenceService",
-    "LatencyTracker",
-    "create_server",
-    "payload_fingerprint",
-    "run_server",
+    "DeadlineExceeded", "EnginePool", "InferenceService", "LatencyTracker",
+    "LocalExecutor", "MicroBatcher", "PlanArena", "ProcExecutor",
+    "ProcServeFacade", "QueueFull", "RequestResolver", "ServeFrontend",
+    "ServeHTTPServer", "ServiceDraining", "Ticket", "create_server",
+    "payload_fingerprint", "run_server",
 ]

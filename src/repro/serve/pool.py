@@ -40,7 +40,7 @@ from repro.engine import Engine, build_graph, compile_plan
 from repro.engine.plan import normalize_weight_bits
 from repro.nn.zoo import model_digest, weight_layer_count
 
-__all__ = ["EnginePool", "config_digest"]
+__all__ = ["EnginePool", "config_digest", "model_set"]
 
 DEFAULT_MODEL = "default"
 
@@ -48,6 +48,16 @@ _LOOKUPS_TOTAL = "repro_pool_lookups_total"
 _LOOKUPS_HELP = "Engine-pool lookups, by outcome."
 _PLANS_TOTAL = "repro_pool_plan_builds_total"
 _PLANS_HELP = "Plan-tier builds, by how the plan was obtained."
+
+
+def model_set(model) -> dict:
+    """A served model set as ``{name: model}``: a bare model is
+    registered as ``"default"``; a mapping must not be empty."""
+    if not isinstance(model, dict):
+        return {DEFAULT_MODEL: model}
+    if not model:
+        raise ValueError("the model mapping must not be empty")
+    return dict(model)
 
 
 def config_digest(config: NetworkConfig) -> str:
@@ -86,12 +96,7 @@ class EnginePool:
     def __init__(self, model, max_engines: int = 8, max_plans: int = 32):
         if max_engines < 1 or max_plans < 1:
             raise ValueError("max_engines and max_plans must be >= 1")
-        if isinstance(model, dict):
-            if not model:
-                raise ValueError("the model mapping must not be empty")
-            self.models = dict(model)
-        else:
-            self.models = {DEFAULT_MODEL: model}
+        self.models = model_set(model)
         self.default_model = next(iter(self.models))
         self._digests = {name: model_digest(m)
                          for name, m in self.models.items()}

@@ -1,49 +1,35 @@
-"""Multi-process serving: worker processes behind a routing frontend.
+"""Multi-process executor: worker processes behind the serving frontend.
 
-The in-process :class:`~repro.serve.service.InferenceService` coalesces
-beautifully but computes under one GIL: NumPy kernels release it, yet
-the per-layer Python orchestration serializes, so one process cannot
-scale exact-backend throughput with cores.  This module runs **N worker
-processes**, each hosting a full service (own pool, own micro-batcher,
-own GIL), behind a thin frontend that validates, routes and relays:
+One process computes under one GIL, so :class:`ProcExecutor` runs **N
+worker processes**, each a full
+:class:`~repro.serve.service.InferenceService`.  The
+:class:`~repro.serve.service.ServeFrontend` in front validates, admits,
+traces and accounts every request exactly as in process; the executor
+routes and relays it:
 
-* **Shared plans** — compiled plans are quantization products, large
-  and immutable.  The frontend compiles each warm spec once, packs it
-  (:func:`repro.engine.plan.pack_plan`) into a
-  :class:`multiprocessing.shared_memory` segment keyed by the existing
-  model/config digests, and every worker rehydrates **zero-copy views**
-  (:func:`repro.engine.plan.unpack_plan`) into the same physical pages —
-  one copy of the weights no matter how many processes serve them.
-* **Spec-affine routing** — a request's group key (model, backend,
-  config, bits, seed) hashes to a worker, so same-spec requests land in
-  the same process and its micro-batcher keeps coalescing them; the
-  batched exact backend's per-request stream-state forks keep every
-  reply bit-identical to a dedicated single-request engine run.
-* **Admission control** — the frontend bounds in-flight requests per
-  model *before* crossing a process boundary
-  (:class:`~repro.serve.batcher.QueueFull` → HTTP 503 +
-  ``Retry-After``), on top of each worker's own queue bound.
-* **Supervision** — a monitor thread watches worker sentinels; a dead
-  worker (chaos kill, OOM) is respawned and its in-flight requests are
-  resubmitted — safe because serving compute is deterministic and
-  side-effect-free, so the worst case is a request computed twice with
-  the first reply winning.  No accepted request's reply is dropped.
-* **Drain** — :meth:`ProcServeFacade.drain` refuses new work at the
-  frontend (503 + ``Retry-After``), tells every worker to drain, and
-  :meth:`ProcServeFacade.await_idle` holds SIGTERM shutdown until every
-  accepted reply has been delivered — the single-process guarantee,
-  generalized.  Closing the facade unlinks every shared segment.
+* **shared plans** — each warm spec is compiled once, packed into a
+  :class:`multiprocessing.shared_memory` segment (:class:`PlanArena`)
+  and rehydrated by every worker as zero-copy views;
+* **spec-affine routing** — a request's group key hashes to a worker,
+  so same-spec traffic still coalesces in one micro-batcher;
+* **admission control** — in-flight requests are bounded per model
+  before crossing a process boundary (:class:`~repro.serve.batcher.
+  QueueFull`, HTTP 503);
+* **supervision** — a dead worker is respawned and its in-flight
+  requests resubmitted (compute is deterministic and side-effect-free,
+  so a request computed twice is harmless and the first reply wins);
+* **shutdown** — :meth:`ProcExecutor.close` sends each worker an
+  explicit ``("close", None)`` message.  Pipe EOF cannot be the signal:
+  a fork-context child inherits the parent's copy of its own request
+  pipe's send end, and later workers inherit earlier workers' send
+  ends, so no request pipe's write side is ever closed everywhere.  The
+  puller thread that receives the message closes the request pipe, its
+  sibling pullers fall out on ``OSError``, and the worker closes its
+  service and exits 0.  The arena's segments are unlinked last.
 
-Workers are **fork**-context processes (same choice as the DSE runner):
-the model set, the arena's shared segments and an armed ``REPRO_FAULTS``
-injector are all inherited, and re-attachment races with the resource
-tracker never arise — the parent creates every segment and is the only
-process that ever unlinks them.
-
-The frontend stays a *threading* HTTP server: connection threads block
-in :meth:`ProcServeFacade.predict` waiting on a reply event, which
-releases the GIL, so frontend I/O concurrency is cheap while all
-compute runs in the workers.
+Workers are **fork**-context processes: the model set, the arena's
+segments and an armed ``REPRO_FAULTS`` injector are inherited, and the
+parent is the only process that ever unlinks a segment.
 """
 
 from __future__ import annotations
@@ -56,22 +42,19 @@ import time
 import multiprocessing
 from multiprocessing import connection, shared_memory
 
-import numpy as np
-
 from repro import faults, obs
 from repro.engine import build_graph, compile_plan
 from repro.engine.plan import pack_plan, unpack_plan
 from repro.nn.zoo import model_digest
 from repro.serve.batcher import DeadlineExceeded, QueueFull
-from repro.serve.pool import config_digest
+from repro.serve.pool import config_digest, model_set
 from repro.serve.service import (
     InferenceService,
     RequestResolver,
-    ServiceDraining,
+    ServeFrontend,
 )
-from repro.serve.stats import LatencyTracker
 
-__all__ = ["PlanArena", "ProcServeFacade"]
+__all__ = ["PlanArena", "ProcExecutor", "ProcServeFacade"]
 
 _RESTARTS_TOTAL = "repro_serve_worker_restarts_total"
 _RESTARTS_HELP = "Serve worker processes respawned after dying."
@@ -80,8 +63,12 @@ _RESTARTS_HELP = "Serve worker processes respawned after dying."
 #: before declaring the reply lost (covers queue + pickling transit)
 REPLY_SLACK_S = 5.0
 
-#: how long control messages (stats scrape, drain ack) may take
-CONTROL_TIMEOUT_S = 10.0
+#: how long a stats scrape of one worker may take
+SCRAPE_TIMEOUT_S = 10.0
+
+#: how long close() waits for a worker to act on its close message
+#: before terminating it
+CLOSE_JOIN_S = 5.0
 
 _arena_ids = itertools.count()
 
@@ -134,10 +121,10 @@ class PlanArena:
         """
         seeded = 0
         for shm, entry in zip(self._segments, self._entries):
-            model = pool.models.get(entry["model"])
-            if model is None:  # pragma: no cover - defensive
-                continue
-            graph = build_graph(model, entry["config"])
+            # arena entries and the worker's pool come from one model
+            # set, so every entry names a hosted model
+            graph = build_graph(pool.models[entry["model"]],
+                                entry["config"])
             plan = unpack_plan(graph, shm.buf)
             key = (entry["mdigest"], entry["cdigest"], entry["bits"],
                    entry["length"])
@@ -159,8 +146,8 @@ class PlanArena:
             if unlink:
                 try:
                     shm.unlink()
-                except FileNotFoundError:  # pragma: no cover
-                    pass
+                except FileNotFoundError:
+                    pass  # someone else already removed the name
             try:
                 shm.close()
             except (BufferError, OSError):
@@ -171,30 +158,21 @@ class PlanArena:
 # worker process
 # ---------------------------------------------------------------------------
 
+#: wire tags for worker-side exceptions, checked in order; anything
+#: else travels as "internal" and is rebuilt as RuntimeError
+_ERROR_KINDS = (("queue_full", QueueFull), ("deadline", DeadlineExceeded),
+                ("timeout", TimeoutError), ("bad_request", ValueError))
+
+
 def _error_kind(exc: BaseException) -> str:
     """Collapse a worker-side exception to a transportable kind tag."""
-    if isinstance(exc, ServiceDraining):
-        return "draining"
-    if isinstance(exc, QueueFull):
-        return "queue_full"
-    if isinstance(exc, DeadlineExceeded):
-        return "deadline"
-    if isinstance(exc, TimeoutError):
-        return "timeout"
-    if isinstance(exc, ValueError):
-        return "bad_request"
-    return "internal"
+    return next((kind for kind, cls in _ERROR_KINDS
+                 if isinstance(exc, cls)), "internal")
 
 
 def _rebuild_error(kind: str, message: str) -> Exception:
     """Frontend-side inverse of :func:`_error_kind` (keeps HTTP mapping)."""
-    return {
-        "draining": ServiceDraining,
-        "queue_full": QueueFull,
-        "deadline": DeadlineExceeded,
-        "timeout": TimeoutError,
-        "bad_request": ValueError,
-    }.get(kind, RuntimeError)(message)
+    return dict(_ERROR_KINDS).get(kind, RuntimeError)(message)
 
 
 def _worker_main(worker_id: int, models, service_kwargs: dict,
@@ -202,92 +180,71 @@ def _worker_main(worker_id: int, models, service_kwargs: dict,
                  threads: int) -> None:
     """A worker process: one full service fed from its request pipe.
 
-    Requests are pulled by a small thread pool so concurrent same-spec
-    traffic actually coalesces in this worker's micro-batcher (a single
-    puller would serialize it away).  Both pipe ends are guarded by
-    **worker-local** ``threading.Lock``s on purpose: a cross-process
-    lock (what a shared ``mp.Queue`` uses) leaks in the acquired state
-    when a chaos kill lands while a sibling thread holds it, deadlocking
-    every later incarnation of the worker — process-local locks die
-    with the process.  Shutdown is the frontend closing its send end:
-    every puller sees EOF in turn.
+    Messages are ``(kind, req_id, *args)``; every kind but ``close`` is
+    answered with ``(req_id, ok, payload)``.  A pool of puller threads
+    lets concurrent same-spec traffic coalesce in this worker's
+    micro-batcher.  The pipe locks are **worker-local** on purpose: a
+    cross-process lock (what ``mp.Queue`` uses) stays acquired forever
+    when a chaos kill lands while a sibling thread holds it.
     """
     faults.maybe_install_from_env()
     kwargs = dict(service_kwargs)
-    warm = kwargs.pop("warm", True)
+    warm = kwargs.pop("warm")
     service = InferenceService(models, warm=False, **kwargs)
     arena.seed_pool(service.pool)
     if warm:
         # Engines still need their weight streams drawn per process;
         # the plan underneath comes from the arena, so warming here
         # never re-quantizes.
-        try:
-            key, config, _ = service.resolver.resolve({})
-            service.pool.get(config, backend=key[1], weight_bits=key[3],
-                             seed=key[4], model=key[0])
-        except Exception:  # pragma: no cover - warm is best-effort
-            pass
+        service.executor.engine(service.resolver.resolve({})[0])
+
+    def timeout(deadline):
+        # CLOCK_MONOTONIC is system-wide on Linux, so the frontend's
+        # absolute deadline is meaningful here — queue transit counts
+        # against the request budget.
+        return (None if deadline is None
+                else max(deadline - time.monotonic(), 1e-3))
+
+    def stats():
+        service.export_gauges()
+        return {"worker": worker_id, "pid": os.getpid(),
+                "stats": service.stats(),
+                "metrics": obs.render(obs.get_registry())}
+
+    handlers = {
+        "predict": lambda images, deadline, spec: service.predict(
+            images, timeout=timeout(deadline), **spec),
+        # the SceneResult dataclass pickles over the pipe whole
+        "scene": lambda job, deadline, spec: service.predict_scene(
+            job[0], stride=job[1], timeout=timeout(deadline), **spec),
+        "stats": stats,
+    }
     recv_lock = threading.Lock()
     send_lock = threading.Lock()
 
-    def _reply(item) -> None:
+    def reply(item) -> None:
         try:
             with send_lock:
                 rep_conn.send(item)
-        except (BrokenPipeError, OSError):  # pragma: no cover
+        except OSError:
             pass  # frontend is gone; nothing left to answer to
 
-    def _handle(msg) -> None:
-        kind, req_id = msg[0], msg[1]
-        try:
-            if kind == "predict":
-                _, _, images, deadline, overrides = msg
-                timeout = None
-                if deadline is not None:
-                    # CLOCK_MONOTONIC is system-wide on Linux, so the
-                    # frontend's absolute deadline is meaningful here —
-                    # queue transit counts against the request budget.
-                    timeout = max(deadline - time.monotonic(), 1e-3)
-                preds = service.predict(images, timeout=timeout,
-                                        **overrides)
-                _reply((req_id, True, [int(p) for p in preds]))
-            elif kind == "scene":
-                _, _, scene, stride, deadline, overrides = msg
-                timeout = None
-                if deadline is not None:
-                    timeout = max(deadline - time.monotonic(), 1e-3)
-                result = service.predict_scene(scene, stride=stride,
-                                               timeout=timeout,
-                                               **overrides)
-                # the SceneResult dataclass pickles over the pipe whole
-                _reply((req_id, True, result))
-            elif kind == "stats":
-                service.export_gauges()
-                _reply((req_id, True, {
-                    "worker": worker_id,
-                    "pid": os.getpid(),
-                    "stats": service.stats(),
-                    "metrics": obs.render(obs.get_registry()),
-                }))
-            elif kind == "drain":
-                service.drain()
-                _reply((req_id, True, None))
-            else:  # pragma: no cover - protocol bug
-                _reply((req_id, False,
-                        ("internal", f"unknown message {kind!r}")))
-        except BaseException as exc:  # noqa: BLE001 - relay, don't die
-            _reply((req_id, False, (_error_kind(exc), str(exc))))
-
-    def _pull() -> None:
+    def pull() -> None:
         while True:
             try:
                 with recv_lock:
-                    msg = req_conn.recv()
+                    kind, req_id, *args = req_conn.recv()
+                    if kind == "close":
+                        req_conn.close()
+                        return
             except (EOFError, OSError):
-                return
-            _handle(msg)
+                return  # a sibling took the close message
+            try:
+                reply((req_id, True, handlers[kind](*args)))
+            except Exception as exc:  # noqa: BLE001 - relay, don't die
+                reply((req_id, False, (_error_kind(exc), str(exc))))
 
-    pullers = [threading.Thread(target=_pull, name=f"pull-{i}",
+    pullers = [threading.Thread(target=pull, name=f"pull-{i}",
                                 daemon=True)
                for i in range(max(1, int(threads)))]
     for thread in pullers:
@@ -295,28 +252,24 @@ def _worker_main(worker_id: int, models, service_kwargs: dict,
     for thread in pullers:
         thread.join()
     service.close()
-    try:
-        rep_conn.close()
-    except OSError:  # pragma: no cover
-        pass
+    rep_conn.close()
 
 
 # ---------------------------------------------------------------------------
-# frontend facade
+# executor
 # ---------------------------------------------------------------------------
 
 class _Pending:
-    """One relayed request awaiting its worker reply."""
+    """One relayed message awaiting its worker reply."""
 
-    __slots__ = ("event", "result", "error", "worker", "msg", "model")
+    __slots__ = ("event", "result", "error", "worker", "msg")
 
-    def __init__(self, worker: int, msg, model: str):
+    def __init__(self, worker: int, msg):
         self.event = threading.Event()
         self.result = None
         self.error = None
         self.worker = worker
         self.msg = msg
-        self.model = model
 
 
 class _WorkerLink:
@@ -324,87 +277,39 @@ class _WorkerLink:
 
     __slots__ = ("proc", "req_send", "rep_recv", "send_lock", "reader")
 
-    def __init__(self, proc, req_send, rep_recv):
+    def __init__(self, proc, req_send, rep_recv, reader):
         self.proc = proc
         self.req_send = req_send
         self.rep_recv = rep_recv
         self.send_lock = threading.Lock()
-        self.reader = None
+        self.reader = reader
 
     def close(self) -> None:
-        """Close the frontend-side pipe ends (reply pump exits on EOF)."""
-        for conn in (self.req_send, self.rep_recv):
-            try:
-                conn.close()
-            except OSError:  # pragma: no cover
-                pass
+        """Close the frontend-side pipe ends."""
+        self.req_send.close()
+        self.rep_recv.close()
 
 
-class ProcServeFacade:
-    """N worker processes behind the :class:`InferenceService` API.
+class ProcExecutor:
+    """Executor relaying requests to ``procs`` worker processes built
+    with ``service_kwargs``; ``resolver`` resolves the warm specs whose
+    plans go into the shared arena."""
 
-    Drop-in for the HTTP layer: it exposes the same surface
-    (``predict``/``predict_one``, ``defaults``, ``input_shape``,
-    ``stats``, ``export_gauges``, ``tracker``, ``draining``/``drain``/
-    ``await_idle``/``close``) plus :meth:`metrics_text`, which the
-    ``/metrics`` handler prefers when present — a merged exposition of
-    the frontend's and every worker's registry.
-
-    Parameters mirror :class:`InferenceService`, plus:
-
-    procs:
-        Worker process count.
-    worker_threads:
-        Queue-puller threads per worker — the per-worker concurrency
-        ceiling (and therefore the largest micro-batch a worker can
-        actually gather from relayed traffic).
-    max_inflight_per_model:
-        Frontend admission bound: in-flight requests per model beyond
-        it are refused with :class:`QueueFull` (HTTP 503).  Defaults to
-        ``2 * max_queue``.
-    """
-
-    def __init__(self, model, *, procs: int = 2, backend: str = "exact",
-                 length: int = 64, kinds=None, pooling="max",
-                 weight_bits=None, seed: int = 0, max_batch: int = 16,
-                 max_wait_ms: float = 2.0, workers: int = 1,
-                 max_queue: int = 1024, max_engines: int = 8,
-                 warm: bool = True, worker_threads: int = 16,
-                 max_inflight_per_model: int = None):
-        if procs < 1:
-            raise ValueError("procs must be >= 1")
-        if isinstance(model, dict):
-            if not model:
-                raise ValueError("the model mapping must not be empty")
-            self.models = dict(model)
-        else:
-            self.models = {"default": model}
-        default_model = next(iter(self.models))
-        self.resolver = RequestResolver(
-            self.models, default_model=default_model, backend=backend,
-            length=length, kinds=kinds, pooling=pooling,
-            weight_bits=weight_bits, seed=seed)
-        self.defaults = self.resolver.defaults
-        self.tracker = LatencyTracker()
+    def __init__(self, models: dict, resolver: RequestResolver, *,
+                 procs: int, service_kwargs: dict, worker_threads: int,
+                 max_inflight_per_model: int):
+        self.models = models
         self.procs = int(procs)
-        self.max_inflight_per_model = (2 * int(max_queue)
-                                       if max_inflight_per_model is None
-                                       else int(max_inflight_per_model))
-        self._service_kwargs = {
-            "backend": backend, "length": length, "kinds": kinds,
-            "pooling": pooling, "weight_bits": weight_bits, "seed": seed,
-            "max_batch": max_batch, "max_wait_ms": max_wait_ms,
-            "workers": workers, "max_queue": max_queue,
-            "max_engines": max_engines, "warm": warm,
-        }
+        self.max_inflight_per_model = int(max_inflight_per_model)
+        self._service_kwargs = service_kwargs
         self._worker_threads = int(worker_threads)
 
         # one copy of every warm plan, shared by all workers
         self.arena = PlanArena()
-        if warm:
-            for name in self.models:
-                key, config, _ = self.resolver.resolve({"model": name})
-                self.arena.add(name, self.models[name], config, key[3])
+        if service_kwargs["warm"]:
+            for name, model in models.items():
+                key, config, _ = resolver.resolve({"model": name})
+                self.arena.add(name, model, config, key[3])
 
         self._ctx = multiprocessing.get_context("fork")
         self._links = [None] * self.procs
@@ -412,9 +317,6 @@ class ProcServeFacade:
         self._lock = threading.Lock()
         self._pending = {}          # req_id -> _Pending
         self._inflight_by_model = {}
-        self._idle = threading.Condition(self._lock)
-        self._draining = False
-        self._closed = False
         self._closing = threading.Event()
         self._restarts = 0
 
@@ -424,19 +326,8 @@ class ProcServeFacade:
                                          name="serve-monitor", daemon=True)
         self._monitor.start()
 
-    # ------------------------------------------------------------------
-    # worker lifecycle
-    # ------------------------------------------------------------------
     def _spawn(self, index: int) -> None:
-        """Start (or restart) worker ``index`` with fresh pipes.
-
-        Each incarnation gets its own request/reply pipe pair: shared
-        cross-process queue locks would be left permanently acquired by
-        a worker killed at the wrong instant, wedging every later
-        incarnation.  Pipes carry no shared lock, and the parent closes
-        its copies of the worker-side ends immediately after the fork
-        so a worker's death surfaces as EOF on the reply pipe.
-        """
+        """Start (or restart) worker ``index`` with a fresh pipe pair."""
         req_recv, req_send = self._ctx.Pipe(duplex=False)
         rep_recv, rep_send = self._ctx.Pipe(duplex=False)
         proc = self._ctx.Process(
@@ -450,23 +341,20 @@ class ProcServeFacade:
         # EOF would never fire when this worker dies.
         req_recv.close()
         rep_send.close()
-        link = _WorkerLink(proc, req_send, rep_recv)
-        link.reader = threading.Thread(
+        reader = threading.Thread(
             target=self._read_replies, args=(rep_recv,),
             name=f"serve-replies-{index}", daemon=True)
-        link.reader.start()
-        self._links[index] = link
+        reader.start()
+        self._links[index] = _WorkerLink(proc, req_send, rep_recv, reader)
 
     def _send(self, index: int, msg) -> bool:
         """Send to one worker; False if its pipe is already broken."""
         link = self._links[index]
-        if link is None:
-            return False
         try:
             with link.send_lock:
                 link.req_send.send(msg)
             return True
-        except (BrokenPipeError, OSError):
+        except OSError:
             # Worker died before the monitor noticed; the respawn path
             # resubmits everything registered as pending on it.
             return False
@@ -474,13 +362,10 @@ class ProcServeFacade:
     def _watch_workers(self) -> None:
         """Respawn dead workers; resubmit their in-flight requests."""
         while not self._closing.is_set():
+            # A dead worker's sentinel is ready at once, so one that
+            # died since the last pass is still seen.
             sentinels = {link.proc.sentinel: i
-                         for i, link in enumerate(self._links)
-                         if link is not None and link.proc.is_alive()}
-            if not sentinels:
-                if self._closing.wait(0.2):
-                    return
-                continue
+                         for i, link in enumerate(self._links)}
             dead = connection.wait(list(sentinels), timeout=0.5)
             if self._closing.is_set():
                 return
@@ -488,22 +373,25 @@ class ProcServeFacade:
                 index = sentinels[sentinel]
                 link = self._links[index]
                 link.proc.join(timeout=1.0)
+                link.reader.join(timeout=1.0)
                 link.close()
                 self._restarts += 1
                 obs.counter(_RESTARTS_TOTAL, _RESTARTS_HELP,
                             worker=str(index)).inc()
                 # Back off on repeated instant deaths so a worker that
                 # cannot even start does not become a respawn hot loop.
-                if self._closing.wait(
-                        min(0.1 * self._restarts, 2.0)):
+                if self._closing.wait(min(0.1 * self._restarts, 2.0)):
                     return
-                self._spawn(index)
                 # Re-run everything the dead incarnation owed a reply
                 # for — read or still in its pipe, we cannot tell, and
                 # it does not matter: computing a request twice is safe
                 # (deterministic, side-effect-free) and the first reply
-                # wins; dropping one is not.
+                # wins; dropping one is not.  Under the lock, so close()
+                # never races a respawn.
                 with self._lock:
+                    if self._closing.is_set():
+                        return
+                    self._spawn(index)
                     owed = [p.msg for p in self._pending.values()
                             if p.worker == index]
                 for msg in owed:
@@ -513,10 +401,9 @@ class ProcServeFacade:
         """Per-incarnation reply pump; exits on the worker's EOF."""
         while True:
             try:
-                item = rep_recv.recv()
+                req_id, ok, payload = rep_recv.recv()
             except (EOFError, OSError):
                 return
-            req_id, ok, payload = item
             with self._lock:
                 pending = self._pending.pop(req_id, None)
             if pending is None:
@@ -529,101 +416,41 @@ class ProcServeFacade:
                 pending.error = _rebuild_error(*payload)
             pending.event.set()
 
-    # ------------------------------------------------------------------
-    # request path
-    # ------------------------------------------------------------------
     def _route(self, key) -> int:
-        """Deterministic worker index for a request group key.
-
-        Same spec → same worker, so the worker's micro-batcher sees all
-        of a spec's concurrent traffic and coalescing survives the
-        process split.
-        """
+        """Worker index for a group key: same spec, same worker, so
+        coalescing survives the process split."""
         model, backend, config, bits, seed = key
         basis = repr((model, backend, config_digest(config),
                       config.length, bits, seed))
         digest = hashlib.sha1(basis.encode("utf8")).hexdigest()
         return int(digest[:8], 16) % self.procs
 
-    def predict(self, images, timeout: float = None, **overrides
-                ) -> np.ndarray:
-        """Class predictions for one or many images (blocking).
-
-        Same contract as :meth:`InferenceService.predict`; the work runs
-        in whichever worker the request's spec routes to.
-        """
-        if self._closed:
-            raise RuntimeError("service is closed")
+    def _call(self, index: int, kind: str, args, wait):
+        """Relay one message to worker ``index``; its reply or raise."""
         with self._lock:
-            if self._draining:
-                raise ServiceDraining(
-                    "service is draining; not accepting new requests")
-        start = time.monotonic()
-        model = None
+            req_id = next(self._ids)
+            msg = (kind, req_id, *args)
+            pending = self._pending[req_id] = _Pending(index, msg)
         try:
-            with obs.span("serve.predict",
-                          model=str(overrides.get(
-                              "model", self.defaults["model"])),
-                          backend=str(overrides.get(
-                              "backend", self.defaults["backend"]))):
-                key, _, _ = self.resolver.resolve(overrides)
-                batch = self.resolver.as_images(images, model=key[0])
-                model = key[0]
-                preds = np.asarray(
-                    self._relay(key, model, batch, start, timeout,
-                                overrides),
-                    dtype=np.int64)
-        except (DeadlineExceeded, TimeoutError):
-            self.tracker.record_shed()
-            raise
-        except Exception:
-            self.tracker.record_error()
-            raise
-        self.tracker.record(time.monotonic() - start)
-        return preds
+            # A failed send means the worker just died: leave the
+            # message pending — the monitor's respawn resubmits it.
+            self._send(index, msg)
+            if not pending.event.wait(wait):
+                raise TimeoutError(
+                    f"no reply from worker {index} within {wait:.1f}s")
+            if pending.error is not None:
+                raise pending.error
+            return pending.result
+        finally:
+            with self._lock:
+                self._pending.pop(req_id, None)
 
-    def predict_scene(self, scene, stride: int = None,
-                      timeout: float = None, **overrides):
-        """Tiled scene inference, relayed to the spec-affine worker.
-
-        The whole scene travels as one message, so all its windows land
-        in one worker's micro-batcher and coalesce there; the reply is
-        the worker's :class:`repro.engine.tiled.SceneResult`, which with
-        the exact backend is bit-identical at any worker count (each
-        window's streams fork from the per-request snapshot).  The
-        scene payload is validated frontend-side first, so malformed
-        requests 400 without crossing a process boundary.
-        """
-        if self._closed:
-            raise RuntimeError("service is closed")
-        with self._lock:
-            if self._draining:
-                raise ServiceDraining(
-                    "service is draining; not accepting new requests")
-        start = time.monotonic()
-        try:
-            with obs.span("serve.scene",
-                          model=str(overrides.get(
-                              "model", self.defaults["model"])),
-                          backend=str(overrides.get(
-                              "backend", self.defaults["backend"]))):
-                key, _, _ = self.resolver.resolve(overrides)
-                scene, _, _ = self.resolver.resolve_scene(
-                    scene, model=key[0], stride=stride)
-                result = self._relay(key, key[0], scene, start, timeout,
-                                     overrides, kind="scene",
-                                     extra=(stride,))
-        except (DeadlineExceeded, TimeoutError):
-            self.tracker.record_shed()
-            raise
-        except Exception:
-            self.tracker.record_error()
-            raise
-        self.tracker.record(time.monotonic() - start)
-        return result
-
-    def _relay(self, key, model: str, batch, start: float,
-               timeout, overrides, kind: str = "predict", extra=()):
+    def run(self, kind, key, spec, payload, deadline):
+        """Relay a request to its spec-affine worker, which re-resolves
+        ``spec`` and serves it through its own frontend.  A scene
+        travels whole (``(scene, stride)``), so all its windows land in
+        one worker's micro-batcher and coalesce there."""
+        model = key[0]
         with self._lock:
             inflight = self._inflight_by_model.get(model, 0)
             if inflight >= self.max_inflight_per_model:
@@ -635,115 +462,44 @@ class ProcServeFacade:
                     f"flight (admission limit "
                     f"{self.max_inflight_per_model}); retry shortly")
             self._inflight_by_model[model] = inflight + 1
-        req_id = next(self._ids)
-        deadline = None if timeout is None else start + timeout
-        index = self._route(key)
-        msg = (kind, req_id, batch, *extra, deadline, overrides)
-        pending = _Pending(index, msg, model)
+        if kind == "scene":
+            payload = payload[:2]  # (scene, stride): the worker re-tiles
+        wait = (None if deadline is None
+                else max(deadline - time.monotonic(), 0.0) + REPLY_SLACK_S)
         try:
-            with self._lock:
-                self._pending[req_id] = pending
-            # A failed send means the worker just died: leave the
-            # request pending — the monitor's respawn resubmits it.
-            self._send(index, msg)
-            wait = None if timeout is None else timeout + REPLY_SLACK_S
-            if not pending.event.wait(wait):
-                raise TimeoutError(
-                    f"no reply from worker {index} within {wait:.1f}s")
-            if pending.error is not None:
-                raise pending.error
-            return pending.result
+            return self._call(self._route(key), kind,
+                              (payload, deadline, spec), wait)
         finally:
             with self._lock:
-                self._pending.pop(req_id, None)
-                self._inflight_by_model[model] = \
-                    self._inflight_by_model.get(model, 1) - 1
-                if not self._pending:
-                    self._idle.notify_all()
+                self._inflight_by_model[model] -= 1
 
-    def predict_one(self, image, timeout: float = None, **overrides) -> int:
-        """Single-image convenience wrapper around :meth:`predict`."""
-        return int(self.predict(image, timeout=timeout, **overrides)[0])
-
-    def input_shape(self, model=None) -> tuple:
-        return self.resolver.input_shape(model)
-
-    # ------------------------------------------------------------------
-    # control plane
-    # ------------------------------------------------------------------
-    def _control(self, index: int, kind: str,
-                 timeout: float = CONTROL_TIMEOUT_S):
-        """Send a control message to one worker and await its reply."""
-        req_id = next(self._ids)
-        pending = _Pending(index, (kind, req_id), model="")
-        with self._lock:
-            self._pending[req_id] = pending
-        try:
-            if not self._send(index, (kind, req_id)):
-                return None
-            if not pending.event.wait(timeout):
-                return None
-            if pending.error is not None:
-                return None
-            return pending.result
-        finally:
-            with self._lock:
-                self._pending.pop(req_id, None)
-                if not self._pending:
-                    self._idle.notify_all()
-
-    def _alive(self) -> int:
-        return sum(1 for link in self._links
-                   if link is not None and link.proc.is_alive())
+    def _live(self) -> list:
+        return [i for i, link in enumerate(self._links)
+                if link.proc.is_alive()]
 
     def _scrape_workers(self) -> list:
+        """Every live worker's stats report; one that does not answer in
+        time (wedged, or dying mid-scrape) is left out."""
         replies = []
-        for index, link in enumerate(self._links):
-            if link is None or not link.proc.is_alive():
-                continue
-            reply = self._control(index, "stats")
-            if reply is not None:
-                replies.append(reply)
+        for index in self._live():
+            try:
+                replies.append(self._call(index, "stats", (),
+                                          SCRAPE_TIMEOUT_S))
+            except TimeoutError:
+                pass
         return replies
 
-    @property
-    def draining(self) -> bool:
-        return self._draining
-
-    def drain(self) -> None:
-        """Refuse new requests; in-flight ones still complete.
-
-        Frontend-first: the accept path is shut before workers are
-        told, so no request can slip in behind the drain.  Idempotent.
-        """
-        with self._lock:
-            already = self._draining
-            self._draining = True
-        if already:
-            return
-        for index, link in enumerate(self._links):
-            if link is not None and link.proc.is_alive():
-                self._control(index, "drain", timeout=2.0)
-
-    def await_idle(self, timeout: float = None) -> bool:
-        """Block until no relayed request awaits a reply."""
-        with self._idle:
-            return self._idle.wait_for(lambda: not self._pending, timeout)
-
     def stats(self) -> dict:
-        """Frontend telemetry plus every worker's own ``stats()``."""
+        """Process-tier telemetry plus every worker's own ``stats()``."""
         workers = self._scrape_workers()
-        pool = {"engines": 0, "plans": 0, "hits": 0, "misses": 0,
-                "plans_compiled": 0, "plans_rederived": 0}
-        for reply in workers:
-            for field in pool:
-                pool[field] += reply["stats"]["pool"].get(field, 0)
+        pool = {field: sum(r["stats"]["pool"].get(field, 0)
+                           for r in workers)
+                for field in ("engines", "plans", "hits", "misses",
+                              "plans_compiled", "plans_rederived")}
         return {
-            "draining": self._draining,
-            "service": self.tracker.summary(),
             "procs": {
                 "workers": self.procs,
-                "alive": self._alive(),
+                "alive": len(self._live()),
                 "restarts": self._restarts,
                 "shared_plan_segments": len(self.arena.segment_names()),
                 "admission_limit_per_model": self.max_inflight_per_model,
@@ -751,69 +507,83 @@ class ProcServeFacade:
             "pool": pool,
             "workers": [{"worker": r["worker"], "pid": r["pid"],
                          **r["stats"]} for r in workers],
-            "defaults": self.resolver.describe(),
         }
 
     def export_gauges(self) -> None:
-        """Frontend gauges (worker gauges publish worker-side)."""
+        """Executor gauges (worker gauges publish worker-side)."""
         obs.gauge("repro_serve_procs",
                   "Serve worker processes configured.").set(self.procs)
         obs.gauge("repro_serve_procs_alive",
                   "Serve worker processes currently alive.").set(
-                      self._alive())
+                      len(self._live()))
         obs.gauge("repro_serve_frontend_pending",
                   "Relayed requests awaiting a worker reply.").set(
                       len(self._pending))
-        obs.gauge("repro_serve_draining",
-                  "1 while the service refuses new requests.").set(
-                      1 if self._draining else 0)
 
-    def metrics_text(self) -> str:
-        """One exposition for the whole server: frontend + all workers.
+    def metric_texts(self) -> list:
+        """Every live worker's rendered registry."""
+        return [reply["metrics"] for reply in self._scrape_workers()]
 
-        Counters and histograms sum across processes; summed gauges
-        read as per-process totals (e.g. ``repro_pool_engines`` counts
-        engines resident in *any* worker).
-        """
-        self.export_gauges()
-        texts = [obs.render(obs.get_registry())]
-        texts += [reply["metrics"] for reply in self._scrape_workers()]
-        return obs.merge(texts)
-
-    # ------------------------------------------------------------------
-    # shutdown
-    # ------------------------------------------------------------------
     def close(self) -> None:
-        """Stop workers, reclaim shared memory (idempotent)."""
-        if self._closed:
-            return
-        self._closed = True
-        self._closing.set()
-        # Closing our send end delivers EOF to every worker puller
-        # thread, which is the shutdown signal in the pipe protocol.
+        """Stop every worker, then reclaim shared memory."""
+        with self._lock:
+            self._closing.set()  # no respawn starts after this
+        for index in range(self.procs):
+            self._send(index, ("close", None))
+        # Exiting workers wake the monitor, which then sees _closing;
+        # once it is gone the links are this thread's alone.
+        self._monitor.join()
         for link in self._links:
-            if link is None:
-                continue
-            try:
-                link.req_send.close()
-            except OSError:  # pragma: no cover
-                pass
-        for link in self._links:
-            if link is None:
-                continue
-            link.proc.join(timeout=5.0)
-            if link.proc.is_alive():  # pragma: no cover - hung worker
+            link.proc.join(timeout=CLOSE_JOIN_S)
+            if link.proc.is_alive():
+                # Safety net, not the shutdown path: only a worker
+                # wedged inside a request ignores its close message.
                 link.proc.terminate()
                 link.proc.join(timeout=1.0)
+            link.reader.join(timeout=1.0)
             link.close()
-        self._monitor.join(timeout=2.0)
-        for link in self._links:
-            if link is not None and link.reader is not None:
-                link.reader.join(timeout=2.0)
+        # Whatever still awaits a reply will never get one.
+        with self._lock:
+            orphans, self._pending = list(self._pending.values()), {}
+        for pending in orphans:
+            pending.error = RuntimeError("service is closed")
+            pending.event.set()
         self.arena.close(unlink=True)
 
-    def __enter__(self):
-        return self
 
-    def __exit__(self, *exc):
-        self.close()
+class ProcServeFacade(ServeFrontend):
+    """The frontend bound to a :class:`ProcExecutor`.
+
+    Parameters mirror :class:`InferenceService`, plus ``procs`` (worker
+    process count), ``worker_threads`` (puller threads per worker — the
+    largest micro-batch a worker can gather from relayed traffic) and
+    ``max_inflight_per_model`` (admission bound, default
+    ``2 * max_queue``).  ``/stats`` reports ``procs``, the summed
+    ``pool`` and each worker's own report under ``workers``.
+    """
+
+    def __init__(self, model, *, procs: int = 2, backend: str = "exact",
+                 length: int = 64, kinds=None, pooling="max",
+                 weight_bits=None, seed: int = 0, max_batch: int = 16,
+                 max_wait_ms: float = 2.0, workers: int = 1,
+                 max_queue: int = 1024, max_engines: int = 8,
+                 warm: bool = True, worker_threads: int = 16,
+                 max_inflight_per_model: int = None):
+        if procs < 1:
+            raise ValueError("procs must be >= 1")
+        models = model_set(model)
+        resolver = RequestResolver(
+            models, default_model=next(iter(models)), backend=backend,
+            length=length, kinds=kinds, pooling=pooling,
+            weight_bits=weight_bits, seed=seed)
+        super().__init__(resolver, ProcExecutor(
+            models, resolver, procs=procs, worker_threads=worker_threads,
+            max_inflight_per_model=(2 * int(max_queue)
+                                    if max_inflight_per_model is None
+                                    else max_inflight_per_model),
+            service_kwargs=dict(
+                backend=backend, length=length, kinds=kinds,
+                pooling=pooling, weight_bits=weight_bits, seed=seed,
+                max_batch=max_batch, max_wait_ms=max_wait_ms,
+                workers=workers, max_queue=max_queue,
+                max_engines=max_engines, warm=warm)))

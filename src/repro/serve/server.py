@@ -1,57 +1,42 @@
-"""Stdlib HTTP JSON API over :class:`repro.serve.service.InferenceService`.
+"""Stdlib HTTP JSON API over a :class:`repro.serve.service.ServeFrontend`.
 
 Endpoints:
 
 ``POST /predict``
-    Body: ``{"image": [...784 floats...]}`` (or 28×28 nested) for one
-    image, ``{"images": [[...], ...]}`` for many, or
-    ``{"scene": {...}}`` for a composite scene
-    (:meth:`repro.data.scenes.Scene.to_payload` form, with an optional
-    ``stride``) — the scene fans out into a coalesced window batch and
-    replies with per-cell predictions plus the per-window detail.
-    Optional spec overrides ride alongside: ``model`` (a registered zoo entry),
-    ``backend``, ``length``, ``kinds`` (``"APC,APC,APC"``), ``pooling``
-    (``"max"``/``"avg"``),
-    ``weight_bits`` (int or per-layer list), ``seed``, plus
-    ``timeout_ms`` — a request deadline: a request still queued past it
-    is shed before compute and answered 504.  Pixels are bipolar
-    floats in [-1, 1].  Response: ``{"prediction": k}`` (single) or
-    ``{"predictions": [...]}`` (batch), plus the resolved backend and
-    the server-side latency.
+    Body: ``{"image": [...]}`` (784 floats or 28×28 nested) for one
+    image, ``{"images": [[...], ...]}`` for many, or ``{"scene": {...}}``
+    (:meth:`repro.data.scenes.Scene.to_payload` form, optional
+    ``stride``) for a composite scene, answered with per-cell and
+    per-window predictions.  Optional spec overrides ride alongside:
+    ``model``, ``backend``, ``length``, ``kinds`` (``"APC,APC,APC"``),
+    ``pooling`` (``"max"``/``"avg"``), ``weight_bits`` (int or
+    per-layer list), ``seed``, plus ``timeout_ms`` — a deadline past
+    which a still-queued request is shed and answered 504.  Pixels are
+    bipolar floats in [-1, 1].  Response: ``{"prediction": k}`` or
+    ``{"predictions": [...]}``, the resolved backend and the
+    server-side latency.
 
 ``GET /healthz``
-    Liveness: ``{"status": "ok", "requests": N}`` — or 503
-    ``{"status": "draining"}`` once shutdown has begun, so a load
-    balancer stops routing here while in-flight requests finish.
+    ``{"status": "ok", "requests": N}`` — or 503 ``{"status":
+    "draining"}`` once shutdown has begun, so a load balancer stops
+    routing here while in-flight requests finish.
 
 ``GET /stats``
-    Full telemetry: request latency p50/p95, throughput (lifetime and
-    rolling-window), live queue depth and in-flight batch count, shed
-    counts, the batcher's batch-size histogram and mean batch size, and
-    the engine pool's hit rate — the observable effect of
-    micro-batching under load.
+    Latency p50/p95, lifetime and rolling throughput, sheds and errors,
+    plus the executor's view: batcher queue, batch sizes and pool hit
+    rate in process; per-worker reports with ``--procs N``.
 
 ``GET /metrics``
-    Prometheus text exposition of the process-wide
-    :mod:`repro.obs` registry: serve counters/histograms, live gauges
-    (queue depth, in-flight batches, pool residency — published at
-    scrape time by ``service.export_gauges()``), per-kernel per-tier
-    wall time when ``REPRO_PROFILE=1``, and fault-injection trip
-    counters.
+    Prometheus text exposition of the :mod:`repro.obs` registry (merged
+    across worker processes), gauges published at scrape time.
 
-The server is a threading HTTP server: each connection gets a thread,
-so concurrent clients genuinely enqueue concurrently and the
-micro-batcher has traffic to coalesce.  Malformed requests return 400
-with ``{"error": ...}``; unknown paths 404.  Failure statuses:
-backpressure and drain are 503 with a ``Retry-After`` header (the
-client should come back), deadline/timeout is 504, internal bugs 500.
-Only 5xx internal errors (or an unread request body) close a
-keep-alive connection — a client being told "retry later" keeps its
-connection.
-
+Each connection gets a thread, so concurrent clients genuinely enqueue
+concurrently and the micro-batcher has traffic to coalesce.  Malformed
+requests are 400, unknown paths 404; backpressure and drain are 503
+with ``Retry-After``, deadline/timeout 504, internal bugs 500.  Only a
+5xx or an unread request body closes a keep-alive connection.
 :func:`run_server` installs a SIGTERM handler implementing graceful
-drain: stop accepting work (503s + draining health), let every
-accepted request complete, then exit — no in-flight reply is dropped.
+drain: refuse new work, let every accepted request complete, then exit.
 """
 
 from __future__ import annotations
@@ -130,7 +115,7 @@ class ServeHandler(BaseHTTPRequestHandler):
         with self.server.track():
             service = self.server.service
             if self.path == "/healthz":
-                if getattr(service, "draining", False):
+                if service.draining:
                     self._reply(503, {"status": "draining"},
                                 retry_after=RETRY_AFTER_S)
                 else:
@@ -142,16 +127,9 @@ class ServeHandler(BaseHTTPRequestHandler):
             elif self.path == "/stats":
                 self._reply(200, service.stats())
             elif self.path == "/metrics":
-                # Gauges describe *now*: publish them at scrape time so
-                # the hot path never churns them.  A multi-process
-                # facade supplies its own merged exposition (frontend +
-                # every worker registry); the in-process service just
-                # renders this process's registry.
-                if hasattr(service, "metrics_text"):
-                    self._reply_text(200, service.metrics_text())
-                else:
-                    service.export_gauges()
-                    self._reply_text(200, obs.render(obs.get_registry()))
+                # Gauges describe *now*: metrics_text() publishes them
+                # at scrape time, so the hot path never churns them.
+                self._reply_text(200, service.metrics_text())
             else:
                 self._reply(404, {
                     "error": f"unknown path {self.path!r}; "
@@ -210,7 +188,8 @@ class ServeHandler(BaseHTTPRequestHandler):
         if single:
             # Validate against the *target model's* geometry (the zoo
             # generalized it away from a hardcoded 28×28).
-            channels, h, w = service.input_shape(request.get("model"))
+            channels, h, w = service.resolver.input_shape(
+                request.get("model"))
             pixels = channels * h * w
             try:
                 shape = np.asarray(images, dtype=np.float64).shape

@@ -1,37 +1,31 @@
-"""In-process inference service: pool + micro-batcher + telemetry.
+"""The serving frontend and its in-process executor.
 
-:class:`InferenceService` is the embeddable core the HTTP server wraps
-(and the right entry point for Python callers — tests and the load
-generator drive it directly).  A request is a single 28×28 bipolar image
-plus an optional spec override (model, backend, stream length, FEB
-kinds, pooling, weight bits, seed); the service:
+:class:`ServeFrontend` is the request lifecycle both serving modes
+share: validation (:class:`RequestResolver`), admission, the root
+``serve.predict``/``serve.scene`` span, latency accounting, drain and
+the API the HTTP layer drives.  It hands every admitted request to an
+*executor*: :class:`LocalExecutor` runs it in this process,
+:class:`repro.serve.procpool.ProcExecutor` relays it to worker
+processes.  :class:`InferenceService` is the frontend bound to a
+:class:`LocalExecutor` — the embeddable in-process service.
 
-1. resolves the spec against its defaults into a canonical
-   :class:`repro.core.config.NetworkConfig` and a hashable *group key* —
-   everything two requests must agree on to share one engine call;
-2. enqueues the image on the :class:`repro.serve.batcher.MicroBatcher`,
-   which coalesces concurrent same-group requests into one batched
-   engine call bounded by ``max_batch``/``max_wait_ms``;
-3. serves the batch from the :class:`repro.serve.pool.EnginePool`'s
-   shared engine.  Exact-backend batches run through
-   ``forward_independent``, so every response is bit-identical to a
-   dedicated single-request ``Engine.predict`` with the same per-request
-   seed regardless of what it was coalesced with.  Stateful float-domain
-   backends (``surrogate``/``noise`` draw sampled noise) are serialized
-   per engine instead — their responses are statistically, not bitwise,
-   batch-invariant; ``float`` is deterministic either way.
+In process, a request's spec (model, backend, stream length, FEB
+kinds, pooling, weight bits, seed) resolves to a hashable *group key*;
+each image is a ticket on the :class:`repro.serve.batcher.MicroBatcher`,
+which coalesces concurrent same-key tickets into one engine call from
+the :class:`repro.serve.pool.EnginePool`.  Exact-backend batches run
+through ``forward_independent``, so every reply is bit-identical to a
+dedicated single-request ``Engine.predict`` with the same seed whatever
+it was coalesced with; stateful float-domain backends (``surrogate``/
+``noise``) are serialized per engine and only statistically
+batch-invariant.
 
-Multi-image requests fan out into per-image queue entries, so they both
-benefit from and contribute to coalescing.
-
-Failure model: request ``timeout`` becomes a queue *deadline* — a
-request still queued past it is shed before compute
-(:class:`~repro.serve.batcher.DeadlineExceeded`, HTTP 504) rather than
-burning engine time on an abandoned wait.  :meth:`InferenceService.
-drain` flips the service into drain mode: new requests are refused with
-:class:`ServiceDraining` (HTTP 503 + ``Retry-After``) while in-flight
-work runs to completion (:meth:`InferenceService.await_idle`) — the
-SIGTERM path of :func:`repro.serve.server.run_server`.
+A request ``timeout`` becomes a queue deadline: a request still queued
+past it is shed before compute (:class:`~repro.serve.batcher.
+DeadlineExceeded`, HTTP 504).  :meth:`ServeFrontend.drain` refuses new
+requests (:class:`ServiceDraining`, HTTP 503) while accepted ones run to
+completion (:meth:`ServeFrontend.await_idle`) — the SIGTERM path of
+:func:`repro.serve.server.run_server`.
 """
 
 from __future__ import annotations
@@ -61,8 +55,9 @@ from repro.serve.stats import LatencyTracker
 
 # re-exported for serving callers; the parsers live with the config
 # domain in repro.core.config
-__all__ = ["InferenceService", "RequestResolver", "ServiceDraining",
-           "payload_fingerprint", "resolve_pooling", "resolve_kinds"]
+__all__ = ["InferenceService", "LocalExecutor", "RequestResolver",
+           "ServeFrontend", "ServiceDraining", "payload_fingerprint",
+           "resolve_pooling", "resolve_kinds"]
 
 
 class ServiceDraining(RuntimeError):
@@ -84,17 +79,13 @@ def payload_fingerprint(image) -> str:
 class RequestResolver:
     """Request-spec resolution over a model set, engine-free.
 
-    Everything the serving layer must decide about a request *before*
-    touching an engine lives here: validating per-request overrides
-    against the hosted models, resolving them into a canonical
-    :class:`~repro.core.config.NetworkConfig`, and deriving the hashable
-    *group key* — the fields two requests must agree on to share one
-    batched engine call.  :class:`InferenceService` composes one, and the
-    multi-process frontend (:mod:`repro.serve.procpool`) uses its own to
-    reject malformed requests with a 400 and pick a worker **without**
-    crossing a process boundary.
-
-    All failures raise ``ValueError`` — the HTTP layer's 400 class.
+    Everything decided about a request *before* touching an engine:
+    validating overrides against the hosted models, resolving them into
+    a canonical :class:`~repro.core.config.NetworkConfig`, and deriving
+    the hashable *group key* — the fields two requests must agree on to
+    share one batched engine call.  Every failure raises ``ValueError``
+    (HTTP 400), so the multi-process tier rejects a malformed request
+    without crossing a process boundary.
     """
 
     def __init__(self, models: dict, *, default_model: str,
@@ -153,11 +144,8 @@ class RequestResolver:
         return key, config, spec
 
     def model_meta(self, model: str) -> tuple:
-        """(hidden layer count, input shape) for a hosted model name.
-
-        The single unknown-model check of the service layer; raises
-        ``ValueError`` (→ HTTP 400) listing what is hosted.
-        """
+        """(hidden layer count, input shape) of a hosted model; the one
+        unknown-model check, a ``ValueError`` listing what is hosted."""
         try:
             return self._models_meta[model]
         except KeyError:
@@ -171,13 +159,9 @@ class RequestResolver:
         return self.model_meta(model)[1]
 
     def as_images(self, images, model: str) -> np.ndarray:
-        """Normalize request payload to the target model's pixel batch.
-
-        Every malformed payload — wrong geometry, out-of-range values,
-        or non-numeric content numpy raises ``TypeError`` for — surfaces
-        as ``ValueError``, the HTTP layer's 400 class (pre-fix a
-        non-numeric payload escaped as ``TypeError`` → 500).
-        """
+        """Normalize a request payload to the model's pixel batch; any
+        malformed payload (geometry, range, non-numeric) is a
+        ``ValueError``."""
         try:
             return as_image_batch(images, bipolar=True,
                                   shape=self.model_meta(model)[1])
@@ -188,11 +172,10 @@ class RequestResolver:
     def resolve_scene(self, scene, model: str, stride=None):
         """Validate a scene request against a hosted model's geometry.
 
-        Returns ``(scene, boxes, flat_windows)`` where ``flat_windows``
-        is the bipolar ``(N, pixels)`` window batch ready for the
-        engine.  Every malformed input — bad payload, multi-channel
-        model, canvas smaller than the model tile, bad stride — raises
-        ``ValueError`` (→ HTTP 400), *before* any engine work.
+        Returns ``(scene, stride, boxes, flat_windows)``, the windows a
+        bipolar ``(N, pixels)`` batch.  A bad payload, multi-channel
+        model, canvas smaller than the tile or bad stride raises
+        ``ValueError`` before any engine work.
         """
         channels, h, w = self.model_meta(model)[1]
         if channels != 1:
@@ -210,265 +193,69 @@ class RequestResolver:
                 f"stride must be an integer, got {stride!r}") from None
         windows, boxes = extract_windows(scene.canvas, (h, w), stride)
         flat = to_bipolar(windows.reshape(len(boxes), -1))
-        return scene, boxes, flat
+        return scene, stride, boxes, flat
 
     def describe(self) -> dict:
         """JSON-ready rendering of the defaults (the ``/stats`` block)."""
-        return {
-            "model": self.defaults["model"],
-            "backend": self.defaults["backend"],
-            "length": self.defaults["length"],
-            "kinds": (None if self.defaults["kinds"] is None
-                      else ",".join(self.defaults["kinds"])),
-            "pooling": self.defaults["pooling"].value.lower(),
-            "weight_bits": self.defaults["weight_bits"],
-            "seed": self.defaults["seed"],
-        }
+        kinds = self.defaults["kinds"]
+        return {**self.defaults,
+                "kinds": None if kinds is None else ",".join(kinds),
+                "pooling": self.defaults["pooling"].value.lower()}
 
 
-class InferenceService:
-    """Micro-batched inference over pooled engines for a trained model set.
+class ServeFrontend:
+    """The request lifecycle both serving modes share.
 
-    Parameters
-    ----------
-    model:
-        The trained model every request is served from — a single
-        :class:`repro.nn.module.Sequential` (named ``"default"``) or a
-        ``{name: model}`` mapping for multi-model serving; per-request
-        ``model=<name>`` overrides pick among the registered entries.
-    backend, length, kinds, pooling, weight_bits, seed:
-        Default request spec; any field can be overridden per request.
-        ``kinds=None`` means "all-APC at the target model's depth",
-        resolved per request — the right default when models of
-        different depths share the service.
-    max_batch, max_wait_ms, workers, max_queue:
-        Micro-batching policy (see :class:`MicroBatcher`); ``max_queue``
-        is the backpressure bound (full queue → :class:`QueueFull`,
-        surfaced as HTTP 503).
-    max_engines:
-        Engine-pool capacity (see :class:`EnginePool`).
-    warm:
-        Preload the default spec's engine at construction so the first
-        request does not pay compilation + weight-stream drawing.
+    An executor provides ``run(kind, key, spec, payload, deadline)``,
+    ``stats()``, ``export_gauges()``, ``metric_texts()`` and
+    ``close()``.  ``run`` gets a ``"predict"`` or ``"scene"``
+    request's group key and resolved spec, its validated payload (a
+    bipolar image batch, or :meth:`RequestResolver.resolve_scene`'s
+    tuple) and its absolute monotonic deadline, and returns the class
+    indices or the :class:`~repro.engine.tiled.SceneResult`.
+
+    Admission is one atomic step under ``_idle``: the closed and
+    draining checks and the in-flight bump.  A request is therefore
+    either refused or visible to :meth:`await_idle` from the instant it
+    is accepted — the guarantee SIGTERM drain rests on.
     """
 
-    def __init__(self, model, *, backend: str = "exact", length: int = 64,
-                 kinds=None, pooling="max",
-                 weight_bits=None, seed: int = 0, max_batch: int = 16,
-                 max_wait_ms: float = 2.0, workers: int = 1,
-                 max_queue: int = 1024, max_engines: int = 8,
-                 warm: bool = True):
-        self.pool = EnginePool(model, max_engines=max_engines)
-        self.resolver = RequestResolver(
-            self.pool.models, default_model=self.pool.default_model,
-            backend=backend, length=length, kinds=kinds, pooling=pooling,
-            weight_bits=weight_bits, seed=seed)
-        self.defaults = self.resolver.defaults
-        self.batcher = MicroBatcher(self._run_batch, max_batch=max_batch,
-                                    max_wait_ms=max_wait_ms,
-                                    workers=workers, max_queue=max_queue)
+    def __init__(self, resolver: RequestResolver, executor):
+        self.resolver = resolver
+        self.defaults = resolver.defaults
+        self.executor = executor
         self.tracker = LatencyTracker()
         self._closed = False
         self._draining = False
         self._inflight = 0
         self._idle = threading.Condition()
-        if warm:
-            self.pool.get(self._resolve({})[1], backend=backend,
-                          weight_bits=weight_bits, seed=self.defaults["seed"],
-                          model=self.pool.default_model)
 
-    # ------------------------------------------------------------------
-    # request resolution (delegated to the shared resolver)
-    # ------------------------------------------------------------------
-    def _resolve(self, overrides: dict):
-        return self.resolver.resolve(overrides)
+    def _serve(self, kind: str, timeout, overrides: dict, prepare):
+        """Admit, resolve, execute and account one request.
 
-    def _model_meta(self, model: str) -> tuple:
-        return self.resolver.model_meta(model)
-
-    def input_shape(self, model=None) -> tuple:
-        """A hosted model's ``(channels, height, width)`` input geometry.
-
-        Raises ``ValueError`` for unregistered names (the HTTP layer maps
-        that to a 400, same as :meth:`predict` would).
+        ``prepare(model)`` validates the payload against the resolved
+        model, inside the root span so its cost is attributed there.
         """
-        return self.resolver.input_shape(model)
-
-    def _as_images(self, images, model: str) -> np.ndarray:
-        return self.resolver.as_images(images, model)
-
-    # ------------------------------------------------------------------
-    # batched execution (called by batcher workers)
-    # ------------------------------------------------------------------
-    def _run_batch(self, key, payloads):
-        # A 6-tuple key is a scene-window group: same spec fields plus
-        # the "logits" marker appended by predict_scene, so scene
-        # windows coalesce among themselves and get raw logits back
-        # (the reduction needs margins, not argmaxes) while plain
-        # predict traffic keeps its 5-tuple key and argmax replies.
-        want_logits = len(key) == 6
-        model, backend_name, config, bits, seed = key[:5]
-        if faults.active() is not None:
-            # Per-payload site first: a spec matching one request's
-            # fingerprint fails every batch containing it, so bisection
-            # isolates exactly that request.  Then the whole-batch site.
-            for payload in payloads:
-                faults.fire("serve.request",
-                            label=payload_fingerprint(payload))
-            faults.fire("serve.compute",
-                        label=f"{model}:{backend_name}:{len(payloads)}")
-        engine = self.pool.get(config, backend=backend_name,
-                               weight_bits=bits, seed=seed, model=model)
-        batch = np.stack(payloads)
-        backend = engine.backend
-        if hasattr(backend, "forward_independent"):
-            # Per-request stream-state forks: thread-safe on a shared
-            # engine and bit-identical to single-request calls.
-            logits = backend.forward_independent(batch)
-        else:
-            # Stateful float-domain backends mutate their noise RNG per
-            # call; serialize per engine (the pool attaches the lock, so
-            # its lifetime matches the engine's) so concurrent workers
-            # never race it.
-            with engine.serial_lock:
-                logits = backend.forward(batch)
-        if want_logits:
-            return list(logits)
-        return list(np.argmax(logits, axis=1))
-
-    # ------------------------------------------------------------------
-    # public API
-    # ------------------------------------------------------------------
-    def predict(self, images, timeout: float = None, **overrides
-                ) -> np.ndarray:
-        """Class predictions for one or many images (blocking).
-
-        Accepts a single image (``(784,)`` or ``(28, 28)``) or a batch;
-        returns an ``(N,)`` int array.  Keyword overrides (``model``,
-        ``backend``, ``length``, ``kinds``, ``pooling``, ``weight_bits``,
-        ``seed``) replace the service defaults for this request only —
-        ``model`` selects among the registered zoo entries.  Every image
-        goes through the micro-batcher, so concurrent callers coalesce.
-        ``timeout`` bounds the *whole* request, not each image — it also
-        becomes the tickets' queue deadline, so a request that cannot be
-        served in time is shed before compute
-        (:class:`~repro.serve.batcher.DeadlineExceeded`) instead of
-        evaluated for nobody.
-        """
-        if self._closed:
-            raise RuntimeError("service is closed")
-        # The draining check and the inflight bump are atomic under
-        # ``_idle``: a request must either be refused or be visible to
-        # ``await_idle()`` from the instant it is accepted.  Checking
-        # ``_draining`` outside the lock left a window where a request
-        # racing ``drain()`` + ``await_idle()`` was accepted yet
-        # invisible to the idle wait — its reply could be dropped on
-        # SIGTERM.
         with self._idle:
+            if self._closed:
+                raise RuntimeError("service is closed")
             if self._draining:
                 raise ServiceDraining(
                     "service is draining; not accepting new requests")
             self._inflight += 1
         start = time.monotonic()
         deadline = None if timeout is None else start + timeout
-        tickets = []
         try:
-            # Root span of the request lifecycle: tickets capture it at
-            # submit time, so the batcher's queue/coalesce/compute spans
-            # (recorded on worker threads) all parent back here.
-            with obs.span("serve.predict",
-                          model=str(overrides.get(
-                              "model", self.defaults["model"])),
-                          backend=str(overrides.get(
-                              "backend", self.defaults["backend"]))):
-                key, _, _ = self._resolve(overrides)
-                batch = self._as_images(images, model=key[0])
-                tickets = [self.batcher.submit(key, image,
-                                               deadline=deadline)
-                           for image in batch]
-                preds = np.array(
-                    [t.result(None if deadline is None
-                              else max(deadline - time.monotonic(), 0.0))
-                     for t in tickets],
-                    dtype=np.int64)
+            # Root span of the request lifecycle: batcher tickets
+            # capture it at submit time, so the queue/coalesce/compute
+            # spans recorded on worker threads all parent back here.
+            with obs.span(f"serve.{kind}", **{
+                    tag: str(overrides.get(tag, self.defaults[tag]))
+                    for tag in ("model", "backend")}):
+                key, _, spec = self.resolver.resolve(overrides)
+                result = self.executor.run(kind, key, spec,
+                                           prepare(key[0]), deadline)
         except (DeadlineExceeded, TimeoutError):
-            # Abandon the whole request: sibling tickets still queued
-            # would otherwise be computed for nobody.
-            for ticket in tickets:
-                ticket.cancel()
-            self.tracker.record_shed()
-            raise
-        except Exception:
-            self.tracker.record_error()
-            raise
-        finally:
-            with self._idle:
-                self._inflight -= 1
-                if self._inflight == 0:
-                    self._idle.notify_all()
-        self.tracker.record(time.monotonic() - start)
-        return preds
-
-    def predict_one(self, image, timeout: float = None, **overrides) -> int:
-        """Single-image convenience wrapper around :meth:`predict`."""
-        return int(self.predict(image, timeout=timeout, **overrides)[0])
-
-    def predict_scene(self, scene, stride: int = None,
-                      timeout: float = None, **overrides) -> SceneResult:
-        """Tiled inference over a composite scene (blocking).
-
-        ``scene`` is a :class:`repro.data.scenes.Scene` or its JSON
-        payload form.  One request fans out into a per-window ticket
-        batch on the micro-batcher — all windows of a scene share one
-        group key (the request spec plus a ``"logits"`` marker), so
-        they coalesce into engine calls together (and with concurrent
-        same-spec scene traffic).  With the exact backend every
-        window's logits are bit-identical to a dedicated single-window
-        run, so scene replies do not depend on batching or worker
-        count.  ``stride`` defaults to the model tile height
-        (non-overlapping windows); returns a
-        :class:`repro.engine.tiled.SceneResult`.
-        """
-        if self._closed:
-            raise RuntimeError("service is closed")
-        with self._idle:
-            if self._draining:
-                raise ServiceDraining(
-                    "service is draining; not accepting new requests")
-            self._inflight += 1
-        start = time.monotonic()
-        deadline = None if timeout is None else start + timeout
-        tickets = []
-        try:
-            with obs.span("serve.scene",
-                          model=str(overrides.get(
-                              "model", self.defaults["model"])),
-                          backend=str(overrides.get(
-                              "backend", self.defaults["backend"]))):
-                key, _, _ = self._resolve(overrides)
-                scene, boxes, flat = self.resolver.resolve_scene(
-                    scene, model=key[0], stride=stride)
-                logits_key = key + ("logits",)
-                tickets = [self.batcher.submit(logits_key, window,
-                                               deadline=deadline)
-                           for window in flat]
-                logits = np.stack(
-                    [np.asarray(
-                        t.result(None if deadline is None
-                                 else max(deadline - time.monotonic(),
-                                          0.0)),
-                        dtype=np.float64)
-                     for t in tickets])
-                cell_preds, cell_windows = reduce_scene(
-                    scene.kind, [c.box for c in scene.cells], boxes,
-                    logits)
-                result = SceneResult(kind=scene.kind, boxes=boxes,
-                                     window_logits=logits,
-                                     cell_preds=cell_preds,
-                                     cell_windows=cell_windows)
-        except (DeadlineExceeded, TimeoutError):
-            for ticket in tickets:
-                ticket.cancel()
             self.tracker.record_shed()
             raise
         except Exception:
@@ -482,21 +269,54 @@ class InferenceService:
         self.tracker.record(time.monotonic() - start)
         return result
 
-    # ------------------------------------------------------------------
-    # drain / shutdown
-    # ------------------------------------------------------------------
+    def predict(self, images, timeout: float = None, **overrides
+                ) -> np.ndarray:
+        """Class predictions for one image or a batch (blocking).
+
+        Returns an ``(N,)`` int array.  Keyword overrides (``model``,
+        ``backend``, ``length``, ``kinds``, ``pooling``, ``weight_bits``,
+        ``seed``) replace the defaults for this request only.
+        ``timeout`` bounds the whole request and is also its queue
+        deadline, so a request that cannot be served in time is shed
+        before compute instead of evaluated for nobody.
+        """
+        preds = self._serve(
+            "predict", timeout, overrides,
+            lambda model: self.resolver.as_images(images, model))
+        return np.asarray(preds, dtype=np.int64)
+
+    def predict_one(self, image, timeout: float = None, **overrides) -> int:
+        """Single-image convenience wrapper around :meth:`predict`."""
+        return int(self.predict(image, timeout=timeout, **overrides)[0])
+
+    def predict_scene(self, scene, stride: int = None,
+                      timeout: float = None, **overrides) -> SceneResult:
+        """Tiled inference over a composite scene (blocking).
+
+        ``scene`` is a :class:`repro.data.scenes.Scene` or its JSON
+        payload form; ``stride`` defaults to the model tile height.
+        All windows of a scene share one group key (the spec plus a
+        ``"logits"`` marker) and coalesce into engine calls together.
+        With the exact backend every window's logits are bit-identical
+        to a dedicated single-window run, so the reply depends on
+        neither batching nor worker count.
+        """
+        return self._serve(
+            "scene", timeout, overrides,
+            lambda model: self.resolver.resolve_scene(
+                scene, model=model, stride=stride))
+
     @property
     def draining(self) -> bool:
         return self._draining
 
     def drain(self) -> None:
-        """Stop accepting new requests; in-flight ones run to completion.
+        """Refuse new requests; accepted ones still run to completion.
 
-        Idempotent.  Pair with :meth:`await_idle` then :meth:`close` for
-        a graceful shutdown that never drops an accepted request.
+        Idempotent; under ``_idle``, so every request admitted before
+        is counted by :meth:`await_idle`.  Executors are not told: they
+        only ever see admitted requests, all of which must be served.
         """
-        # Under ``_idle`` so it serializes against the accept path: once
-        # drain() returns, every in-flight request is counted.
         with self._idle:
             self._draining = True
 
@@ -507,23 +327,126 @@ class InferenceService:
                                        timeout)
 
     def stats(self) -> dict:
-        """Aggregated service / batcher / pool telemetry for ``/stats``."""
+        """Frontend telemetry plus the executor's, for ``/stats``."""
         return {
             "draining": self._draining,
             "service": self.tracker.summary(),
-            "batcher": self.batcher.stats(),
-            "pool": self.pool.stats(),
+            **self.executor.stats(),
             "defaults": self.resolver.describe(),
         }
 
     def export_gauges(self) -> None:
-        """Publish point-in-time gauges into the current registry.
+        """Publish point-in-time gauges into the current registry; called
+        at scrape time so the hot path never churns them."""
+        obs.gauge("repro_serve_draining",
+                  "1 while the service refuses new requests.").set(
+                      1 if self._draining else 0)
+        self.executor.export_gauges()
 
-        Called by scrapers (the ``/metrics`` handler, tests) rather than
-        continuously: gauges describe *now*, so setting them at scrape
-        time keeps the hot path free of gauge churn and means a registry
-        swapped in by a test sees values the moment it scrapes.
-        """
+    def metrics_text(self) -> str:
+        """The ``/metrics`` page: this process's registry, merged with
+        every worker process's (counters and histograms sum; summed
+        gauges read as totals across processes)."""
+        self.export_gauges()
+        texts = [obs.render(obs.get_registry()),
+                 *self.executor.metric_texts()]
+        return texts[0] if len(texts) == 1 else obs.merge(texts)
+
+    def close(self) -> None:
+        """Refuse further requests, shut the executor down (idempotent)."""
+        with self._idle:
+            if self._closed:
+                return
+            self._closed = True
+        self.executor.close()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.close()
+
+
+class LocalExecutor:
+    """In-process executor: an :class:`EnginePool` behind a
+    :class:`MicroBatcher`, one ticket per image or scene window."""
+
+    def __init__(self, pool: EnginePool, *, max_batch: int,
+                 max_wait_ms: float, workers: int, max_queue: int):
+        self.pool = pool
+        self.batcher = MicroBatcher(self._run_batch, max_batch=max_batch,
+                                    max_wait_ms=max_wait_ms,
+                                    workers=workers, max_queue=max_queue)
+
+    def engine(self, key):
+        """The pooled engine a group key runs on (built on a miss)."""
+        model, backend, config, bits, seed = key[:5]
+        return self.pool.get(config, backend=backend, weight_bits=bits,
+                             seed=seed, model=model)
+
+    def _run_batch(self, key, payloads):
+        # A 6-tuple key (spec + "logits", appended by run()) is a group
+        # of scene windows: they get raw logits back, since the scene
+        # reduction needs margins, while predict keys get argmaxes.
+        if faults.active() is not None:
+            # Per-payload site first: a spec matching one request's
+            # fingerprint fails every batch containing it, so bisection
+            # isolates exactly that request.  Then the whole-batch site.
+            for payload in payloads:
+                faults.fire("serve.request",
+                            label=payload_fingerprint(payload))
+            faults.fire("serve.compute",
+                        label=f"{key[0]}:{key[1]}:{len(payloads)}")
+        engine = self.engine(key)
+        batch = np.stack(payloads)
+        backend = engine.backend
+        if hasattr(backend, "forward_independent"):
+            # Per-request stream-state forks: thread-safe on a shared
+            # engine and bit-identical to single-request calls.
+            logits = backend.forward_independent(batch)
+        else:
+            # Stateful float-domain backends mutate their noise RNG per
+            # call: serialize per engine so workers never race it.
+            with engine.serial_lock:
+                logits = backend.forward(batch)
+        if len(key) == 6:
+            return list(logits)
+        return list(np.argmax(logits, axis=1))
+
+    def _gather(self, key, items, deadline) -> list:
+        """Submit one ticket per item and collect them in order."""
+        tickets = []
+        try:
+            for item in items:
+                tickets.append(self.batcher.submit(key, item,
+                                                   deadline=deadline))
+            return [t.result(None if deadline is None
+                             else max(deadline - time.monotonic(), 0.0))
+                    for t in tickets]
+        except Exception:
+            # Abandon the whole request: sibling tickets still queued
+            # would otherwise be computed for nobody.
+            for ticket in tickets:
+                ticket.cancel()
+            raise
+
+    def run(self, kind, key, spec, payload, deadline):
+        if kind == "predict":
+            return self._gather(key, payload, deadline)
+        scene, _, boxes, windows = payload
+        logits = np.stack([
+            np.asarray(row, dtype=np.float64) for row in
+            self._gather(key + ("logits",), windows, deadline)])
+        cell_preds, cell_windows = reduce_scene(
+            scene.kind, [c.box for c in scene.cells], boxes, logits)
+        return SceneResult(kind=scene.kind, boxes=boxes,
+                           window_logits=logits, cell_preds=cell_preds,
+                           cell_windows=cell_windows)
+
+    def stats(self) -> dict:
+        return {"batcher": self.batcher.stats(), "pool": self.pool.stats()}
+
+    def export_gauges(self) -> None:
         batcher = self.batcher.stats()
         obs.gauge("repro_serve_queue_depth",
                   "Requests waiting in the batcher queue.").set(
@@ -531,9 +454,6 @@ class InferenceService:
         obs.gauge("repro_serve_inflight_batches",
                   "Batches currently being computed.").set(
                       batcher["inflight_batches"])
-        obs.gauge("repro_serve_draining",
-                  "1 while the service refuses new requests.").set(
-                      1 if self._draining else 0)
         pool = self.pool.stats()
         obs.gauge("repro_pool_engines",
                   "Engines resident in the pool.").set(pool["engines"])
@@ -541,14 +461,45 @@ class InferenceService:
                   "Compiled plans resident in the pool.").set(
                       pool["plans"])
 
+    def metric_texts(self) -> list:
+        return []  # this process's registry is the whole story
+
     def close(self) -> None:
-        """Drain the queue and stop the batcher workers (idempotent)."""
-        if not self._closed:
-            self._closed = True
-            self.batcher.close()
+        """Drain the queue and stop the batcher workers."""
+        self.batcher.close()
 
-    def __enter__(self):
-        return self
 
-    def __exit__(self, *exc):
-        self.close()
+class InferenceService(ServeFrontend):
+    """The frontend bound to a :class:`LocalExecutor`.
+
+    ``model`` is a trained :class:`repro.nn.module.Sequential` (named
+    ``"default"``) or a ``{name: model}`` mapping; per-request
+    ``model=<name>`` overrides pick among the entries.  ``backend``,
+    ``length``, ``kinds``, ``pooling``, ``weight_bits`` and ``seed`` are
+    the default request spec (``kinds=None`` means all-APC at the
+    target model's depth).  ``max_batch``, ``max_wait_ms``, ``workers``
+    and ``max_queue`` set the :class:`MicroBatcher` policy (a full queue
+    raises :class:`~repro.serve.batcher.QueueFull`, HTTP 503);
+    ``max_engines`` bounds the :class:`EnginePool`.  ``warm`` preloads
+    the default spec's engine so the first request does not pay
+    compilation and weight-stream drawing.
+    """
+
+    def __init__(self, model, *, backend: str = "exact", length: int = 64,
+                 kinds=None, pooling="max",
+                 weight_bits=None, seed: int = 0, max_batch: int = 16,
+                 max_wait_ms: float = 2.0, workers: int = 1,
+                 max_queue: int = 1024, max_engines: int = 8,
+                 warm: bool = True):
+        self.pool = EnginePool(model, max_engines=max_engines)
+        super().__init__(
+            RequestResolver(
+                self.pool.models, default_model=self.pool.default_model,
+                backend=backend, length=length, kinds=kinds,
+                pooling=pooling, weight_bits=weight_bits, seed=seed),
+            LocalExecutor(self.pool, max_batch=max_batch,
+                          max_wait_ms=max_wait_ms, workers=workers,
+                          max_queue=max_queue))
+        self.batcher = self.executor.batcher
+        if warm:
+            self.executor.engine(self.resolver.resolve({})[0])

@@ -187,7 +187,7 @@ class TestServiceChaos:
         model = svc.defaults["model"]
         victim = 2
         fp = payload_fingerprint(
-            svc._as_images(images[victim], model=model)[0])
+            svc.resolver.as_images(images[victim], model=model)[0])
         outcomes = [None] * len(images)
         barrier = threading.Barrier(len(images))
 
@@ -234,19 +234,20 @@ class TestServiceChaos:
 # ----------------------------------------------------------------------
 class TestDrain:
     def test_drain_refuses_new_and_completes_inflight(
-            self, tiny_trained_lenet, images):
-        svc = InferenceService(tiny_trained_lenet, backend="exact",
+            self, make_service, tiny_trained_lenet, images):
+        inflight = {}
+        # Armed before construction, so forked workers inherit it.
+        with faults.armed(FaultSpec(site="serve.compute", action="sleep",
+                                    sleep_s=0.3, hits=(1,))):
+            svc = make_service(tiny_trained_lenet, backend="exact",
                                length=LENGTH, max_batch=4, max_wait_ms=5,
                                workers=1, warm=False)
-        inflight = {}
 
-        def client():
-            inflight["result"] = svc.predict_one(images[0], timeout=30.0)
+            def client():
+                inflight["result"] = svc.predict_one(images[0],
+                                                     timeout=30.0)
 
-        try:
-            with faults.armed(FaultSpec(site="serve.compute",
-                                        action="sleep", sleep_s=0.3,
-                                        hits=(1,))):
+            try:
                 thread = threading.Thread(target=client)
                 thread.start()
                 time.sleep(0.1)  # the client is inside compute
@@ -257,15 +258,16 @@ class TestDrain:
                 assert svc.await_idle(timeout=10.0)
                 thread.join(timeout=10.0)
                 assert not thread.is_alive()
-            # the accepted request was served normally, not dropped
-            cfg = NetworkConfig.from_kinds(PoolKind.MAX, LENGTH,
-                                           ("APC", "APC", "APC"))
-            oracle = int(Engine(tiny_trained_lenet, cfg, backend="exact",
-                                seed=0).predict(images[0][None])[0])
-            assert inflight["result"] == oracle
-            assert svc.stats()["draining"] is True
-        finally:
-            svc.close()
+                # the accepted request was served normally, not dropped
+                cfg = NetworkConfig.from_kinds(PoolKind.MAX, LENGTH,
+                                               ("APC", "APC", "APC"))
+                oracle = int(Engine(tiny_trained_lenet, cfg,
+                                    backend="exact",
+                                    seed=0).predict(images[0][None])[0])
+                assert inflight["result"] == oracle
+                assert svc.stats()["draining"] is True
+            finally:
+                svc.close()
 
 
 # ----------------------------------------------------------------------
@@ -285,10 +287,10 @@ def _call(base, path, payload=None):
 
 
 @pytest.fixture()
-def http_chaos(tiny_trained_lenet):
-    service = InferenceService(tiny_trained_lenet, backend="exact",
-                               length=LENGTH, max_batch=8,
-                               max_wait_ms=10, warm=False)
+def http_chaos(make_service, tiny_trained_lenet):
+    service = make_service(tiny_trained_lenet, backend="exact",
+                           length=LENGTH, max_batch=8,
+                           max_wait_ms=10, warm=False)
     server = create_server(service, port=0)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()

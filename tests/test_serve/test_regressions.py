@@ -1,4 +1,4 @@
-"""Regression tests for the four serve-layer bugs fixed in PR 9.
+"""Regression tests for latent serve-layer bugs.
 
 Each test reproduces a latent bug found in review — it fails against the
 pre-fix code and pins the fixed behaviour:
@@ -8,7 +8,9 @@ pre-fix code and pins the fixed behaviour:
   covered the whole window, underreporting sustained-load rps;
 * ``InferenceService.predict`` checked ``_draining`` *before* taking the
   ``_idle`` lock, so a request racing ``drain()`` + ``await_idle()``
-  could be accepted yet invisible to the idle wait;
+  could be accepted yet invisible to the idle wait — and the
+  multi-process frontend kept that race until both executors shared one
+  accept path;
 * ``EnginePool._plan_for`` never ``move_to_end``'d the sibling plan it
   re-derives from, so a family's canonical plan could be LRU-evicted
   while it was the live re-target source;
@@ -147,6 +149,58 @@ class TestDrainAcceptRace:
             else:
                 assert service.await_idle(timeout=30.0)
                 assert "result" in outcome
+        finally:
+            release.set()
+            thread.join(5.0)
+            service.close()
+
+
+class TestDrainAcceptRaceAcrossExecutors:
+    """The shared accept path closes the drain race for both executors.
+
+    Pre-fix the multi-process frontend checked ``_draining``, released
+    its lock and only registered the request inside the relay, so a
+    request parked between the two was accepted yet invisible to
+    ``await_idle()``.  Parking it in request resolution (right after
+    admission) must leave the frontend busy, and the request must still
+    be served after the drain.
+    """
+
+    def test_parked_request_keeps_await_idle_busy(
+            self, make_service, tiny_trained_lenet, small_dataset):
+        _, _, x_test, _ = small_dataset
+        image = to_bipolar(x_test)[0].reshape(-1)
+        service = make_service(tiny_trained_lenet, backend="float",
+                               length=32, max_wait_ms=1.0, warm=False)
+        parked, release = threading.Event(), threading.Event()
+        resolve = service.resolver.resolve
+        outcome = {}
+
+        def parked_resolve(overrides):
+            parked.set()
+            release.wait(10.0)
+            return resolve(overrides)
+
+        def victim():
+            try:
+                outcome["result"] = service.predict(image)
+            except BaseException as exc:  # noqa: BLE001 - recorded
+                outcome["error"] = exc
+
+        service.resolver.resolve = parked_resolve
+        thread = threading.Thread(target=victim)
+        try:
+            thread.start()
+            assert parked.wait(10.0)
+            service.drain()
+            assert service.await_idle(timeout=0.2) is False, (
+                "await_idle() reported idle while an accepted request "
+                "was still in flight")
+            release.set()
+            thread.join(30.0)
+            assert not thread.is_alive()
+            assert "result" in outcome, outcome
+            assert service.await_idle(timeout=1.0)
         finally:
             release.set()
             thread.join(5.0)

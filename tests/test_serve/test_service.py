@@ -1,8 +1,10 @@
-"""InferenceService: concurrent-client determinism, overrides, stats.
+"""The serving frontend over both executors: determinism, overrides,
+stats and lifecycle.
 
 The headline test is the serving contract: responses to concurrent
 coalesced clients are bit-identical to dedicated single-request
-``Engine.predict`` calls with the same per-request seed.
+``Engine.predict`` calls with the same per-request seed — in process
+and across worker processes alike.
 """
 
 import threading
@@ -13,9 +15,13 @@ import pytest
 from repro.core.config import NetworkConfig, PoolKind
 from repro.engine import Engine
 from repro.data.synthetic_mnist import to_bipolar
-from repro.serve import InferenceService
-
 LENGTH = 32
+
+
+def batcher_reports(stats: dict) -> list:
+    """Every micro-batcher's report in a ``/stats`` payload: the
+    service's own in process, one per worker with ``procs > 1``."""
+    return [worker["batcher"] for worker in stats.get("workers", [stats])]
 
 
 @pytest.fixture(scope="module")
@@ -25,10 +31,10 @@ def images(small_dataset):
 
 
 @pytest.fixture(scope="module")
-def service(tiny_trained_lenet):
-    svc = InferenceService(tiny_trained_lenet, backend="exact",
-                           length=LENGTH, max_batch=8, max_wait_ms=20,
-                           workers=1, warm=False)
+def service(make_service, tiny_trained_lenet):
+    svc = make_service(tiny_trained_lenet, backend="exact",
+                       length=LENGTH, max_batch=8, max_wait_ms=20,
+                       workers=1, warm=False)
     yield svc
     svc.close()
 
@@ -57,8 +63,9 @@ class TestDeterminism:
                   for img in images]
         assert results == oracle
         # and at least some coalescing actually happened
-        histogram = service.batcher.stats()["batch_size_histogram"]
-        assert max(int(size) for size in histogram) > 1
+        assert max(int(size)
+                   for report in batcher_reports(service.stats())
+                   for size in report["batch_size_histogram"]) > 1
 
     def test_repeated_requests_are_stable(self, service, images):
         first = service.predict_one(images[0])
@@ -119,9 +126,10 @@ class TestOverridesAndValidation:
         with pytest.raises(ValueError, match=r"\[-1, 1\]"):
             service.predict(np.full(784, 3.0))
 
-    def test_unknown_default_backend_fails_fast(self, tiny_trained_lenet):
+    def test_unknown_default_backend_fails_fast(self, make_service,
+                                                tiny_trained_lenet):
         with pytest.raises(ValueError, match="unknown backend"):
-            InferenceService(tiny_trained_lenet, backend="warp")
+            make_service(tiny_trained_lenet, backend="warp")
 
 
 class TestStatsAndLifecycle:
@@ -132,7 +140,7 @@ class TestStatsAndLifecycle:
         assert stats["service"]["latency_ms"]["p50"] > 0
         assert stats["service"]["latency_ms"]["p95"] >= \
             stats["service"]["latency_ms"]["p50"]
-        assert stats["batcher"]["batches"] >= 1
+        assert sum(r["batches"] for r in batcher_reports(stats)) >= 1
         assert stats["pool"]["engines"] >= 1
         assert stats["defaults"]["backend"] == "exact"
         assert stats["defaults"]["length"] == LENGTH
@@ -143,18 +151,18 @@ class TestStatsAndLifecycle:
             service.predict_one(images[0], backend="warp")
         assert service.stats()["service"]["errors"] == before + 1
 
-    def test_closed_service_rejects_requests(self, tiny_trained_lenet,
-                                             images):
-        svc = InferenceService(tiny_trained_lenet, length=LENGTH,
-                               warm=False)
+    def test_closed_service_rejects_requests(self, make_service,
+                                             tiny_trained_lenet, images):
+        svc = make_service(tiny_trained_lenet, length=LENGTH, warm=False)
         svc.close()
         svc.close()  # idempotent
         with pytest.raises(RuntimeError, match="closed"):
             svc.predict_one(images[0])
 
-    def test_context_manager(self, tiny_trained_lenet, images):
-        with InferenceService(tiny_trained_lenet, length=LENGTH,
-                              warm=False) as svc:
+    def test_context_manager(self, make_service, tiny_trained_lenet,
+                             images):
+        with make_service(tiny_trained_lenet, length=LENGTH,
+                          warm=False) as svc:
             assert svc.predict_one(images[0]) in range(10)
         with pytest.raises(RuntimeError):
             svc.predict_one(images[0])
