@@ -1,14 +1,11 @@
 """Run the benchmark suites and record the perf trajectory.
 
-Two suites, each versioned as a JSON file so regressions show up in
-review diffs (machine-to-machine variance means only same-machine ratios
-are meaningful):
+Four suites, each versioned as a JSON file under ``benchmarks/`` so
+regressions show up in review diffs (machine-to-machine variance means
+only same-machine ratios are meaningful):
 
 * ``--kernels`` — ``bench_kernels.py`` under pytest-benchmark →
   ``benchmarks/BENCH_kernels.json`` (median ns per kernel call);
-* ``--engine`` — ``bench_engine.py`` →
-  ``benchmarks/BENCH_engine.json`` (batched vs sequential-legacy exact
-  throughput and per-backend latency of the layer-graph engine);
 * ``--serve`` — ``bench_serve.py`` →
   ``benchmarks/BENCH_serve.json`` (closed-loop multi-client serving
   throughput: micro-batched service vs per-request sequential baseline,
@@ -23,11 +20,11 @@ are meaningful):
   per-window requests, with bit-identity and one-compile-per-run
   asserted).
 
-With no flags all suites run.  Usage::
+With no flags all suites run.  The batched exact forward is measured by
+perfbench's ``fwd-*`` workloads.  Usage::
 
-    PYTHONPATH=src python benchmarks/run_all.py [--kernels] [--engine]
-                                                [--serve] [--dse]
-                                                [--scenes]
+    PYTHONPATH=src python benchmarks/run_all.py [--kernels] [--serve]
+                                                [--dse] [--scenes]
 """
 
 from __future__ import annotations
@@ -35,7 +32,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import shutil
 import subprocess
 import sys
 import tempfile
@@ -43,7 +39,6 @@ from pathlib import Path
 
 BENCH_DIR = Path(__file__).resolve().parent
 DEFAULT_OUTPUT = BENCH_DIR / "BENCH_kernels.json"
-ENGINE_OUTPUT = BENCH_DIR / "BENCH_engine.json"
 SERVE_OUTPUT = BENCH_DIR / "BENCH_serve.json"
 DSE_OUTPUT = BENCH_DIR / "BENCH_dse.json"
 SCENES_OUTPUT = BENCH_DIR / "BENCH_scenes.json"
@@ -115,32 +110,6 @@ def run_kernel_benchmarks(output: Path = DEFAULT_OUTPUT) -> dict:
     for label, row in native.items():
         print(f"  native {label:30s} {row['speedup']:6.2f}x")
     return medians
-
-
-def run_engine_benchmarks(output: Path = ENGINE_OUTPUT) -> dict:
-    """Run bench_engine.py in-process; write and return the payload."""
-    sys.path.insert(0, str(BENCH_DIR.parent / "src"))
-    sys.path.insert(0, str(BENCH_DIR))
-    try:
-        from bench_engine import measure_engine
-        results = measure_engine()
-    finally:
-        sys.path.pop(0)
-        sys.path.pop(0)
-    payload = {
-        "unit": "seconds / images-per-second per entry",
-        "note": "batched Engine.predict vs sequential pre-engine "
-                "SCNetwork calls (setup excluded on both sides); "
-                "bit_identical asserts batched predictions equal the "
-                "legacy simulator's",
-        **results,
-    }
-    output.write_text(json.dumps(payload, indent=2) + "\n")
-    print(f"wrote {output}")
-    print(f"  exact batched-vs-legacy speedup at "
-          f"L={results['primary_length']}: "
-          f"{results['speedup_at_primary']}x")
-    return payload
 
 
 def run_serve_benchmarks(output: Path = SERVE_OUTPUT) -> dict:
@@ -234,29 +203,10 @@ def run_scenes_benchmarks(output: Path = SCENES_OUTPUT,
     return payload
 
 
-def mirror_artifacts(root: Path | None = None) -> list:
-    """Copy every ``benchmarks/BENCH_*.json`` to the repo root.
-
-    The perf-trajectory tracker discovers artifacts at the repo root, so
-    each run mirrors whatever suite outputs exist (not just the ones
-    this invocation refreshed).  Returns the mirrored paths.
-    """
-    root = BENCH_DIR.parent if root is None else Path(root)
-    mirrored = []
-    for src_path in sorted(BENCH_DIR.glob("BENCH_*.json")):
-        dst = root / src_path.name
-        shutil.copyfile(src_path, dst)
-        mirrored.append(dst)
-        print(f"mirrored {dst}")
-    return mirrored
-
-
 def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--kernels", action="store_true",
                         help="run only the kernel microbenchmarks")
-    parser.add_argument("--engine", action="store_true",
-                        help="run only the engine throughput benchmark")
     parser.add_argument("--serve", action="store_true",
                         help="run only the serving throughput benchmark")
     parser.add_argument("--dse", action="store_true",
@@ -270,8 +220,6 @@ def main(argv=None) -> None:
                         help="CI-smoke sizing for the scenes benchmark")
     parser.add_argument("--output", type=Path, default=DEFAULT_OUTPUT,
                         help="where to write the kernel medians JSON")
-    parser.add_argument("--engine-output", type=Path, default=ENGINE_OUTPUT,
-                        help="where to write the engine benchmark JSON")
     parser.add_argument("--serve-output", type=Path, default=SERVE_OUTPUT,
                         help="where to write the serving benchmark JSON")
     parser.add_argument("--dse-output", type=Path, default=DSE_OUTPUT,
@@ -282,12 +230,9 @@ def main(argv=None) -> None:
     args = parser.parse_args(argv)
     dse = args.dse or args.dse_quick
     scenes = args.scenes or args.scenes_quick
-    run_all = not (args.kernels or args.engine or args.serve or dse
-                   or scenes)
+    run_all = not (args.kernels or args.serve or dse or scenes)
     if args.kernels or run_all:
         run_kernel_benchmarks(args.output)
-    if args.engine or run_all:
-        run_engine_benchmarks(args.engine_output)
     if args.serve or run_all:
         run_serve_benchmarks(args.serve_output)
     if dse or run_all:
@@ -295,7 +240,6 @@ def main(argv=None) -> None:
     if scenes or run_all:
         run_scenes_benchmarks(args.scenes_output,
                               quick=args.scenes_quick)
-    mirror_artifacts()
 
 
 if __name__ == "__main__":

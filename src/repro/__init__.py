@@ -17,9 +17,14 @@ The package is organised bottom-up, mirroring the paper:
 
 ``repro.core``
     The paper's primary contribution: the four jointly-optimized feature
-    extraction blocks, state-number equations (1)-(3), network-level SC
-    inference (exact bit-level and calibrated fast model) and the holistic
-    design-space optimizer of Section 6.3.
+    extraction blocks, state-number equations (1)-(3), the declarative
+    network configurations and the holistic design-space optimizer of
+    Section 6.3.
+
+``repro.engine``
+    Network-level SC inference: one ``Engine`` over a compiled layer
+    plan, with the exact bit-level simulator, the calibrated surrogate,
+    the paper-noise methodology and the float baseline as backends.
 
 ``repro.nn``
     A from-scratch numpy deep-learning substrate used to train the LeNet-5
@@ -61,8 +66,7 @@ from repro.core.feature_extraction import (
     ApcMaxBtanh,
     make_feb,
 )
-from repro.core.network import SCNetwork
-from repro.core.fast_model import FastSCModel
+from repro.engine import Engine
 
 __version__ = "1.0.0"
 
@@ -83,7 +87,6 @@ __all__ = [
     "ApcAvgBtanh",
     "ApcMaxBtanh",
     "make_feb",
-    "SCNetwork",
-    "FastSCModel",
+    "Engine",
     "__version__",
 ]

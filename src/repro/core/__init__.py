@@ -1,4 +1,4 @@
-"""SC-DCNN core: feature extraction blocks, network mapping, optimization.
+"""SC-DCNN core: feature extraction blocks, configurations, optimization.
 
 This subpackage is the paper's primary contribution:
 
@@ -8,11 +8,6 @@ This subpackage is the paper's primary contribution:
   feature extraction blocks (Section 4.4);
 * :mod:`repro.core.config` — declarative layer/network configurations,
   including the twelve Table 6 LeNet-5 designs;
-* :mod:`repro.core.network` — exact bit-level SC inference for a trained
-  LeNet-5;
-* :mod:`repro.core.fast_model` — a calibrated surrogate (transfer curve +
-  measured noise per block) that makes the Table 6 sweep and the
-  Section 6.3 optimizer tractable;
 * :mod:`repro.core.optimizer` — the holistic optimization procedure of
   Section 6.3.
 """
@@ -40,8 +35,6 @@ from repro.core.config import (
     NetworkConfig,
     TABLE6_CONFIGS,
 )
-from repro.core.network import SCNetwork
-from repro.core.fast_model import FastSCModel
 from repro.core.optimizer import HolisticOptimizer
 
 __all__ = [
@@ -62,7 +55,5 @@ __all__ = [
     "LayerConfig",
     "NetworkConfig",
     "TABLE6_CONFIGS",
-    "SCNetwork",
-    "FastSCModel",
     "HolisticOptimizer",
 ]

@@ -74,11 +74,10 @@ class HolisticOptimizer:
         filter demonstrate that itself.
     evaluator:
         ``"noise"`` (default) — the paper's methodology: measured block
-        inaccuracy injected as zero-mean noise
-        (:class:`repro.core.fast_model.PaperNoiseModel`);
-        ``"surrogate"`` — the calibrated transfer-curve surrogate that
-        also carries each block's systematic distortion
-        (:class:`repro.core.fast_model.FastSCModel`).
+        inaccuracy injected as zero-mean noise (the ``noise`` engine
+        backend); ``"surrogate"`` — the calibrated transfer-curve
+        surrogate that also carries each block's systematic distortion
+        (the ``surrogate`` engine backend).
     """
 
     def __init__(self, trained, threshold_pct: float = ACCURACY_THRESHOLD_PCT,
@@ -116,9 +115,8 @@ class HolisticOptimizer:
 
     #: engine backend per evaluator methodology.
     _BACKENDS = {"noise": "noise", "surrogate": "surrogate"}
-    #: facade-compatible backend options per evaluator (the legacy
-    #: classes' defaults: PaperNoiseModel measured 96 samples per sigma,
-    #: FastSCModel 240 per curve).
+    #: backend options per evaluator: 96 bit-level samples per noise
+    #: sigma, 240 per surrogate transfer curve.
     _BACKEND_OPTS = {"noise": {"samples": 96}, "surrogate": {"samples": 240}}
 
     def evaluate(self, config: NetworkConfig, plan=None) -> DesignPoint:

@@ -106,12 +106,12 @@ def select_states(kind, n: int, length: int, pooling, pooled: bool = True
                   ) -> int:
     """Dispatch to the right state-number equation for a layer.
 
-    The single selection rule shared by the feature extraction blocks, the
-    engine's plan compiler and the legacy evaluators: a MUX layer behind
-    max pooling uses equation (2), any other MUX layer equation (1); an
-    APC layer behind average pooling uses equation (3), any other APC
-    layer the original ``2N`` Btanh sizing (which also covers the
-    pooling-free fully-connected stages).
+    The single selection rule shared by the feature extraction blocks and
+    the engine's plan compiler: a MUX layer behind max pooling uses
+    equation (2), any other MUX layer equation (1); an APC layer behind
+    average pooling uses equation (3), any other APC layer the original
+    ``2N`` Btanh sizing (which also covers the pooling-free
+    fully-connected stages).
 
     ``kind`` is a :class:`repro.core.config.FEBKind` and ``pooling`` a
     :class:`repro.core.config.PoolKind`; ``pooled`` says whether the layer

@@ -1,8 +1,9 @@
 """Exact bit-level backend: batched SC simulation of the compiled plan.
 
-Bit-for-bit the same computation as the pre-engine ``SCNetwork`` (the
-frozen copy in :mod:`repro.engine.reference` is the regression oracle),
-re-organized around a batch axis so one call simulates many images:
+The repository's one exact simulator; its logits are pinned by the
+golden digest table in ``tests/test_conformance/golden_logits.json``.
+The computation is organized around a batch axis so one call simulates
+many images:
 
 * all images of a batch are encoded with **one** SNG call when the SNG
   is the ideal PCG64 comparator — numpy fills the ``(B, 784, L)``

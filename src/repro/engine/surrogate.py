@@ -3,16 +3,14 @@
 Three backends execute the compiled plan without bit-level simulation:
 
 ``surrogate``
-    The calibrated transfer-curve evaluator (previously
-    ``repro.core.fast_model.FastSCModel``): each feature extraction
+    The calibrated transfer-curve evaluator: each feature extraction
     stage's ``tanh(pool(·))`` is replaced by the transfer curve measured
     from the genuine bit-level blocks, plus (optionally) the measured
     stochastic noise.  Carries both the systematic and random components
     of SC inaccuracy.
 
 ``noise``
-    The paper's own network-evaluation methodology (previously
-    ``repro.core.fast_model.PaperNoiseModel``): every stage outputs its
+    The paper's own network-evaluation methodology: every stage outputs its
     ideal ``tanh(pool(·))`` plus zero-mean Gaussian noise whose magnitude
     is the block's measured bit-level absolute inaccuracy.  Together with
     ``surrogate`` it brackets the design space.

@@ -1,8 +1,8 @@
 """Dynamic micro-batching: coalesce concurrent requests into one call.
 
-The exact bit-level backend is ~3x faster per image when it simulates a
-batch than when it runs images one at a time (see
-``benchmarks/BENCH_engine.json``), but service traffic arrives as
+The exact bit-level backend is faster per image when it simulates a
+batch than when it runs images one at a time (perfbench's ``fwd-*``
+workloads measure the batched forward), but service traffic arrives as
 independent single-image requests.  The :class:`MicroBatcher` closes
 that gap: requests enqueue with a *group key* (everything that must
 match for two requests to share one engine call — backend, config,

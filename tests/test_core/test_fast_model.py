@@ -4,13 +4,9 @@ import numpy as np
 import pytest
 
 from repro.core.config import NetworkConfig, PoolKind
-from repro.core.fast_model import (
-    FastSCModel,
-    FEBCalibration,
-    PaperNoiseModel,
-    calibrate_feb,
-)
 from repro.data.synthetic_mnist import to_bipolar
+from repro.engine import Engine
+from repro.engine.calibration import FEBCalibration, calibrate_feb
 
 
 class TestFEBCalibration:
@@ -66,17 +62,17 @@ def sc_config():
                                     ("APC", "APC", "APC"))
 
 
-class TestFastSCModel:
+class TestSurrogateEngine:
     def test_error_close_to_exact_sim(self, tiny_trained_lenet,
                                       small_dataset, sc_config):
         """The surrogate must track the bit-exact simulator."""
-        from repro.core.network import SCNetwork
         _, _, x_test, y_test = small_dataset
         x = to_bipolar(x_test)
-        exact = SCNetwork(tiny_trained_lenet, sc_config, seed=0)
+        exact = Engine(tiny_trained_lenet, sc_config, backend="exact",
+                       seed=0)
         exact_err = exact.error_rate(x, y_test, max_images=24)
-        fast = FastSCModel(tiny_trained_lenet, sc_config, seed=0,
-                           samples=160)
+        fast = Engine(tiny_trained_lenet, sc_config, backend="surrogate",
+                      seed=0, samples=160)
         fast_err = fast.error_rate(x[:120], y_test[:120])
         assert abs(fast_err - exact_err) < 25.0
 
@@ -86,21 +82,15 @@ class TestFastSCModel:
         (the measured transfer curve is deterministic for one seed)."""
         _, _, x_test, _ = small_dataset
         x = to_bipolar(x_test)[:16]
-        model = FastSCModel(tiny_trained_lenet, sc_config, seed=0,
-                            noisy=False)
+        model = Engine(tiny_trained_lenet, sc_config, backend="surrogate",
+                       seed=0, noisy=False)
         np.testing.assert_allclose(model.forward(x), model.forward(x))
-        again = FastSCModel(tiny_trained_lenet, sc_config, seed=0,
-                            noisy=False)
+        again = Engine(tiny_trained_lenet, sc_config, backend="surrogate",
+                       seed=0, noisy=False)
         np.testing.assert_allclose(model.forward(x), again.forward(x))
 
-    def test_rejects_model_config_mismatch(self, sc_config):
-        from repro.nn.dense import Dense
-        from repro.nn.module import Sequential
-        with pytest.raises(ValueError, match="layer kinds"):
-            FastSCModel(Sequential([Dense(784, 2)]), sc_config)
 
-
-class TestPaperNoiseModel:
+class TestNoiseEngine:
     def test_longer_streams_fewer_errors(self, tiny_trained_lenet,
                                          small_dataset):
         """Table 6's central trend under the paper's methodology."""
@@ -110,17 +100,10 @@ class TestPaperNoiseModel:
         for L in (64, 512):
             cfg = NetworkConfig.from_kinds(PoolKind.MAX, L,
                                            ("APC", "APC", "APC"))
-            pn = PaperNoiseModel(tiny_trained_lenet, cfg, seed=0,
-                                 samples=48)
+            pn = Engine(tiny_trained_lenet, cfg, backend="noise", seed=0,
+                        samples=48)
             errs[L] = pn.error_rate(x, y_test)
         assert errs[512] <= errs[64] + 2.0
-
-    def test_sigmas_recorded_per_stage(self, tiny_trained_lenet):
-        cfg = NetworkConfig.from_kinds(PoolKind.MAX, 128,
-                                       ("APC", "APC", "APC"))
-        pn = PaperNoiseModel(tiny_trained_lenet, cfg, seed=0, samples=48)
-        assert len(pn.stage_sigmas) == 3
-        assert all(s >= 0 for s in pn.stage_sigmas)
 
     def test_mux_noisier_than_apc(self, tiny_trained_lenet):
         """Figure 14 through the noise lens: MUX sigma > APC sigma."""
@@ -128,8 +111,9 @@ class TestPaperNoiseModel:
                                            ("MUX", "APC", "APC"))
         apc_cfg = NetworkConfig.from_kinds(PoolKind.MAX, 128,
                                            ("APC", "APC", "APC"))
-        mux = PaperNoiseModel(tiny_trained_lenet, mux_cfg, seed=0,
-                              samples=48)
-        apc = PaperNoiseModel(tiny_trained_lenet, apc_cfg, seed=0,
-                              samples=48)
-        assert mux.stage_sigmas[0] > apc.stage_sigmas[0]
+        mux = Engine(tiny_trained_lenet, mux_cfg, backend="noise", seed=0,
+                     samples=48)
+        apc = Engine(tiny_trained_lenet, apc_cfg, backend="noise", seed=0,
+                     samples=48)
+        assert (mux.backend.stage_sigmas[0]
+                > apc.backend.stage_sigmas[0])

@@ -1,15 +1,12 @@
-"""Tests for the exact bit-level SC network simulator."""
+"""Tests for exact bit-level SC inference of the paper's LeNet-5."""
 
 import numpy as np
 import pytest
 
 from repro.core.config import FEBKind, NetworkConfig, PoolKind
-from repro.core.network import (
-    SCNetwork,
-    layer_gain_compensation,
-    pool_window_indices,
-)
 from repro.data.synthetic_mnist import to_bipolar
+from repro.engine import Engine
+from repro.engine.plan import layer_gain_compensation, pool_window_indices
 from repro.nn.dense import Dense
 from repro.nn.module import Sequential
 
@@ -80,74 +77,59 @@ class TestGainCompensation:
         assert deficit == pytest.approx(1.0)
 
 
-class TestSCNetworkConstruction:
+class TestExactConstruction:
     def test_rejects_model_config_mismatch(self):
         model = Sequential([Dense(784, 2)])
         cfg = NetworkConfig.from_kinds(PoolKind.MAX, 64,
                                        ("APC", "APC", "APC"))
         with pytest.raises(ValueError, match="layer kinds"):
-            SCNetwork(model, cfg)
+            Engine(model, cfg)
 
     def test_plans_built(self, tiny_trained_lenet):
         cfg = NetworkConfig.from_kinds(PoolKind.MAX, 64,
                                        ("MUX", "APC", "APC"))
-        sc = SCNetwork(tiny_trained_lenet, cfg, seed=0)
-        assert len(sc.gain_deficits) == 4
-        names = [p.name for p in sc._plans]
+        plan = Engine(tiny_trained_lenet, cfg, seed=0).plan
+        assert len(plan.gain_deficits) == 4
+        names = [p.name for p in plan.layers]
         assert names == ["Layer0", "Layer1", "Layer2", "Output"]
-        assert sc._plans[0].n_inputs == 26   # 25 + bias
-        assert sc._plans[2].n_inputs == 801
+        assert plan.layers[0].n_inputs == 26   # 25 + bias
+        assert plan.layers[2].n_inputs == 801
 
 
-class TestSCNetworkInference:
-    @pytest.fixture(scope="class")
-    def sc_setup(self, tiny_trained_lenet, small_dataset):
-        _, _, x_test, y_test = small_dataset
-        cfg = NetworkConfig.from_kinds(PoolKind.MAX, 256,
+class TestExactInference:
+    def test_forward_shape(self, tiny_trained_lenet, small_dataset):
+        _, _, x_test, _ = small_dataset
+        cfg = NetworkConfig.from_kinds(PoolKind.MAX, 64,
                                        ("APC", "APC", "APC"))
-        sc = SCNetwork(tiny_trained_lenet, cfg, seed=0)
-        return sc, to_bipolar(x_test), y_test
-
-    def test_forward_image_shape(self, sc_setup):
-        sc, x, _ = sc_setup
-        logits = sc.forward_image(x[0])
-        assert logits.shape == (10,)
+        logits = Engine(tiny_trained_lenet, cfg, seed=0).forward(
+            to_bipolar(x_test)[0])
+        assert logits.shape == (1, 10)
 
     def test_deterministic(self, tiny_trained_lenet, small_dataset):
         _, _, x_test, _ = small_dataset
         cfg = NetworkConfig.from_kinds(PoolKind.MAX, 128,
                                        ("APC", "APC", "APC"))
-        a = SCNetwork(tiny_trained_lenet, cfg, seed=7).forward_image(
+        a = Engine(tiny_trained_lenet, cfg, seed=7).forward(
             to_bipolar(x_test)[0])
-        b = SCNetwork(tiny_trained_lenet, cfg, seed=7).forward_image(
+        b = Engine(tiny_trained_lenet, cfg, seed=7).forward(
             to_bipolar(x_test)[0])
-        np.testing.assert_allclose(a, b)
+        np.testing.assert_array_equal(a, b)
 
     def test_predictions_beat_chance(self, cached_lenet):
         """At L=512 the all-APC network tracks the software model
         closely (the paper's central claim for APC configurations)."""
         cfg = NetworkConfig.from_kinds(PoolKind.MAX, 512,
                                        ("APC", "APC", "APC"))
-        sc = SCNetwork(cached_lenet.model, cfg, seed=0)
+        engine = Engine(cached_lenet.model, cfg, seed=0)
         x = cached_lenet.bipolar_test_images()
-        err = sc.error_rate(x, cached_lenet.y_test, max_images=16)
+        err = engine.error_rate(x, cached_lenet.y_test, max_images=16)
         assert err < 40.0
-
-    def test_rejects_out_of_range_image(self, sc_setup):
-        sc, x, _ = sc_setup
-        with pytest.raises(ValueError, match=r"\[-1, 1\]"):
-            sc.forward_image(np.full((1, 28, 28), 2.0))
-
-    def test_rejects_wrong_size(self, sc_setup):
-        sc, _, _ = sc_setup
-        with pytest.raises(ValueError, match="28"):
-            sc.forward_image(np.zeros((1, 10, 10)))
 
     def test_weight_bits_quantization_applies(self, tiny_trained_lenet):
         cfg = NetworkConfig.from_kinds(PoolKind.MAX, 64,
                                        ("APC", "APC", "APC"))
-        sc = SCNetwork(tiny_trained_lenet, cfg, seed=0, weight_bits=4)
+        plan = Engine(tiny_trained_lenet, cfg, seed=0, weight_bits=4).plan
         # 4-bit storage: every weight is a multiple of 2/16 minus 1.
-        w = sc._plans[0].weights
+        w = plan.layers[0].weights
         codes = (w + 1.0) / 2.0 * 16
         np.testing.assert_allclose(codes, np.round(codes), atol=1e-9)

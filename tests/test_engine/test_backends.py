@@ -1,10 +1,9 @@
-"""Backend registry, float/surrogate/noise equivalence with legacy APIs."""
+"""Backend registry and the float/surrogate/noise backends."""
 
 import numpy as np
 import pytest
 
 from repro.core.config import NetworkConfig, PoolKind
-from repro.core.fast_model import FastSCModel, PaperNoiseModel
 from repro.data.synthetic_mnist import to_bipolar
 from repro.engine import BACKENDS, Engine, get_backend, register_backend
 
@@ -80,16 +79,6 @@ class TestFloatBackend:
 
 
 class TestSurrogateBackend:
-    def test_facade_equivalence(self, tiny_trained_lenet, sc_config,
-                                images):
-        """FastSCModel is now a facade: direct engine use must agree."""
-        facade = FastSCModel(tiny_trained_lenet, sc_config, seed=4,
-                             samples=120, noisy=True)
-        direct = Engine(tiny_trained_lenet, sc_config, backend="surrogate",
-                        seed=4, samples=120, noisy=True)
-        np.testing.assert_allclose(facade.forward(images),
-                                   direct.forward(images))
-
     def test_noiseless_deterministic(self, tiny_trained_lenet, sc_config,
                                      images):
         a = Engine(tiny_trained_lenet, sc_config, backend="surrogate",
@@ -109,15 +98,6 @@ class TestSurrogateBackend:
 
 
 class TestNoiseBackend:
-    def test_facade_equivalence(self, tiny_trained_lenet, sc_config,
-                                images):
-        facade = PaperNoiseModel(tiny_trained_lenet, sc_config, seed=4,
-                                 samples=48)
-        direct = Engine(tiny_trained_lenet, sc_config, backend="noise",
-                        seed=4, samples=48)
-        np.testing.assert_allclose(facade.forward(images),
-                                   direct.forward(images))
-
     def test_sigmas_exposed(self, tiny_trained_lenet, sc_config):
         engine = Engine(tiny_trained_lenet, sc_config, backend="noise",
                         seed=0, samples=48)

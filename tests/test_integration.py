@@ -9,10 +9,12 @@ import pytest
 
 from repro.core.config import NetworkConfig, PoolKind
 from repro.core.feature_extraction import make_feb
-from repro.core.network import SCNetwork
 from repro.data.synthetic_mnist import to_bipolar
+from repro.engine import Engine
 from repro.hw.blocks_cost import feb_metrics
 from repro.hw.network_cost import lenet_network_cost
+from repro.nn.conv import Conv2D
+from repro.nn.dense import Dense
 from repro.storage.quantization import quantize_model
 
 
@@ -39,18 +41,23 @@ class TestQuantizedSCInference:
     def test_weight_storage_composes_with_sc_mapping(
             self, tiny_trained_lenet):
         """Quantizing the float model and passing weight_bits to the SC
-        mapper must produce identical stored weights."""
+        mapper must produce identical stored weights wherever the gain
+        cascade leaves them unscaled.  The mapper also quantizes the
+        folded bias column, which ``quantize_model`` leaves float."""
         import copy
         cfg = NetworkConfig.from_kinds(PoolKind.MAX, 64,
                                        ("APC", "APC", "APC"))
-        direct = SCNetwork(tiny_trained_lenet, cfg, seed=0, weight_bits=6)
+        plan = Engine(tiny_trained_lenet, cfg, seed=0, weight_bits=6).plan
         clone = copy.deepcopy(tiny_trained_lenet)
         quantize_model(clone, 6)
-        # The SC mapper quantizes after bias folding, so spot-check the
-        # quantization grid rather than exact equality.
-        w = direct._plans[1].weights
-        codes = (w + 1.0) / 2.0 * 64
-        np.testing.assert_allclose(codes, np.round(codes), atol=1e-9)
+        layers = [l for l in clone.layers if isinstance(l, (Conv2D, Dense))]
+        assert len(layers) == len(plan.layers)
+        for lp, layer in zip(plan.layers, layers):
+            assert lp.applied_factor == 1.0   # all-APC, weights in range
+            w = layer.weight.value.reshape(len(layer.bias.value), -1)
+            np.testing.assert_array_equal(lp.weights[:, :-1], w)
+            codes = (lp.weights[:, -1] + 1.0) / 2.0 * 64
+            np.testing.assert_allclose(codes, np.round(codes), atol=1e-9)
 
 
 class TestConfigToCostPipeline:
@@ -71,13 +78,14 @@ class TestStreamReuseAcrossLayers:
         _, _, x_test, _ = small_dataset
         cfg = NetworkConfig.from_kinds(PoolKind.MAX, 64,
                                        ("APC", "APC", "APC"))
-        sc = SCNetwork(tiny_trained_lenet, cfg, seed=0)
-        backend = sc.engine.backend
-        x = sc.factory.packed(to_bipolar(x_test)[:1].reshape(1, -1), 64)
-        out0 = backend._conv_layer(0, sc._plans[0], x, selects=[{}])
+        engine = Engine(tiny_trained_lenet, cfg, seed=0)
+        backend = engine.backend
+        layers = engine.plan.layers
+        x = backend.factory.packed(to_bipolar(x_test)[:1].reshape(1, -1), 64)
+        out0 = backend._conv_layer(0, layers[0], x, selects=[{}])
         assert out0.dtype == np.uint8
         assert out0.shape == (1, 2880, 8)  # 20×12×12 streams, 64 bits each
-        out1 = backend._conv_layer(1, sc._plans[1], out0, selects=[{}])
+        out1 = backend._conv_layer(1, layers[1], out0, selects=[{}])
         assert out1.shape == (1, 800, 8)   # 50×4×4
 
 
@@ -88,6 +96,6 @@ class TestDeterministicEndToEnd:
         cfg = NetworkConfig.from_kinds(PoolKind.AVG, 64,
                                        ("MUX", "APC", "APC"))
         img = to_bipolar(x_test)[:2]
-        a = SCNetwork(tiny_trained_lenet, cfg, seed=5).predict(img)
-        b = SCNetwork(tiny_trained_lenet, cfg, seed=5).predict(img)
+        a = Engine(tiny_trained_lenet, cfg, seed=5).predict(img)
+        b = Engine(tiny_trained_lenet, cfg, seed=5).predict(img)
         np.testing.assert_array_equal(a, b)
