@@ -247,6 +247,44 @@ def test_kernel_btanh_native(benchmark, rng):
     assert np.array_equal(out, ref)
 
 
+def _apc_max_pool_counts(rng):
+    """LeNet-5 layer 0 under APC-Max-Btanh at L=64: batch-16 counts of 20
+    channels over the 24x24 conv grid (n=26, K=52), 144 pool windows."""
+    from repro.engine.plan import pool_window_indices
+    counts = rng.integers(0, 27, (20, 16, 576, 64)).astype(np.int16)
+    return counts, pool_window_indices(12, 12)
+
+
+def _apc_max_btanh_pack_numpy(counts, windows):
+    """The ExactBackend._conv_layer NumPy composition, unfused."""
+    from repro.blocks.pooling import apc_max_pool
+    pooled = apc_max_pool(counts[:, :, windows], 16)
+    return ops.pack_bits(activation.btanh_counts(pooled, 26, 52))
+
+
+def test_kernel_apc_max_btanh_pack_numpy(benchmark, rng):
+    """APC max pool -> Btanh -> pack, pinned to the NumPy composition."""
+    counts, windows = _apc_max_pool_counts(rng)
+
+    def run():
+        with native.override(False):
+            return _apc_max_btanh_pack_numpy(counts, windows)
+
+    out = benchmark(run)
+    assert out.shape == (20, 16, 144, 8)
+
+
+@_needs_native
+def test_kernel_apc_max_btanh_pack_native(benchmark, rng):
+    """APC max pool -> Btanh -> pack through the fused native kernel."""
+    counts, windows = _apc_max_pool_counts(rng)
+    out = benchmark(lambda: native.apc_max_btanh_pack(counts, windows, 16,
+                                                      26, 52))
+    with native.override(False):
+        ref = _apc_max_btanh_pack_numpy(counts, windows)
+    assert np.array_equal(out, ref)
+
+
 def test_kernel_btanh(benchmark, rng):
     """Vectorized Btanh over 800 count streams."""
     counts = rng.integers(0, 26, (800, L)).astype(np.int16)

@@ -55,6 +55,8 @@ _NATIVE_PAIRS = {
     "stanh_fsm": ("test_kernel_stanh_numpy", "test_kernel_stanh_native"),
     "saturating_counter": ("test_kernel_btanh_numpy",
                            "test_kernel_btanh_native"),
+    "apc_max_btanh_pack": ("test_kernel_apc_max_btanh_pack_numpy",
+                           "test_kernel_apc_max_btanh_pack_native"),
 }
 
 

@@ -3,7 +3,9 @@
 The evaluation environment has no ``wheel`` package and no network, so a
 PEP-517 editable install cannot build a wheel; this shim lets
 ``pip install -e . --no-use-pep517 --no-build-isolation`` fall back to
-``setup.py develop``.  All metadata lives in ``pyproject.toml``.
+``setup.py develop``.  The package metadata lives here too: the
+``repro`` package under ``src/``, which needs NumPy and SciPy (the
+synthetic digit renderer) at run time.
 
 The native kernel tier (``src/repro/native/kernels.c``) is an *optional*
 build product: ``build_py`` tries to compile it next to the package so
@@ -14,10 +16,18 @@ compiles lazily into a per-user cache on first import, so even a source
 checkout never *needs* this step.
 """
 
+import re
 from pathlib import Path
 
-from setuptools import setup
+from setuptools import find_packages, setup
 from setuptools.command.build_py import build_py
+
+
+#: single source of the version: ``repro.__version__``
+VERSION = re.search(
+    r'^__version__ = "([^"]+)"',
+    (Path(__file__).parent / "src" / "repro" / "__init__.py").read_text(),
+    re.M).group(1)
 
 
 class build_py_with_native(build_py):
@@ -50,4 +60,11 @@ class build_py_with_native(build_py):
                   f"repro will run on the pure-NumPy kernel tier")
 
 
-setup(cmdclass={"build_py": build_py_with_native})
+setup(
+    name="repro",
+    version=VERSION,
+    package_dir={"": "src"},
+    packages=find_packages("src"),
+    install_requires=["numpy", "scipy"],
+    cmdclass={"build_py": build_py_with_native},
+)

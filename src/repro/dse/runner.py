@@ -497,10 +497,7 @@ class ParallelRunner:
         # Terminate before shutdown: a hung worker would never drain its
         # work queue, and shutdown(wait=False) alone leaves it running.
         for proc in list(getattr(pool, "_processes", {}).values()):
-            try:
-                proc.terminate()
-            except Exception:  # pragma: no cover - already dead
-                pass
+            proc.terminate()
         pool.shutdown(wait=False, cancel_futures=True)
 
     def _evaluate_batch(self, tasks, state: dict, stats: dict):

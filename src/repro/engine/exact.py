@@ -51,6 +51,7 @@ from repro.engine.engine import as_image_batch
 from repro.sc import activation, ops
 from repro.sc.encoding import Encoding
 from repro.sc.rng import IdealSNG, StreamFactory
+from repro.utils.validation import check_positive_int
 
 __all__ = ["ExactBackend"]
 
@@ -87,7 +88,7 @@ class ExactBackend:
                  batch_budget: int = 1 << 29):
         self.plan = plan
         self.length = plan.length
-        self.segment = segment
+        self.segment = self._checked_segment(plan, segment)
         self.chunk_budget = int(chunk_budget)
         self.batch_budget = int(batch_budget)
         self.factory = StreamFactory(seed=seed, encoding=Encoding.BIPOLAR,
@@ -116,6 +117,26 @@ class ExactBackend:
         # replays the exact draws a freshly-constructed backend (same
         # seed) would make for its first image.
         self._fresh_factory = self.factory.fork()
+
+    @staticmethod
+    def _checked_segment(plan, segment: int) -> int:
+        """Reject a max-pooling segment the stream length cannot carry.
+
+        Runs before any stream is drawn, so a spec whose every forward
+        would fail (``L % segment != 0``; MUX max pooling also needs a
+        byte-aligned segment) never becomes an engine.
+        """
+        segment = check_positive_int(segment, "segment")
+        if plan.config.pooling is not PoolKind.MAX:
+            return segment
+        pooled = [lp for lp in plan.layers if lp.op == "conv" and lp.pooled]
+        if any(lp.kind is FEBKind.MUX for lp in pooled) and segment % 8:
+            raise ValueError(
+                f"segment length {segment} must be a multiple of 8")
+        if pooled and plan.length % segment:
+            raise ValueError(f"stream length {plan.length} must be a "
+                             f"multiple of segment {segment}")
+        return segment
 
     # ------------------------------------------------------------------
     # batching
@@ -368,19 +389,28 @@ class ExactBackend:
             counts = self._apc_counts(
                 i, patch.reshape(B * P, lp.n_inputs, patch.shape[-1]))
             counts = counts.reshape(lp.units, B, P, L)
-            if lp.pooled:
-                grouped = counts[:, :, windows, :]      # (C, B, W, 4, L)
-                del counts
-                if avg:
-                    pooled = apc_average_pool(grouped)
-                else:
-                    pooled = apc_max_pool(grouped, self.segment)
-                del grouped
+            if lp.pooled and not avg and native.enabled():
+                # Native tier: max pool, Btanh and pack fused into one
+                # pass over each window's four count rows.
+                t0 = _prof.tick()
+                out = native.apc_max_btanh_pack(
+                    counts, windows, self.segment, lp.n_inputs,
+                    lp.n_states)                        # (C, B, W, nb)
+                _prof.tock(t0, "apc_max_btanh_pack", "native")
             else:
-                pooled = counts                         # (C, B, P, L)
-            out_bits = activation.btanh_counts(pooled, lp.n_inputs,
-                                               lp.n_states)
-            out = ops.pack_bits(out_bits)               # (C, B, W, nb)
+                if lp.pooled:
+                    grouped = counts[:, :, windows, :]  # (C, B, W, 4, L)
+                    del counts
+                    if avg:
+                        pooled = apc_average_pool(grouped)
+                    else:
+                        pooled = apc_max_pool(grouped, self.segment)
+                    del grouped
+                else:
+                    pooled = counts                     # (C, B, P, L)
+                out_bits = activation.btanh_counts(pooled, lp.n_inputs,
+                                                   lp.n_states)
+                out = ops.pack_bits(out_bits)           # (C, B, W, nb)
         else:
             ips = np.empty((lp.units, B, P, patch.shape[-1]), dtype=np.uint8)
             for b in range(B):

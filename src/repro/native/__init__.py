@@ -1,11 +1,12 @@
 """Native fused-kernel tier: capability layer and ctypes bindings.
 
 This package arms an optional compiled tier below the NumPy word engine
-(DESIGN.md, "Native kernel tier").  The four loops it owns — the fused
+(DESIGN.md, "Native kernel tier").  The five loops it owns — the fused
 transpose+popcount column counter, the exact-backend inner product, the
-Stanh byte-LUT walk and the saturating-counter FSM scan — are
-bit-identical re-implementations of their NumPy counterparts; the pure
-NumPy paths remain the conformance oracle and the fallback.
+Stanh byte-LUT walk, the saturating-counter FSM scan and the fused
+APC-Max-Btanh pool → Btanh → pack pass — are bit-identical
+re-implementations of their NumPy counterparts; the pure NumPy paths
+remain the conformance oracle and the fallback.
 
 Capability protocol
 -------------------
@@ -44,6 +45,8 @@ from ctypes import POINTER, c_int, c_int64, c_uint8
 
 import numpy as np
 
+from repro.utils.validation import check_positive_int
+
 __all__ = [
     "available",
     "enabled",
@@ -55,6 +58,7 @@ __all__ = [
     "apc_inner_counts",
     "stanh_lut",
     "saturating_counter",
+    "apc_max_btanh_pack",
 ]
 
 _ENV = "REPRO_NATIVE"
@@ -93,6 +97,10 @@ def _configure(lib) -> None:
     lib.repro_saturating_counter_i32.argtypes = [
         _i32p, c_int64, c_int64, c_int64, c_int64, c_int64, _u8p]
     lib.repro_saturating_counter_i32.restype = c_int
+    lib.repro_apc_max_btanh_pack.argtypes = [
+        _i16p, c_int64, c_int64, c_int64, _i64p, c_int64, c_int64, c_int64,
+        c_int64, _u8p]
+    lib.repro_apc_max_btanh_pack.restype = c_int
 
 
 def _try_load() -> None:
@@ -281,3 +289,42 @@ def saturating_counter(increments: np.ndarray, n_states: int, init: int,
         _check(fn(_ptr(inc, ptr_t), rows, T, n_states - 1, int(init),
                   int(threshold), _ptr(out, _u8p)))
     return out.view(bool)
+
+
+def apc_max_btanh_pack(counts: np.ndarray, windows: np.ndarray,
+                       segment: int, n_inputs: int,
+                       n_states: int) -> np.ndarray:
+    """Fused APC-Max-Btanh of one pooled conv stage: APC counts
+    ``(C, B, P, L)`` int16 and 2×2 pool windows ``(W, 4)`` indexing
+    ``[0, P)`` → packed output streams ``(C, B, W, nbytes)``.
+
+    Bit-identical to ``pack_bits(btanh_counts(apc_max_pool(
+    counts[:, :, windows], segment), n_inputs, n_states))`` without
+    building any of its intermediates.  Every argument is checked here,
+    before a pointer reaches C.
+    """
+    counts = np.asarray(counts)
+    if counts.dtype != np.int16 or counts.ndim != 4:
+        raise ValueError(f"expected int16 counts (C, B, P, L), got "
+                         f"{counts.dtype} {counts.shape}")
+    windows = np.asarray(windows)
+    if (not np.issubdtype(windows.dtype, np.integer) or windows.ndim != 2
+            or windows.shape[1] != 4):
+        raise ValueError(f"expected integer windows (W, 4), got "
+                         f"{windows.dtype} {windows.shape}")
+    C, B, P, L = counts.shape
+    if windows.size and (windows.min() < 0 or windows.max() >= P):
+        raise ValueError(f"window index outside [0, {P})")
+    segment = check_positive_int(segment, "segment")
+    n_inputs = check_positive_int(n_inputs, "n_inputs")
+    n_states = check_positive_int(n_states, "n_states")
+    if L % segment:
+        raise ValueError(f"stream length {L} must be a multiple of "
+                         f"segment {segment}")
+    counts = np.ascontiguousarray(counts)
+    windows = np.ascontiguousarray(windows, dtype=np.int64)
+    out = np.empty((C, B, windows.shape[0], (L + 7) // 8), dtype=np.uint8)
+    _check(_lib.repro_apc_max_btanh_pack(
+        _ptr(counts, _i16p), C * B, P, L, _ptr(windows, _i64p),
+        windows.shape[0], segment, n_inputs, n_states, _ptr(out, _u8p)))
+    return out

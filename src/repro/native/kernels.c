@@ -4,17 +4,20 @@
  * ctypes (see repro/native/__init__.py), compiled at build or first
  * import by repro/native/build.py with whatever system toolchain is
  * present.  Every kernel here is a bit-identical re-implementation of a
- * NumPy word-engine loop (repro.sc.ops / adders / fsm / activation and
- * the exact backend's transposed counting) — arming the tier must
+ * NumPy word-engine loop (repro.sc.ops / adders / fsm / activation, the
+ * exact backend's transposed counting and its APC max pool -> Btanh ->
+ * pack stage) — arming the tier must
  * change zero output bits, which the conformance suite enforces.
  *
  * Two design rules (DESIGN.md, "Native kernel tier"):
  *
  *  1. *Fuse* the loops NumPy cannot: the transpose_pack + popcount_sum
  *     pair becomes one pass that never materializes the transposed
- *     bank (repro_column_counts), and the exact backend's inner
+ *     bank (repro_column_counts), the exact backend's inner
  *     product transposes a cache-resident tile and XOR-popcounts it in
- *     place (repro_apc_inner_counts).
+ *     place (repro_apc_inner_counts), and APC max pooling, Btanh and
+ *     packing run as one pass over each pool window's count rows
+ *     (repro_apc_max_btanh_pack).
  *  2. *Tile* to the cache: the inner-product kernel re-reads its
  *     transposed input tile once per output channel, so the tile is
  *     sized (TILE_BYTES) to stay resident across the channel loop.
@@ -410,3 +413,67 @@ API int name(const T *inc, int64_t rows, int64_t Tn, int64_t hi,          \
 
 DEFINE_SATC(repro_saturating_counter_i64, int64_t)
 DEFINE_SATC(repro_saturating_counter_i32, int32_t)
+
+/* Fused APC-Max-Btanh (Section 4.4) for one pooled conv stage:
+ *
+ *   counts[cb, p, t]  (CB, P, L) int16 APC counts, cb = channel x image
+ *   windows[w, 0..3]  (Wn, 4) positions in [0, P) of each 2x2 window
+ *   out[cb, w, :]     (CB, Wn, nbytes) packed Btanh output bits
+ *
+ * Per (cb, w), in one pass: the accumulator max pool of
+ * blocks.pooling.apc_max_pool (segment 0 takes candidate 0; segment
+ * j > 0 takes the first-index argmax of the candidates' totals through
+ * segment j - 1), the Btanh saturating counter over the winner's counts
+ * (state += 2*count - n clamped into [0, K-1], init and threshold
+ * K/2, output bit = state >= K/2) and the big-endian pack, padding bits
+ * zero.  The working set is the four candidate rows of one window; the
+ * windowed copy, segment sums, increments and bit array of the NumPy
+ * composition are never built.  L must be a multiple of segment. */
+API int repro_apc_max_btanh_pack(const int16_t *counts, int64_t CB,
+                                 int64_t P, int64_t L,
+                                 const int64_t *windows, int64_t Wn,
+                                 int64_t segment, int64_t n,
+                                 int64_t n_states, uint8_t *out)
+{
+    const int64_t nbytes = (L + 7) / 8;
+    const int64_t hi = n_states - 1, half = n_states / 2;
+    for (int64_t cb = 0; cb < CB; cb++) {
+        const int16_t *base = counts + cb * P * L;
+        for (int64_t w = 0; w < Wn; w++) {
+            const int16_t *row[4];
+            for (int k = 0; k < 4; k++)
+                row[k] = base + windows[4 * w + k] * L;
+            uint8_t *o = out + (cb * Wn + w) * nbytes;
+            int64_t tot[4] = {0, 0, 0, 0};
+            int64_t s = half;
+            unsigned acc = 0;
+            int sel = 0;
+            for (int64_t j0 = 0; j0 < L; j0 += segment) {
+                const int16_t *src = row[sel];
+                /* The accumulators' adds ride in the latency shadow of
+                 * the counter's serial clamp chain. */
+                for (int64_t t = j0; t < j0 + segment; t++) {
+                    tot[0] += row[0][t];
+                    tot[1] += row[1][t];
+                    tot[2] += row[2][t];
+                    tot[3] += row[3][t];
+                    s += 2 * (int64_t)src[t] - n;
+                    s = s < 0 ? 0 : s;
+                    s = s > hi ? hi : s;
+                    acc = (acc << 1) | (unsigned)(s >= half);
+                    if ((t & 7) == 7) {
+                        o[t >> 3] = (uint8_t)acc;
+                        acc = 0;
+                    }
+                }
+                sel = 0;
+                for (int k = 1; k < 4; k++)
+                    if (tot[k] > tot[sel])
+                        sel = k;
+            }
+            if (L & 7)
+                o[nbytes - 1] = (uint8_t)(acc << (8 - (L & 7)));
+        }
+    }
+    return 0;
+}

@@ -21,6 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.native as native
+from repro.blocks.pooling import apc_max_pool
 from repro.native import build as native_build
 from repro.sc import activation, adders, fsm, ops
 
@@ -156,18 +157,82 @@ def test_apc_inner_counts_bit_identical(data, length, n, rows, channels):
     np.testing.assert_array_equal(got, ref)
 
 
+def _apc_max_btanh_pack_numpy(counts, windows, segment, n, n_states):
+    """The exact backend's NumPy APC-Max-Btanh composition (the oracle)."""
+    with native.override(False):
+        pooled = apc_max_pool(counts[:, :, windows], segment)
+        return ops.pack_bits(activation.btanh_counts(pooled, n, n_states))
+
+
+@needs_native
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(),
+       segment=st.sampled_from([4, 8, 12, 16, 32]),
+       n_segments=st.integers(min_value=1, max_value=6),
+       n=st.integers(min_value=1, max_value=600),
+       n_states=st.one_of(st.sampled_from([1, 2, 3, 52, 1002]),
+                          st.integers(min_value=0, max_value=40).map(
+                              lambda k: 2 * k + 1)),
+       shape=st.sampled_from([(1, 1), (2, 1), (3, 2)]),
+       n_windows=st.integers(min_value=1, max_value=5),
+       ties=st.sampled_from(["none", "extremes", "equal"]))
+def test_apc_max_btanh_pack_bit_identical(data, segment, n_segments, n,
+                                          n_states, shape, n_windows, ties):
+    """The fused pool → Btanh → pack kernel against the NumPy
+    composition, on tie-heavy counts that pin the first-index argmax
+    and on lengths whose last byte is zero-padded (e.g. 12 × 3)."""
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    length = segment * n_segments
+    positions = 4 * n_windows + int(rng.integers(0, 3))
+    size = shape + (positions, length)
+    if ties == "extremes":
+        counts = rng.choice([0, n], size=size)
+    elif ties == "equal":
+        # every position of an image carries the same count row, so all
+        # four candidates of every window tie in every segment
+        row = rng.integers(0, n + 1, size=shape + (1, length))
+        counts = np.broadcast_to(row, size)
+    else:
+        counts = rng.integers(0, n + 1, size=size)
+    counts = counts.astype(np.int16)
+    windows = rng.integers(0, positions, size=(n_windows, 4))
+    got = native.apc_max_btanh_pack(counts, windows, segment, n, n_states)
+    ref = _apc_max_btanh_pack_numpy(counts, windows, segment, n, n_states)
+    assert got.dtype == ref.dtype and got.shape == ref.shape
+    np.testing.assert_array_equal(got, ref)
+    assert ops.padding_is_zero(got, length)
+
+
+@pytest.mark.parametrize("counts,windows,segment,match", [
+    (np.zeros((2, 1, 4, 16), np.int32), np.zeros((1, 4)), 16, "int16"),
+    (np.zeros((2, 4, 16), np.int16), np.zeros((1, 4)), 16, "int16"),
+    (np.zeros((2, 1, 4, 16), np.int16), np.zeros(4), 16, "windows"),
+    (np.zeros((2, 1, 4, 16), np.int16), np.zeros((1, 3)), 16, "windows"),
+    (np.zeros((2, 1, 4, 16), np.int16), np.zeros((1, 4), float), 16,
+     "windows"),
+    (np.zeros((2, 1, 4, 16), np.int16), np.array([[0, 1, 2, 4]]), 16,
+     r"outside \[0, 4\)"),
+    (np.zeros((2, 1, 4, 16), np.int16), np.array([[0, -1, 2, 3]]), 16,
+     r"outside \[0, 4\)"),
+    (np.zeros((2, 1, 4, 36), np.int16), np.zeros((1, 4), int), 16,
+     "multiple of segment 16"),
+    (np.zeros((2, 1, 4, 16), np.int16), np.zeros((1, 4), int), 0,
+     "segment"),
+])
+def test_apc_max_btanh_pack_rejects_before_c(counts, windows, segment,
+                                             match, monkeypatch):
+    """Bad arguments raise ``ValueError`` in the wrapper; with the
+    library handle removed, reaching C would be an AttributeError."""
+    monkeypatch.setattr(native, "_lib", None)
+    with pytest.raises(ValueError, match=match):
+        native.apc_max_btanh_pack(counts, windows, segment, 25, 52)
+
+
 # ----------------------------------------------------------------------
 # engine-level: arming the tier changes zero output bits
 # ----------------------------------------------------------------------
 
-@needs_native
-@pytest.mark.parametrize("kinds,pooling,length", [
-    # lengths chosen with L % 64 != 0 (MAX needs a multiple of the
-    # hardware pooling segment, 16)
-    (("APC", "MUX", "APC"), "MAX", 144),
-    (("MUX", "APC", "APC"), "AVG", 136),
-])
-def test_exact_backend_logits_bit_identical(kinds, pooling, length):
+def _assert_logits_tier_invariant(kinds, pooling, length, **backend_opts):
     from repro.core.config import NetworkConfig, PoolKind
     from repro.engine.exact import ExactBackend
     from repro.engine.plan import compile_plan
@@ -178,10 +243,32 @@ def test_exact_backend_logits_bit_identical(kinds, pooling, length):
     plan = compile_plan(model, cfg)
     imgs = np.random.default_rng(5).uniform(-1, 1, size=(2, 784))
     with native.override(False):
-        ref = ExactBackend(plan, seed=3).forward(imgs)
+        ref = ExactBackend(plan, seed=3, **backend_opts).forward(imgs)
     with native.override(True):
-        got = ExactBackend(plan, seed=3).forward(imgs)
+        got = ExactBackend(plan, seed=3, **backend_opts).forward(imgs)
     np.testing.assert_array_equal(got, ref)
+
+
+@needs_native
+@pytest.mark.parametrize("kinds,pooling,length", [
+    # lengths chosen with L % 64 != 0 (MAX needs a multiple of the
+    # hardware pooling segment, 16)
+    (("APC", "MUX", "APC"), "MAX", 144),
+    (("MUX", "APC", "APC"), "AVG", 136),
+    # both conv stages through the fused max-pool kernel (layer 1 at
+    # K = 1002)
+    (("APC", "APC", "APC"), "MAX", 144),
+])
+def test_exact_backend_logits_bit_identical(kinds, pooling, length):
+    _assert_logits_tier_invariant(kinds, pooling, length)
+
+
+@needs_native
+def test_exact_backend_logits_bit_identical_segment_12():
+    """A non-default segment whose length leaves a zero-padded last byte
+    (L = 36) through the fused kernel."""
+    _assert_logits_tier_invariant(("APC", "APC", "APC"), "MAX", 36,
+                                  segment=12)
 
 
 # ----------------------------------------------------------------------

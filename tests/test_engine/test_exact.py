@@ -110,6 +110,35 @@ class TestExactValidation:
         out = engine.forward(images[0].reshape(28, 28))
         assert out.shape == (1, 10)
 
+    @pytest.mark.parametrize("kinds", [("APC", "APC", "APC"),
+                                       ("MUX", "MUX", "APC")])
+    @pytest.mark.parametrize("length", [8, 24, 40])
+    def test_max_pool_length_must_divide_into_segments(
+            self, tiny_trained_lenet, kinds, length, monkeypatch):
+        """A length every forward would reject fails at construction,
+        before any stream is drawn."""
+        from repro.sc.rng import StreamFactory
+
+        def no_draws(*args, **kwargs):
+            raise AssertionError("a stream was drawn")
+
+        monkeypatch.setattr(StreamFactory, "packed", no_draws)
+        cfg = NetworkConfig.from_kinds(PoolKind.MAX, length, kinds)
+        with pytest.raises(ValueError, match="multiple of segment 16"):
+            Engine(tiny_trained_lenet, cfg, backend="exact", seed=0)
+
+    def test_mux_max_pool_segment_must_be_byte_aligned(
+            self, tiny_trained_lenet):
+        cfg = NetworkConfig.from_kinds(PoolKind.MAX, 48,
+                                       ("MUX", "MUX", "APC"))
+        with pytest.raises(ValueError, match="multiple of 8"):
+            Engine(tiny_trained_lenet, cfg, backend="exact", segment=12)
+
+    def test_average_pooling_ignores_segment(self, tiny_trained_lenet):
+        cfg = NetworkConfig.from_kinds(PoolKind.AVG, 40,
+                                       ("APC", "APC", "APC"))
+        Engine(tiny_trained_lenet, cfg, backend="exact", seed=0)
+
 
 class TestForwardIndependent:
     """The serving contract: per-request stream state inside one batch."""

@@ -123,6 +123,20 @@ class TestErrors:
         assert status == 400
         assert "unknown request fields" in reply["error"]
 
+    def test_length_not_dividing_into_segments_400(self, http_service,
+                                                   images):
+        """Max pooling needs whole segments: the spec fails at engine
+        construction, so the pool keeps no dead engine to hit later."""
+        base, service = http_service
+        engines = service.stats()["pool"]["engines"]
+        for _ in range(2):
+            status, reply = _call(base, "/predict",
+                                  {"image": images[0].tolist(),
+                                   "length": 40})
+            assert status == 400
+            assert "multiple of segment 16" in reply["error"]
+        assert service.stats()["pool"]["engines"] == engines
+
     def test_unknown_path_404(self, http_service):
         base, _ = http_service
         assert _call(base, "/nope")[0] == 404
