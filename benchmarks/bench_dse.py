@@ -1,22 +1,20 @@
-"""DSE throughput benchmark: parallel runner + screening vs sequential.
+"""DSE throughput benchmark: parallel runner + screening.
 
 Two scenarios, each honest about what it measures:
 
-* **parallel** — the legacy in-process ``HolisticOptimizer.
-  run_sequential`` loop vs ``ParallelRunner`` at ``workers=1`` and
-  ``workers=4`` over the LeNet-5 kind-combo space (noise evaluator, the
-  paper's methodology).  The accuracy budget is disabled so every mode
-  performs the *identical* evaluation workload (4 combos × every
-  halving round), and all modes are asserted bit-identical.  A warm-up
-  lap runs first so the disk-cached calibration artifacts (measured
-  sigmas) are equally warm on every side — the timed comparison
-  isolates evaluation throughput.
+* **parallel** — ``ParallelRunner`` at ``workers=1`` vs ``workers=4``
+  over the LeNet-5 kind-combo space (noise evaluator, the paper's
+  methodology).  The accuracy budget is disabled so both modes perform
+  the *identical* evaluation workload (4 combos × every halving round),
+  and both are asserted bit-identical.  A warm-up lap runs first so the
+  disk-cached calibration artifacts (measured sigmas) are equally warm
+  on both sides — the timed comparison isolates evaluation throughput.
 
-  Acceptance: ≥ 2.5x at 4 workers — asserted only on machines with at
-  least 4 CPU cores and only in full mode.  The evaluations are
-  CPU-bound NumPy; on a 1- or 2-core box the ratio is honestly ~1x and
-  the JSON records ``cpu_count`` alongside it so the number can be read
-  in context.
+  Acceptance: ≥ 2.5x at 4 workers over 1 worker — asserted only on
+  machines with at least 4 CPU cores and only in full mode.  The
+  evaluations are CPU-bound NumPy; on a 1- or 2-core box the ratio is
+  honestly ~1x and the JSON records ``cpu_count`` alongside it so the
+  number can be read in context.
 
 * **screening** — unscreened vs screened search with the **exact**
   bit-level evaluator (where a full evaluation costs seconds and the
@@ -39,7 +37,6 @@ import os
 import time
 from pathlib import Path
 
-from repro.core.optimizer import HolisticOptimizer
 from repro.data.cache import TrainedModel
 from repro.data.synthetic_mnist import generate_dataset, to_bipolar
 from repro.dse import ParallelRunner, ScreenPolicy, SearchSpace
@@ -77,46 +74,31 @@ def _measure_parallel(trained, quick: bool) -> dict:
     max_length, min_length = (128, 64) if quick else (1024, 64)
     eval_images = 60 if quick else 400
     threshold = 1e9  # budget off: identical workload on every side
-    opt = HolisticOptimizer(trained, threshold_pct=threshold,
-                            eval_images=eval_images, seed=0)
-
-    def sequential():
-        return opt.run_sequential(max_length=max_length,
-                                  min_length=min_length)
 
     def runner(workers):
-        return ParallelRunner(
+        t0 = time.perf_counter()
+        points = ParallelRunner(
             trained, _space(trained, max_length, min_length),
             threshold_pct=threshold, eval_images=eval_images, seed=0,
             workers=workers).run().passing
+        return points, time.perf_counter() - t0
 
-    # Warm-up: one untimed sequential lap populates the calibration
-    # disk cache (measured sigmas per (kind, n, L)) for every side.
-    sequential()
+    # Warm-up: one untimed lap populates the calibration disk cache
+    # (measured sigmas per (kind, n, L)) for both sides.
+    runner(1)
+    serial, t_serial = runner(1)
+    parallel, t_parallel = runner(WORKERS)
 
-    t0 = time.perf_counter()
-    legacy = sequential()
-    t_legacy = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    serial = runner(1)
-    t_serial = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    parallel = runner(WORKERS)
-    t_parallel = time.perf_counter() - t0
-
-    if not (_points_fingerprint(serial) == _points_fingerprint(legacy)
-            == _points_fingerprint(parallel)):
+    if _points_fingerprint(serial) != _points_fingerprint(parallel):
         raise AssertionError(
-            "DSE modes diverged: sequential, workers=1 and "
-            f"workers={WORKERS} must be bit-identical")
+            f"DSE modes diverged: workers=1 and workers={WORKERS} must "
+            "be bit-identical")
     return {
         "max_length": max_length, "min_length": min_length,
         "eval_images": eval_images, "evaluator": "noise",
-        "points_evaluated": len(legacy),
-        "legacy_sequential_s": round(t_legacy, 4),
+        "points_evaluated": len(serial),
         "runner_workers1_s": round(t_serial, 4),
         f"runner_workers{WORKERS}_s": round(t_parallel, 4),
-        "speedup_vs_legacy": round(t_legacy / t_parallel, 2),
         "speedup_vs_workers1": round(t_serial / t_parallel, 2),
         "bit_identical": True,
     }
@@ -188,15 +170,15 @@ def measure_dse(quick: bool = False) -> dict:
         "parallel": _measure_parallel(trained, quick),
         "screening": _measure_screening(trained, quick),
     }
-    speedup = results["parallel"]["speedup_vs_legacy"]
-    results["speedup_workers4_vs_sequential"] = speedup
+    speedup = results["parallel"]["speedup_vs_workers1"]
+    results["speedup_workers4_vs_workers1"] = speedup
     cores = os.cpu_count() or 1
     results["acceptance_gate_active"] = (not quick
                                          and cores
                                          >= MIN_CORES_FOR_ACCEPTANCE)
     if results["acceptance_gate_active"] and speedup < ACCEPT_SPEEDUP:
         raise AssertionError(
-            f"parallel DSE is only {speedup}x the sequential baseline "
+            f"parallel DSE is only {speedup}x workers=1 "
             f"at {WORKERS} workers on a {cores}-core machine; "
             f"acceptance requires >= {ACCEPT_SPEEDUP}x")
     return results
@@ -211,10 +193,9 @@ def main(argv=None) -> None:
     args = parser.parse_args(argv)
     results = measure_dse(quick=args.quick)
     par, scr = results["parallel"], results["screening"]
-    print(f"parallel: sequential {par['legacy_sequential_s']}s, "
-          f"workers=1 {par['runner_workers1_s']}s, "
+    print(f"parallel: workers=1 {par['runner_workers1_s']}s, "
           f"workers={WORKERS} {par[f'runner_workers{WORKERS}_s']}s "
-          f"({par['speedup_vs_legacy']}x vs sequential on "
+          f"({par['speedup_vs_workers1']}x on "
           f"{results['cpu_count']} core(s))")
     print(f"screening: {scr['full_evals_unscreened']} -> "
           f"{scr['full_evals_screened']} exact evaluations "

@@ -4,25 +4,29 @@ Enumerates layer-wise feature-extraction-block assignments, evaluates
 each configuration's network accuracy with the paper's noise-injection
 methodology, prunes those violating the accuracy threshold, halves the
 bit-stream length and iterates — then prints the surviving design points
-with their hardware costs and marks the Pareto frontier (the paper's
-Table 6 emerges from exactly this loop).
+with their hardware costs and marks the Pareto frontier on error, area,
+power and energy (the paper's Table 6 emerges from exactly this loop).
+The search runs through ``repro.dse.ParallelRunner``, the same runner
+behind ``python -m repro dse``.
 
 Run:  python examples/design_space_exploration.py
 """
 
 from repro.analysis.tables import format_table
-from repro.core.optimizer import HolisticOptimizer
 from repro.data.cache import get_trained_lenet
+from repro.dse import ParallelRunner, SearchSpace
 
 
 def main():
     trained = get_trained_lenet(pooling="max")
     print(f"software baseline error: {trained.software_error_pct:.2f}%")
 
-    opt = HolisticOptimizer(trained, threshold_pct=8.0, eval_images=300,
-                            seed=5)
-    points = opt.run(max_length=1024, min_length=128)
-    front = set(id(p) for p in opt.pareto_front(points))
+    space = SearchSpace.from_trained(trained, max_length=1024,
+                                     min_length=128)
+    result = ParallelRunner(trained, space, threshold_pct=8.0,
+                            eval_images=300, seed=5).run()
+    points = result.passing
+    front = set(id(p) for p in result.frontier)
 
     rows = []
     for p in points:
@@ -40,7 +44,7 @@ def main():
          "Power W", "Energy µJ"],
         rows,
         title="Surviving design points (* = Pareto-optimal on "
-              "error/area/energy)",
+              "error/area/power/energy)",
     ))
     if points:
         best = points[0]

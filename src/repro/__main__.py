@@ -484,10 +484,6 @@ def _dse(argv) -> int:
     )
     from repro.nn.zoo import model_digest
 
-    trained = _dse_trained(args)
-    space = SearchSpace.from_trained(
-        trained, weight_bits=weight_bits,
-        max_length=args.max_length, min_length=args.min_length)
     screen = None
     if args.screen:
         overrides = {}
@@ -495,22 +491,34 @@ def _dse(argv) -> int:
             overrides["margin_pct"] = args.margin
         if args.screen_images is not None:
             overrides["images"] = args.screen_images
-        screen = ScreenPolicy(**overrides)
+        try:
+            screen = ScreenPolicy(**overrides)
+        except ValueError as exc:
+            parser.error(str(exc))
+    trained = _dse_trained(args)
     store = None
-    if args.store:
-        store = ResultStore(
-            args.store, model=args.model,
-            model_digest=model_digest(trained.model),
-            evaluator=args.evaluator, eval_images=args.eval_images,
-            seed=args.seed, threshold_pct=args.threshold,
-            resume=args.resume)
+    try:
+        space = SearchSpace.from_trained(
+            trained, weight_bits=weight_bits,
+            max_length=args.max_length, min_length=args.min_length)
+        if args.store:
+            store = ResultStore(
+                args.store, model=args.model,
+                model_digest=model_digest(trained.model),
+                evaluator=args.evaluator, eval_images=args.eval_images,
+                seed=args.seed, threshold_pct=args.threshold,
+                resume=args.resume)
+        runner = ParallelRunner(
+            trained, space, threshold_pct=args.threshold,
+            eval_images=args.eval_images, seed=args.seed,
+            evaluator=args.evaluator, workers=args.workers, screen=screen,
+            store=store, verbose=args.verbose, retries=args.retries,
+            eval_timeout_s=args.eval_timeout)
+    except ValueError as exc:
+        if store is not None and not args.resume:
+            store.path.unlink()  # a header-only store would block a rerun
+        parser.error(str(exc))
     print(f"search space: model={args.model} {space.describe()}")
-    runner = ParallelRunner(
-        trained, space, threshold_pct=args.threshold,
-        eval_images=args.eval_images, seed=args.seed,
-        evaluator=args.evaluator, workers=args.workers, screen=screen,
-        store=store, verbose=args.verbose, retries=args.retries,
-        eval_timeout_s=args.eval_timeout)
     result = runner.run()
     stats = result.stats
 
@@ -530,6 +538,7 @@ def _dse(argv) -> int:
           f"{stats['screen_evals']} screen; "
           f"screened out {stats['screened_out']}; "
           f"reused from store {stats['reused']}; "
+          f"poisoned {stats['poisoned']}; retries {stats['retries']}; "
           f"wall {stats['wall_s']}s with {stats['workers']} worker(s)")
     if args.store:
         print(f"result store: {args.store} ({len(store)} records)")

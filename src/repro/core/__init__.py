@@ -1,4 +1,4 @@
-"""SC-DCNN core: feature extraction blocks, configurations, optimization.
+"""SC-DCNN core: feature extraction blocks and configurations.
 
 This subpackage is the paper's primary contribution:
 
@@ -7,9 +7,11 @@ This subpackage is the paper's primary contribution:
 * :mod:`repro.core.feature_extraction` — the four jointly-optimized
   feature extraction blocks (Section 4.4);
 * :mod:`repro.core.config` — declarative layer/network configurations,
-  including the twelve Table 6 LeNet-5 designs;
-* :mod:`repro.core.optimizer` — the holistic optimization procedure of
-  Section 6.3.
+  including the twelve Table 6 LeNet-5 designs.
+
+The holistic optimization procedure of Section 6.3 lives in
+:mod:`repro.dse` (``ParallelRunner``), whose contract is pinned by golden
+search digests and a property test of the halving rules.
 """
 
 from repro.core.state_numbers import (
@@ -35,7 +37,6 @@ from repro.core.config import (
     NetworkConfig,
     TABLE6_CONFIGS,
 )
-from repro.core.optimizer import HolisticOptimizer
 
 __all__ = [
     "nearest_even",
@@ -55,5 +56,4 @@ __all__ = [
     "LayerConfig",
     "NetworkConfig",
     "TABLE6_CONFIGS",
-    "HolisticOptimizer",
 ]

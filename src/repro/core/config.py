@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import hashlib
 
 from repro.utils.validation import check_stream_length
 
@@ -32,6 +33,7 @@ __all__ = [
     "TABLE6_CONFIGS",
     "resolve_pooling",
     "resolve_kinds",
+    "config_digest",
 ]
 
 
@@ -159,6 +161,23 @@ def resolve_kinds(kinds, n_layers: int = None) -> tuple:
             f"kinds carries {len(kinds)} entries but the model has "
             f"{n_layers} hidden weight layers")
     return kinds
+
+
+def config_digest(config: NetworkConfig) -> str:
+    """Stable digest of a design point, excluding stream length and name.
+
+    Two configurations that differ only in ``length`` (or the cosmetic
+    ``name`` label) share a digest — that is what lets the serving pool
+    re-target a cached plan via ``with_length`` instead of recompiling.
+    The digest deliberately excludes the *model*: pair it with
+    :func:`repro.nn.zoo.model_digest` wherever compiled artifacts are
+    keyed.  DSE result-store keys embed it too, so its values must not
+    change.
+    """
+    spec = (config.pooling.value,
+            tuple((layer.ip_kind.value, layer.n_states)
+                  for layer in config.layers))
+    return hashlib.sha1(repr(spec).encode("utf8")).hexdigest()[:16]
 
 
 @dataclasses.dataclass(frozen=True)

@@ -12,7 +12,7 @@ This package turns that procedure into a subsystem:
 * :mod:`repro.dse.runner` — a :class:`ParallelRunner` that fans the
   evaluations of each halving round across a process pool, with
   deterministic per-point seeding so parallel results are bit-identical
-  to sequential (and to the legacy ``HolisticOptimizer.run`` loop);
+  to sequential, and returns costed :class:`DesignPoint` results;
 * :mod:`repro.dse.screen` — surrogate-backend pre-screening that skips
   the full-fidelity evaluation of candidates a cheap deterministic pass
   already places far beyond the accuracy budget;
@@ -22,8 +22,12 @@ This package turns that procedure into a subsystem:
 * :mod:`repro.dse.frontier` — generalized Pareto utilities on
   (error, area, power, energy) plus CSV/JSON export.
 
-``repro.core.optimizer.HolisticOptimizer`` is now a thin facade over
-this package; ``python -m repro dse`` is the command-line entry point.
+``ParallelRunner`` is the one implementation of the procedure.  Its
+contract is pinned by golden digests of whole searches
+(``tests/test_dse/golden_search.json``, untrained weights and the exact
+evaluator, reproduced on every kernel tier) and by a property test of
+the halving rules over stubbed evaluations.  ``python -m repro dse`` is
+the command-line entry point.
 """
 
 from repro.dse.frontier import (
@@ -34,7 +38,13 @@ from repro.dse.frontier import (
     pareto_front,
     pareto_indices,
 )
-from repro.dse.runner import DSERecord, DSEResult, EvalTask, ParallelRunner
+from repro.dse.runner import (
+    DesignPoint,
+    DSERecord,
+    DSEResult,
+    EvalTask,
+    ParallelRunner,
+)
 from repro.dse.screen import ScreenPolicy
 from repro.dse.space import Candidate, Scenario, SearchSpace
 from repro.dse.store import ResultStore
@@ -42,6 +52,7 @@ from repro.dse.store import ResultStore
 __all__ = [
     "Candidate",
     "DEFAULT_METRICS",
+    "DesignPoint",
     "DSERecord",
     "DSEResult",
     "EvalTask",

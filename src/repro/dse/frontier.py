@@ -3,11 +3,10 @@
 The paper reads its Table 6 off the set of design points that survive
 the accuracy budget; what actually matters downstream is the *Pareto
 frontier* of those survivors — no point on it can be improved in one
-metric without paying in another.  This module generalizes the
-optimizer's original (error, area, energy) filter to any metric tuple
-(the DSE default adds power), keeps the dominance primitive reusable,
-and exports frontiers and per-combo halving trajectories for offline
-analysis.
+metric without paying in another.  This module filters on any metric
+tuple (default: error, area, power, energy), keeps the dominance
+primitive reusable, and exports frontiers and per-combo halving
+trajectories for offline analysis.
 
 Conventions:
 
@@ -40,10 +39,6 @@ __all__ = [
 #: design point itself; the rest on its :class:`~repro.hw.network_cost.
 #: NetworkCost`.
 DEFAULT_METRICS = ("error_pct", "area_mm2", "power_w", "energy_uj")
-
-#: The original optimizer objective (kept for
-#: :meth:`repro.core.optimizer.HolisticOptimizer.pareto_front`).
-LEGACY_METRICS = ("error_pct", "area_mm2", "energy_uj")
 
 
 def point_metrics(point, metrics=DEFAULT_METRICS) -> tuple:

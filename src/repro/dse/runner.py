@@ -9,14 +9,14 @@ Determinism under parallelism
 -----------------------------
 Every evaluation is a *pure function* of ``(model, config, weight_bits,
 seed, evaluator)``: each point constructs a fresh engine whose RNG is
-spawned from the per-point seed, and the per-point seed is itself a pure
-function of the search seed (the legacy optimizer seeds every point with
-the search seed; the runner preserves exactly that, so ``workers=N``
-produces results bit-identical to ``workers=1`` and to the sequential
-``HolisticOptimizer.run`` loop — asserted by the conformance suite).
-Results are gathered in submission order, not completion order, and the
-passing list is assembled in the legacy (round, scenario, combo) order
-before the final energy sort, so even tie-breaking is reproduced.
+spawned from the per-point seed, and every point is seeded with the
+search seed itself, so ``workers=N`` produces results bit-identical to
+``workers=1``.  Results are gathered in submission order, not completion
+order, and the passing list is assembled in (round, scenario, combo)
+order before the final stable energy sort, so even tie-breaking is
+reproduced.  ``tests/test_dse/golden_search.json`` pins whole searches
+as digests, and a property test pins the halving contract over stubbed
+evaluations.
 
 Plan reuse
 ----------
@@ -76,8 +76,7 @@ from concurrent.futures.process import BrokenProcessPool
 
 from repro import faults, obs
 
-from repro.core.config import NetworkConfig
-from repro.core.optimizer import DesignPoint
+from repro.core.config import NetworkConfig, config_digest
 from repro.dse.frontier import halving_trajectories, pareto_front
 from repro.dse.screen import ScreenPolicy
 from repro.dse.space import Candidate, SearchSpace
@@ -85,126 +84,94 @@ from repro.dse.store import ResultStore, make_key
 from repro.engine.engine import Engine
 from repro.engine.graph import build_graph
 from repro.engine.plan import compile_plan
-from repro.hw.network_cost import graph_network_cost
+from repro.hw.network_cost import NetworkCost, graph_network_cost
 from repro.nn.zoo import model_digest
-from repro.serve.pool import config_digest
 
-__all__ = ["EVALUATOR_SPECS", "EvalTask", "DSERecord", "DSEResult",
-           "ParallelRunner"]
+__all__ = ["EVALUATOR_SPECS", "DesignPoint", "EvalTask", "DSERecord",
+           "DSEResult", "ParallelRunner"]
 
-#: Full-fidelity evaluator -> (engine backend, backend options).  The
-#: ``noise``/``surrogate`` rows replicate the legacy optimizer's exactly
-#: (sample counts included) — that equality is what makes the facade
-#: bit-identical to the pre-DSE loop and is pinned by a test.  ``exact``
-#: runs the bit-level simulator itself: far costlier, which is where
-#: screening pays off most.
+#: Full-fidelity evaluator -> (engine backend, backend options): 96
+#: bit-level samples per noise sigma, 240 per surrogate transfer curve.
+#: ``exact`` runs the bit-level simulator itself: far costlier, which is
+#: where screening pays off most.  The options enter every store key, so
+#: changing them orphans stored results (pinned by a test).
 EVALUATOR_SPECS = {
     "noise": ("noise", {"samples": 96}),
     "surrogate": ("surrogate", {"samples": 240}),
     "exact": ("exact", {}),
 }
 
-#: Evaluation batch size — the legacy evaluator classes' 256-image
-#: chunking, kept so sampled-noise draws reproduce pre-engine results.
+#: Evaluation batch size.  The noise backend draws fresh noise per
+#: forward call, so this chunking is part of every noise-evaluated result.
 EVAL_BATCH = 256
+
+
+@dataclasses.dataclass
+class DesignPoint:
+    """One evaluated (configuration, stream length) point."""
+
+    config: NetworkConfig
+    error_pct: float
+    degradation_pct: float
+    cost: NetworkCost
+
+    def summary(self) -> str:
+        return (f"{self.config.describe():34s} err={self.error_pct:5.2f}% "
+                f"area={self.cost.area_mm2:6.2f}mm² "
+                f"power={self.cost.power_w:5.2f}W "
+                f"energy={self.cost.energy_uj:6.2f}µJ")
 
 
 @dataclasses.dataclass(frozen=True)
 class EvalTask:
-    """One evaluation to dispatch (pickled to worker processes).
-
-    A :class:`repro.dse.space.Candidate` plus the evaluation ``stage``;
-    the candidate is the single source of the design-point naming
-    contract (``"MUX-APC-APC@1024"``) the bit-identity suite pins.
-    """
+    """One evaluation to dispatch (pickled to worker processes): a
+    :class:`repro.dse.space.Candidate` plus the evaluation ``stage``."""
 
     candidate: Candidate
     stage: str  # "full" | "screen"
-
-    @property
-    def kinds(self) -> tuple:
-        return self.candidate.kinds
-
-    @property
-    def pooling(self) -> str:
-        return self.candidate.pooling
-
-    @property
-    def weight_bits(self) -> tuple:
-        return self.candidate.weight_bits
-
-    @property
-    def length(self) -> int:
-        return self.candidate.length
-
-    @property
-    def seed(self) -> int:
-        return self.candidate.seed
-
-    @property
-    def combo_label(self) -> str:
-        return self.candidate.combo_label
-
-    def config(self) -> NetworkConfig:
-        """The design point, named exactly as the legacy loop named it."""
-        return self.candidate.config()
 
 
 class _EvalContext:
     """Per-process evaluation state: model, eval split, plan cache.
 
     One instance lives in the parent (``workers=1``) or in each worker
-    process (constructed once by the pool initializer).  Plans are
+    process (constructed once by the pool initializer).  ``stages`` maps
+    a stage to its (engine backend, backend options, images).  Plans are
     cached per (kinds, pooling, weight_bits) at ``max_length`` and
-    re-targeted per task — the canonical-plan rule the optimizer's
-    regression test pins.
+    re-targeted per task, so the max-length compile stays the canonical
+    cache entry and no evaluation derives from a shorter re-target.
     """
 
-    def __init__(self, model, x_eval, y_eval, max_length,
-                 full_backend, full_opts, full_images,
-                 screen_backend=None, screen_opts=None, screen_images=0):
+    def __init__(self, model, x_eval, y_eval, max_length, stages):
         self.model = model
         self.x = x_eval
         self.y = y_eval
         self.max_length = int(max_length)
-        self.full_backend = full_backend
-        self.full_opts = dict(full_opts)
-        self.full_images = int(full_images)
-        self.screen_backend = screen_backend
-        self.screen_opts = dict(screen_opts or {})
-        self.screen_images = int(screen_images)
+        self.stages = stages
         self._plans = {}
 
-    def _base_plan(self, kinds, pooling, weight_bits):
-        key = (kinds, pooling, weight_bits)
+    def _base_plan(self, cand: Candidate):
+        key = (cand.kinds, cand.pooling, cand.weight_bits)
         plan = self._plans.get(key)
         if plan is None:
-            config = Candidate(kinds, pooling, weight_bits,
-                               self.max_length, 0).config()
+            config = dataclasses.replace(cand, length=self.max_length,
+                                         seed=0).config()
             plan = compile_plan(self.model, config,
-                                weight_bits=weight_bits)
+                                weight_bits=cand.weight_bits)
             self._plans[key] = plan
         return plan
 
     def evaluate(self, task: EvalTask) -> float:
         """Error rate (%) of one task — a pure function of the task."""
+        cand = task.candidate
         faults.fire("dse.evaluate",
-                    label=f"{task.combo_label}@{task.length}:{task.stage}")
-        with obs.span("dse.evaluate", combo=task.combo_label,
-                      length=task.length, stage=task.stage):
-            config = task.config()
-            plan = self._base_plan(task.kinds, task.pooling,
-                                   task.weight_bits
-                                   ).with_length(task.length,
-                                                 name=config.name)
-            if task.stage == "screen":
-                backend, opts, images = (self.screen_backend,
-                                         self.screen_opts,
-                                         self.screen_images)
-            else:
-                backend, opts, images = (self.full_backend, self.full_opts,
-                                         self.full_images)
-            engine = Engine(plan=plan, backend=backend, seed=task.seed,
+                    label=f"{cand.combo_label}@{cand.length}:{task.stage}")
+        with obs.span("dse.evaluate", combo=cand.combo_label,
+                      length=cand.length, stage=task.stage):
+            plan = self._base_plan(cand).with_length(
+                cand.length, name=cand.config().name)
+            backend, opts, images = self.stages[task.stage]
+            engine = Engine(plan=plan, backend=backend, seed=cand.seed,
                             **opts)
             return engine.error_rate(self.x[:images], self.y[:images],
                                      batch_size=EVAL_BATCH)
@@ -271,9 +238,9 @@ class DSERecord:
 class DSEResult:
     """Outcome of one search.
 
-    ``passing`` is exactly the legacy ``HolisticOptimizer.run`` return
-    shape: every (configuration, length) point that met the accuracy
-    budget, sorted by energy.  ``records`` is the full evaluation log
+    ``passing`` holds every (configuration, length) :class:`DesignPoint`
+    that met the accuracy budget, sorted by energy (ties keep (round,
+    scenario, combo) order).  ``records`` is the full evaluation log
     (screen results included), ``frontier`` the generalized Pareto
     frontier of ``passing`` on (error, area, power, energy).
     """
@@ -296,16 +263,16 @@ class ParallelRunner:
     trained:
         A :class:`repro.data.cache.TrainedModel`.
     space:
-        The :class:`SearchSpace` to walk (default: the legacy space —
-        the model's pooling, 8-bit weights, lengths 1024 → 64).
+        The :class:`SearchSpace` to walk (default:
+        :meth:`SearchSpace.from_trained` — the model's pooling, 8-bit
+        weights, lengths 1024 → 64).
     threshold_pct:
         Accuracy budget: maximum error-rate degradation over the
         software baseline (the paper uses 1.5).
     eval_images:
-        Test images per full evaluation.
+        Test images per full evaluation (at least 1).
     seed:
-        Search seed; every point's evaluation seed derives from it
-        deterministically (identically, matching the legacy loop).
+        Search seed; every point is evaluated with it.
     evaluator:
         ``"noise"`` (the paper's methodology, default), ``"surrogate"``
         (calibrated transfer curves) or ``"exact"`` (bit-level
@@ -345,6 +312,8 @@ class ParallelRunner:
                 f"got {evaluator!r}")
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
+        if eval_images < 1:
+            raise ValueError(f"eval_images must be >= 1, got {eval_images}")
         if retries < 0:
             raise ValueError(f"retries must be >= 0, got {retries}")
         if backoff_s < 0:
@@ -377,33 +346,23 @@ class ParallelRunner:
             raise ValueError(
                 "result store belongs to a different model "
                 f"({store.model_digest} != {self.digest})")
-        x = trained.bipolar_test_images()[:eval_images]
-        self._x = x
+        self._x = trained.bipolar_test_images()[:eval_images]
         self._y = trained.y_test[:eval_images]
-        self.eval_images = len(x)
+        self.eval_images = len(self._x)
+        # stage -> (engine backend, backend options, images): what the
+        # evaluation runs and what the store key pins, in one place.
         backend, opts = EVALUATOR_SPECS[evaluator]
-        self._full_backend, self._full_opts = backend, opts
+        self._stages = {"full": (backend, opts, self.eval_images)}
         if self.screen is not None:
-            self._screen_images = self.screen.resolve_images(
-                self.eval_images)
-            self._screen_opts = self.screen.backend_opts()
-        else:
-            self._screen_images = 0
-            self._screen_opts = {}
+            self._stages["screen"] = (
+                self.screen.backend, self.screen.backend_opts(),
+                self.screen.resolve_images(self.eval_images))
 
     # ------------------------------------------------------------------
     def _context_payload(self) -> dict:
-        payload = dict(
-            model=self.trained.model, x_eval=self._x, y_eval=self._y,
-            max_length=self.space.max_length,
-            full_backend=self._full_backend, full_opts=self._full_opts,
-            full_images=self.eval_images,
-        )
-        if self.screen is not None:
-            payload.update(screen_backend=self.screen.backend,
-                           screen_opts=self._screen_opts,
-                           screen_images=self._screen_images)
-        return payload
+        return dict(model=self.trained.model, x_eval=self._x,
+                    y_eval=self._y, max_length=self.space.max_length,
+                    stages=self._stages)
 
     def _task(self, scenario, kinds, length: int, stage: str) -> EvalTask:
         return EvalTask(
@@ -411,22 +370,12 @@ class ParallelRunner:
                                 scenario.weight_bits, length, self.seed),
             stage=stage)
 
-    def _stage_signature(self, stage: str) -> tuple:
-        """(backend signature, images) pinning a stage's determinism."""
-        if stage == "screen":
-            backend, opts, images = (self.screen.backend,
-                                     self._screen_opts,
-                                     self._screen_images)
-        else:
-            backend, opts, images = (self._full_backend, self._full_opts,
-                                     self.eval_images)
-        sig = backend + "".join(f";{k}={v}" for k, v in sorted(opts.items()))
-        return sig, images
-
     def _store_key(self, task: EvalTask) -> str:
-        sig, images = self._stage_signature(task.stage)
-        return make_key(self.digest, config_digest(task.config()),
-                        task.weight_bits, task.length, task.seed,
+        backend, opts, images = self._stages[task.stage]
+        sig = backend + "".join(f";{k}={v}" for k, v in sorted(opts.items()))
+        cand = task.candidate
+        return make_key(self.digest, config_digest(cand.config()),
+                        cand.weight_bits, cand.length, cand.seed,
                         task.stage, sig, images)
 
     def _store_record(self, task: EvalTask, error, degradation,
@@ -434,11 +383,12 @@ class ParallelRunner:
                       poisoned: bool = False) -> None:
         if self.store is None or self._store_disabled:
             return
+        cand = task.candidate
         payload = {
             "model": getattr(self.trained, "model_name", ""),
-            "combo": task.combo_label, "pooling": task.pooling,
-            "weight_bits": list(task.weight_bits), "length": task.length,
-            "seed": task.seed, "stage": task.stage,
+            "combo": cand.combo_label, "pooling": cand.pooling,
+            "weight_bits": list(cand.weight_bits), "length": cand.length,
+            "seed": cand.seed, "stage": task.stage,
             "error_pct": None if error is None else float(error),
             "degradation_pct": (None if degradation is None
                                 else float(degradation)),
@@ -575,122 +525,94 @@ class ParallelRunner:
                 retry_round += 1
         return errors, reused, poisoned
 
+    def _settle(self, task: EvalTask, error, reused: bool, poisoned: bool,
+                records: list, stats: dict) -> bool:
+        """Record one evaluated task; returns whether it passed.
+
+        A full-stage task passes when its degradation meets the
+        threshold, a screen-stage task when the policy promotes it.  A
+        quarantined task fails either way, so its combo is pruned.
+        """
+        cand = task.candidate
+        _bump(stats, "reused", 1 if reused else 0)
+        if poisoned:
+            records.append(DSERecord(
+                kinds=cand.kinds, pooling=cand.pooling,
+                weight_bits=cand.weight_bits, length=cand.length,
+                stage=task.stage, error_pct=None, degradation_pct=None,
+                passed=False, reused=reused, poisoned=True))
+            self._store_record(task, None, None, False, None, stats,
+                               poisoned=True)
+            if self.verbose:  # pragma: no cover - console output
+                print(f"{cand.config().describe():34s} {task.stage} "
+                      "POISONED (quarantined)")
+            return False
+        degradation = error - self.trained.software_error_pct
+        point = cost = None
+        if task.stage == "full":
+            ok = degradation <= self.threshold_pct
+            config = cand.config()
+            cost = graph_network_cost(
+                build_graph(self.trained.model, config),
+                weight_bits=cand.weight_bits)
+            point = DesignPoint(config=config, error_pct=error,
+                                degradation_pct=degradation, cost=cost)
+            _bump(stats, "full_evals", 0 if reused else 1)
+            _bump(stats, "points")
+            if self.verbose:  # pragma: no cover - console output
+                print(f"{point.summary()}  {'PASS' if ok else 'FAIL'}")
+        else:
+            ok = self.screen.promotes(degradation, self.threshold_pct)
+            _bump(stats, "screen_evals", 0 if reused else 1)
+            if not ok:
+                _bump(stats, "screened_out")
+                if self.verbose:  # pragma: no cover - console output
+                    print(f"{cand.config().describe():34s} "
+                          f"screen={degradation:+.2f}% SCREENED-OUT")
+        records.append(DSERecord(
+            kinds=cand.kinds, pooling=cand.pooling,
+            weight_bits=cand.weight_bits, length=cand.length,
+            stage=task.stage, error_pct=error, degradation_pct=degradation,
+            passed=ok, reused=reused, point=point))
+        self._store_record(task, error, degradation, ok, cost, stats)
+        return ok
+
+    def _run_stage(self, cells, length: int, stage: str, state: dict,
+                   records: list, stats: dict) -> list:
+        """Evaluate ``cells`` at ``length``; returns the passing cells."""
+        tasks = [self._task(scenario, combo, length, stage)
+                 for scenario, combo in cells]
+        outcomes = zip(*self._evaluate_batch(tasks, state, stats))
+        return [cell for cell, task, outcome in zip(cells, tasks, outcomes)
+                if self._settle(task, *outcome, records, stats)]
+
     # ------------------------------------------------------------------
     def run(self) -> DSEResult:
         """Run the halving search; returns the :class:`DSEResult`."""
         start = time.perf_counter()
         space = self.space
         scenarios = space.scenarios()
-        survivors = {scenario: list(space.combos())
-                     for scenario in scenarios}
-        software = self.trained.software_error_pct
-        records, passing = [], []
+        survivors = [(scenario, combo) for scenario in scenarios
+                     for combo in space.combos()]
+        records = []
         stats = {"full_evals": 0, "screen_evals": 0, "screened_out": 0,
                  "reused": 0, "points": 0, "retries": 0, "respawns": 0,
                  "timeouts": 0, "poisoned": 0, "store_errors": 0}
         state = {"pool": None, "ctx": None}
         try:
             for length in space.lengths():
-                round_cells = [(scenario, combo) for scenario in scenarios
-                               for combo in survivors[scenario]]
-                if not round_cells:
+                if not survivors:
                     break
-                promoted = round_cells
                 if self.screen is not None:
-                    stasks = [self._task(sc, combo, length, "screen")
-                              for sc, combo in round_cells]
-                    serrs, sreused, spois = self._evaluate_batch(
-                        stasks, state, stats)
-                    promoted = []
-                    for cell, task, error, was_reused, was_poisoned in zip(
-                            round_cells, stasks, serrs, sreused, spois):
-                        if was_poisoned:
-                            # Quarantined: prune the combo like a failed
-                            # screen, but record the distinct outcome.
-                            records.append(DSERecord(
-                                kinds=task.kinds, pooling=task.pooling,
-                                weight_bits=task.weight_bits,
-                                length=length, stage="screen",
-                                error_pct=None, degradation_pct=None,
-                                passed=False, reused=was_reused,
-                                poisoned=True))
-                            self._store_record(task, None, None, False,
-                                               None, stats, poisoned=True)
-                            _bump(stats, "reused", 1 if was_reused else 0)
-                            continue
-                        degradation = error - software
-                        ok = self.screen.promotes(degradation,
-                                                  self.threshold_pct)
-                        records.append(DSERecord(
-                            kinds=task.kinds, pooling=task.pooling,
-                            weight_bits=task.weight_bits, length=length,
-                            stage="screen", error_pct=error,
-                            degradation_pct=degradation, passed=ok,
-                            reused=was_reused))
-                        self._store_record(task, error, degradation, ok,
-                                           None, stats)
-                        _bump(stats, "screen_evals", 0 if was_reused else 1)
-                        _bump(stats, "reused", 1 if was_reused else 0)
-                        if ok:
-                            promoted.append(cell)
-                        else:
-                            _bump(stats, "screened_out")
-                            if self.verbose:  # pragma: no cover - console
-                                print(f"{task.config().describe():34s} "
-                                      f"screen={degradation:+.2f}% "
-                                      f"SCREENED-OUT")
-                ftasks = [self._task(sc, combo, length, "full")
-                          for sc, combo in promoted]
-                ferrs, freused, fpois = self._evaluate_batch(
-                    ftasks, state, stats)
-                next_survivors = {scenario: [] for scenario in scenarios}
-                for (scenario, combo), task, error, was_reused, \
-                        was_poisoned in zip(promoted, ftasks, ferrs,
-                                            freused, fpois):
-                    if was_poisoned:
-                        records.append(DSERecord(
-                            kinds=task.kinds, pooling=task.pooling,
-                            weight_bits=task.weight_bits, length=length,
-                            stage="full", error_pct=None,
-                            degradation_pct=None, passed=False,
-                            reused=was_reused, poisoned=True))
-                        self._store_record(task, None, None, False, None,
-                                           stats, poisoned=True)
-                        _bump(stats, "reused", 1 if was_reused else 0)
-                        if self.verbose:  # pragma: no cover - console
-                            print(f"{task.config().describe():34s} "
-                                  "POISONED (quarantined)")
-                        continue
-                    degradation = error - software
-                    ok = degradation <= self.threshold_pct
-                    config = task.config()
-                    cost = graph_network_cost(
-                        build_graph(self.trained.model, config),
-                        weight_bits=task.weight_bits)
-                    point = DesignPoint(config=config, error_pct=error,
-                                        degradation_pct=degradation,
-                                        cost=cost)
-                    records.append(DSERecord(
-                        kinds=task.kinds, pooling=task.pooling,
-                        weight_bits=task.weight_bits, length=length,
-                        stage="full", error_pct=error,
-                        degradation_pct=degradation, passed=ok,
-                        reused=was_reused, point=point))
-                    self._store_record(task, error, degradation, ok, cost,
-                                       stats)
-                    _bump(stats, "full_evals", 0 if was_reused else 1)
-                    _bump(stats, "reused", 1 if was_reused else 0)
-                    _bump(stats, "points")
-                    if self.verbose:  # pragma: no cover - console output
-                        print(f"{point.summary()}  "
-                              f"{'PASS' if ok else 'FAIL'}")
-                    if ok:
-                        passing.append(point)
-                        next_survivors[scenario].append(combo)
-                survivors = next_survivors
+                    survivors = self._run_stage(survivors, length, "screen",
+                                                state, records, stats)
+                survivors = self._run_stage(survivors, length, "full",
+                                            state, records, stats)
         finally:
             if state["pool"] is not None:
                 state["pool"].shutdown(wait=True, cancel_futures=True)
+        passing = [r.point for r in records if r.point is not None
+                   and r.passed]
         passing.sort(key=lambda p: p.cost.energy_uj)
         stats.update(
             wall_s=round(time.perf_counter() - start, 4),
@@ -699,7 +621,8 @@ class ParallelRunner:
             threshold_pct=self.threshold_pct, space=space.describe(),
             screen=(dataclasses.asdict(self.screen)
                     if self.screen is not None else None),
-            screen_images=self._screen_images or None,
+            screen_images=(self._stages["screen"][2]
+                           if self.screen is not None else None),
         )
         return DSEResult(passing=passing, records=records,
                          frontier=pareto_front(passing), stats=stats)

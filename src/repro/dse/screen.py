@@ -34,7 +34,7 @@ __all__ = ["ScreenPolicy"]
 
 #: Screen backends must be deterministic given a seed; these opts pin
 #: the cheap configurations (the surrogate's noise sampling off).
-_BACKEND_OPTS = {
+_SCREEN_OPTS = {
     "surrogate": {"noisy": False},
     "float": {},
     "noise": {},
@@ -66,13 +66,15 @@ class ScreenPolicy:
     backend: str = "surrogate"
 
     def __post_init__(self):
-        if self.backend not in _BACKEND_OPTS:
+        if self.backend not in _SCREEN_OPTS:
             raise ValueError(
                 f"screen backend must be one of "
-                f"{sorted(_BACKEND_OPTS)}, got {self.backend!r}")
+                f"{sorted(_SCREEN_OPTS)}, got {self.backend!r}")
         if self.margin_pct < 0:
             raise ValueError(
                 f"margin_pct must be >= 0, got {self.margin_pct}")
+        if self.images is not None and self.images < 1:
+            raise ValueError(f"images must be >= 1, got {self.images}")
 
     def resolve_images(self, eval_images: int) -> int:
         """Images per screen evaluation (never more than the full pass)."""
@@ -82,7 +84,7 @@ class ScreenPolicy:
 
     def backend_opts(self) -> dict:
         """Engine options of the screening backend."""
-        opts = dict(_BACKEND_OPTS[self.backend])
+        opts = dict(_SCREEN_OPTS[self.backend])
         if self.backend in ("surrogate", "noise"):
             opts["samples"] = int(self.samples)
         return opts

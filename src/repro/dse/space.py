@@ -93,9 +93,8 @@ class Candidate:
     def config(self) -> NetworkConfig:
         """The :class:`NetworkConfig` this candidate evaluates.
 
-        The name matches the legacy optimizer's labelling
-        (``"MUX-APC-APC@1024"``) exactly — the equivalence suite
-        compares design points bit-for-bit, names included.
+        Named ``"{combo}@{length}"`` (e.g. ``"MUX-APC-APC@1024"``); the
+        golden search digests pin names along with the numbers.
         """
         return NetworkConfig.from_kinds(
             resolve_pooling(self.pooling), self.length, self.kinds,
@@ -151,6 +150,9 @@ class SearchSpace:
                 raise ValueError(
                     "weight_bits=None (float storage) cannot be costed "
                     "by the hardware model; search explicit bit widths")
+            if any(b < 1 for b in bits):
+                raise ValueError(
+                    f"weight bits must be >= 1, got {bits}")
         # De-duplicate post-normalization (an int and its expanded tuple
         # describe the same storage scheme) while preserving order.
         self.weight_bits = tuple(dict.fromkeys(normalized))
@@ -164,7 +166,7 @@ class SearchSpace:
     def from_trained(cls, trained, *, weight_bits=(8,),
                      max_length: int = 1024, min_length: int = 64,
                      restrict_last_to_apc: bool = True) -> "SearchSpace":
-        """The space the legacy optimizer explored for ``trained``.
+        """The paper's space for ``trained``.
 
         Pooling is pinned to the pooling the model was trained with (the
         paper trains one model per pooling strategy).
@@ -175,7 +177,7 @@ class SearchSpace:
                    restrict_last_to_apc=restrict_last_to_apc)
 
     def combos(self) -> list:
-        """Kind combos in the legacy optimizer's enumeration order."""
+        """Kind combos, ``itertools.product`` order (MUX before APC)."""
         last = (("APC",) if self.restrict_last_to_apc else KIND_CHOICES)
         return [combo for combo in itertools.product(
             *([KIND_CHOICES] * (self.hidden_layers - 1) + [last]))]
@@ -188,14 +190,6 @@ class SearchSpace:
         """(pooling × weight_bits) cells, pooling-major."""
         return [Scenario(p, b) for p in self.poolings
                 for b in self.weight_bits]
-
-    def candidates(self, seed: int = 0):
-        """Every candidate of the full grid (before halving pruning)."""
-        for length in self._lengths:
-            for scenario in self.scenarios():
-                for kinds in self.combos():
-                    yield Candidate(kinds, scenario.pooling,
-                                    scenario.weight_bits, length, seed)
 
     @property
     def size(self) -> int:

@@ -30,17 +30,16 @@ and the batcher in front of the pool keeps the hot path to lookups.
 
 from __future__ import annotations
 
-import hashlib
 import threading
 from collections import OrderedDict
 
 from repro import obs
-from repro.core.config import NetworkConfig
+from repro.core.config import NetworkConfig, config_digest
 from repro.engine import Engine, build_graph, compile_plan
 from repro.engine.plan import normalize_weight_bits
 from repro.nn.zoo import model_digest, weight_layer_count
 
-__all__ = ["EnginePool", "config_digest", "model_set"]
+__all__ = ["EnginePool", "model_set"]
 
 DEFAULT_MODEL = "default"
 
@@ -58,22 +57,6 @@ def model_set(model) -> dict:
     if not model:
         raise ValueError("the model mapping must not be empty")
     return dict(model)
-
-
-def config_digest(config: NetworkConfig) -> str:
-    """Stable digest of a design point, excluding stream length and name.
-
-    Two configurations that differ only in ``length`` (or the cosmetic
-    ``name`` label) share a digest — that is what lets the pool re-target
-    a cached plan via ``with_length`` instead of recompiling.  The digest
-    deliberately excludes the *model*: pair it with
-    :func:`repro.nn.zoo.model_digest` wherever compiled artifacts are
-    keyed.
-    """
-    spec = (config.pooling.value,
-            tuple((layer.ip_kind.value, layer.n_states)
-                  for layer in config.layers))
-    return hashlib.sha1(repr(spec).encode("utf8")).hexdigest()[:16]
 
 
 class EnginePool:

@@ -43,11 +43,12 @@ import multiprocessing
 from multiprocessing import connection, shared_memory
 
 from repro import faults, obs
+from repro.core.config import config_digest
 from repro.engine import build_graph, compile_plan
 from repro.engine.plan import pack_plan, unpack_plan
 from repro.nn.zoo import model_digest
 from repro.serve.batcher import DeadlineExceeded, QueueFull
-from repro.serve.pool import config_digest, model_set
+from repro.serve.pool import model_set
 from repro.serve.service import (
     InferenceService,
     RequestResolver,

@@ -185,6 +185,7 @@ class TestDseCli:
         out = capsys.readouterr().out
         assert "Passing design points" in out
         assert "reused from store 0" in out
+        assert "poisoned 0; retries 0;" in out
 
         assert main(args + ["--resume", "--export", export]) == 0
         out = capsys.readouterr().out
@@ -204,6 +205,45 @@ class TestDseCli:
         assert excinfo.value.code != 0
         err = capsys.readouterr().err
         assert "already exists" in err and "--resume" in err
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--workers", "0"], "workers must be >= 1"),
+        (["--retries", "-1"], "retries must be >= 0"),
+        (["--eval-timeout", "0"], "eval_timeout_s must be > 0"),
+        (["--eval-images", "0"], "eval_images must be >= 1"),
+        (["--max-length", "32", "--min-length", "64"],
+         "must be >= min_length"),
+        (["--weight-bits", "0"], "weight bits must be >= 1"),
+        (["--screen", "--screen-images", "0"], "images must be >= 1"),
+    ])
+    def test_invalid_search_settings_are_usage_errors(self, capsys,
+                                                      tmp_path, flags,
+                                                      message):
+        """Bad settings exit 2 with one usage line, no traceback, and
+        leave no store behind to block the corrected rerun."""
+        store = tmp_path / "search.jsonl"
+        with pytest.raises(SystemExit) as excinfo:
+            main(["dse", "--model", "mlp", "--train", "150", "--epochs",
+                  "1", "--max-length", "64", "--min-length", "64",
+                  "--store", str(store), *flags])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+        assert not store.exists()
+
+    def test_summary_reports_quarantined_points(self, capsys):
+        """A search whose every point was quarantined must not read
+        like one where nothing met the budget."""
+        from repro import faults
+        from repro.faults import FaultSpec
+        with faults.armed(FaultSpec(site="dse.evaluate", action="raise",
+                                    rate=1.0)):
+            assert main(["dse", "--model", "mlp", "--train", "150",
+                         "--epochs", "1", "--eval-images", "16",
+                         "--max-length", "64", "--min-length", "64",
+                         "--retries", "1"]) == 0
+        out = capsys.readouterr().out
+        assert "poisoned 2; retries 2;" in out
 
     def test_dse_help_documents_flags(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

@@ -8,6 +8,7 @@ from repro.core.config import (
     NetworkConfig,
     PoolKind,
     TABLE6_CONFIGS,
+    config_digest,
 )
 
 
@@ -46,6 +47,16 @@ class TestNetworkConfig:
     def test_non_layerconfig_rejected(self):
         with pytest.raises(ValueError, match="LayerConfig"):
             NetworkConfig(PoolKind.MAX, 256, ("APC", "APC", "APC"))
+
+
+class TestConfigDigest:
+    def test_values_are_stable(self):
+        """Serving plan keys and DSE store keys are built on these
+        digests; a changed value orphans every stored search."""
+        assert config_digest(NetworkConfig.from_kinds(
+            PoolKind.MAX, 64, ("APC", "APC", "APC"))) == "69877a4a81246eb8"
+        assert config_digest(NetworkConfig.from_kinds(
+            PoolKind.AVG, 1024, ("MUX", "APC"))) == "da8fb7169b8c616c"
 
 
 class TestTable6Data:

@@ -42,10 +42,11 @@ def lenet_mid_threshold(trained_lenet):
     numeric details.  Falls back to 100 (no pruning) in the degenerate
     all-equal case.
     """
-    from repro.core.optimizer import HolisticOptimizer
-    opt = HolisticOptimizer(trained_lenet, threshold_pct=1e9,
-                            eval_images=40, seed=0)
-    points = opt.run_sequential(max_length=128, min_length=128)
+    from repro.dse import ParallelRunner, SearchSpace
+    space = SearchSpace.from_trained(trained_lenet, max_length=128,
+                                     min_length=128)
+    points = ParallelRunner(trained_lenet, space, threshold_pct=1e9,
+                            eval_images=40, seed=0).run().passing
     degs = sorted(p.degradation_pct for p in points)
     if degs[0] == degs[-1]:  # pragma: no cover - degenerate
         return 100.0

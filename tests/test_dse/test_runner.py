@@ -2,28 +2,35 @@
 
 The load-bearing guarantees:
 
-* ``ParallelRunner`` at any worker count reproduces the legacy
-  sequential ``HolisticOptimizer.run_sequential`` **bit-identically**
-  (same passing set, same errors, same frontier — dataclass equality,
-  floats exact);
+* ``ParallelRunner`` at any worker count reproduces ``workers=1``
+  **bit-identically** (same passing set, same errors, same frontier —
+  dataclass equality, floats exact); ``golden_search.json`` pins the
+  ``workers=1`` results themselves and ``test_search_properties.py`` the
+  halving rules;
 * interrupted searches resume to the same store contents and the same
   frontier as uninterrupted ones, each point evaluated exactly once;
 * surrogate screening never drops a point the full evaluation would
-  have passed (the ISSUE's acceptance assert, on the LeNet-5 space).
+  have passed (on the LeNet-5 space).
 """
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from repro.core.optimizer import HolisticOptimizer
+import repro
+from repro.core.config import NetworkConfig, PoolKind
 from repro.dse import (
+    DesignPoint,
     ParallelRunner,
     ResultStore,
     ScreenPolicy,
     SearchSpace,
 )
-from repro.dse.runner import EVALUATOR_SPECS
+from repro.dse.runner import EVAL_BATCH, EVALUATOR_SPECS
 from repro.nn.zoo import model_digest
 
 
@@ -37,13 +44,16 @@ def _runner(trained, threshold, workers=1, max_length=128, min_length=64,
 
 
 class TestEvaluatorSpecs:
-    def test_match_legacy_optimizer_backends(self):
-        """The runner's evaluator wiring must equal the legacy
-        optimizer's — that equality is the bit-identity contract."""
-        for evaluator in ("noise", "surrogate"):
-            backend, opts = EVALUATOR_SPECS[evaluator]
-            assert backend == HolisticOptimizer._BACKENDS[evaluator]
-            assert opts == HolisticOptimizer._BACKEND_OPTS[evaluator]
+    def test_specs_are_pinned(self):
+        """The evaluator options and the batch size shape every result
+        and enter every store key: changing them silently orphans
+        stored searches."""
+        assert EVALUATOR_SPECS == {
+            "noise": ("noise", {"samples": 96}),
+            "surrogate": ("surrogate", {"samples": 240}),
+            "exact": ("exact", {}),
+        }
+        assert EVAL_BATCH == 256
 
     def test_unknown_evaluator_rejected(self, trained_lenet):
         with pytest.raises(ValueError, match="evaluator"):
@@ -53,57 +63,109 @@ class TestEvaluatorSpecs:
         with pytest.raises(ValueError, match="workers"):
             ParallelRunner(trained_lenet, workers=0)
 
+    @pytest.mark.parametrize("images", [0, -5])
+    def test_non_positive_eval_images_rejected(self, trained_lenet, images):
+        """0 used to evaluate an empty slice (NaN errors, every point
+        silently failing); a negative count sliced from the end."""
+        with pytest.raises(ValueError, match="eval_images"):
+            ParallelRunner(trained_lenet, eval_images=images)
+
 
 class TestLenetEquivalence:
-    """workers=1, workers=4 and the legacy loop agree bit-for-bit."""
+    """workers=4 and workers=2 agree bit-for-bit with workers=1."""
 
     @pytest.fixture(scope="class")
-    def legacy(self, trained_lenet, lenet_mid_threshold):
-        opt = HolisticOptimizer(trained_lenet,
-                                threshold_pct=lenet_mid_threshold,
-                                eval_images=40, seed=0)
-        return opt.run_sequential(max_length=128, min_length=64)
+    def serial(self, trained_lenet, lenet_mid_threshold):
+        return _runner(trained_lenet, lenet_mid_threshold).run()
 
-    def test_threshold_actually_prunes(self, trained_lenet, legacy):
+    def test_threshold_actually_prunes(self, serial):
         """The derived threshold keeps the comparison meaningful."""
-        assert 0 < len(legacy) < 8
+        assert 0 < len(serial.passing) < 8
 
-    def test_workers1_bit_identical_to_legacy(self, trained_lenet,
-                                              lenet_mid_threshold, legacy):
-        result = _runner(trained_lenet, lenet_mid_threshold).run()
-        assert result.passing == legacy
-
-    def test_workers4_bit_identical_to_legacy(self, trained_lenet,
-                                              lenet_mid_threshold, legacy):
+    @pytest.mark.parametrize("workers", [2, 4])
+    def test_workers_bit_identical_to_workers1(
+            self, trained_lenet, lenet_mid_threshold, serial, workers):
         result = _runner(trained_lenet, lenet_mid_threshold,
-                         workers=4).run()
-        assert result.passing == legacy
+                         workers=workers).run()
+        assert result.passing == serial.passing
+        assert result.frontier == serial.frontier
 
-    def test_facade_run_delegates(self, trained_lenet,
-                                  lenet_mid_threshold, legacy):
-        opt = HolisticOptimizer(trained_lenet,
-                                threshold_pct=lenet_mid_threshold,
-                                eval_images=40, seed=0)
-        assert opt.run(max_length=128, min_length=64) == legacy
-        assert opt.run(max_length=128, min_length=64,
-                       workers=2) == legacy
-
-    def test_frontier_subset_of_passing(self, trained_lenet,
-                                        lenet_mid_threshold):
-        result = _runner(trained_lenet, lenet_mid_threshold).run()
-        assert set(map(id, result.frontier)) <= set(map(id,
-                                                        result.passing))
+    def test_frontier_subset_of_passing(self, serial):
+        assert set(map(id, serial.frontier)) <= set(map(id,
+                                                        serial.passing))
 
 
 class TestMlpEquivalence:
-    def test_workers_match_legacy(self, trained_mlp):
-        opt = HolisticOptimizer(trained_mlp, threshold_pct=100.0,
-                                eval_images=40, seed=0)
-        legacy = opt.run_sequential(max_length=128, min_length=64)
-        assert legacy  # every combo survives the generous budget
-        for workers in (1, 2):
-            result = _runner(trained_mlp, 100.0, workers=workers).run()
-            assert result.passing == legacy
+    def test_workers_match_workers1(self, trained_mlp):
+        serial = _runner(trained_mlp, 100.0).run()
+        # every combo survives the generous budget, at both lengths
+        assert {p.config.length for p in serial.passing} == {128, 64}
+        assert len(serial.passing) == 4
+        for point in serial.passing:
+            assert isinstance(point, DesignPoint)
+            assert len(point.config.layers) == 2
+            assert point.cost.area_mm2 > 0 and point.cost.energy_uj > 0
+            assert "err" in point.summary()
+        assert _runner(trained_mlp, 100.0, workers=2).run().passing == \
+            serial.passing
+
+
+class TestPlanAndCost:
+    def test_with_length_always_retargets_from_max_length(
+            self, trained_lenet, monkeypatch):
+        """Regression: a halving loop once overwrote its plan cache with
+        each round's (shorter) re-target, so from the third round on a
+        combo re-derived from a stale shorter plan instead of the
+        canonical max-length compile.  Pin that every ``with_length``
+        call starts from the max-length plan."""
+        from repro.engine.plan import CompiledPlan
+        sources = []
+        original = CompiledPlan.with_length
+
+        def spy(self, length, name=None):
+            sources.append((self.config.length, length))
+            return original(self, length, name=name)
+
+        monkeypatch.setattr(CompiledPlan, "with_length", spy)
+        space = SearchSpace.from_trained(trained_lenet, max_length=256,
+                                         min_length=64)
+        ParallelRunner(trained_lenet, space, threshold_pct=100.0,
+                       eval_images=20, seed=0, workers=1).run()
+        # three halving rounds (256, 128, 64) — all re-targets must
+        # originate at 256
+        assert {target for _, target in sources} == {256, 128, 64}
+        assert all(source == 256 for source, _ in sources)
+
+    def test_cost_matches_static_lenet_geometry(self, trained_lenet):
+        """The graph-derived cost the runner uses must reproduce the
+        static LENET_GEOMETRY roll-up exactly for LeNet-5."""
+        from repro.hw.network_cost import lenet_network_cost
+        space = SearchSpace.from_trained(trained_lenet, max_length=128,
+                                         min_length=128)
+        result = ParallelRunner(trained_lenet, space, threshold_pct=1e9,
+                                eval_images=40, seed=0, workers=1).run()
+        assert len(result.passing) == 4
+        for point in result.passing:
+            cfg = NetworkConfig.from_kinds(
+                PoolKind.MAX, 128,
+                tuple(layer.ip_kind.value for layer in point.config.layers))
+            assert point.cost.row() == lenet_network_cost(
+                cfg, weight_bits=8).row()
+
+
+class TestLayering:
+    def test_import_dse_loads_no_serving_module(self):
+        """DSE workers import ``repro.dse``; the serving stack (server,
+        proc pool, batcher) has no business in them."""
+        code = ("import sys, repro.dse; "
+                "print(sorted(m for m in sys.modules "
+                "if m.startswith('repro.serve')))")
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", code], check=True,
+                             capture_output=True, text=True,
+                             env=env).stdout
+        assert out.strip() == "[]"
 
 
 class TestExactEvaluator:
@@ -218,10 +280,10 @@ class TestResume:
 class TestScreening:
     def test_never_drops_a_passing_point(self, trained_lenet,
                                          lenet_mid_threshold):
-        """The ISSUE acceptance assert: with the default (conservative)
-        policy, the screened search's passing set equals the unscreened
-        one on the LeNet-5 space — screening only ever skips points the
-        full evaluation would have failed anyway."""
+        """With the default (conservative) policy, the screened
+        search's passing set equals the unscreened one on the LeNet-5
+        space — screening only ever skips points the full evaluation
+        would have failed anyway."""
         plain = _runner(trained_lenet, lenet_mid_threshold).run()
         screened = _runner(trained_lenet, lenet_mid_threshold,
                            screen=True).run()
@@ -267,6 +329,12 @@ class TestScreening:
 
 
 class TestScreenPolicy:
+    @pytest.mark.parametrize("images", [0, -1])
+    def test_non_positive_images_rejected(self, images):
+        """``images=-1`` used to resolve to -1 and slice from the end."""
+        with pytest.raises(ValueError, match="images"):
+            ScreenPolicy(images=images)
+
     def test_default_images_quarter_floored(self):
         policy = ScreenPolicy()
         assert policy.resolve_images(400) == 100

@@ -32,11 +32,12 @@ class TestSearchSpace:
         assert lenet.n_weight_layers == 4
         mlp = SearchSpace(zoo_trained["mlp"])
         assert mlp.hidden_layers == 2
+        assert mlp.combos() == [("MUX", "APC"), ("APC", "APC")]
         conv3 = SearchSpace(zoo_trained["conv3"])
         assert conv3.hidden_layers == 4
 
     def test_combos_match_legacy_enumeration(self, tiny_trained_lenet):
-        """Same combos, same order, as the optimizer always produced."""
+        """MUX/APC product order, the last layer pinned to APC."""
         space = SearchSpace(tiny_trained_lenet)
         combos = space.combos()
         assert len(combos) == 4
@@ -65,6 +66,13 @@ class TestSearchSpace:
         with pytest.raises(ValueError, match="float storage"):
             SearchSpace(tiny_trained_lenet, weight_bits=(None,))
 
+    @pytest.mark.parametrize("bits", [0, -3, (8, 0, 8)])
+    def test_non_positive_bits_rejected(self, tiny_trained_lenet, bits):
+        """Bits < 1 used to pass here and then fail every point inside
+        the evaluator, each one retried and quarantined."""
+        with pytest.raises(ValueError, match="weight bits must be >= 1"):
+            SearchSpace(tiny_trained_lenet, weight_bits=(8, bits))
+
     def test_size_upper_bound(self, tiny_trained_lenet):
         space = SearchSpace(tiny_trained_lenet, max_length=256,
                             min_length=64)
@@ -75,15 +83,6 @@ class TestSearchSpace:
         space = SearchSpace.from_trained(trained_lenet)
         assert space.poolings == ("max",)
         assert space.lengths() == (1024, 512, 256, 128, 64)
-
-    def test_candidates_enumerate_grid(self, zoo_trained):
-        space = SearchSpace(zoo_trained["mlp"], max_length=128,
-                            min_length=64)
-        cands = list(space.candidates(seed=7))
-        assert len(cands) == space.size
-        assert all(isinstance(c, Candidate) for c in cands)
-        assert {c.length for c in cands} == {128, 64}
-        assert all(c.seed == 7 for c in cands)
 
 
 class TestCandidate:

@@ -8,6 +8,7 @@ links alone.
 
 import json
 import threading
+import time
 import urllib.request
 
 import pytest
@@ -107,7 +108,14 @@ class TestCriticalPathTrace:
                                                  image):
         base, _, records = observed_service
         _predict(base, image)
+        # The handler's serve.http span closes after the reply bytes are
+        # written, so the client can read the trace before it lands.
+        deadline = time.monotonic() + 10.0
         recs = records()
+        while (not any(r["name"] == "serve.http" for r in recs)
+               and time.monotonic() < deadline):
+            time.sleep(0.01)
+            recs = records()
         by_id = {r["span"]: r for r in recs}
         by_name = {}
         for r in recs:

@@ -10,8 +10,8 @@ import threading
 import numpy as np
 import pytest
 
-from repro.core.config import NetworkConfig, PoolKind
-from repro.serve.pool import EnginePool, config_digest
+from repro.core.config import NetworkConfig, PoolKind, config_digest
+from repro.serve.pool import EnginePool
 
 
 def _cfg(length=32, kinds=("APC", "APC", "APC"), pooling=PoolKind.MAX,
