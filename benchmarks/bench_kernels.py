@@ -63,6 +63,15 @@ def test_kernel_mux_select(benchmark, factory, rng):
     assert out.shape == (64, streams.shape[-1])
 
 
+def test_kernel_mux_select_batched(benchmark, rng):
+    """LeNet-5 layer-0 MUX gather, batch 16, L=64: one select row per
+    (image, pooled window) over each image's 784 pixels plus the bias."""
+    bank = rng.integers(0, 256, (16, 1, 785, 8), dtype=np.uint8)
+    rows = rng.integers(0, 785, (16, 144, 64))
+    out = benchmark(lambda: ops.mux_select(bank, rows, 64))
+    assert out.shape == (16, 144, 8)
+
+
 def test_kernel_lfsr_sequence(benchmark):
     """SNG random source: one full-period 16-bit LFSR sequence."""
     from repro.sc.lfsr import LFSR

@@ -482,19 +482,21 @@ def _dse(argv) -> int:
         SearchSpace,
         export_frontier,
     )
+    from repro.dse.space import check_weight_bits, halving_lengths
     from repro.nn.zoo import model_digest
 
-    screen = None
-    if args.screen:
-        overrides = {}
-        if args.margin is not None:
-            overrides["margin_pct"] = args.margin
-        if args.screen_images is not None:
-            overrides["images"] = args.screen_images
-        try:
-            screen = ScreenPolicy(**overrides)
-        except ValueError as exc:
-            parser.error(str(exc))
+    overrides = {key: value for key, value in (
+        ("margin_pct", args.margin), ("images", args.screen_images))
+        if value is not None}
+    try:  # settings that need no model fail before any training runs
+        screen = ScreenPolicy(**overrides) if args.screen else None
+        ParallelRunner.check_settings(args.evaluator, args.workers,
+                                      args.eval_images, args.retries,
+                                      eval_timeout_s=args.eval_timeout)
+        halving_lengths(args.max_length, args.min_length)
+        check_weight_bits(weight_bits)
+    except ValueError as exc:
+        parser.error(str(exc))
     trained = _dse_trained(args)
     store = None
     try:

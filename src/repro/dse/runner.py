@@ -306,21 +306,8 @@ class ParallelRunner:
                  store: ResultStore | None = None, verbose: bool = False,
                  retries: int = 2, backoff_s: float = 0.05,
                  eval_timeout_s: float | None = None):
-        if evaluator not in EVALUATOR_SPECS:
-            raise ValueError(
-                f"evaluator must be one of {sorted(EVALUATOR_SPECS)}, "
-                f"got {evaluator!r}")
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
-        if eval_images < 1:
-            raise ValueError(f"eval_images must be >= 1, got {eval_images}")
-        if retries < 0:
-            raise ValueError(f"retries must be >= 0, got {retries}")
-        if backoff_s < 0:
-            raise ValueError(f"backoff_s must be >= 0, got {backoff_s}")
-        if eval_timeout_s is not None and eval_timeout_s <= 0:
-            raise ValueError(
-                f"eval_timeout_s must be > 0, got {eval_timeout_s}")
+        self.check_settings(evaluator, workers, eval_images, retries,
+                            backoff_s, eval_timeout_s)
         self.trained = trained
         self.space = space if space is not None else \
             SearchSpace.from_trained(trained)
@@ -357,6 +344,27 @@ class ParallelRunner:
             self._stages["screen"] = (
                 self.screen.backend, self.screen.backend_opts(),
                 self.screen.resolve_images(self.eval_images))
+
+    @staticmethod
+    def check_settings(evaluator: str, workers: int, eval_images: int,
+                       retries: int, backoff_s: float = 0.05,
+                       eval_timeout_s: float | None = None) -> None:
+        """Reject bad run settings (needs no model: callable first)."""
+        if evaluator not in EVALUATOR_SPECS:
+            raise ValueError(
+                f"evaluator must be one of {sorted(EVALUATOR_SPECS)}, "
+                f"got {evaluator!r}")
+        if workers < 1:
+            raise ValueError(f"workers must be >= 1, got {workers}")
+        if eval_images < 1:
+            raise ValueError(f"eval_images must be >= 1, got {eval_images}")
+        if retries < 0:
+            raise ValueError(f"retries must be >= 0, got {retries}")
+        if backoff_s < 0:
+            raise ValueError(f"backoff_s must be >= 0, got {backoff_s}")
+        if eval_timeout_s is not None and eval_timeout_s <= 0:
+            raise ValueError(
+                f"eval_timeout_s must be > 0, got {eval_timeout_s}")
 
     # ------------------------------------------------------------------
     def _context_payload(self) -> dict:

@@ -43,6 +43,17 @@ def _pooling_str(pooling) -> str:
     return "max" if resolve_pooling(pooling) is PoolKind.MAX else "avg"
 
 
+def check_weight_bits(bits) -> None:
+    """Reject a searched weight precision: float storage or < 1 bit."""
+    if any(b is None for b in bits):
+        # the hardware roll-up cannot price it: no costs, no frontier
+        raise ValueError(
+            "weight_bits=None (float storage) cannot be costed "
+            "by the hardware model; search explicit bit widths")
+    if any(b < 1 for b in bits):
+        raise ValueError(f"weight bits must be >= 1, got {bits}")
+
+
 def halving_lengths(max_length: int, min_length: int) -> tuple:
     """The halving schedule ``max_length, max_length/2, … ≥ min_length``."""
     check_positive_int(max_length, "max_length")
@@ -143,16 +154,7 @@ class SearchSpace:
         normalized = [normalize_weight_bits(b, n_layers=self.n_weight_layers)
                       for b in options]
         for bits in normalized:
-            if any(b is None for b in bits):
-                # The simulator can run float-stored weights, but the
-                # hardware roll-up cannot price float storage — and a
-                # search without costs has no frontier.
-                raise ValueError(
-                    "weight_bits=None (float storage) cannot be costed "
-                    "by the hardware model; search explicit bit widths")
-            if any(b < 1 for b in bits):
-                raise ValueError(
-                    f"weight bits must be >= 1, got {bits}")
+            check_weight_bits(bits)
         # De-duplicate post-normalization (an int and its expanded tuple
         # describe the same storage scheme) while preserving order.
         self.weight_bits = tuple(dict.fromkeys(normalized))

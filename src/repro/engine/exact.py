@@ -12,8 +12,8 @@ many images:
   streams (pooled-LFSR SNGs advance per call, so they encode one image
   per call to keep the same invariant);
 * MUX select signals are pre-drawn per image in the legacy
-  image-major/layer-major order, then consumed by per-image MUX gathers
-  inside otherwise batched layers;
+  image-major/layer-major order; each MUX layer makes one per-cycle
+  gather per operand for the whole batch (average pooling folded in);
 * APC column counts run in the *transposed* domain (see
   :meth:`ExactBackend._apc_counts`): the input bank is re-packed once so
   each cycle's ``n`` bits form one short row, a product count is
@@ -42,7 +42,6 @@ from repro.blocks.pooling import (
     DEFAULT_SEGMENT,
     apc_average_pool,
     apc_max_pool,
-    average_pool,
     hardware_max_pool,
 )
 from repro.core.config import FEBKind, PoolKind
@@ -212,47 +211,35 @@ class ExactBackend:
             for start in range(0, flat.shape[0], step):
                 stop = min(start + step, flat.shape[0])
                 with obs.span("engine.encode", images=stop - start):
-                    selects, banks = [], []
-                    for img in flat[start:stop]:
-                        factory = self._fresh_factory.fork()
-                        selects.extend(self._draw_selects(1,
-                                                          factory=factory))
-                        banks.append(factory.packed(img, self.length))
-                out[start:stop] = self._run_layers(np.stack(banks),
-                                                   selects)
+                    imgs = flat[start:stop]
+                    forks = [self._fresh_factory.fork() for _ in imgs]
+                    selects = self._draw_selects(forks)
+                    banks = np.stack([f.packed(img, self.length)
+                                      for f, img in zip(forks, imgs)])
+                out[start:stop] = self._run_layers(banks, selects)
         return out
 
     # ------------------------------------------------------------------
     # stream-level building blocks
     # ------------------------------------------------------------------
-    def _draw_selects(self, batch: int, factory: StreamFactory = None):
-        """Pre-draw MUX select signals in the legacy per-image order.
+    def _draw_selects(self, factories) -> dict:
+        """Pre-draw MUX selects, one factory per image, stacked ``(B, L)``.
 
-        The legacy simulator drew selects lazily while walking one image
-        through the layers; replaying that order (image-major, then
-        layer-major: inner-product select before the pooling select)
-        keeps batched execution bit-identical to sequential runs.
+        The legacy lazy order (image-major, then layer-major: inner-product
+        select before the pooling select) keeps batching bit-identical.
         """
-        factory = self.factory if factory is None else factory
         avg = self.plan.config.pooling is PoolKind.AVG
-        draws = []
-        for _ in range(batch):
-            per = {}
+        draws = {}
+        for factory in factories:
             for i, lp in enumerate(self.plan.layers):
                 if lp.kind is not FEBKind.MUX or lp.final:
                     continue
-                per["ip", i] = factory.select_signal(lp.n_inputs,
-                                                     self.length)
+                draws.setdefault(("ip", i), []).append(
+                    factory.select_signal(lp.n_inputs, self.length))
                 if lp.op == "conv" and lp.pooled and avg:
-                    per["pool", i] = factory.select_signal(
-                        4, self.length)
-            draws.append(per)
-        return draws
-
-    def _ones(self, *shape) -> np.ndarray:
-        """Broadcast view of the packed constant-1 (bias) stream."""
-        mask = ops.pad_mask(self.length)
-        return np.broadcast_to(mask, shape + (mask.shape[0],))
+                    draws.setdefault(("pool", i), []).append(
+                        factory.select_signal(4, self.length))
+        return {key: np.stack(rows) for key, rows in draws.items()}
 
     #: target working-set bytes per counting tile — sized so the XOR +
     #: row-popcount hot loop stays inside the last-level cache (a naive
@@ -325,23 +312,17 @@ class ExactBackend:
         _prof.tock(t0, "apc_counts", ops._NUMPY_TIER)
         return counts
 
-    def _mux_ip_streams(self, x: np.ndarray, w_streams: np.ndarray,
-                        select: np.ndarray) -> np.ndarray:
-        """MUX inner-product streams for one image: ``(C, P, nbytes)``.
-
-        Uses ``MUX(xnor(x, w)) = xnor(MUX(x), MUX(w))`` with the shared
-        select signal, entirely in the packed domain.
-        """
-        x_sel = ops.mux_select(x, select, self.length)          # (P, nb)
-        w_sel = ops.mux_select(w_streams, select, self.length)  # (C, nb)
-        return ops.xnor_(x_sel[None, :, :], w_sel[:, None, :], self.length)
+    def _biased(self, x: np.ndarray) -> np.ndarray:
+        """The ``(B, S, nb)`` bank with the constant-1 bias stream as row S."""
+        bias = np.broadcast_to(ops.pad_mask(self.length), x[:, :1].shape)
+        return np.concatenate([x, bias], axis=1)
 
     # ------------------------------------------------------------------
     # layer execution
     # ------------------------------------------------------------------
     def _forward_batch(self, imgs: np.ndarray) -> np.ndarray:
         with obs.span("engine.encode", images=int(imgs.shape[0])):
-            selects = self._draw_selects(imgs.shape[0])
+            selects = self._draw_selects([self.factory] * len(imgs))
             if isinstance(self.factory.sng, IdealSNG):
                 # One SNG call for the whole batch: numpy fills the
                 # uniform block in C order, the same PRNG sequence as
@@ -375,19 +356,19 @@ class ExactBackend:
         window count, or the full conv-position count for an unpooled
         stage).
         """
-        B = x.shape[0]
+        B, S, nb = x.shape
+        x = self._biased(x)                             # (B, S+1, nb)
         L = self.length
-        patch = x[:, lp.patch_index]                    # (B, P, n-1, nb)
-        P = patch.shape[1]
-        patch = np.concatenate(
-            [patch, self._ones(B, P, 1)], axis=2)       # (B, P, n, nb)
+        P = lp.patch_index.shape[0]
         windows = lp.pool_windows
         avg = self.plan.config.pooling is PoolKind.AVG
-        w = self.weight_streams[i]
+        table = np.concatenate(
+            [lp.patch_index, np.full((P, 1), S)], axis=1)  # (P, n)
 
         if lp.kind is FEBKind.APC:
+            patch = x[:, table]                         # (B, P, n, nb)
             counts = self._apc_counts(
-                i, patch.reshape(B * P, lp.n_inputs, patch.shape[-1]))
+                i, patch.reshape(B * P, lp.n_inputs, nb))
             counts = counts.reshape(lp.units, B, P, L)
             if lp.pooled and not avg and native.enabled():
                 # Native tier: max pool, Btanh and pack fused into one
@@ -412,51 +393,49 @@ class ExactBackend:
                                                    lp.n_states)
                 out = ops.pack_bits(out_bits)           # (C, B, W, nb)
         else:
-            ips = np.empty((lp.units, B, P, patch.shape[-1]), dtype=np.uint8)
-            for b in range(B):
-                ips[:, b] = self._mux_ip_streams(patch[b], w,
-                                                 selects[b]["ip", i])
-            if lp.pooled:
-                grouped = ips[:, :, windows, :]         # (C, B, W, 4, nb)
-                del ips
-                if avg:
-                    pooled = np.empty(grouped.shape[:3] + grouped.shape[4:],
-                                      dtype=np.uint8)
-                    for b in range(B):
-                        pooled[:, b] = average_pool(grouped[:, b],
-                                                    selects[b]["pool", i], L)
-                    threshold = None
-                else:
-                    pooled = hardware_max_pool(grouped, L, self.segment)
-                    threshold = max(int(round(lp.n_states / 5.0)), 1)
-                del grouped
-            else:
-                # No pooling block: the Stanh consumes the inner-product
-                # stream directly (the FC-stage wiring, kept per position).
-                pooled = ips
-                threshold = None
-            out = activation.stanh_packed(pooled, L, lp.n_states,
+            # A MUX passes one input bit per cycle: a table of (output
+            # row, choice) -> bank row composes the row each stream reads
+            # per cycle.  Under average pooling a choice is (window
+            # member, patch column), so pooling folds into the gather
+            # and only the W pooled streams are computed.
+            sel = selects["ip", i]                      # (B, L)
+            choice = sel
+            if lp.pooled and avg:
+                table = table[windows].reshape(len(windows), -1)
+                choice = sel + lp.n_inputs * selects["pool", i]
+            elif lp.pooled:
+                table = table[windows.reshape(-1)]      # (4W, n)
+            rows = table.take(choice, axis=1).transpose(1, 0, 2)
+            x_sel = ops.mux_select(x[:, None], rows, L)  # (B, R, nb)
+            w_sel = ops.mux_select(self.weight_streams[i][:, None], sel,
+                                   L)                   # (C, B, nb)
+            ips = ops.xnor_(x_sel[None], w_sel[:, :, None], L)
+            threshold = None
+            if lp.pooled and not avg:
+                ips = hardware_max_pool(
+                    ips.reshape(lp.units, B, -1, 4, nb), L, self.segment)
+                threshold = max(int(round(lp.n_states / 5.0)), 1)
+            out = activation.stanh_packed(ips, L, lp.n_states,
                                           threshold=threshold)
         return np.ascontiguousarray(out.transpose(1, 0, 2, 3)).reshape(
             B, -1, out.shape[-1])
 
     def _fc_layer(self, i, lp, x, selects):
         """Fully-connected stage on ``(B, S, nb)``; final returns logits."""
-        B = x.shape[0]
+        x = self._biased(x)                                 # (B, n, nb)
         L = self.length
-        xb = np.concatenate([x, self._ones(B, 1)], axis=1)  # (B, n, nb)
         w = self.weight_streams[i]
         n = lp.n_inputs
         if lp.kind is FEBKind.APC or lp.final:
-            counts = self._apc_counts(i, xb)                # (C, B, L)
+            counts = self._apc_counts(i, x)                 # (C, B, L)
             if lp.final:
                 total = counts.sum(axis=-1, dtype=np.int64)  # (C, B)
                 return ((2.0 * total - n * L) / L).T
             bits = activation.btanh_counts(counts, n, lp.n_states)
             return np.ascontiguousarray(
                 ops.pack_bits(bits).transpose(1, 0, 2))
-        ips = np.empty((B, lp.units, xb.shape[-1]), dtype=np.uint8)
-        for b in range(B):
-            ips[b] = self._mux_ip_streams(xb[b][None, :, :], w,
-                                          selects[b]["ip", i])[:, 0, :]
-        return activation.stanh_packed(ips, L, lp.n_states)
+        sel = selects["ip", i]                              # (B, L)
+        x_sel = ops.mux_select(x, sel, L)                   # (B, nb)
+        w_sel = ops.mux_select(w, sel[:, None], L)          # (B, C, nb)
+        return activation.stanh_packed(ops.xnor_(x_sel[:, None], w_sel, L),
+                                       L, lp.n_states)

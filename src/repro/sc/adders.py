@@ -82,7 +82,7 @@ def mux_add(streams: np.ndarray, select: np.ndarray,
     streams:
         Packed array ``(..., n, nbytes)``.
     select:
-        Select signal of shape ``(length,)`` with values in ``[0, n)``
+        Select signal of shape ``(..., length)`` with values in ``[0, n)``
         (use :meth:`repro.sc.rng.StreamFactory.select_signal`).
     length:
         Stream length in bits.

@@ -301,52 +301,60 @@ def not_(a: np.ndarray, length: int) -> np.ndarray:
 
 
 def mux_select(streams: np.ndarray, select: np.ndarray, length: int) -> np.ndarray:
-    """n-to-1 multiplexer: pick ``streams[..., select[t], t]`` at each cycle.
+    """n-to-1 multiplexer: ``out[..., t] = streams[..., select[..., t], t]``.
 
     Parameters
     ----------
     streams:
         Packed array of shape ``(..., n, nbytes)``.
     select:
-        Integer array of shape ``(length,)`` with values in ``[0, n)`` —
-        the MUX select signal (one input chosen per clock cycle).
+        Integer array ``(..., length)`` with values in ``[0, n)`` — the
+        MUX select signal (one input chosen per clock cycle).  Leading
+        axes broadcast against those of ``streams`` (never copied), so
+        one call runs a select per row: per image, per pooling window.
     length:
         Bit-stream length.
 
     Returns
     -------
-    Packed array of shape ``(..., nbytes)``.
+    Packed array of shape ``(broadcast leading axes..., nbytes)``.
 
     Notes
     -----
-    This is the scaled adder of Figure 5(b): the output probability is the
-    mean of the input probabilities, i.e. the sum scaled by ``1/n``.
-
-    Implemented entirely in the packed domain: the select signal is turned
-    into ``n`` per-cycle one-hot masks (one ``packbits`` call), and the
-    output is ``OR_i(streams_i & mask_i)``.  The masks partition the
-    cycles, so this is bit-identical to gather-by-select, and the packed
-    masks zero the padding bits of the result.
+    The scaled adder of Figure 5(b): the output probability is the mean
+    of the inputs', i.e. the sum scaled by ``1/n``.  One input bit passes
+    per cycle, so the work is O(L) per output stream whatever ``n`` is:
+    one ``take`` picks the packed byte holding each cycle's selected bit
+    and one ``packbits`` keeps that bit, zeroing the padding.
     """
     length = check_stream_length(length)
     streams = np.asarray(streams)
     if streams.ndim < 2:
         raise ValueError("streams must have shape (..., n, nbytes)")
     select = np.asarray(select)
-    if select.shape != (length,):
+    if select.shape[-1:] != (length,):
         raise ValueError(
-            f"select must have shape ({length},), got {select.shape}"
+            f"select must have shape (..., {length}), got {select.shape}"
         )
+    lead = streams.shape[:-2]
+    np.broadcast_shapes(lead, select.shape[:-1])  # ValueError if not
     n = streams.shape[-2]
     if select.size and (select.min() < 0 or select.max() >= n):
         raise ValueError(f"select values must lie in [0, {n}), got "
                          f"[{select.min()}, {select.max()}]")
     t0 = _prof.tick()
-    masks = np.packbits(
-        select[None, :] == np.arange(n)[:, None], axis=-1
-    )  # (n, nbytes)
-    out = np.bitwise_or.reduce(np.bitwise_and(streams, masks), axis=-2)
-    # Always the packed-domain byte path, whatever the counting tier.
+    cycle = np.arange(length)
+    # flat byte holding input select[..., t]'s bit t, within one row
+    index = np.multiply(select, streams.shape[-1], dtype=np.intp)
+    index += cycle >> 3
+    flat = streams.reshape(lead + (-1,))
+    if index.ndim > 1:
+        # per-row selects: offset by each leading row into one 1-D take
+        rows = np.arange(flat[..., 0].size).reshape(lead) * flat.shape[-1]
+        index = index + rows[..., None]
+        flat = flat.reshape(-1)
+    bit = np.uint8(0x80) >> (cycle & 7).astype(np.uint8)
+    out = np.packbits(flat.take(index, axis=-1) & bit, axis=-1)
     _prof.tock(t0, "mux_select", "numpy")
     return out
 

@@ -332,7 +332,7 @@ def run_server(service, host: str = "127.0.0.1", port: int = 8100,
         server.await_idle(drain_grace)
         server.shutdown()
 
-    def _on_sigterm(signum, frame):  # pragma: no cover - signal path
+    def _on_sigterm(signum, frame):
         # shutdown() must not run on the serve_forever thread (it would
         # deadlock waiting for the loop the handler interrupted), so
         # the drain runs on its own thread.
@@ -341,7 +341,7 @@ def run_server(service, host: str = "127.0.0.1", port: int = 8100,
 
     try:
         previous = signal.signal(signal.SIGTERM, _on_sigterm)
-    except ValueError:  # pragma: no cover - non-main thread
+    except ValueError:  # not the main thread: no handler to install
         previous = None
     print(f"repro-serve listening on http://{bound_host}:{bound_port}")
     print(f"  POST http://{bound_host}:{bound_port}/predict  "
@@ -352,7 +352,7 @@ def run_server(service, host: str = "127.0.0.1", port: int = 8100,
     except KeyboardInterrupt:  # pragma: no cover - interactive
         pass
     finally:
-        if previous is not None:  # pragma: no branch
+        if previous is not None:
             signal.signal(signal.SIGTERM, previous)
         server.shutdown()
         server.server_close()

@@ -220,15 +220,17 @@ class TestDseCli:
                                                       tmp_path, flags,
                                                       message):
         """Bad settings exit 2 with one usage line, no traceback, and
-        leave no store behind to block the corrected rerun."""
+        leave no store behind to block the corrected rerun — all before
+        any training runs."""
         store = tmp_path / "search.jsonl"
         with pytest.raises(SystemExit) as excinfo:
             main(["dse", "--model", "mlp", "--train", "150", "--epochs",
                   "1", "--max-length", "64", "--min-length", "64",
                   "--store", str(store), *flags])
         assert excinfo.value.code == 2
-        err = capsys.readouterr().err
-        assert message in err and "Traceback" not in err
+        captured = capsys.readouterr()
+        assert message in captured.err and "Traceback" not in captured.err
+        assert "training" not in captured.out
         assert not store.exists()
 
     def test_summary_reports_quarantined_points(self, capsys):

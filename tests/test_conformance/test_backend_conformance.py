@@ -166,7 +166,7 @@ class TestExactConformance:
         # drawing selects advances the stream factory, so introspect on
         # a throwaway engine, not the ones under comparison
         probe = Engine(model, cfg, backend="exact", seed=3)
-        selects = probe.backend._draw_selects(1)[0]
+        selects = probe.backend._draw_selects([probe.backend.factory])
         assert ("ip", 2) in selects        # the MUX stage's own select
         assert ("pool", 2) not in selects  # ... but no pooling select
         a = Engine(model, cfg, backend="exact", seed=3).forward(images[:2])

@@ -162,6 +162,32 @@ class TestForwardIndependent:
         ])
         np.testing.assert_array_equal(batched, fresh)
 
+    @pytest.mark.parametrize("pooling", [PoolKind.AVG, PoolKind.MAX])
+    def test_mux_layers_gather_once_per_batch(self, tiny_trained_lenet,
+                                              images, pooling, monkeypatch):
+        """Each MUX layer makes two ``ops.mux_select`` calls (inputs and
+        weights) whatever the batch size: no per-image loop."""
+        from repro.engine import exact
+
+        calls = []
+        select = exact.ops.mux_select
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return select(*args, **kwargs)
+
+        monkeypatch.setattr(exact.ops, "mux_select", counting)
+        cfg = NetworkConfig.from_kinds(pooling, 32, ("MUX", "MUX", "MUX"))
+        backend = Engine(tiny_trained_lenet, cfg, backend="exact",
+                         seed=4).backend
+        counts = []
+        for batch in (1, 8):
+            calls.clear()
+            backend.forward_independent(
+                np.resize(images.reshape(len(images), -1), (batch, 784)))
+            counts.append(len(calls))
+        assert counts == [2 * 3, 2 * 3]
+
     def test_does_not_perturb_stateful_forward(self, tiny_trained_lenet,
                                                images):
         """Interleaving forward_independent calls leaves the engine's own

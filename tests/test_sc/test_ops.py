@@ -125,6 +125,11 @@ class TestMuxSelect:
         with pytest.raises(ValueError, match="select values"):
             ops.mux_select(packed, np.full(16, 5), 16)
 
+    def test_non_broadcasting_select_rejected(self):
+        packed = ops.pack_bits(np.zeros((3, 2, 16), dtype=np.uint8))
+        with pytest.raises(ValueError, match="broadcast"):
+            ops.mux_select(packed, np.zeros((4, 16), dtype=int), 16)
+
 
 class TestSegmentPopcount:
     def test_counts_per_segment(self):

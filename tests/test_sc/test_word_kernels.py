@@ -106,6 +106,44 @@ def test_mux_select_matches_gather(data, length, shape, n):
     assert ops.padding_is_zero(out, length)
 
 
+def _mux_reference(bits, select):
+    """Per-row, per-cycle MUX over unpacked ``bits`` ``(..., n, L)``."""
+    lead = np.broadcast_shapes(bits.shape[:-2], select.shape[:-1])
+    bits = np.broadcast_to(bits, lead + bits.shape[-2:])
+    select = np.broadcast_to(select, lead + select.shape[-1:])
+    out = np.zeros(lead + bits.shape[-1:], dtype=np.uint8)
+    for row in np.ndindex(*lead):
+        for t in range(bits.shape[-1]):
+            out[row + (t,)] = bits[row + (select[row + (t,)], t)]
+    return out
+
+
+# (streams leading axes, select leading axes): select only, streams
+# only, both (including size-1 axes that broadcast either way)
+broadcast_leads = st.sampled_from([
+    ((), (3,)), ((), (2, 3)), ((2,), ()), ((2, 3), ()), ((3,), (3,)),
+    ((2, 1), (1, 3)), ((1, 3), (2, 1)), ((4, 1, 2), (3, 1)),
+])
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), length=lengths, leads=broadcast_leads,
+       n=st.integers(min_value=1, max_value=9),
+       edge=st.sampled_from(["random", "first", "last"]))
+def test_mux_select_broadcast_selects_match_reference(data, length, leads,
+                                                      n, edge):
+    stream_lead, select_lead = leads
+    bits = random_bits(data, stream_lead + (n,), length)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    select = {"random": rng.integers(0, n, size=select_lead + (length,)),
+              "first": np.zeros(select_lead + (length,), dtype=np.int64),
+              "last": np.full(select_lead + (length,), n - 1)}[edge]
+    out = ops.mux_select(ops.pack_bits(bits), select, length)
+    ref = _mux_reference(bits.astype(np.uint8), select)
+    np.testing.assert_array_equal(out, ops.pack_bits(ref))
+    assert ops.padding_is_zero(out, length)
+
+
 @settings(max_examples=40, deadline=None)
 @given(data=st.data(), length=lengths, shape=batch_shapes,
        n=st.integers(min_value=1, max_value=12),

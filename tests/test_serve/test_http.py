@@ -5,14 +5,23 @@ A real ``ThreadingHTTPServer`` on an ephemeral port, driven with
 """
 
 import json
+import os
+import signal
+import subprocess
+import sys
 import threading
 import urllib.error
 import urllib.request
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+import repro
 from repro.data.synthetic_mnist import to_bipolar
-from repro.serve import InferenceService, create_server
+from repro.nn.zoo import build_zoo_model
+from repro.serve import InferenceService, create_server, run_server
+from repro.serve import server as server_module
 
 LENGTH = 32
 
@@ -160,3 +169,72 @@ class TestTelemetry:
         assert "batch_size_histogram" in stats["batcher"]
         assert stats["pool"]["hit_rate"] is not None
         assert stats["defaults"]["length"] == LENGTH
+
+
+#: a float-backend service behind ``run_server`` on an ephemeral port;
+#: prints whether the service was drained once the server has returned
+_RUN_SERVER = """
+from repro.nn.zoo import build_zoo_model
+from repro.serve import InferenceService, run_server
+service = InferenceService(build_zoo_model("mlp", "max", seed=0),
+                           backend="float", length=32, warm=False)
+run_server(service, port=0, drain_grace=5.0)
+print("returned draining=%s" % service.draining, flush=True)
+"""
+
+
+class TestRunServer:
+    def test_sigterm_drains_and_exits_zero(self):
+        """SIGTERM runs the graceful drain: the server stops, the service
+        is drained and closed, and the process exits 0 (not -SIGTERM)."""
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(repro.__file__).parents[1]))
+        proc = subprocess.Popen([sys.executable, "-u", "-c", _RUN_SERVER],
+                                stdout=subprocess.PIPE, text=True, env=env)
+        watchdog = threading.Timer(120, proc.kill)  # bounds readline()
+        watchdog.start()
+        try:
+            lines = []
+            while not any("listening on" in line for line in lines):
+                line = proc.stdout.readline()
+                assert line, f"server exited early: {lines}"
+                lines.append(line)
+            base = lines[-1].split()[-1]
+            status, health = _call(base, "/healthz")
+            assert status == 200 and health["status"] == "ok"
+            proc.send_signal(signal.SIGTERM)
+            out, _ = proc.communicate(timeout=60)
+        finally:
+            watchdog.cancel()
+            if proc.poll() is None:
+                proc.kill()
+                proc.communicate()
+        assert proc.returncode == 0
+        assert "returned draining=True" in out
+
+    def test_off_main_thread_leaves_sigterm_alone(self, monkeypatch):
+        """Off the main thread no SIGTERM handler can be installed; the
+        server still runs, and its shutdown closes the service."""
+        servers, created = [], threading.Event()
+
+        def capture(*args, **kwargs):
+            servers.append(create_server(*args, **kwargs))
+            created.set()
+            return servers[-1]
+
+        monkeypatch.setattr(server_module, "create_server", capture)
+        service = InferenceService(build_zoo_model("mlp", "max", seed=0),
+                                   backend="float", length=32, warm=False)
+        before = signal.getsignal(signal.SIGTERM)
+        thread = threading.Thread(target=run_server, args=(service,),
+                                  kwargs={"port": 0}, daemon=True)
+        thread.start()
+        assert created.wait(30)
+        base = f"http://127.0.0.1:{servers[0].server_address[1]}"
+        assert _call(base, "/healthz")[0] == 200
+        assert signal.getsignal(signal.SIGTERM) is before
+        servers[0].shutdown()
+        thread.join(30)
+        assert not thread.is_alive()
+        with pytest.raises(RuntimeError, match="closed"):
+            service.predict_one(np.zeros(784))
