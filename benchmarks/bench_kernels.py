@@ -3,8 +3,8 @@
 Not a paper table — these time the packed-bit kernels that make the
 bit-level LeNet-5 simulation tractable, and guard against performance
 regressions: XNOR multiply, APC column counting, the vectorized Stanh
-FSM, a full feature-extraction-block forward and one exact conv-layer
-pass.
+FSM, a full feature-extraction-block forward, one exact conv-layer
+pass and the fused APC conv stage at the LeNet-5 layer-0/1 shapes.
 
 The ``*_numpy`` / ``*_native`` twins time the same computation with the
 dispatch pinned to each tier (``repro.native.override``); ``run_all.py``
@@ -19,6 +19,7 @@ import pytest
 
 import repro.native as native
 from repro.core.feature_extraction import make_feb
+from repro.engine.exact import numpy_apc_counts
 from repro.sc import activation, adders, ops
 from repro.sc.rng import StreamFactory
 
@@ -169,24 +170,13 @@ def _apc_inner_banks(factory, rng):
     return x, wT, w_last
 
 
-def _apc_inner_numpy(x, wT, w_last, n):
-    """The ExactBackend._apc_counts NumPy arithmetic, unfused."""
-    xT = ops.transpose_pack(x, L)
-    x_last = ops.unpack_bits(x[:, -1, :], L)
-    ham = ops.popcount_sum(xT[None, :] ^ wT[:, None], dtype=np.int16)
-    exact = np.int16(n) - ham
-    prod_last = np.uint8(1) ^ x_last[None, :] ^ w_last[:, None]
-    one = np.int16(1)
-    return (exact & ~one) | ((exact ^ prod_last) & one)
-
-
 def test_kernel_apc_inner_numpy(benchmark, factory, rng):
     """Exact-backend inner product, pure-NumPy transposed counting."""
     x, wT, w_last = _apc_inner_banks(factory, rng)
 
     def run():
         with native.override(False):
-            return _apc_inner_numpy(x, wT, w_last, 150)
+            return numpy_apc_counts(x, wT, w_last, 150, L)
 
     out = benchmark(run)
     assert out.shape == (32, 64, L)
@@ -198,7 +188,7 @@ def test_kernel_apc_inner_native(benchmark, factory, rng):
     x, wT, w_last = _apc_inner_banks(factory, rng)
     out = benchmark(lambda: native.apc_inner_counts(x, wT, 150, L))
     with native.override(False):
-        ref = _apc_inner_numpy(x, wT, w_last, 150)
+        ref = numpy_apc_counts(x, wT, w_last, 150, L)
     assert np.array_equal(out, ref)
 
 
@@ -256,41 +246,66 @@ def test_kernel_btanh_native(benchmark, rng):
     assert np.array_equal(out, ref)
 
 
-def _apc_max_pool_counts(rng):
-    """LeNet-5 layer 0 under APC-Max-Btanh at L=64: batch-16 counts of 20
-    channels over the 24x24 conv grid (n=26, K=52), 144 pool windows."""
-    from repro.engine.plan import pool_window_indices
-    counts = rng.integers(0, 27, (20, 16, 576, 64)).astype(np.int16)
-    return counts, pool_window_indices(12, 12)
+#: LeNet-5 conv stages under APC-Max-Btanh: (input channels, input
+#: side, output channels, K) of layer 0 (n = 26) and layer 1 (n = 501)
+_CONV_STAGES = {"layer0": (1, 28, 20, 52), "layer1": (20, 12, 50, 1002)}
+_CONV_L = 64
 
 
-def _apc_max_btanh_pack_numpy(counts, windows):
-    """The ExactBackend._conv_layer NumPy composition, unfused."""
+def _conv_stage(rng, layer):
+    """Batch-16 inputs of one conv stage at L=64: the biased input bank,
+    the plan's patch table, the transposed weight bank (and its last-input
+    bit plane) and the 2x2 pool windows."""
+    from repro.engine.plan import conv_patch_index, pool_window_indices
+    cin, side, channels, n_states = _CONV_STAGES[layer]
+    rows = cin * side * side
+    index = conv_patch_index(cin, side, side, 5)
+    table = np.concatenate([index, np.full((len(index), 1), rows)], axis=1)
+    windows = pool_window_indices((side - 4) // 2, (side - 4) // 2)
+    nb = _CONV_L // 8
+    x = rng.integers(0, 256, (16, rows + 1, nb), dtype=np.uint8)
+    w = rng.integers(0, 256, (channels, table.shape[1], nb), dtype=np.uint8)
+    with native.override(False):
+        wT = ops.transpose_pack(w, _CONV_L)
+        w_last = ops.unpack_bits(w[:, -1, :], _CONV_L)
+    return x, table, wT, w_last, windows, n_states
+
+
+def _conv_stage_numpy(x, table, wT, w_last, windows, n_states):
+    """The ExactBackend._conv_layer NumPy composition: gather, count,
+    max pool, Btanh, pack."""
     from repro.blocks.pooling import apc_max_pool
+    batch, n, nb = x.shape[0], table.shape[1], x.shape[-1]
+    patch = x[:, table].reshape(-1, n, nb)
+    counts = numpy_apc_counts(patch, wT, w_last, n, _CONV_L).reshape(
+        len(wT), batch, len(table), _CONV_L)
     pooled = apc_max_pool(counts[:, :, windows], 16)
-    return ops.pack_bits(activation.btanh_counts(pooled, 26, 52))
+    return ops.pack_bits(activation.btanh_counts(pooled, n, n_states))
 
 
-def test_kernel_apc_max_btanh_pack_numpy(benchmark, rng):
-    """APC max pool -> Btanh -> pack, pinned to the NumPy composition."""
-    counts, windows = _apc_max_pool_counts(rng)
+@pytest.mark.parametrize("layer", sorted(_CONV_STAGES))
+def test_kernel_conv_stage_numpy(benchmark, rng, layer):
+    """One APC conv stage with max pooling, pinned to the NumPy path."""
+    x, table, wT, w_last, windows, n_states = _conv_stage(rng, layer)
 
     def run():
         with native.override(False):
-            return _apc_max_btanh_pack_numpy(counts, windows)
+            return _conv_stage_numpy(x, table, wT, w_last, windows,
+                                     n_states)
 
-    out = benchmark(run)
-    assert out.shape == (20, 16, 144, 8)
+    out = benchmark.pedantic(run, rounds=5, iterations=1)
+    assert out.shape == (len(wT), 16, len(windows), _CONV_L // 8)
 
 
 @_needs_native
-def test_kernel_apc_max_btanh_pack_native(benchmark, rng):
-    """APC max pool -> Btanh -> pack through the fused native kernel."""
-    counts, windows = _apc_max_pool_counts(rng)
-    out = benchmark(lambda: native.apc_max_btanh_pack(counts, windows, 16,
-                                                      26, 52))
+@pytest.mark.parametrize("layer", sorted(_CONV_STAGES))
+def test_kernel_conv_stage_native(benchmark, rng, layer):
+    """The same conv stage through the fused native kernel."""
+    x, table, wT, w_last, windows, n_states = _conv_stage(rng, layer)
+    out = benchmark(lambda: native.apc_conv_max_btanh_pack(
+        x, table, wT, windows, 16, n_states))
     with native.override(False):
-        ref = _apc_max_btanh_pack_numpy(counts, windows)
+        ref = _conv_stage_numpy(x, table, wT, w_last, windows, n_states)
     assert np.array_equal(out, ref)
 
 

@@ -5,7 +5,9 @@ regressions show up in review diffs (machine-to-machine variance means
 only same-machine ratios are meaningful):
 
 * ``--kernels`` — ``bench_kernels.py`` under pytest-benchmark →
-  ``benchmarks/BENCH_kernels.json`` (median ns per kernel call);
+  ``benchmarks/BENCH_kernels.json`` (median ns per kernel call, the
+  interquartile range across rounds, and the machine fingerprint:
+  CPU, ``cpu_count``, NumPy version, kernel tier);
 * ``--serve`` — ``bench_serve.py`` →
   ``benchmarks/BENCH_serve.json`` (closed-loop multi-client serving
   throughput: micro-batched service vs per-request sequential baseline,
@@ -55,12 +57,14 @@ _NATIVE_PAIRS = {
     "stanh_fsm": ("test_kernel_stanh_numpy", "test_kernel_stanh_native"),
     "saturating_counter": ("test_kernel_btanh_numpy",
                            "test_kernel_btanh_native"),
-    "apc_max_btanh_pack": ("test_kernel_apc_max_btanh_pack_numpy",
-                           "test_kernel_apc_max_btanh_pack_native"),
+    "apc_conv_stage_layer0": ("test_kernel_conv_stage_numpy[layer0]",
+                              "test_kernel_conv_stage_native[layer0]"),
+    "apc_conv_stage_layer1": ("test_kernel_conv_stage_numpy[layer1]",
+                              "test_kernel_conv_stage_native[layer1]"),
 }
 
 
-def _native_column(medians: dict) -> dict:
+def _native_column(medians: dict, iqrs: dict) -> dict:
     """The numpy-vs-native speedup column (empty when native is absent —
     the ``*_native`` twins skip, so their medians never appear)."""
     column = {}
@@ -68,10 +72,27 @@ def _native_column(medians: dict) -> dict:
         if medians.get(np_name) and medians.get(nat_name):
             column[label] = {
                 "numpy_ns": medians[np_name],
+                "numpy_iqr_ns": iqrs[np_name],
                 "native_ns": medians[nat_name],
+                "native_iqr_ns": iqrs[nat_name],
                 "speedup": round(medians[np_name] / medians[nat_name], 2),
             }
     return column
+
+
+def _fingerprint(cpu: str) -> dict:
+    """What a speedup is read against: CPU, core count, NumPy version
+    and the kernel tier the unsuffixed benchmarks dispatched to."""
+    import numpy
+    sys.path.insert(0, str(BENCH_DIR.parent / "src"))
+    try:
+        import repro.native as native
+        from repro.sc import ops
+        tier = "native" if native.enabled() else ops._NUMPY_TIER
+    finally:
+        sys.path.pop(0)
+    return {"cpu": cpu, "cpu_count": os.cpu_count(),
+            "numpy": numpy.__version__, "kernel_tier": tier}
 
 
 def run_kernel_benchmarks(output: Path = DEFAULT_OUTPUT) -> dict:
@@ -92,23 +113,25 @@ def run_kernel_benchmarks(output: Path = DEFAULT_OUTPUT) -> dict:
         if proc.returncode:
             raise SystemExit(proc.returncode)
         data = json.loads(raw.read_text())
-    medians = {
-        bench["name"]: round(bench["stats"]["median"] * 1e9)
-        for bench in data["benchmarks"]
-    }
-    native = _native_column(medians)
+    stats = {bench["name"]: bench["stats"] for bench in data["benchmarks"]}
+    medians = {name: round(st["median"] * 1e9) for name, st in stats.items()}
+    iqrs = {name: round(st["iqr"] * 1e9) for name, st in stats.items()}
+    native = _native_column(medians, iqrs)
     payload = {
-        "unit": "median ns per call",
-        "machine": data.get("machine_info", {}).get("cpu", {}).get(
-            "brand_raw", "unknown"),
+        "unit": "median ns per call; iqr_ns is the interquartile range "
+                "across rounds",
+        "machine": _fingerprint(data.get("machine_info", {}).get(
+            "cpu", {}).get("brand_raw", "unknown")),
         "native_tier": bool(native),
         "kernels": dict(sorted(medians.items())),
+        "iqr_ns": dict(sorted(iqrs.items())),
         "native": native,
     }
     output.write_text(json.dumps(payload, indent=2) + "\n")
     print(f"wrote {output}")
     for name, ns in sorted(medians.items()):
-        print(f"  {name:32s} {ns / 1e3:12.1f} us")
+        print(f"  {name:40s} {ns / 1e3:12.1f} us  (iqr "
+              f"{iqrs[name] / 1e3:.1f})")
     for label, row in native.items():
         print(f"  native {label:30s} {row['speedup']:6.2f}x")
     return medians

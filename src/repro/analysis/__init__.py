@@ -5,7 +5,6 @@
   blocks and feature extraction blocks (Tables 1-5, Figure 14);
 * :mod:`repro.analysis.sensitivity` — layer-wise inaccuracy injection
   (Figure 16);
-* :mod:`repro.analysis.sweep` — generic parameter-sweep utilities;
 * :mod:`repro.analysis.tables` — plain-text table formatting and the
   paper's reference values for side-by-side printing.
 """
@@ -24,7 +23,6 @@ from repro.analysis.block_error import (
     feb_inaccuracy,
 )
 from repro.analysis.sensitivity import layer_noise_sensitivity
-from repro.analysis.sweep import Sweep, SweepResult
 from repro.analysis.tables import format_table, PAPER
 from repro.analysis import theory
 
@@ -40,8 +38,6 @@ __all__ = [
     "stanh_inaccuracy",
     "feb_inaccuracy",
     "layer_noise_sensitivity",
-    "Sweep",
-    "SweepResult",
     "format_table",
     "PAPER",
 ]

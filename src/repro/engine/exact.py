@@ -15,7 +15,7 @@ many images:
   image-major/layer-major order; each MUX layer makes one per-cycle
   gather per operand for the whole batch (average pooling folded in);
 * APC column counts run in the *transposed* domain (see
-  :meth:`ExactBackend._apc_counts`): the input bank is re-packed once so
+  :func:`numpy_apc_counts`): the input bank is re-packed once so
   each cycle's ``n`` bits form one short row, a product count is
   ``n - popcount(xT ^ wT)``, and row popcounts run word-level — ~8× less
   traffic than unpacking every product bit, with the transposition
@@ -52,7 +52,7 @@ from repro.sc.encoding import Encoding
 from repro.sc.rng import IdealSNG, StreamFactory
 from repro.utils.validation import check_positive_int
 
-__all__ = ["ExactBackend"]
+__all__ = ["ExactBackend", "numpy_apc_counts"]
 
 
 @register_backend
@@ -251,61 +251,24 @@ class ExactBackend:
     def _apc_counts(self, i: int, x: np.ndarray) -> np.ndarray:
         """APC counts for every (channel, row) of layer ``i``: ``(C, R, L)``.
 
-        ``x`` is the packed input bank ``(R, n, nbytes)``.  Counting runs
-        in the *transposed* domain: the bank is re-packed so each cycle's
-        ``n`` input bits form one short row (:func:`repro.sc.ops.
-        transpose_pack` — one unpack/pack round trip amortized over all
-        ``C`` output channels), and a cycle's product count becomes
-
-            ``count = n - popcount(xT ^ wT)``
-
-        since XNOR flips exactly the bits XOR sets and both banks'
-        padding is zero.  Row popcounts run word-level
-        (:func:`repro.sc.ops.popcount_sum`) — roughly 8× less traffic
-        than unpacking every product bit and reducing over ``n``.
-
-        The APC's LSB approximation (see :func:`repro.sc.adders.
-        apc_count`: the output LSB is the exact LSB XOR-ed with the last
-        input's product bit) is applied per column from the two banks'
-        last-input bit planes — bit-identical to the legacy per-channel
-        loop.  Work is tiled over (channels × rows) to ``TILE_BYTES``;
-        tiling never changes results.
+        ``x`` is the packed input bank ``(R, n, nbytes)``; see
+        :func:`numpy_apc_counts` for the arithmetic.  The native tier
+        fuses the transposition, XOR, row popcount and LSB patch into one
+        cache-tiled pass over the bank.
         """
         lp = self.plan.layers[i]
-        wT = self._weight_t[i]
-        n = lp.n_inputs
-        L = self.length
         if native.enabled():
-            # Native tier: transposition, XOR, row popcount and the LSB
-            # patch fused into one cache-tiled pass over the bank.
             t0 = _prof.tick()
-            counts = native.apc_inner_counts(x, wT, n, L, approximate=True)
+            counts = native.apc_inner_counts(x, self._weight_t[i],
+                                             lp.n_inputs, self.length,
+                                             approximate=True)
             _prof.tock(t0, "apc_counts", "native")
             return counts
         t0 = _prof.tick()
-        w_last = self._weight_last[i]
-        R = x.shape[0]
-        xT = ops.transpose_pack(x, L,
-                                chunk_budget=self.chunk_budget)  # (R, L, W)
-        x_last = ops.unpack_bits(x[:, -1, :], L)        # (R, L)
-        C = wT.shape[0]
-        counts = np.empty((C, R, L), dtype=np.int16)
-        one = np.int16(1)
-        tile = max(1, (min(self.TILE_BYTES, self.chunk_budget)
-                       // max(L * xT.shape[-1], 1)))
-        cstep = 1 if R >= tile else max(1, min(C, tile // R))
-        rstep = min(R, tile)
-        for c0 in range(0, C, cstep):
-            c1 = min(c0 + cstep, C)
-            for r0 in range(0, R, rstep):
-                r1 = min(r0 + rstep, R)
-                ham = ops.popcount_sum(
-                    xT[None, r0:r1] ^ wT[c0:c1, None], dtype=np.int16)
-                exact = np.int16(n) - ham               # (c, r, L)
-                prod_last = (np.uint8(1) ^ x_last[None, r0:r1]
-                             ^ w_last[c0:c1, None])
-                counts[c0:c1, r0:r1] = ((exact & ~one)
-                                        | ((exact ^ prod_last) & one))
+        counts = numpy_apc_counts(
+            x, self._weight_t[i], self._weight_last[i], lp.n_inputs,
+            self.length, min(self.TILE_BYTES, self.chunk_budget),
+            self.chunk_budget)
         # The whole transposed-counting pass (its transpose_pack /
         # popcount_sum callees time themselves too, so subtracting them
         # from this line isolates the XOR + LSB-patch glue).
@@ -365,33 +328,33 @@ class ExactBackend:
         table = np.concatenate(
             [lp.patch_index, np.full((P, 1), S)], axis=1)  # (P, n)
 
-        if lp.kind is FEBKind.APC:
+        if lp.kind is FEBKind.APC and lp.pooled and not avg \
+                and native.enabled():
+            # Native tier: patch gather, counting, max pool, Btanh and
+            # pack run per pool window; no count tensor is built.
+            t0 = _prof.tick()
+            out = native.apc_conv_max_btanh_pack(
+                x, table, self._weight_t[i], windows, self.segment,
+                lp.n_states)                            # (C, B, W, nb)
+            _prof.tock(t0, "apc_conv_max_btanh_pack", "native")
+        elif lp.kind is FEBKind.APC:
             patch = x[:, table]                         # (B, P, n, nb)
             counts = self._apc_counts(
                 i, patch.reshape(B * P, lp.n_inputs, nb))
             counts = counts.reshape(lp.units, B, P, L)
-            if lp.pooled and not avg and native.enabled():
-                # Native tier: max pool, Btanh and pack fused into one
-                # pass over each window's four count rows.
-                t0 = _prof.tick()
-                out = native.apc_max_btanh_pack(
-                    counts, windows, self.segment, lp.n_inputs,
-                    lp.n_states)                        # (C, B, W, nb)
-                _prof.tock(t0, "apc_max_btanh_pack", "native")
-            else:
-                if lp.pooled:
-                    grouped = counts[:, :, windows, :]  # (C, B, W, 4, L)
-                    del counts
-                    if avg:
-                        pooled = apc_average_pool(grouped)
-                    else:
-                        pooled = apc_max_pool(grouped, self.segment)
-                    del grouped
+            if lp.pooled:
+                grouped = counts[:, :, windows, :]      # (C, B, W, 4, L)
+                del counts
+                if avg:
+                    pooled = apc_average_pool(grouped)
                 else:
-                    pooled = counts                     # (C, B, P, L)
-                out_bits = activation.btanh_counts(pooled, lp.n_inputs,
-                                                   lp.n_states)
-                out = ops.pack_bits(out_bits)           # (C, B, W, nb)
+                    pooled = apc_max_pool(grouped, self.segment)
+                del grouped
+            else:
+                pooled = counts                         # (C, B, P, L)
+            out_bits = activation.btanh_counts(pooled, lp.n_inputs,
+                                               lp.n_states)
+            out = ops.pack_bits(out_bits)               # (C, B, W, nb)
         else:
             # A MUX passes one input bit per cycle: a table of (output
             # row, choice) -> bank row composes the row each stream reads
@@ -439,3 +402,54 @@ class ExactBackend:
         w_sel = ops.mux_select(w, sel[:, None], L)          # (B, C, nb)
         return activation.stanh_packed(ops.xnor_(x_sel[:, None], w_sel, L),
                                        L, lp.n_states)
+
+
+def numpy_apc_counts(x: np.ndarray, wT: np.ndarray, w_last: np.ndarray,
+                     n: int, length: int,
+                     tile_bytes: int = ExactBackend.TILE_BYTES,
+                     chunk_budget: int = 1 << 26) -> np.ndarray:
+    """APC counts of a packed bank against a weight bank, pure NumPy:
+    ``(R, n, nbytes)`` × ``(C, L, W)`` → ``(C, R, L)`` int16.
+
+    The oracle of the native ``apc_inner_counts`` and
+    ``apc_conv_max_btanh_pack`` kernels.  Counting runs in the
+    *transposed* domain: the bank is re-packed so each cycle's ``n``
+    input bits form one short row (:func:`repro.sc.ops.transpose_pack`
+    — one unpack/pack round trip amortized over all ``C`` output
+    channels), and a cycle's product count becomes
+
+        ``count = n - popcount(xT ^ wT)``
+
+    since XNOR flips exactly the bits XOR sets and both banks' padding
+    is zero.  Row popcounts run word-level
+    (:func:`repro.sc.ops.popcount_sum`) — roughly 8× less traffic than
+    unpacking every product bit and reducing over ``n``.
+
+    The APC's LSB approximation (see :func:`repro.sc.adders.apc_count`:
+    the output LSB is the exact LSB XOR-ed with the last input's product
+    bit) is applied per column from the two banks' last-input bit planes
+    (``w_last`` is the weights' ``(C, L)`` plane).  Work is tiled over
+    (channels × rows) to ``tile_bytes``; tiling never changes results.
+    """
+    L = length
+    R = x.shape[0]
+    xT = ops.transpose_pack(x, L, chunk_budget=chunk_budget)  # (R, L, W)
+    x_last = ops.unpack_bits(x[:, -1, :], L)            # (R, L)
+    C = wT.shape[0]
+    counts = np.empty((C, R, L), dtype=np.int16)
+    one = np.int16(1)
+    tile = max(1, tile_bytes // max(L * xT.shape[-1], 1))
+    cstep = 1 if R >= tile else max(1, min(C, tile // R))
+    rstep = min(R, tile)
+    for c0 in range(0, C, cstep):
+        c1 = min(c0 + cstep, C)
+        for r0 in range(0, R, rstep):
+            r1 = min(r0 + rstep, R)
+            ham = ops.popcount_sum(
+                xT[None, r0:r1] ^ wT[c0:c1, None], dtype=np.int16)
+            exact = np.int16(n) - ham                   # (c, r, L)
+            prod_last = (np.uint8(1) ^ x_last[None, r0:r1]
+                         ^ w_last[c0:c1, None])
+            counts[c0:c1, r0:r1] = ((exact & ~one)
+                                    | ((exact ^ prod_last) & one))
+    return counts

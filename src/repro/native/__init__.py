@@ -3,9 +3,9 @@
 This package arms an optional compiled tier below the NumPy word engine
 (DESIGN.md, "Native kernel tier").  The five loops it owns — the fused
 transpose+popcount column counter, the exact-backend inner product, the
-Stanh byte-LUT walk, the saturating-counter FSM scan and the fused
-APC-Max-Btanh pool → Btanh → pack pass — are bit-identical
-re-implementations of their NumPy counterparts; the pure NumPy paths
+Stanh byte-LUT walk, the saturating-counter FSM scan and the fused APC
+conv stage (count → max pool → Btanh → pack per pool window) — are
+bit-identical re-implementations of their NumPy counterparts; the pure NumPy paths
 remain the conformance oracle and the fallback.
 
 Capability protocol
@@ -58,7 +58,7 @@ __all__ = [
     "apc_inner_counts",
     "stanh_lut",
     "saturating_counter",
-    "apc_max_btanh_pack",
+    "apc_conv_max_btanh_pack",
 ]
 
 _ENV = "REPRO_NATIVE"
@@ -97,10 +97,10 @@ def _configure(lib) -> None:
     lib.repro_saturating_counter_i32.argtypes = [
         _i32p, c_int64, c_int64, c_int64, c_int64, c_int64, _u8p]
     lib.repro_saturating_counter_i32.restype = c_int
-    lib.repro_apc_max_btanh_pack.argtypes = [
-        _i16p, c_int64, c_int64, c_int64, _i64p, c_int64, c_int64, c_int64,
-        c_int64, _u8p]
-    lib.repro_apc_max_btanh_pack.restype = c_int
+    lib.repro_apc_conv_max_btanh_pack.argtypes = [
+        _u8p, c_int64, c_int64, c_int64, _i64p, c_int64, _u8p, c_int64,
+        c_int64, c_int64, _i64p, c_int64, c_int64, c_int64, _u8p]
+    lib.repro_apc_conv_max_btanh_pack.restype = c_int
 
 
 def _try_load() -> None:
@@ -291,40 +291,61 @@ def saturating_counter(increments: np.ndarray, n_states: int, init: int,
     return out.view(bool)
 
 
-def apc_max_btanh_pack(counts: np.ndarray, windows: np.ndarray,
-                       segment: int, n_inputs: int,
-                       n_states: int) -> np.ndarray:
-    """Fused APC-Max-Btanh of one pooled conv stage: APC counts
-    ``(C, B, P, L)`` int16 and 2×2 pool windows ``(W, 4)`` indexing
-    ``[0, P)`` → packed output streams ``(C, B, W, nbytes)``.
+def _int_table(name: str, table, cols: int | None, bound: int) -> np.ndarray:
+    """An integer ``(rows, cols)`` index table with entries in
+    ``[0, bound)``, as contiguous int64 for C."""
+    table = np.asarray(table)
+    if (not np.issubdtype(table.dtype, np.integer) or table.ndim != 2
+            or (cols is not None and table.shape[1] != cols)):
+        shape = f"(rows, {cols})" if cols is not None else "(rows, n)"
+        raise ValueError(f"expected integer {name} {shape}, got "
+                         f"{table.dtype} {table.shape}")
+    if table.size and (table.min() < 0 or table.max() >= bound):
+        raise ValueError(f"{name} index outside [0, {bound})")
+    return np.ascontiguousarray(table, dtype=np.int64)
+
+
+def apc_conv_max_btanh_pack(x: np.ndarray, table: np.ndarray,
+                            wT: np.ndarray, windows: np.ndarray,
+                            segment: int, n_states: int) -> np.ndarray:
+    """One APC conv stage with max pooling: packed input banks
+    ``(B, S, nbytes)`` (bias row included), the conv patch table
+    ``(P, n)`` indexing ``[0, S)``, the transposed weight bank
+    ``(C, L, W)`` and 2×2 pool windows ``(Wn, 4)`` indexing ``[0, P)``
+    → packed Btanh output streams ``(C, B, Wn, nbytes)``.
 
     Bit-identical to ``pack_bits(btanh_counts(apc_max_pool(
-    counts[:, :, windows], segment), n_inputs, n_states))`` without
-    building any of its intermediates.  Every argument is checked here,
-    before a pointer reaches C.
+    counts[:, :, windows], segment), n, n_states))`` over the APC counts
+    ``(C, B, P, L)`` of ``x[:, table]`` against the weights, without
+    building the patch bank, the counts or any later intermediate.
+    Every argument is checked here, before a pointer reaches C.
     """
-    counts = np.asarray(counts)
-    if counts.dtype != np.int16 or counts.ndim != 4:
-        raise ValueError(f"expected int16 counts (C, B, P, L), got "
-                         f"{counts.dtype} {counts.shape}")
-    windows = np.asarray(windows)
-    if (not np.issubdtype(windows.dtype, np.integer) or windows.ndim != 2
-            or windows.shape[1] != 4):
-        raise ValueError(f"expected integer windows (W, 4), got "
-                         f"{windows.dtype} {windows.shape}")
-    C, B, P, L = counts.shape
-    if windows.size and (windows.min() < 0 or windows.max() >= P):
-        raise ValueError(f"window index outside [0, {P})")
+    x = np.asarray(x)
+    wT = np.asarray(wT)
+    if x.dtype != np.uint8 or x.ndim != 3:
+        raise ValueError(f"expected uint8 x (B, S, nbytes), got "
+                         f"{x.dtype} {x.shape}")
+    if wT.dtype != np.uint8 or wT.ndim != 3:
+        raise ValueError(f"expected uint8 wT (C, L, W), got "
+                         f"{wT.dtype} {wT.shape}")
+    B, S, nbytes = x.shape
+    C, L, W = wT.shape
+    table = _int_table("table", table, None, S)
+    P, n = table.shape
+    windows = _int_table("windows", windows, 4, P)
+    if n == 0 or W * 8 < n or nbytes != (L + 7) // 8:
+        raise ValueError(f"bank mismatch: x {x.shape} wT {wT.shape} n={n}")
     segment = check_positive_int(segment, "segment")
-    n_inputs = check_positive_int(n_inputs, "n_inputs")
     n_states = check_positive_int(n_states, "n_states")
     if L % segment:
         raise ValueError(f"stream length {L} must be a multiple of "
                          f"segment {segment}")
-    counts = np.ascontiguousarray(counts)
-    windows = np.ascontiguousarray(windows, dtype=np.int64)
-    out = np.empty((C, B, windows.shape[0], (L + 7) // 8), dtype=np.uint8)
-    _check(_lib.repro_apc_max_btanh_pack(
-        _ptr(counts, _i16p), C * B, P, L, _ptr(windows, _i64p),
-        windows.shape[0], segment, n_inputs, n_states, _ptr(out, _u8p)))
+    x = np.ascontiguousarray(x)
+    wT = np.ascontiguousarray(wT)
+    Wn = windows.shape[0]
+    out = np.empty((C, B, Wn, nbytes), dtype=np.uint8)
+    _check(_lib.repro_apc_conv_max_btanh_pack(
+        _ptr(x, _u8p), B, S, nbytes, _ptr(table, _i64p), n, _ptr(wT, _u8p),
+        C, L, W, _ptr(windows, _i64p), Wn, segment, n_states,
+        _ptr(out, _u8p)))
     return out

@@ -5,22 +5,27 @@
  * import by repro/native/build.py with whatever system toolchain is
  * present.  Every kernel here is a bit-identical re-implementation of a
  * NumPy word-engine loop (repro.sc.ops / adders / fsm / activation, the
- * exact backend's transposed counting and its APC max pool -> Btanh ->
- * pack stage) — arming the tier must
- * change zero output bits, which the conformance suite enforces.
+ * exact backend's transposed counting and its APC conv stage with max
+ * pooling) — arming the tier must change zero output bits, which the
+ * conformance suite enforces.
  *
  * Two design rules (DESIGN.md, "Native kernel tier"):
  *
  *  1. *Fuse* the loops NumPy cannot: the transpose_pack + popcount_sum
  *     pair becomes one pass that never materializes the transposed
- *     bank (repro_column_counts), the exact backend's inner
- *     product transposes a cache-resident tile and XOR-popcounts it in
- *     place (repro_apc_inner_counts), and APC max pooling, Btanh and
- *     packing run as one pass over each pool window's count rows
- *     (repro_apc_max_btanh_pack).
+ *     bank (repro_column_counts), the exact backend's inner product
+ *     transposes a cache-resident tile and XOR-popcounts it in place
+ *     (repro_apc_inner_counts), and a pooled APC conv stage runs
+ *     gather -> count -> max pool -> Btanh -> pack per pool window
+ *     without ever building its count tensor
+ *     (repro_apc_conv_max_btanh_pack).
  *  2. *Tile* to the cache: the inner-product kernel re-reads its
  *     transposed input tile once per output channel, so the tile is
- *     sized (TILE_BYTES) to stay resident across the channel loop.
+ *     sized (TILE_BYTES) to stay resident across the channel loop; the
+ *     conv stage's per-window tile and count scratch fit L1/L2 beside
+ *     the weight bank.  Counting rows are laid out so the cycle loop
+ *     vectorizes (count_layout: word-major for widths that are a
+ *     multiple of 8 bytes).
  *
  * All kernels are pure functions of their arguments writing distinct
  * output buffers, so concurrent calls from serving threads are safe
@@ -107,11 +112,17 @@ static inline uint64_t transpose8(uint64_t x)
     return x;
 }
 
-/* Bit-transpose one packed bank row: n streams of nbytes bytes ->
- * L rows of W bytes (out pre-zeroed).  Streams are processed 8 at a
- * time; each (8 streams x 8 cycles) block is one transpose8. */
-static void transpose_rows_one(const uint8_t *in, int64_t n, int64_t nbytes,
-                               int64_t L, int64_t W, uint8_t *out)
+/* Bit-transpose n packed streams -> L cycle rows (out pre-zeroed).
+ * Stream j is the row base + idx[j] * nbytes (base + j * nbytes when
+ * idx is NULL), so a conv patch is read through its gather table
+ * without first being copied out.  Byte col of cycle t lands at
+ * out + t * tstride + (col / 8) * kstride + col % 8: (W, 8) gives the
+ * row-major (L, W) layout, (8, 8 * L) the word-major (W / 8, L) one.
+ * Streams are processed 8 at a time; each (8 streams x 8 cycles) block
+ * is one transpose8. */
+static void transpose_rows(const uint8_t *base, const int64_t *idx,
+                           int64_t n, int64_t nbytes, int64_t L,
+                           int64_t tstride, int64_t kstride, uint8_t *out)
 {
     int64_t kmax = (L + 7) / 8;
     if (kmax > nbytes)
@@ -119,19 +130,23 @@ static void transpose_rows_one(const uint8_t *in, int64_t n, int64_t nbytes,
     for (int64_t j0 = 0; j0 < n; j0 += 8) {
         int64_t jn = (n - j0 < 8) ? n - j0 : 8;
         int64_t col = j0 >> 3;
+        const uint8_t *row[8];
+        for (int64_t j = 0; j < jn; j++)
+            row[j] = base + (idx ? idx[j0 + j] : j0 + j) * nbytes;
+        uint8_t *ocol = out + (col >> 3) * kstride + (col & 7);
         for (int64_t k = 0; k < kmax; k++) {
             uint64_t x = 0;
             for (int64_t j = 0; j < jn; j++)
-                x |= (uint64_t)in[(j0 + j) * nbytes + k] << (8 * (7 - j));
+                x |= (uint64_t)row[j][k] << (8 * (7 - j));
             if (!x)
                 continue;               /* out is pre-zeroed */
             uint64_t y = transpose8(x);
             int64_t t1 = L - 8 * k;
             if (t1 > 8)
                 t1 = 8;
-            uint8_t *o = out + (8 * k) * W + col;
+            uint8_t *o = ocol + (8 * k) * tstride;
             for (int64_t t = 0; t < t1; t++)
-                o[t * W] = (uint8_t)(y >> (8 * (7 - t)));
+                o[t * tstride] = (uint8_t)(y >> (8 * (7 - t)));
         }
     }
 }
@@ -173,8 +188,8 @@ API int repro_transpose_pack(const uint8_t *in, int64_t R, int64_t n,
     ENSURE_TABLES();
     memset(out, 0, (size_t)(R * L * W));
     for (int64_t r = 0; r < R; r++)
-        transpose_rows_one(in + r * n * nbytes, n, nbytes, L, W,
-                           out + r * L * W);
+        transpose_rows(in + r * n * nbytes, NULL, n, nbytes, L, W, 8,
+                       out + r * L * W);
     return 0;
 }
 
@@ -283,6 +298,138 @@ API int repro_column_counts(const uint8_t *in, int64_t R, int64_t n,
     return 0;
 }
 
+/* Counting layout of one transposed bank (DESIGN.md, "Native kernel
+ * tier"): how the L cycle rows of W bytes are laid out and how each
+ * cycle's count n - popcount(x ^ w) gets its APC LSB patch.
+ *
+ *  - W == 4 (n <= 32, e.g. LeNet-5's first conv layer): row-major, one
+ *    32-bit word per cycle; the patch reads the last input's product
+ *    bit out of the XOR word, so the loop is branch-free.
+ *  - W % 8 == 0: word-major, word k of every cycle contiguous
+ *    ((W / 8, L) uint64), so the cycle loop is a straight vector loop
+ *    of XOR + popcount + add per word.
+ *  - otherwise (W = 12, 20, ...): row-major, bytewise XOR-popcount.
+ *
+ * The patch (repro.sc.adders.apc_count): the output LSB is the exact
+ * LSB XOR-ed with the last input's product bit, prod = 1 ^ xb ^ wb, so
+ * the patched count is count ^ prod.  `lastmask` is that bit in the
+ * host byte order of a loaded word (built through memcpy, so it holds
+ * on either endianness). */
+typedef struct {
+    int64_t n, L, W;
+    int64_t words;          /* W / 8 when word-major, else 0 */
+    int64_t tstride, kstride;   /* transpose_rows strides of the layout */
+    int64_t lastb, lastk;   /* byte of the last input; its word */
+    int sh;                 /* its bit within that byte (MSB first) */
+    int apx;                /* 1 to apply the LSB patch */
+    uint64_t lastmask;      /* its bit within the loaded word */
+} count_layout;
+
+static count_layout make_layout(int64_t n, int64_t L, int64_t W,
+                                int approximate)
+{
+    count_layout cl;
+    uint8_t bytes[8] = {0, 0, 0, 0, 0, 0, 0, 0};
+    cl.n = n;
+    cl.L = L;
+    cl.W = W;
+    cl.words = (W % 8 == 0) ? W / 8 : 0;
+    cl.tstride = cl.words ? 8 : W;
+    cl.kstride = cl.words ? 8 * L : 8;
+    cl.lastb = (n - 1) >> 3;
+    cl.lastk = cl.lastb >> 3;
+    cl.sh = 7 - (int)((n - 1) & 7);
+    cl.apx = approximate ? 1 : 0;
+    cl.lastmask = 0;
+    if (W == 4) {
+        uint32_t m;
+        bytes[cl.lastb] = (uint8_t)(1u << cl.sh);
+        memcpy(&m, bytes, 4);
+        cl.lastmask = m;
+    } else if (cl.words) {
+        bytes[cl.lastb & 7] = (uint8_t)(1u << cl.sh);
+        memcpy(&cl.lastmask, bytes, 8);
+    }
+    return cl;
+}
+
+static inline uint64_t load64(const uint8_t *p)
+{
+    uint64_t v;
+    memcpy(&v, p, 8);
+    return v;
+}
+
+/* Word-major copy of a row-major (C, L, W) weight bank, or the bank
+ * itself when the layout is row-major (*owned stays NULL). */
+static const uint8_t *layout_weights(const count_layout *cl,
+                                     const uint8_t *wT, int64_t C,
+                                     uint8_t **owned)
+{
+    *owned = NULL;
+    if (!cl->words)
+        return wT;
+    const int64_t L = cl->L, W = cl->W;
+    uint8_t *ww = (uint8_t *)malloc((size_t)(C * L * W));
+    if (!ww)
+        return NULL;
+    for (int64_t c = 0; c < C; c++)
+        for (int64_t k = 0; k < cl->words; k++)
+            for (int64_t t = 0; t < L; t++)
+                memcpy(ww + c * L * W + (k * L + t) * 8,
+                       wT + c * L * W + t * W + 8 * k, 8);
+    *owned = ww;
+    return ww;
+}
+
+/* APC counts of one transposed input row block xr against one weight
+ * channel wr (both in the layout of cl): out[t], t < L. */
+static inline void count_cycles(const count_layout *cl, const uint8_t *xr,
+                                const uint8_t *wr, int16_t *out)
+{
+    const int64_t n = cl->n, L = cl->L, W = cl->W;
+    const int apx = cl->apx;
+    if (W == 4) {
+        const uint32_t m = (uint32_t)cl->lastmask;
+        for (int64_t t = 0; t < L; t++) {
+            uint32_t ua, ub;
+            memcpy(&ua, xr + 4 * t, 4);
+            memcpy(&ub, wr + 4 * t, 4);
+            uint32_t v = ua ^ ub;
+            int64_t cnt = n - popcnt64((uint64_t)v);
+            int prod = 1 ^ ((v & m) != 0);
+            out[t] = (int16_t)(cnt ^ (prod & apx));
+        }
+    } else if (cl->words) {
+        for (int64_t t = 0; t < L; t++)
+            out[t] = (int16_t)n;
+        for (int64_t k = 0; k < cl->words; k++) {
+            const uint8_t *xk = xr + 8 * k * L, *wk = wr + 8 * k * L;
+            for (int64_t t = 0; t < L; t++)
+                out[t] = (int16_t)(out[t] - popcnt64(load64(xk + 8 * t)
+                                                     ^ load64(wk + 8 * t)));
+        }
+        if (apx) {
+            const uint8_t *xk = xr + 8 * cl->lastk * L;
+            const uint8_t *wk = wr + 8 * cl->lastk * L;
+            const uint64_t m = cl->lastmask;
+            for (int64_t t = 0; t < L; t++) {
+                uint64_t v = load64(xk + 8 * t) ^ load64(wk + 8 * t);
+                out[t] = (int16_t)(out[t] ^ (1 ^ ((v & m) != 0)));
+            }
+        }
+    } else {
+        const int64_t lastb = cl->lastb;
+        const int sh = cl->sh;
+        for (int64_t t = 0; t < L; t++) {
+            const uint8_t *a = xr + t * W, *b = wr + t * W;
+            int64_t cnt = n - popcount_xor(a, b, W);
+            int prod = 1 ^ (((a[lastb] ^ b[lastb]) >> sh) & 1);
+            out[t] = (int16_t)(cnt ^ (prod & apx));
+        }
+    }
+}
+
 /* Bytes of transposed input tile kept cache-resident across the
  * channel loop of repro_apc_inner_counts. */
 #define TILE_BYTES (1 << 19)
@@ -292,74 +439,47 @@ API int repro_column_counts(const uint8_t *in, int64_t R, int64_t n,
  *   counts[c, r, t] = n - popcount(xT[r, t, :] ^ wT[c, t, :])
  *
  * with the APC LSB patch applied from the last input's product bit
- * (extracted in place from the transposed rows — no separate last-bit
+ * (read out of the XOR of the transposed rows — no separate last-bit
  * planes).  x is the packed input bank (R, n, nbytes); wT is the
  * pre-transposed weight bank (C, L, W); out is (C, R, L) int16.
  *
  * The input is transposed tile-by-tile into a scratch buffer sized to
- * TILE_BYTES, then every output channel streams over the cached tile —
- * the transposition is fused into the counting pass and the working
- * set never leaves the cache. */
+ * TILE_BYTES, in the counting layout of count_layout, then every
+ * output channel streams over the cached tile — the transposition is
+ * fused into the counting pass and the working set never leaves the
+ * cache. */
 API int repro_apc_inner_counts(const uint8_t *x, const uint8_t *wT,
                                int64_t R, int64_t C, int64_t n,
                                int64_t nbytes, int64_t L, int64_t W,
                                int approximate, int16_t *out)
 {
     ENSURE_TABLES();
+    const count_layout cl = make_layout(n, L, W, approximate);
     int64_t Rb = TILE_BYTES / (L * W > 0 ? L * W : 1);
     if (Rb < 1)
         Rb = 1;
     if (Rb > R)
         Rb = R;
+    uint8_t *wown;
+    const uint8_t *wl = layout_weights(&cl, wT, C, &wown);
     uint8_t *buf = (uint8_t *)malloc((size_t)(Rb * L * W));
-    if (!buf)
+    if (!wl || !buf) {
+        free(wown);
+        free(buf);
         return -1;
-    int64_t lastb = (n - 1) >> 3;
-    int sh = 7 - (int)((n - 1) & 7);
+    }
     for (int64_t r0 = 0; r0 < R; r0 += Rb) {
         int64_t rn = (R - r0 < Rb) ? R - r0 : Rb;
         memset(buf, 0, (size_t)(rn * L * W));
         for (int64_t rr = 0; rr < rn; rr++)
-            transpose_rows_one(x + (r0 + rr) * n * nbytes, n, nbytes, L, W,
-                               buf + rr * L * W);
-        for (int64_t c = 0; c < C; c++) {
-            const uint8_t *wrow = wT + c * L * W;
-            for (int64_t rr = 0; rr < rn; rr++) {
-                const uint8_t *xrow = buf + rr * L * W;
-                int16_t *o = out + (c * R + r0 + rr) * L;
-                if (W == 4) {
-                    /* conv layers: one word per cycle row */
-                    for (int64_t t = 0; t < L; t++) {
-                        uint32_t ua, ub;
-                        memcpy(&ua, xrow + t * 4, 4);
-                        memcpy(&ub, wrow + t * 4, 4);
-                        int64_t cnt = n - popcnt64((uint64_t)(ua ^ ub));
-                        if (approximate) {
-                            int xb = (xrow[t * 4 + lastb] >> sh) & 1;
-                            int wb = (wrow[t * 4 + lastb] >> sh) & 1;
-                            int prod = 1 ^ xb ^ wb;
-                            cnt = (cnt & ~(int64_t)1)
-                                | ((cnt ^ prod) & 1);
-                        }
-                        o[t] = (int16_t)cnt;
-                    }
-                } else {
-                    for (int64_t t = 0; t < L; t++) {
-                        int64_t cnt = n - popcount_xor(xrow + t * W,
-                                                       wrow + t * W, W);
-                        if (approximate) {
-                            int xb = (xrow[t * W + lastb] >> sh) & 1;
-                            int wb = (wrow[t * W + lastb] >> sh) & 1;
-                            int prod = 1 ^ xb ^ wb;
-                            cnt = (cnt & ~(int64_t)1)
-                                | ((cnt ^ prod) & 1);
-                        }
-                        o[t] = (int16_t)cnt;
-                    }
-                }
-            }
-        }
+            transpose_rows(x + (r0 + rr) * n * nbytes, NULL, n, nbytes, L,
+                           cl.tstride, cl.kstride, buf + rr * L * W);
+        for (int64_t c = 0; c < C; c++)
+            for (int64_t rr = 0; rr < rn; rr++)
+                count_cycles(&cl, buf + rr * L * W, wl + c * L * W,
+                             out + (c * R + r0 + rr) * L);
     }
+    free(wown);
     free(buf);
     return 0;
 }
@@ -414,66 +534,118 @@ API int name(const T *inc, int64_t rows, int64_t Tn, int64_t hi,          \
 DEFINE_SATC(repro_saturating_counter_i64, int64_t)
 DEFINE_SATC(repro_saturating_counter_i32, int32_t)
 
-/* Fused APC-Max-Btanh (Section 4.4) for one pooled conv stage:
+/* APC-Max-Btanh (Section 4.4) of one pool window of one channel:
  *
- *   counts[cb, p, t]  (CB, P, L) int16 APC counts, cb = channel x image
- *   windows[w, 0..3]  (Wn, 4) positions in [0, P) of each 2x2 window
- *   out[cb, w, :]     (CB, Wn, nbytes) packed Btanh output bits
+ *   row[k] = counts + k * L, k < 4: the window's four APC count rows
+ *   o[0 .. nbytes)                 packed Btanh output bits
  *
- * Per (cb, w), in one pass: the accumulator max pool of
- * blocks.pooling.apc_max_pool (segment 0 takes candidate 0; segment
- * j > 0 takes the first-index argmax of the candidates' totals through
- * segment j - 1), the Btanh saturating counter over the winner's counts
- * (state += 2*count - n clamped into [0, K-1], init and threshold
- * K/2, output bit = state >= K/2) and the big-endian pack, padding bits
- * zero.  The working set is the four candidate rows of one window; the
+ * in one pass: the accumulator max pool of blocks.pooling.apc_max_pool
+ * (segment 0 takes candidate 0; segment j > 0 takes the first-index
+ * argmax of the candidates' totals through segment j - 1), the Btanh
+ * saturating counter over the winner's counts (state += 2*count - n
+ * clamped into [0, K-1], init and threshold K/2, output bit =
+ * state >= K/2) and the big-endian pack, padding bits zero.  The
  * windowed copy, segment sums, increments and bit array of the NumPy
  * composition are never built.  L must be a multiple of segment. */
-API int repro_apc_max_btanh_pack(const int16_t *counts, int64_t CB,
-                                 int64_t P, int64_t L,
-                                 const int64_t *windows, int64_t Wn,
-                                 int64_t segment, int64_t n,
-                                 int64_t n_states, uint8_t *out)
+static void max_btanh_pack(const int16_t *counts, int64_t L,
+                           int64_t segment, int64_t n, int64_t n_states,
+                           uint8_t *o)
 {
-    const int64_t nbytes = (L + 7) / 8;
     const int64_t hi = n_states - 1, half = n_states / 2;
-    for (int64_t cb = 0; cb < CB; cb++) {
-        const int16_t *base = counts + cb * P * L;
-        for (int64_t w = 0; w < Wn; w++) {
-            const int16_t *row[4];
-            for (int k = 0; k < 4; k++)
-                row[k] = base + windows[4 * w + k] * L;
-            uint8_t *o = out + (cb * Wn + w) * nbytes;
-            int64_t tot[4] = {0, 0, 0, 0};
-            int64_t s = half;
-            unsigned acc = 0;
-            int sel = 0;
-            for (int64_t j0 = 0; j0 < L; j0 += segment) {
-                const int16_t *src = row[sel];
-                /* The accumulators' adds ride in the latency shadow of
-                 * the counter's serial clamp chain. */
-                for (int64_t t = j0; t < j0 + segment; t++) {
-                    tot[0] += row[0][t];
-                    tot[1] += row[1][t];
-                    tot[2] += row[2][t];
-                    tot[3] += row[3][t];
-                    s += 2 * (int64_t)src[t] - n;
-                    s = s < 0 ? 0 : s;
-                    s = s > hi ? hi : s;
-                    acc = (acc << 1) | (unsigned)(s >= half);
-                    if ((t & 7) == 7) {
-                        o[t >> 3] = (uint8_t)acc;
-                        acc = 0;
-                    }
-                }
-                sel = 0;
-                for (int k = 1; k < 4; k++)
-                    if (tot[k] > tot[sel])
-                        sel = k;
+    const int16_t *row[4];
+    for (int k = 0; k < 4; k++)
+        row[k] = counts + k * L;
+    int64_t tot[4] = {0, 0, 0, 0};
+    int64_t s = half;
+    unsigned acc = 0;
+    int sel = 0;
+    for (int64_t j0 = 0; j0 < L; j0 += segment) {
+        const int16_t *src = row[sel];
+        /* The accumulators' adds ride in the latency shadow of the
+         * counter's serial clamp chain. */
+        for (int64_t t = j0; t < j0 + segment; t++) {
+            tot[0] += row[0][t];
+            tot[1] += row[1][t];
+            tot[2] += row[2][t];
+            tot[3] += row[3][t];
+            s += 2 * (int64_t)src[t] - n;
+            s = s < 0 ? 0 : s;
+            s = s > hi ? hi : s;
+            acc = (acc << 1) | (unsigned)(s >= half);
+            if ((t & 7) == 7) {
+                o[t >> 3] = (uint8_t)acc;
+                acc = 0;
             }
-            if (L & 7)
-                o[nbytes - 1] = (uint8_t)(acc << (8 - (L & 7)));
+        }
+        sel = 0;
+        for (int k = 1; k < 4; k++)
+            if (tot[k] > tot[sel])
+                sel = k;
+    }
+    if (L & 7)
+        o[(L + 7) / 8 - 1] = (uint8_t)(acc << (8 - (L & 7)));
+}
+
+/* One APC conv stage with max pooling (ExactBackend._conv_layer):
+ * inner product -> APC count -> max pool -> Btanh -> pack, per pool
+ * window, without the (C, B, P, L) count tensor.
+ *
+ *   x[b, s, :]       (B, S, nbytes) packed input bank, bias row included
+ *   table[p, j]      (P, n) row of x feeding input j of conv position p
+ *   wT[c, t, :]      (C, L, W) transposed weight bank
+ *   windows[w, 0..3] (Wn, 4) positions in [0, P) of each 2x2 window
+ *   out[c, b, w, :]  (C, B, Wn, nbytes) packed Btanh output bits
+ *
+ * Per (image, window): the window's four positions are transposed
+ * straight out of x through the table into a 4 x L x W tile; all C x 4
+ * x L counts go into an int16 scratch; only then does max_btanh_pack
+ * run per channel.  Finishing the counts first keeps the vector stores
+ * of count_cycles out of the counter's serial clamp chain (a count read
+ * right after its store stalled the chain ~3x).  Working set per
+ * window: tile 4*L*W bytes + scratch 8*C*L bytes + the weight bank
+ * C*L*W bytes — at LeNet-5 layer 1, L = 64: 16 KiB + 25 KiB in L1/L2
+ * beside a 200 KiB L2-resident bank. */
+API int repro_apc_conv_max_btanh_pack(const uint8_t *x, int64_t B,
+                                      int64_t S, int64_t nbytes,
+                                      const int64_t *table, int64_t n,
+                                      const uint8_t *wT,
+                                      int64_t C, int64_t L, int64_t W,
+                                      const int64_t *windows, int64_t Wn,
+                                      int64_t segment, int64_t n_states,
+                                      uint8_t *out)
+{
+    ENSURE_TABLES();
+    const count_layout cl = make_layout(n, L, W, 1);
+    const int64_t ob = (L + 7) / 8;
+    uint8_t *wown;
+    const uint8_t *wl = layout_weights(&cl, wT, C, &wown);
+    uint8_t *tile = (uint8_t *)malloc((size_t)(4 * L * W));
+    int16_t *cnt = (int16_t *)malloc((size_t)(C * 4 * L) * sizeof(int16_t));
+    if (!wl || !tile || !cnt) {
+        free(wown);
+        free(tile);
+        free(cnt);
+        return -1;
+    }
+    for (int64_t b = 0; b < B; b++) {
+        const uint8_t *xb = x + b * S * nbytes;
+        for (int64_t w = 0; w < Wn; w++) {
+            memset(tile, 0, (size_t)(4 * L * W));
+            for (int k = 0; k < 4; k++)
+                transpose_rows(xb, table + windows[4 * w + k] * n, n,
+                               nbytes, L, cl.tstride, cl.kstride,
+                               tile + k * L * W);
+            for (int64_t c = 0; c < C; c++)
+                for (int k = 0; k < 4; k++)
+                    count_cycles(&cl, tile + k * L * W, wl + c * L * W,
+                                 cnt + (c * 4 + k) * L);
+            for (int64_t c = 0; c < C; c++)
+                max_btanh_pack(cnt + c * 4 * L, L, segment, n, n_states,
+                               out + ((c * B + b) * Wn + w) * ob);
         }
     }
+    free(wown);
+    free(tile);
+    free(cnt);
     return 0;
 }

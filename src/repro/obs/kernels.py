@@ -1,8 +1,8 @@
 """Kernel-tier profiling hooks: wall time per kernel per dispatch tier.
 
 The word engine dispatches each kernel (popcount, transpose_pack,
-popcount_sum, mux_select, stanh, apc_counts, apc_max_btanh_pack) to one
-of three tiers:
+popcount_sum, mux_select, stanh, apc_counts, apc_conv_max_btanh_pack) to
+one of three tiers:
 
 * ``native``     — the compiled C library (``repro.native``),
 * ``numpy-simd`` — NumPy >= 2.0 ``bitwise_count`` vector path,

@@ -93,7 +93,7 @@ def stanh_packed(data: np.ndarray, length: int, n_states: int,
     if threshold is None:
         threshold = n_states // 2
     data = np.asarray(data, dtype=np.uint8)
-    if n_states > _MAX_LUT_STATES:   # pragma: no cover - huge-FSM fallback
+    if n_states > _MAX_LUT_STATES:   # huge-FSM fallback
         bits = ops.unpack_bits(data, length)
         return ops.pack_bits(stanh_bits(bits, n_states, threshold=threshold))
     nxt, outb = _stanh_tables(n_states, int(threshold))

@@ -1,4 +1,4 @@
-"""Tests for the metrics, sweep utilities and table formatting."""
+"""Tests for the metrics and table formatting."""
 
 import numpy as np
 import pytest
@@ -8,7 +8,6 @@ from repro.analysis.metrics import (
     mean_absolute_error,
     mean_relative_error,
 )
-from repro.analysis.sweep import Sweep
 from repro.analysis.tables import PAPER, format_table
 
 
@@ -32,33 +31,6 @@ class TestMetrics:
     def test_error_rate_shape_mismatch(self):
         with pytest.raises(ValueError, match="mismatch"):
             error_rate_pct([1], [1, 2])
-
-
-class TestSweep:
-    def test_full_grid(self):
-        result = Sweep(a=[1, 2], b=[10, 20]).run(lambda a, b: a * b)
-        assert result.values[(2, 20)] == 40
-        assert len(result.values) == 4
-
-    def test_row_extraction(self):
-        result = Sweep(n=[16, 32], length=[128, 256]).run(
-            lambda n, length: n + length
-        )
-        assert result.row(n=16) == [144, 272]
-
-    def test_row_requires_single_free_axis(self):
-        result = Sweep(a=[1], b=[2], c=[3]).run(lambda a, b, c: a)
-        with pytest.raises(ValueError, match="free"):
-            result.row(a=1)
-
-    def test_empty_axes_rejected(self):
-        with pytest.raises(ValueError, match="axis"):
-            Sweep()
-
-    def test_grid_iteration(self):
-        result = Sweep(x=[1, 2]).run(lambda x: x * x)
-        combos = dict((tuple(c.items()), v) for c, v in result.grid())
-        assert combos[(("x", 2),)] == 4
 
 
 class TestFormatTable:
@@ -92,27 +64,3 @@ class TestPaperConstants:
     def test_table7_no11(self):
         assert PAPER["table7"]["No.11"]["area_mm2"] == 17.0
 
-
-class TestEngineErrorSweep:
-    def test_grid_over_combos_lengths_backends(self, tiny_trained_lenet,
-                                               small_dataset):
-        from repro.analysis.sweep import engine_error_sweep
-        from repro.core.config import PoolKind
-        from repro.data.synthetic_mnist import to_bipolar
-        _, _, x_test, y_test = small_dataset
-        result = engine_error_sweep(
-            tiny_trained_lenet, to_bipolar(x_test), y_test,
-            kind_combos=[("APC", "APC", "APC")],
-            lengths=[256, 128],
-            pooling=PoolKind.MAX,
-            backends=("float", "noise"),
-            max_images=32,
-        )
-        assert result.axes == ("combo", "length", "backend")
-        assert len(result.values) == 4
-        for err in result.values.values():
-            assert 0.0 <= err <= 100.0
-        # float backend is length-independent: identical columns
-        combo = ("APC", "APC", "APC")
-        assert (result.values[(combo, 256, "float")]
-                == result.values[(combo, 128, "float")])

@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 
 import repro.native as native
 from repro.blocks.pooling import apc_max_pool
+from repro.engine.exact import numpy_apc_counts
 from repro.native import build as native_build
 from repro.sc import activation, adders, fsm, ops
 
@@ -131,101 +132,136 @@ def test_saturating_counter_bit_identical(data, shape, T, n_states, dtype):
     np.testing.assert_array_equal(got, ref)
 
 
+# Input counts reaching every counting layout of the native kernels:
+# rows of width W = 4 (n <= 32), word-major W = 8 (33-64) and W >= 16
+# (97-128, 225-256: the last input's byte in word 1 or 3), and the
+# bytewise W = 12 (65-96) and W = 20 (129-160).
+input_counts = st.one_of(
+    st.integers(min_value=1, max_value=32),
+    st.integers(min_value=33, max_value=64),
+    st.integers(min_value=65, max_value=96),
+    st.integers(min_value=97, max_value=128),
+    st.integers(min_value=129, max_value=160),
+    st.integers(min_value=225, max_value=256),
+)
+
+
+def _numpy_counts(x, w, n, length):
+    """The exact backend's NumPy counting path (the oracle) on packed
+    banks ``x (R, n, nb)`` and ``w (C, n, nb)``, plus ``wT``."""
+    with native.override(False):
+        wT = ops.transpose_pack(w, length)
+        w_last = ops.unpack_bits(w[:, -1, :], length)
+        return numpy_apc_counts(x, wT, w_last, n, length), wT
+
+
 @needs_native
-@settings(max_examples=25, deadline=None)
-@given(data=st.data(), length=lengths,
-       n=st.integers(min_value=1, max_value=40),
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), length=lengths, n=input_counts,
        rows=st.integers(min_value=1, max_value=5),
        channels=st.integers(min_value=1, max_value=4))
 def test_apc_inner_counts_bit_identical(data, length, n, rows, channels):
-    """The fused exact-backend inner product against the unfused NumPy
+    """The fused exact-backend inner product against the NumPy
     arithmetic of ``ExactBackend._apc_counts``."""
     x = ops.pack_bits(random_bits(data, (rows, n), length))
     w = ops.pack_bits(random_bits(data, (channels, n), length))
-    with native.override(False):
-        wT = ops.transpose_pack(w, length)
-        xT = ops.transpose_pack(x, length)
-        ham = ops.popcount_sum(xT[None] ^ wT[:, None], dtype=np.int16)
-        exact = np.int16(n) - ham
-        x_last = ops.unpack_bits(x[:, -1, :], length)
-        w_last = ops.unpack_bits(w[:, -1, :], length)
-        prod_last = np.uint8(1) ^ x_last[None] ^ w_last[:, None]
-        one = np.int16(1)
-        ref = (exact & ~one) | ((exact ^ prod_last) & one)
+    ref, wT = _numpy_counts(x, w, n, length)
     got = native.apc_inner_counts(x, wT, n, length)
     assert got.dtype == ref.dtype
     np.testing.assert_array_equal(got, ref)
 
 
-def _apc_max_btanh_pack_numpy(counts, windows, segment, n, n_states):
-    """The exact backend's NumPy APC-Max-Btanh composition (the oracle)."""
+def _conv_stage_numpy(x, table, w, windows, length, segment, n_states):
+    """The exact backend's NumPy APC conv stage with max pooling:
+    gather, count, ``apc_max_pool``, ``btanh_counts``, ``pack_bits``."""
+    B, nb = x.shape[0], x.shape[-1]
+    (P, n), C = table.shape, w.shape[0]
+    counts, wT = _numpy_counts(x[:, table].reshape(B * P, n, nb), w, n,
+                               length)
+    counts = counts.reshape(C, B, P, length)
     with native.override(False):
         pooled = apc_max_pool(counts[:, :, windows], segment)
-        return ops.pack_bits(activation.btanh_counts(pooled, n, n_states))
+        out = ops.pack_bits(activation.btanh_counts(pooled, n, n_states))
+    return out, wT
 
 
 @needs_native
 @settings(max_examples=60, deadline=None)
 @given(data=st.data(),
        segment=st.sampled_from([4, 8, 12, 16, 32]),
-       n_segments=st.integers(min_value=1, max_value=6),
-       n=st.integers(min_value=1, max_value=600),
+       n_segments=st.integers(min_value=1, max_value=5),
+       n=input_counts,
        n_states=st.one_of(st.sampled_from([1, 2, 3, 52, 1002]),
                           st.integers(min_value=0, max_value=40).map(
                               lambda k: 2 * k + 1)),
-       shape=st.sampled_from([(1, 1), (2, 1), (3, 2)]),
-       n_windows=st.integers(min_value=1, max_value=5),
-       ties=st.sampled_from(["none", "extremes", "equal"]))
-def test_apc_max_btanh_pack_bit_identical(data, segment, n_segments, n,
-                                          n_states, shape, n_windows, ties):
-    """The fused pool → Btanh → pack kernel against the NumPy
-    composition, on tie-heavy counts that pin the first-index argmax
-    and on lengths whose last byte is zero-padded (e.g. 12 × 3)."""
+       batch=st.integers(min_value=1, max_value=3),
+       channels=st.integers(min_value=1, max_value=4),
+       n_windows=st.integers(min_value=1, max_value=4),
+       inputs=st.sampled_from(["random", "sparse", "equal"]))
+def test_apc_conv_max_btanh_pack_bit_identical(data, segment, n_segments,
+                                               n, n_states, batch,
+                                               channels, n_windows,
+                                               inputs):
+    """The fused conv stage against the NumPy composition, over every
+    counting layout, lengths whose last byte is zero-padded (e.g.
+    12 × 3), mostly-zero inputs (the transposes' zero-block skip) and
+    all-equal patches that tie every window's candidates."""
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     length = segment * n_segments
-    positions = 4 * n_windows + int(rng.integers(0, 3))
-    size = shape + (positions, length)
-    if ties == "extremes":
-        counts = rng.choice([0, n], size=size)
-    elif ties == "equal":
-        # every position of an image carries the same count row, so all
-        # four candidates of every window tie in every segment
-        row = rng.integers(0, n + 1, size=shape + (1, length))
-        counts = np.broadcast_to(row, size)
-    else:
-        counts = rng.integers(0, n + 1, size=size)
-    counts = counts.astype(np.int16)
-    windows = rng.integers(0, positions, size=(n_windows, 4))
-    got = native.apc_max_btanh_pack(counts, windows, segment, n, n_states)
-    ref = _apc_max_btanh_pack_numpy(counts, windows, segment, n, n_states)
+    S = int(rng.integers(1, 2 * n + 2))
+    P = 4 * n_windows + int(rng.integers(0, 3))
+    bits = rng.random((batch, S, length)) < 0.5
+    if inputs == "sparse":
+        bits &= rng.random((batch, S, 1)) < 0.2
+    x = ops.pack_bits(bits)
+    table = rng.integers(0, S, size=(P, n))
+    if inputs == "equal":
+        table[:] = table[0]
+    w = ops.pack_bits(rng.random((channels, n, length)) < 0.5)
+    windows = rng.integers(0, P, size=(n_windows, 4))
+    ref, wT = _conv_stage_numpy(x, table, w, windows, length, segment,
+                                n_states)
+    got = native.apc_conv_max_btanh_pack(x, table, wT, windows, segment,
+                                         n_states)
     assert got.dtype == ref.dtype and got.shape == ref.shape
     np.testing.assert_array_equal(got, ref)
     assert ops.padding_is_zero(got, length)
 
 
-@pytest.mark.parametrize("counts,windows,segment,match", [
-    (np.zeros((2, 1, 4, 16), np.int32), np.zeros((1, 4)), 16, "int16"),
-    (np.zeros((2, 4, 16), np.int16), np.zeros((1, 4)), 16, "int16"),
-    (np.zeros((2, 1, 4, 16), np.int16), np.zeros(4), 16, "windows"),
-    (np.zeros((2, 1, 4, 16), np.int16), np.zeros((1, 3)), 16, "windows"),
-    (np.zeros((2, 1, 4, 16), np.int16), np.zeros((1, 4), float), 16,
-     "windows"),
-    (np.zeros((2, 1, 4, 16), np.int16), np.array([[0, 1, 2, 4]]), 16,
-     r"outside \[0, 4\)"),
-    (np.zeros((2, 1, 4, 16), np.int16), np.array([[0, -1, 2, 3]]), 16,
-     r"outside \[0, 4\)"),
-    (np.zeros((2, 1, 4, 36), np.int16), np.zeros((1, 4), int), 16,
-     "multiple of segment 16"),
-    (np.zeros((2, 1, 4, 16), np.int16), np.zeros((1, 4), int), 0,
-     "segment"),
+def _bad_conv_stage_args(**bad):
+    args = dict(x=np.zeros((1, 5, 2), np.uint8),
+                table=np.zeros((4, 3), int),
+                wT=np.zeros((2, 16, 4), np.uint8),
+                windows=np.zeros((1, 4), int), segment=16, n_states=6)
+    args.update(bad)
+    return args
+
+
+@pytest.mark.parametrize("bad,match", [
+    (dict(x=np.zeros((1, 5, 2), np.int16)), "uint8 x"),
+    (dict(x=np.zeros((5, 2), np.uint8)), "uint8 x"),
+    (dict(wT=np.zeros((16, 4), np.uint8)), "uint8 wT"),
+    (dict(table=np.zeros((4, 3), float)), "table"),
+    (dict(table=np.zeros(3, int)), "table"),
+    (dict(table=np.array([[0, 1, 5]] * 4)), r"table index outside \[0, 5\)"),
+    (dict(table=np.array([[0, -1, 2]] * 4)), r"table index outside \[0, 5\)"),
+    (dict(windows=np.zeros(4, int)), "windows"),
+    (dict(windows=np.zeros((1, 3), int)), "windows"),
+    (dict(windows=np.zeros((1, 4), float)), "windows"),
+    (dict(windows=np.array([[0, 1, 2, 4]])), r"windows index outside \[0, 4\)"),
+    (dict(windows=np.array([[0, -1, 2, 3]])), r"windows index outside \[0, 4\)"),
+    (dict(table=np.zeros((4, 40), int)), "bank mismatch"),
+    (dict(x=np.zeros((1, 5, 3), np.uint8)), "bank mismatch"),
+    (dict(segment=12), "multiple of segment 12"),
+    (dict(segment=0), "segment"),
+    (dict(n_states=0), "n_states"),
 ])
-def test_apc_max_btanh_pack_rejects_before_c(counts, windows, segment,
-                                             match, monkeypatch):
+def test_apc_conv_max_btanh_pack_rejects_before_c(bad, match, monkeypatch):
     """Bad arguments raise ``ValueError`` in the wrapper; with the
     library handle removed, reaching C would be an AttributeError."""
     monkeypatch.setattr(native, "_lib", None)
     with pytest.raises(ValueError, match=match):
-        native.apc_max_btanh_pack(counts, windows, segment, 25, 52)
+        native.apc_conv_max_btanh_pack(**_bad_conv_stage_args(**bad))
 
 
 # ----------------------------------------------------------------------

@@ -53,6 +53,31 @@ class TestStanh:
         wrapped = activation.stanh(s, 8)
         np.testing.assert_array_equal(packed_out, wrapped.data)
 
+    @pytest.mark.parametrize("threshold", [None, 60])
+    @pytest.mark.parametrize("length", [1000, 1003])
+    def test_packed_huge_fsm_fallback(self, length, threshold):
+        """K = 300 outgrows the uint8 byte-transition tables, so
+        ``stanh_packed`` steps the bit-level FSM instead; it must match
+        ``stanh_bits`` and a plain per-cycle scan, padding bits zero."""
+        K = 300
+        assert K > activation._MAX_LUT_STATES
+        rng = np.random.default_rng(11)
+        # long runs of one bit walk the state across the whole range
+        p = np.repeat(rng.uniform(0, 1, (3, length // 50 + 1)), 50, axis=1)
+        bits = rng.random((3, length)) < p[:, :length]
+        packed = ops.pack_bits(bits)
+        got = activation.stanh_packed(packed, length, K, threshold=threshold)
+        ref = activation.stanh_bits(bits, K, threshold=threshold)
+        np.testing.assert_array_equal(got, ops.pack_bits(ref))
+        assert ops.padding_is_zero(got, length)
+        thr = K // 2 if threshold is None else threshold
+        state = np.full(3, K // 2)
+        scan = np.empty_like(bits)
+        for t in range(length):
+            state = np.clip(state + 2 * bits[:, t] - 1, 0, K - 1)
+            scan[:, t] = state >= thr
+        np.testing.assert_array_equal(ref.astype(bool), scan)
+
 
 class TestStanhExpected:
     def test_curve(self):
