@@ -1,6 +1,6 @@
 """Run the benchmark suites and record the perf trajectory.
 
-Four suites, each versioned as a JSON file under ``benchmarks/`` so
+Three suites, each versioned as a JSON file under ``benchmarks/`` so
 regressions show up in review diffs (machine-to-machine variance means
 only same-machine ratios are meaningful):
 
@@ -15,18 +15,13 @@ only same-machine ratios are meaningful):
 * ``--dse`` — ``bench_dse.py`` → ``benchmarks/BENCH_dse.json``
   (the design-space exploration runner at 4 workers vs 1, plus
   exact-evaluator screening savings; records ``cpu_count`` so the
-  parallel ratio reads in context);
-* ``--scenes`` — ``bench_scenes.py`` →
-  ``benchmarks/BENCH_scenes.json`` (composite-scene serving: one
-  scene request fanned into a coalesced window batch vs naive
-  per-window requests, with bit-identity and one-compile-per-run
-  asserted).
+  parallel ratio reads in context).
 
-With no flags all suites run.  The batched exact forward is measured by
-perfbench's ``fwd-*`` workloads.  Usage::
+With no flags all suites run.  The batched exact forward and scene
+serving are measured by perfbench's workloads.  Usage::
 
     PYTHONPATH=src python benchmarks/run_all.py [--kernels] [--serve]
-                                                [--dse] [--scenes]
+                                                [--dse]
 """
 
 from __future__ import annotations
@@ -43,7 +38,6 @@ BENCH_DIR = Path(__file__).resolve().parent
 DEFAULT_OUTPUT = BENCH_DIR / "BENCH_kernels.json"
 SERVE_OUTPUT = BENCH_DIR / "BENCH_serve.json"
 DSE_OUTPUT = BENCH_DIR / "BENCH_dse.json"
-SCENES_OUTPUT = BENCH_DIR / "BENCH_scenes.json"
 
 #: numpy-vs-native benchmark twins (see bench_kernels.py) folded into
 #: the ``native`` speedup column of BENCH_kernels.json.
@@ -197,37 +191,6 @@ def run_dse_benchmarks(output: Path = DSE_OUTPUT,
     return payload
 
 
-def run_scenes_benchmarks(output: Path = SCENES_OUTPUT,
-                          quick: bool = False) -> dict:
-    """Run bench_scenes.py in-process; write and return the payload."""
-    sys.path.insert(0, str(BENCH_DIR.parent / "src"))
-    sys.path.insert(0, str(BENCH_DIR))
-    try:
-        from bench_scenes import measure_scenes
-        results = measure_scenes(quick=quick)
-    finally:
-        sys.path.pop(0)
-        sys.path.pop(0)
-    payload = {
-        "unit": "scenes per second per mode",
-        "note": "composite grid scenes through the serving tier: "
-                "per_window_requests is the naive client (extract the "
-                "windows yourself, one blocking predict per window), "
-                "scene_requests sends the whole canvas in one request "
-                "which the service fans into a coalesced window batch; "
-                "bit_identical asserts every scene reply equals a "
-                "dedicated single-engine TiledInference run and that "
-                "the whole run compiled exactly one plan",
-        **results,
-    }
-    output.write_text(json.dumps(payload, indent=2) + "\n")
-    print(f"wrote {output}")
-    print(f"  scene requests vs naive per-window "
-          f"({results['scenes']} scenes, exact L={results['length']}): "
-          f"{results['speedup_scene_vs_per_window']}x")
-    return payload
-
-
 def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--kernels", action="store_true",
@@ -238,33 +201,21 @@ def main(argv=None) -> None:
                         help="run only the DSE throughput benchmark")
     parser.add_argument("--dse-quick", action="store_true",
                         help="CI-smoke sizing for the DSE benchmark")
-    parser.add_argument("--scenes", action="store_true",
-                        help="run only the composite-scene serving "
-                             "benchmark")
-    parser.add_argument("--scenes-quick", action="store_true",
-                        help="CI-smoke sizing for the scenes benchmark")
     parser.add_argument("--output", type=Path, default=DEFAULT_OUTPUT,
                         help="where to write the kernel medians JSON")
     parser.add_argument("--serve-output", type=Path, default=SERVE_OUTPUT,
                         help="where to write the serving benchmark JSON")
     parser.add_argument("--dse-output", type=Path, default=DSE_OUTPUT,
                         help="where to write the DSE benchmark JSON")
-    parser.add_argument("--scenes-output", type=Path,
-                        default=SCENES_OUTPUT,
-                        help="where to write the scenes benchmark JSON")
     args = parser.parse_args(argv)
     dse = args.dse or args.dse_quick
-    scenes = args.scenes or args.scenes_quick
-    run_all = not (args.kernels or args.serve or dse or scenes)
+    run_all = not (args.kernels or args.serve or dse)
     if args.kernels or run_all:
         run_kernel_benchmarks(args.output)
     if args.serve or run_all:
         run_serve_benchmarks(args.serve_output)
     if dse or run_all:
         run_dse_benchmarks(args.dse_output, quick=args.dse_quick)
-    if scenes or run_all:
-        run_scenes_benchmarks(args.scenes_output,
-                              quick=args.scenes_quick)
 
 
 if __name__ == "__main__":

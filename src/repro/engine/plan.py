@@ -48,8 +48,6 @@ __all__ = [
     "LayerPlan",
     "CompiledPlan",
     "compile_plan",
-    "pack_plan",
-    "unpack_plan",
 ]
 
 OUTPUT_STATES = 2
@@ -173,35 +171,8 @@ def _quantize(values: np.ndarray, bits) -> np.ndarray:
 class LayerPlan:
     """Resolved per-layer execution parameters (immutable once built)."""
 
-    #: The stored-weight variants a plan carries per layer — the
-    #: quantization products :func:`pack_plan` serializes so a
-    #: rehydrated plan never re-quantizes.
-    ARRAY_FIELDS = ("weights", "dense_weights", "dense_bias",
-                    "raw_weights", "raw_bias")
-
     def __init__(self, node, n_states: int, bits, scaled_w, scaled_b,
                  deficit: float, applied_factor: float, raw_cache: dict):
-        self._init_structure(node, n_states, bits, deficit, applied_factor)
-        #: exact-backend storage: bias folded as one extra column, then
-        #: quantized.
-        self.weights = _quantize(
-            np.concatenate([scaled_w, scaled_b[:, None]], axis=1), bits
-        )
-        #: surrogate storage: scaled weight/bias quantized separately.
-        self.dense_weights = _quantize(scaled_w, bits)
-        self.dense_bias = _quantize(scaled_b, bits)
-        #: float/noise storage: unscaled parameters, quantized; cached
-        #: across recompiles (never length-dependent).
-        key = (node.name, bits)
-        if key not in raw_cache:
-            raw_cache[key] = (_quantize(node.weight, bits),
-                              _quantize(node.bias, bits))
-        self.raw_weights, self.raw_bias = raw_cache[key]
-
-    def _init_structure(self, node, n_states: int, bits, deficit: float,
-                        applied_factor: float) -> None:
-        """Everything derivable from the node alone (no quantization):
-        shared by compilation and zero-copy rehydration."""
         self.name = node.name
         self.op = node.op
         self.kind = node.kind
@@ -227,18 +198,21 @@ class LayerPlan:
         else:
             self.patch_index = None
             self.pool_windows = None
-
-    @classmethod
-    def _rehydrate(cls, node, n_states: int, bits, deficit: float,
-                   applied_factor: float, arrays: dict) -> "LayerPlan":
-        """Rebuild a layer plan around externally-stored weight arrays
-        (zero-copy views into a shared buffer) without re-quantizing."""
-        layer = cls.__new__(cls)
-        layer._init_structure(node, n_states, bits, deficit,
-                              applied_factor)
-        for field in cls.ARRAY_FIELDS:
-            setattr(layer, field, arrays[field])
-        return layer
+        #: exact-backend storage: bias folded as one extra column, then
+        #: quantized.
+        self.weights = _quantize(
+            np.concatenate([scaled_w, scaled_b[:, None]], axis=1), bits
+        )
+        #: surrogate storage: scaled weight/bias quantized separately.
+        self.dense_weights = _quantize(scaled_w, bits)
+        self.dense_bias = _quantize(scaled_b, bits)
+        #: float/noise storage: unscaled parameters, quantized; cached
+        #: across recompiles (never length-dependent).
+        key = (node.name, bits)
+        if key not in raw_cache:
+            raw_cache[key] = (_quantize(node.weight, bits),
+                              _quantize(node.bias, bits))
+        self.raw_weights, self.raw_bias = raw_cache[key]
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"LayerPlan({self.name}, {self.kind.value}, "
@@ -378,141 +352,3 @@ def compile_plan(graph_or_model, config: NetworkConfig | None = None,
     with obs.span("engine.compile", length=graph.config.length):
         return _compile(graph, weight_bits, raw_cache={})
 
-
-# ---------------------------------------------------------------------------
-# shared-buffer plan serialization (the serving tier's plan arena)
-# ---------------------------------------------------------------------------
-
-PACK_MAGIC = b"RPLN\x01\x00\x00\x00"
-"""8-byte header tag (+ format version) of a packed plan buffer."""
-
-_PACK_ALIGN = 64  # array alignment inside the payload (cache-line)
-
-
-def _aligned(offset: int) -> int:
-    return (offset + _PACK_ALIGN - 1) // _PACK_ALIGN * _PACK_ALIGN
-
-
-def pack_plan(plan: CompiledPlan) -> bytes:
-    """Serialize a compiled plan's quantization products into one buffer.
-
-    The buffer holds a JSON manifest (per-layer scalars and array
-    layout) followed by every stored-weight variant of every layer,
-    64-byte aligned.  Pair with :func:`unpack_plan`, which rebuilds the
-    plan as **zero-copy read-only views** into the same buffer — the
-    mechanism the multi-process serving tier uses to keep one copy of
-    each plan in ``multiprocessing.shared_memory`` no matter how many
-    worker processes serve it (see :mod:`repro.serve.procpool`).
-
-    Only quantization products travel: graph structure is re-derived by
-    the unpacker from the model it already holds, and the gather indices
-    (conv patches, pool windows) come from their per-geometry caches.
-    """
-    import json
-
-    layers = []
-    chunks = []
-    offset = 0
-    for layer in plan.layers:
-        arrays = {}
-        for field in LayerPlan.ARRAY_FIELDS:
-            arr = np.ascontiguousarray(getattr(layer, field))
-            offset = _aligned(offset)
-            arrays[field] = {"dtype": arr.dtype.str,
-                             "shape": list(arr.shape),
-                             "offset": offset}
-            chunks.append((offset, arr))
-            offset += arr.nbytes
-        layers.append({
-            "name": layer.name,
-            "n_states": int(layer.n_states),
-            "bits": layer.bits,
-            "deficit": float(layer.deficit),
-            "applied_factor": float(layer.applied_factor),
-            "arrays": arrays,
-        })
-    manifest = json.dumps({
-        "length": int(plan.config.length),
-        "pooling": plan.config.pooling.value,
-        "weight_bits": list(plan.weight_bits),
-        "layers": layers,
-    }).encode("utf8")
-    payload_start = _aligned(len(PACK_MAGIC) + 8 + len(manifest))
-    total = payload_start + offset
-    buf = bytearray(total)
-    buf[:len(PACK_MAGIC)] = PACK_MAGIC
-    buf[len(PACK_MAGIC):len(PACK_MAGIC) + 8] = len(manifest).to_bytes(
-        8, "little")
-    buf[len(PACK_MAGIC) + 8:len(PACK_MAGIC) + 8 + len(manifest)] = manifest
-    for rel, arr in chunks:
-        start = payload_start + rel
-        buf[start:start + arr.nbytes] = arr.tobytes()
-    return bytes(buf)
-
-
-def unpack_plan(graph: LayerGraph, buf) -> CompiledPlan:
-    """Rehydrate a :func:`pack_plan` buffer into a live plan, zero-copy.
-
-    ``graph`` is the layer graph for the *same* model and design point
-    the plan was compiled from (cheap to rebuild — lowering touches no
-    weights); every stored-weight array of the returned plan is a
-    read-only view into ``buf``, so plans served from a shared-memory
-    segment cost no per-process copies.  The caller must keep the
-    backing buffer alive for the plan's lifetime (attaching it to the
-    plan object, as the serve arena does, is enough).
-
-    Raises ``ValueError`` when the buffer does not match the graph —
-    wrong magic, layer mismatch, or shape mismatch.
-    """
-    import json
-
-    view = memoryview(buf)
-    if bytes(view[:len(PACK_MAGIC)]) != PACK_MAGIC:
-        raise ValueError("not a packed plan buffer (bad magic)")
-    manifest_len = int.from_bytes(
-        view[len(PACK_MAGIC):len(PACK_MAGIC) + 8], "little")
-    manifest = json.loads(
-        bytes(view[len(PACK_MAGIC) + 8:len(PACK_MAGIC) + 8 + manifest_len])
-        .decode("utf8"))
-    payload_start = _aligned(len(PACK_MAGIC) + 8 + manifest_len)
-    if manifest["length"] != graph.config.length:
-        raise ValueError(
-            f"packed plan targets L={manifest['length']} but the graph "
-            f"is configured for L={graph.config.length}")
-    if len(manifest["layers"]) != len(graph.nodes):
-        raise ValueError(
-            f"packed plan has {len(manifest['layers'])} layers but the "
-            f"graph lowers to {len(graph.nodes)}")
-    layers = []
-    raw_cache = {}
-    for node, meta in zip(graph.nodes, manifest["layers"]):
-        if meta["name"] != node.name:
-            raise ValueError(
-                f"packed layer {meta['name']!r} does not match graph "
-                f"node {node.name!r}")
-        bits = meta["bits"]
-        arrays = {}
-        for field, spec in meta["arrays"].items():
-            dtype = np.dtype(spec["dtype"])
-            shape = tuple(spec["shape"])
-            count = int(np.prod(shape, dtype=np.int64)) if shape else 1
-            arr = np.frombuffer(
-                view, dtype=dtype, count=count,
-                offset=payload_start + spec["offset"]).reshape(shape)
-            arr.flags.writeable = False
-            arrays[field] = arr
-        expect = (node.units, node.n_inputs)
-        if arrays["weights"].shape != expect:
-            raise ValueError(
-                f"{node.name}: packed weights shape "
-                f"{arrays['weights'].shape} does not match the graph's "
-                f"{expect}")
-        layers.append(LayerPlan._rehydrate(
-            node, meta["n_states"], bits, meta["deficit"],
-            meta["applied_factor"], arrays))
-        # Seed the raw-quantization cache so with_length re-derivations
-        # share the packed raw variants instead of re-quantizing.
-        raw_cache[(node.name, bits)] = (arrays["raw_weights"],
-                                        arrays["raw_bias"])
-    weight_bits = tuple(manifest["weight_bits"])
-    return CompiledPlan(graph, layers, weight_bits, raw_cache)

@@ -11,9 +11,10 @@ accounting, ``/stats`` and ``/metrics``.  Its executor runs the work:
   the :class:`MicroBatcher`, which coalesces concurrent same-spec
   requests under a ``max_batch``/``max_wait_ms`` policy;
 * :class:`~repro.serve.procpool.ProcExecutor` — N worker processes,
-  each a full in-process service, fed by spec-affine routing, with
-  compiled plans shared zero-copy through a :class:`PlanArena` and an
-  explicit close message per worker at shutdown (``--procs N``).
+  each a bare :class:`LocalExecutor` fed by spec-affine routing, with
+  the parent's compiled plans inherited through ``fork`` and an
+  explicit close message per worker at shutdown (``--procs N``).  The
+  frontend counts every request once; workers only execute.
 
 :class:`InferenceService` and :class:`ProcServeFacade` are the frontend
 bound to each executor; :mod:`repro.serve.server` puts either behind a
@@ -44,7 +45,7 @@ from repro.serve.batcher import (
     Ticket,
 )
 from repro.serve.pool import EnginePool
-from repro.serve.procpool import PlanArena, ProcExecutor, ProcServeFacade
+from repro.serve.procpool import ProcExecutor, ProcServeFacade
 from repro.serve.server import ServeHTTPServer, create_server, run_server
 from repro.serve.service import (
     InferenceService,
@@ -58,7 +59,7 @@ from repro.serve.stats import LatencyTracker
 
 __all__ = [
     "DeadlineExceeded", "EnginePool", "InferenceService", "LatencyTracker",
-    "LocalExecutor", "MicroBatcher", "PlanArena", "ProcExecutor",
+    "LocalExecutor", "MicroBatcher", "ProcExecutor",
     "ProcServeFacade", "QueueFull", "RequestResolver", "ServeFrontend",
     "ServeHTTPServer", "ServiceDraining", "Ticket", "create_server",
     "payload_fingerprint", "run_server",

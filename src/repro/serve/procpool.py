@@ -1,15 +1,15 @@
 """Multi-process executor: worker processes behind the serving frontend.
 
 One process computes under one GIL, so :class:`ProcExecutor` runs **N
-worker processes**, each a full
-:class:`~repro.serve.service.InferenceService`.  The
-:class:`~repro.serve.service.ServeFrontend` in front validates, admits,
-traces and accounts every request exactly as in process; the executor
-routes and relays it:
+worker processes**, each a bare
+:class:`~repro.serve.service.LocalExecutor` (engine pool plus
+micro-batcher).  The :class:`~repro.serve.service.ServeFrontend` in
+front validates, admits, traces and accounts every request exactly
+once; the executor routes the resolved request and relays its reply:
 
-* **shared plans** — each warm spec is compiled once, packed into a
-  :class:`multiprocessing.shared_memory` segment (:class:`PlanArena`)
-  and rehydrated by every worker as zero-copy views;
+* **inherited plans** — each warm spec is compiled once in the parent,
+  before any worker forks, and every worker's engine pool starts with
+  those plan objects: ``fork`` shares their pages copy-on-write;
 * **spec-affine routing** — a request's group key hashes to a worker,
   so same-spec traffic still coalesces in one micro-batcher;
 * **admission control** — in-flight requests are bounded per model
@@ -25,11 +25,13 @@ routes and relays it:
   ends, so no request pipe's write side is ever closed everywhere.  The
   puller thread that receives the message closes the request pipe, its
   sibling pullers fall out on ``OSError``, and the worker closes its
-  service and exits 0.  The arena's segments are unlinked last.
+  executor and exits 0.
 
-Workers are **fork**-context processes: the model set, the arena's
-segments and an armed ``REPRO_FAULTS`` injector are inherited, and the
-parent is the only process that ever unlinks a segment.
+A worker receives the group key, the validated payload (a scene
+already tiled) and the request's absolute deadline: ``CLOCK_MONOTONIC``
+is system-wide on Linux, so queue transit counts against the request
+budget.  Workers are **fork**-context processes: the model set, the
+compiled plans and an armed ``REPRO_FAULTS`` injector are inherited.
 """
 
 from __future__ import annotations
@@ -40,22 +42,21 @@ import os
 import threading
 import time
 import multiprocessing
-from multiprocessing import connection, shared_memory
+from multiprocessing import connection
 
 from repro import faults, obs
 from repro.core.config import config_digest
 from repro.engine import build_graph, compile_plan
-from repro.engine.plan import pack_plan, unpack_plan
 from repro.nn.zoo import model_digest
 from repro.serve.batcher import DeadlineExceeded, QueueFull
-from repro.serve.pool import model_set
+from repro.serve.pool import EnginePool, model_set
 from repro.serve.service import (
-    InferenceService,
+    LocalExecutor,
     RequestResolver,
     ServeFrontend,
 )
 
-__all__ = ["PlanArena", "ProcExecutor", "ProcServeFacade"]
+__all__ = ["ProcExecutor", "ProcServeFacade"]
 
 _RESTARTS_TOTAL = "repro_serve_worker_restarts_total"
 _RESTARTS_HELP = "Serve worker processes respawned after dying."
@@ -70,90 +71,6 @@ SCRAPE_TIMEOUT_S = 10.0
 #: how long close() waits for a worker to act on its close message
 #: before terminating it
 CLOSE_JOIN_S = 5.0
-
-_arena_ids = itertools.count()
-
-
-class PlanArena:
-    """Packed compiled plans in shared memory, keyed by digests.
-
-    The parent compiles and packs; workers (forked afterwards) inherit
-    the segments and seed their engine pools with zero-copy plans.  The
-    parent is the sole owner of every segment's lifetime: workers never
-    unlink, and :meth:`close` with ``unlink=True`` (the facade's
-    shutdown path) removes them from the system.
-    """
-
-    def __init__(self):
-        self.tag = f"{os.getpid()}-{next(_arena_ids)}"
-        self._segments = []
-        self._entries = []
-        self._closed = False
-
-    def add(self, name: str, model, config, bits) -> str:
-        """Compile, pack and publish one plan; returns the segment name."""
-        plan = compile_plan(build_graph(model, config), weight_bits=bits)
-        payload = pack_plan(plan)
-        segment = f"repro-plan-{self.tag}-{len(self._segments)}"
-        shm = shared_memory.SharedMemory(name=segment, create=True,
-                                         size=len(payload))
-        shm.buf[:len(payload)] = payload
-        self._segments.append(shm)
-        self._entries.append({
-            "model": name,
-            "mdigest": model_digest(model),
-            "cdigest": config_digest(config),
-            "bits": bits,
-            "length": config.length,
-            "config": config,
-            "segment": segment,
-        })
-        return segment
-
-    def segment_names(self) -> list:
-        return [entry["segment"] for entry in self._entries]
-
-    def seed_pool(self, pool) -> int:
-        """Hydrate every arena plan into an engine pool's plan tier.
-
-        Called inside a forked worker: the inherited segments back every
-        rehydrated array, so seeding costs page-table entries, not
-        copies.  Returns how many plans were seeded.
-        """
-        seeded = 0
-        for shm, entry in zip(self._segments, self._entries):
-            # arena entries and the worker's pool come from one model
-            # set, so every entry names a hosted model
-            graph = build_graph(pool.models[entry["model"]],
-                                entry["config"])
-            plan = unpack_plan(graph, shm.buf)
-            key = (entry["mdigest"], entry["cdigest"], entry["bits"],
-                   entry["length"])
-            with pool._lock:
-                pool._plans[key] = plan
-            seeded += 1
-        return seeded
-
-    def close(self, unlink: bool = False) -> None:
-        """Detach (and, for the owning parent, unlink) every segment."""
-        if self._closed:
-            return
-        self._closed = True
-        for shm in self._segments:
-            # Unlink before close: removing the name from the system
-            # must not be blocked by live zero-copy views (a rehydrated
-            # plan still referencing the mapping raises BufferError on
-            # close; the pages stay valid until those views die).
-            if unlink:
-                try:
-                    shm.unlink()
-                except FileNotFoundError:
-                    pass  # someone else already removed the name
-            try:
-                shm.close()
-            except (BufferError, OSError):
-                pass
-
 
 # ---------------------------------------------------------------------------
 # worker process
@@ -176,50 +93,54 @@ def _rebuild_error(kind: str, message: str) -> Exception:
     return dict(_ERROR_KINDS).get(kind, RuntimeError)(message)
 
 
-def _worker_main(worker_id: int, models, service_kwargs: dict,
-                 arena: PlanArena, req_conn, rep_conn,
+def _worker_main(worker_id: int, models, plans: dict, warm_key,
+                 max_engines: int, batcher: dict, req_conn, rep_conn,
                  threads: int) -> None:
-    """A worker process: one full service fed from its request pipe.
+    """A worker process: a bare executor fed from its request pipe.
 
     Messages are ``(kind, req_id, *args)``; every kind but ``close`` is
-    answered with ``(req_id, ok, payload)``.  A pool of puller threads
-    lets concurrent same-spec traffic coalesce in this worker's
+    answered with ``(req_id, ok, payload)``.  A ``run`` message carries
+    a request the frontend already admitted, resolved and validated, so
+    the worker only executes it.  A pool of puller threads lets
+    concurrent same-spec traffic coalesce in this worker's
     micro-batcher.  The pipe locks are **worker-local** on purpose: a
     cross-process lock (what ``mp.Queue`` uses) stays acquired forever
     when a chaos kill lands while a sibling thread holds it.
     """
     faults.maybe_install_from_env()
-    kwargs = dict(service_kwargs)
-    warm = kwargs.pop("warm")
-    service = InferenceService(models, warm=False, **kwargs)
-    arena.seed_pool(service.pool)
-    if warm:
-        # Engines still need their weight streams drawn per process;
-        # the plan underneath comes from the arena, so warming here
-        # never re-quantizes.
-        service.executor.engine(service.resolver.resolve({})[0])
+    # The frontend counts every request; counts it made before this
+    # fork (or respawn) must not reach the merged scrape a second time.
+    obs.set_registry(obs.MetricsRegistry())
+    pool = EnginePool(models, max_engines=max_engines)
+    pool._plans.update(plans)  # the parent's compiled plans, inherited
+    executor = LocalExecutor(pool, **batcher)
+    if warm_key is not None:
+        # Weight streams are drawn here, not inherited: drawing them in
+        # the parent would add the drawing transient to its peak RSS.
+        executor.engine(warm_key)
+    count_lock = threading.Lock()
+    served = 0
 
-    def timeout(deadline):
-        # CLOCK_MONOTONIC is system-wide on Linux, so the frontend's
-        # absolute deadline is meaningful here — queue transit counts
-        # against the request budget.
-        return (None if deadline is None
-                else max(deadline - time.monotonic(), 1e-3))
+    def run(kind, key, payload, deadline):
+        nonlocal served
+        try:
+            with obs.span(f"serve.{kind}", model=key[0], backend=key[1]):
+                # the SceneResult dataclass pickles over the pipe whole
+                return executor.run(kind, key, payload, deadline)
+        finally:
+            with count_lock:
+                served += 1
 
     def stats():
-        service.export_gauges()
+        executor.export_gauges()
+        with count_lock:
+            requests = served
         return {"worker": worker_id, "pid": os.getpid(),
-                "stats": service.stats(),
+                "stats": {"service": {"requests": requests},
+                          **executor.stats()},
                 "metrics": obs.render(obs.get_registry())}
 
-    handlers = {
-        "predict": lambda images, deadline, spec: service.predict(
-            images, timeout=timeout(deadline), **spec),
-        # the SceneResult dataclass pickles over the pipe whole
-        "scene": lambda job, deadline, spec: service.predict_scene(
-            job[0], stride=job[1], timeout=timeout(deadline), **spec),
-        "stats": stats,
-    }
+    handlers = {"run": run, "stats": stats}
     recv_lock = threading.Lock()
     send_lock = threading.Lock()
 
@@ -252,7 +173,7 @@ def _worker_main(worker_id: int, models, service_kwargs: dict,
         thread.start()
     for thread in pullers:
         thread.join()
-    service.close()
+    executor.close()
     rep_conn.close()
 
 
@@ -292,25 +213,34 @@ class _WorkerLink:
 
 
 class ProcExecutor:
-    """Executor relaying requests to ``procs`` worker processes built
-    with ``service_kwargs``; ``resolver`` resolves the warm specs whose
-    plans go into the shared arena."""
+    """Executor relaying requests to ``procs`` worker processes, each a
+    :class:`LocalExecutor` over an :class:`EnginePool` of
+    ``max_engines`` with ``batcher`` (its micro-batcher policy).  With
+    ``warm``, ``resolver`` names the specs whose plans are compiled here
+    once and whose default engine every worker builds at startup."""
 
     def __init__(self, models: dict, resolver: RequestResolver, *,
-                 procs: int, service_kwargs: dict, worker_threads: int,
-                 max_inflight_per_model: int):
+                 procs: int, batcher: dict, max_engines: int, warm: bool,
+                 worker_threads: int, max_inflight_per_model: int):
         self.models = models
         self.procs = int(procs)
         self.max_inflight_per_model = int(max_inflight_per_model)
-        self._service_kwargs = service_kwargs
+        self._batcher = batcher
+        self._max_engines = int(max_engines)
         self._worker_threads = int(worker_threads)
 
-        # one copy of every warm plan, shared by all workers
-        self.arena = PlanArena()
-        if service_kwargs["warm"]:
+        # Every warm plan, keyed like EnginePool's plan tier; compiled
+        # before the first fork so all workers share one copy.
+        self.plans = {}
+        self._warm_key = None
+        if warm:
             for name, model in models.items():
                 key, config, _ = resolver.resolve({"model": name})
-                self.arena.add(name, model, config, key[3])
+                bits = key[3]
+                self.plans[(model_digest(model), config_digest(config),
+                            bits, config.length)] = compile_plan(
+                    build_graph(model, config), weight_bits=bits)
+            self._warm_key = resolver.resolve({})[0]
 
         self._ctx = multiprocessing.get_context("fork")
         self._links = [None] * self.procs
@@ -333,8 +263,9 @@ class ProcExecutor:
         rep_recv, rep_send = self._ctx.Pipe(duplex=False)
         proc = self._ctx.Process(
             target=_worker_main,
-            args=(index, self.models, self._service_kwargs, self.arena,
-                  req_recv, rep_send, self._worker_threads),
+            args=(index, self.models, self.plans, self._warm_key,
+                  self._max_engines, self._batcher, req_recv, rep_send,
+                  self._worker_threads),
             name=f"serve-worker-{index}", daemon=True)
         proc.start()
         # The parent's copies of the worker-side ends must close right
@@ -446,11 +377,10 @@ class ProcExecutor:
             with self._lock:
                 self._pending.pop(req_id, None)
 
-    def run(self, kind, key, spec, payload, deadline):
-        """Relay a request to its spec-affine worker, which re-resolves
-        ``spec`` and serves it through its own frontend.  A scene
-        travels whole (``(scene, stride)``), so all its windows land in
-        one worker's micro-batcher and coalesce there."""
+    def run(self, kind, key, payload, deadline):
+        """Relay a resolved request to its spec-affine worker.  A scene
+        travels already tiled, so all its windows land in one worker's
+        micro-batcher and coalesce there."""
         model = key[0]
         with self._lock:
             inflight = self._inflight_by_model.get(model, 0)
@@ -463,13 +393,11 @@ class ProcExecutor:
                     f"flight (admission limit "
                     f"{self.max_inflight_per_model}); retry shortly")
             self._inflight_by_model[model] = inflight + 1
-        if kind == "scene":
-            payload = payload[:2]  # (scene, stride): the worker re-tiles
         wait = (None if deadline is None
                 else max(deadline - time.monotonic(), 0.0) + REPLY_SLACK_S)
         try:
-            return self._call(self._route(key), kind,
-                              (payload, deadline, spec), wait)
+            return self._call(self._route(key), "run",
+                              (kind, key, payload, deadline), wait)
         finally:
             with self._lock:
                 self._inflight_by_model[model] -= 1
@@ -502,7 +430,6 @@ class ProcExecutor:
                 "workers": self.procs,
                 "alive": len(self._live()),
                 "restarts": self._restarts,
-                "shared_plan_segments": len(self.arena.segment_names()),
                 "admission_limit_per_model": self.max_inflight_per_model,
             },
             "pool": pool,
@@ -526,7 +453,7 @@ class ProcExecutor:
         return [reply["metrics"] for reply in self._scrape_workers()]
 
     def close(self) -> None:
-        """Stop every worker, then reclaim shared memory."""
+        """Stop every worker; release callers still awaiting a reply."""
         with self._lock:
             self._closing.set()  # no respawn starts after this
         for index in range(self.procs):
@@ -549,7 +476,6 @@ class ProcExecutor:
         for pending in orphans:
             pending.error = RuntimeError("service is closed")
             pending.event.set()
-        self.arena.close(unlink=True)
 
 
 class ProcServeFacade(ServeFrontend):
@@ -582,9 +508,6 @@ class ProcServeFacade(ServeFrontend):
             max_inflight_per_model=(2 * int(max_queue)
                                     if max_inflight_per_model is None
                                     else max_inflight_per_model),
-            service_kwargs=dict(
-                backend=backend, length=length, kinds=kinds,
-                pooling=pooling, weight_bits=weight_bits, seed=seed,
-                max_batch=max_batch, max_wait_ms=max_wait_ms,
-                workers=workers, max_queue=max_queue,
-                max_engines=max_engines, warm=warm)))
+            max_engines=max_engines, warm=warm,
+            batcher=dict(max_batch=max_batch, max_wait_ms=max_wait_ms,
+                         workers=workers, max_queue=max_queue)))

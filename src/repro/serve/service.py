@@ -206,13 +206,13 @@ class RequestResolver:
 class ServeFrontend:
     """The request lifecycle both serving modes share.
 
-    An executor provides ``run(kind, key, spec, payload, deadline)``,
+    An executor provides ``run(kind, key, payload, deadline)``,
     ``stats()``, ``export_gauges()``, ``metric_texts()`` and
     ``close()``.  ``run`` gets a ``"predict"`` or ``"scene"``
-    request's group key and resolved spec, its validated payload (a
-    bipolar image batch, or :meth:`RequestResolver.resolve_scene`'s
-    tuple) and its absolute monotonic deadline, and returns the class
-    indices or the :class:`~repro.engine.tiled.SceneResult`.
+    request's group key, its validated payload (a bipolar image batch,
+    or :meth:`RequestResolver.resolve_scene`'s tuple) and its absolute
+    monotonic deadline, and returns the class indices or the
+    :class:`~repro.engine.tiled.SceneResult`.
 
     Admission is one atomic step under ``_idle``: the closed and
     draining checks and the in-flight bump.  A request is therefore
@@ -252,9 +252,9 @@ class ServeFrontend:
             with obs.span(f"serve.{kind}", **{
                     tag: str(overrides.get(tag, self.defaults[tag]))
                     for tag in ("model", "backend")}):
-                key, _, spec = self.resolver.resolve(overrides)
-                result = self.executor.run(kind, key, spec,
-                                           prepare(key[0]), deadline)
+                key = self.resolver.resolve(overrides)[0]
+                result = self.executor.run(kind, key, prepare(key[0]),
+                                           deadline)
         except (DeadlineExceeded, TimeoutError):
             self.tracker.record_shed()
             raise
@@ -430,7 +430,7 @@ class LocalExecutor:
                 ticket.cancel()
             raise
 
-    def run(self, kind, key, spec, payload, deadline):
+    def run(self, kind, key, payload, deadline):
         if kind == "predict":
             return self._gather(key, payload, deadline)
         scene, _, boxes, windows = payload

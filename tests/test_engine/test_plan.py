@@ -208,72 +208,3 @@ class TestCachedThreadSafety:
         retargeted = plan.with_length(64)
         assert retargeted.cached("artifact", lambda: "at-64") == "at-64"
 
-
-class TestPackUnpack:
-    """pack_plan/unpack_plan: the serve tier's shared-memory plan format."""
-
-    def _round_trip(self, model, cfg, weight_bits=None):
-        from repro.engine.plan import pack_plan, unpack_plan
-
-        plan = compile_plan(model, cfg, weight_bits=weight_bits)
-        buf = pack_plan(plan)
-        graph = build_graph(model, cfg)
-        return plan, unpack_plan(graph, buf)
-
-    def test_arrays_bit_identical_and_readonly(self, tiny_trained_lenet):
-        cfg = _cfg(("MUX", "APC", "APC"), length=64)
-        plan, back = self._round_trip(tiny_trained_lenet, cfg,
-                                      weight_bits=7)
-        assert len(back.layers) == len(plan.layers)
-        for orig, hydrated in zip(plan.layers, back.layers):
-            for field in type(orig).ARRAY_FIELDS:
-                a, b = getattr(orig, field), getattr(hydrated, field)
-                assert b.dtype == a.dtype
-                np.testing.assert_array_equal(a, b)
-                assert not b.flags.writeable
-            assert hydrated.n_states == orig.n_states
-            assert hydrated.bits == orig.bits
-            assert hydrated.deficit == orig.deficit
-            assert hydrated.applied_factor == orig.applied_factor
-        assert back.weight_bits == plan.weight_bits
-
-    def test_exact_inference_bit_identical(self, tiny_trained_lenet,
-                                           small_dataset):
-        from repro.engine import Engine
-
-        cfg = _cfg(("MUX", "APC", "APC"), length=32)
-        plan, back = self._round_trip(tiny_trained_lenet, cfg,
-                                      weight_bits=7)
-        _, _, x_test, _ = small_dataset
-        images = x_test[:4]
-        ref = Engine(plan=plan, backend="exact", seed=3).forward(images)
-        got = Engine(plan=back, backend="exact", seed=3).forward(images)
-        np.testing.assert_array_equal(ref, got)
-
-    def test_unpacked_plan_retargets_without_requantizing(
-            self, tiny_trained_lenet):
-        """The packed raw variants seed the cache with_length draws on."""
-        cfg = _cfg(("MUX", "APC", "APC"), length=64)
-        plan, back = self._round_trip(tiny_trained_lenet, cfg)
-        sibling = back.with_length(128)
-        fresh = compile_plan(tiny_trained_lenet, _cfg(
-            ("MUX", "APC", "APC"), length=128))
-        for a, b in zip(sibling.layers, fresh.layers):
-            np.testing.assert_array_equal(a.weights, b.weights)
-        # raw variants must be the very views the buffer holds, not
-        # re-quantized copies
-        for orig, re in zip(back.layers, sibling.layers):
-            assert re.raw_weights is orig.raw_weights
-            assert re.raw_bias is orig.raw_bias
-
-    def test_rejects_mismatched_graph(self, tiny_trained_lenet):
-        from repro.engine.plan import pack_plan, unpack_plan
-
-        cfg = _cfg(("MUX", "APC", "APC"), length=64)
-        buf = pack_plan(compile_plan(tiny_trained_lenet, cfg))
-        wrong_len = build_graph(tiny_trained_lenet,
-                                _cfg(("MUX", "APC", "APC"), length=128))
-        with pytest.raises(ValueError, match="L=64"):
-            unpack_plan(wrong_len, buf)
-        with pytest.raises(ValueError, match="magic"):
-            unpack_plan(wrong_len, b"\x00" * 64)

@@ -3,34 +3,50 @@
 The bar carried over from the single-process tier: every exact-backend
 reply is bit-identical to a dedicated single-request engine run no
 matter which worker served it, no accepted request's reply is dropped
-even when a worker is killed mid-flight, and shutting the facade down
-leaves no shared-memory segment behind: every worker acts on its close
-message and exits 0 well inside a second.
+even when a worker is killed mid-flight, every request is counted once
+in the merged ``/metrics`` page, and shutting the facade down leaves no
+worker behind: every worker acts on its close message and exits 0 well
+inside a second.
 """
 
 import multiprocessing
-import os
 import signal
 import threading
 import time
-from multiprocessing import shared_memory
 
 import numpy as np
 import pytest
 
-from repro.core.config import NetworkConfig, PoolKind
+from repro import obs
+from repro.core.config import NetworkConfig, PoolKind, config_digest
 from repro.data.synthetic_mnist import to_bipolar
-from repro.engine import Engine, build_graph, compile_plan
-from repro.engine.plan import unpack_plan
+from repro.engine import Engine, compile_plan
+from repro.nn.zoo import model_digest
 from repro.serve import ProcServeFacade, QueueFull, ServiceDraining
 from repro.serve import procpool
-from repro.serve.procpool import PlanArena
 
 LENGTH = 32
 
 
 def _cfg(length=LENGTH, kinds=("APC", "APC", "APC")):
     return NetworkConfig.from_kinds(PoolKind.MAX, length, kinds)
+
+
+def _plan_key(model, config, bits=(None,) * 4):
+    """A plan's key in ``EnginePool``'s plan tier."""
+    return (model_digest(model), config_digest(config), bits,
+            config.length)
+
+
+def _sample(text, series) -> float:
+    """Sum of an exposition series' samples: ``series`` is a bare name
+    (every label set) or a name with its labels (that sample alone)."""
+    total = 0.0
+    for line in text.splitlines():
+        head, _, value = line.rpartition(" ")
+        if head == series or head.startswith(series + "{"):
+            total += float(value)
+    return total
 
 
 @pytest.fixture(scope="module")
@@ -46,41 +62,26 @@ def facade(tiny_trained_lenet):
         yield facade
 
 
-class TestPlanArena:
-    def test_segments_hold_bit_identical_plans(self, tiny_trained_lenet):
-        arena = PlanArena()
-        try:
-            config = _cfg()
-            arena.add("default", tiny_trained_lenet, config, (None,) * 4)
-            assert len(arena.segment_names()) == 1
-            shm = arena._segments[0]
-            graph = build_graph(tiny_trained_lenet, config)
-            plan = unpack_plan(graph, shm.buf)
-            fresh = compile_plan(graph)
-            for a, b in zip(plan.layers, fresh.layers):
-                np.testing.assert_array_equal(a.weights, b.weights)
-            # release the zero-copy views before the segment closes
-            del plan, a, b
-        finally:
-            arena.close(unlink=True)
+class TestInheritedPlans:
+    def test_each_warm_spec_compiles_once_in_the_parent(
+            self, facade, tiny_trained_lenet):
+        key = _plan_key(tiny_trained_lenet, _cfg())
+        assert list(facade.executor.plans) == [key]
+        fresh = compile_plan(tiny_trained_lenet, _cfg())
+        for a, b in zip(facade.executor.plans[key].layers, fresh.layers):
+            np.testing.assert_array_equal(a.weights, b.weights)
 
-    def test_close_unlinks_segments(self, tiny_trained_lenet):
-        arena = PlanArena()
-        arena.add("default", tiny_trained_lenet, _cfg(), (None,) * 4)
-        paths = [f"/dev/shm/{name}" for name in arena.segment_names()]
-        assert all(os.path.exists(p) for p in paths)
-        arena.close(unlink=True)
-        assert not any(os.path.exists(p) for p in paths)
+    def test_workers_serve_from_the_inherited_plans(self, facade, images):
+        facade.predict_one(images[0])
+        pool = facade.stats()["pool"]
+        assert pool["plans"] >= 2  # one per worker, both inherited
+        assert pool["plans_compiled"] == 0
 
-    def test_close_tolerates_a_segment_unlinked_elsewhere(
-            self, tiny_trained_lenet):
-        arena = PlanArena()
-        arena.add("default", tiny_trained_lenet, _cfg(), (None,) * 4)
-        for name in arena.segment_names():
-            other = shared_memory.SharedMemory(name=name)
-            other.unlink()
-            other.close()
-        arena.close(unlink=True)  # FileNotFoundError stays inside
+    def test_cold_facade_inherits_nothing(self, tiny_trained_lenet):
+        with ProcServeFacade(tiny_trained_lenet, procs=1, length=LENGTH,
+                             warm=False) as facade:
+            assert facade.executor.plans == {}
+            assert facade.stats()["pool"]["plans"] == 0
 
 
 class TestBitIdentity:
@@ -183,18 +184,36 @@ class TestWorkerChaos:
         finally:
             facade.close()
 
-    def test_close_after_chaos_unlinks_shared_memory(
+    def test_chaos_then_close_answers_all_and_leaves_no_worker(
             self, tiny_trained_lenet, images, monkeypatch):
+        """Each worker dies on its first batch: every request is still
+        answered, the merged scrape still counts each request once, and
+        close() leaves no worker incarnation running."""
         monkeypatch.setenv(
             "REPRO_FAULTS", "site=serve.compute,action=kill,hits=1")
-        facade = ProcServeFacade(tiny_trained_lenet, procs=2,
-                                 length=LENGTH, max_wait_ms=1.0)
-        monkeypatch.delenv("REPRO_FAULTS")
-        paths = [f"/dev/shm/{name}"
-                 for name in facade.executor.arena.segment_names()]
-        facade.predict_one(images[1], timeout=60.0)
-        facade.close()
-        assert not any(os.path.exists(p) for p in paths)
+        with obs.scoped_registry():
+            facade = ProcServeFacade(tiny_trained_lenet, procs=2,
+                                     length=LENGTH, max_wait_ms=1.0)
+            monkeypatch.delenv("REPRO_FAULTS")
+            incarnations = {link.proc for link in facade.executor._links}
+            try:
+                preds = [facade.predict_one(images[seed], seed=seed,
+                                            timeout=60.0)
+                         for seed in range(4)]
+                for seed, pred in enumerate(preds):
+                    engine = Engine(tiny_trained_lenet, _cfg(),
+                                    backend="exact", seed=seed)
+                    assert pred == int(
+                        engine.predict(images[seed][None])[0])
+                assert facade.executor._restarts >= 1
+                incarnations |= {link.proc
+                                 for link in facade.executor._links}
+                text = facade.metrics_text()
+                assert (_sample(text, "repro_serve_requests_total")
+                        == facade.stats()["service"]["requests"] == 4)
+            finally:
+                facade.close()
+        assert not incarnations & set(multiprocessing.active_children())
 
 
 class TestDrainAndStats:
@@ -228,22 +247,23 @@ class TestDrainAndStats:
         assert stats["pool"]["plans"] >= 1
         assert stats["defaults"]["backend"] == "exact"
 
-    def test_metrics_text_merges_worker_registries(self, facade, images):
-        facade.predict_one(images[0])
-        text = facade.metrics_text()
+    def test_metrics_text_merges_worker_registries(
+            self, tiny_trained_lenet, images):
+        with obs.scoped_registry(), ProcServeFacade(
+                tiny_trained_lenet, procs=2, length=LENGTH,
+                max_wait_ms=1.0) as facade:
+            for seed in range(4):
+                facade.predict_one(images[seed], seed=seed)
+            text = facade.metrics_text()
+            served = facade.stats()["service"]["requests"]
         assert "repro_serve_procs 2" in text
-        # worker-side counters present in the merged exposition
-        assert "repro_serve_requests_total" in text
+        # worker-side series present in the merged exposition
         assert "repro_pool_lookups_total" in text
-        # merged totals cover every worker-served request
-        stats = facade.stats()
-        worker_total = sum(w["service"]["requests"]
-                           for w in stats["workers"])
-        served = sum(
-            float(line.rsplit(" ", 1)[1])
-            for line in text.splitlines()
-            if line.startswith("repro_serve_requests_total"))
-        assert served >= worker_total
+        assert "repro_serve_batch_size" in text
+        # the frontend counts each request; workers count none of them
+        assert _sample(text, 'repro_serve_requests_total{outcome="ok"}') \
+            == served == 4
+        assert _sample(text, "repro_serve_latency_seconds_count") == served
 
 
 class TestShutdown:
@@ -304,27 +324,132 @@ class TestShutdown:
 class TestWorkerProtocol:
     """The worker loop, run in a thread over real pipes."""
 
+    @pytest.fixture(autouse=True)
+    def _own_registry(self):
+        # the worker swaps in a fresh registry; restore the suite's
+        with obs.scoped_registry():
+            yield
+
     @staticmethod
-    def _start(model, threads=1):
+    def _start(model, threads=1, plans=None, warm_key=None):
         req_recv, req_send = multiprocessing.Pipe(duplex=False)
         rep_recv, rep_send = multiprocessing.Pipe(duplex=False)
-        kwargs = dict(backend="exact", length=LENGTH, kinds=None,
-                      pooling="max", weight_bits=None, seed=0,
-                      max_batch=8, max_wait_ms=1.0, workers=1,
-                      max_queue=16, max_engines=2, warm=False)
+        batcher = dict(max_batch=8, max_wait_ms=1.0, workers=1,
+                       max_queue=16)
         worker = threading.Thread(
             target=procpool._worker_main,
-            args=(0, {"default": model}, kwargs, PlanArena(), req_recv,
-                  rep_send, threads))
+            args=(0, {"default": model}, plans or {}, warm_key, 2,
+                  batcher, req_recv, rep_send, threads))
         worker.start()
         return worker, req_send, rep_recv
+
+    @staticmethod
+    def _ask(req_send, rep_recv, msg):
+        req_send.send(msg)
+        assert rep_recv.poll(30.0)
+        return rep_recv.recv()
+
+    def test_run_executes_on_the_given_plans(self, tiny_trained_lenet,
+                                             images):
+        """A run message is executed as sent, on the plan handed in —
+        the worker compiles nothing and counts the request itself."""
+        key = ("default", "exact", _cfg(), (None,) * 4, 3)
+        plan = compile_plan(tiny_trained_lenet, _cfg())
+        worker, req_send, rep_recv = self._start(
+            tiny_trained_lenet,
+            plans={_plan_key(tiny_trained_lenet, _cfg()): plan},
+            warm_key=key)
+        try:
+            req_id, ok, preds = self._ask(
+                req_send, rep_recv,
+                ("run", 1, "predict", key, images[:2], None))
+            assert (req_id, ok) == (1, True)
+            engine = Engine(plan=plan, backend="exact", seed=3)
+            assert [int(p) for p in preds] == [
+                int(engine.predict(img[None])[0]) for img in images[:2]]
+            _, ok, report = self._ask(req_send, rep_recv, ("stats", 2))
+            assert ok
+            assert report["stats"]["service"]["requests"] == 1
+            assert report["stats"]["pool"]["plans_compiled"] == 0
+            assert "repro_serve_requests_total" not in report["metrics"]
+        finally:
+            req_send.send(("close", None))
+            worker.join(10.0)
+        assert not worker.is_alive()
+
+    def test_expired_deadline_is_shed_before_compute(
+            self, tiny_trained_lenet, images):
+        """The frontend's absolute deadline crosses the pipe unchanged:
+        one already past is shed by the worker, never computed."""
+        key = ("default", "exact", _cfg(), (None,) * 4, 0)
+        worker, req_send, rep_recv = self._start(tiny_trained_lenet)
+        try:
+            req_id, ok, (kind, _) = self._ask(
+                req_send, rep_recv,
+                ("run", 1, "predict", key, images[:1],
+                 time.monotonic() - 1.0))
+            assert (req_id, ok) == (1, False)
+            assert kind in ("deadline", "timeout")
+            _, _, report = self._ask(req_send, rep_recv, ("stats", 2))
+            assert report["stats"]["batcher"]["batches"] == 0
+        finally:
+            req_send.send(("close", None))
+            worker.join(10.0)
+        assert not worker.is_alive()
+
+    def test_scene_runs_on_the_frontend_tiling(self, tiny_trained_lenet,
+                                               monkeypatch):
+        """A scene arrives already tiled: the worker never extracts
+        windows, and its reply equals the in-process service's."""
+        from repro.data.scenes import SceneGenerator
+        from repro.serve import InferenceService
+        from repro.serve import service as service_module
+
+        scene = SceneGenerator(seed=0).grid(index=0, rows=2, cols=2)
+        with InferenceService(tiny_trained_lenet, length=LENGTH,
+                              warm=False) as local:
+            key = local.resolver.resolve({})[0]
+            payload = local.resolver.resolve_scene(scene, "default")
+            expected = local.predict_scene(scene)
+
+        def no_tiling(*args, **kwargs):
+            raise AssertionError("the worker tiled a scene again")
+
+        monkeypatch.setattr(service_module, "extract_windows", no_tiling)
+        worker, req_send, rep_recv = self._start(tiny_trained_lenet)
+        try:
+            _, ok, served = self._ask(
+                req_send, rep_recv, ("run", 1, "scene", key, payload, None))
+            assert ok, served
+            np.testing.assert_array_equal(served.window_logits,
+                                          expected.window_logits)
+            np.testing.assert_array_equal(served.cell_preds,
+                                          expected.cell_preds)
+        finally:
+            req_send.send(("close", None))
+            worker.join(10.0)
+        assert not worker.is_alive()
+
+    def test_worker_starts_from_an_empty_registry(self,
+                                                  tiny_trained_lenet):
+        """Counts made before the worker started stay out of its page,
+        so a merged scrape never counts them twice."""
+        obs.counter("repro_serve_requests_total", "Requests completed.",
+                    outcome="ok").inc()
+        worker, req_send, rep_recv = self._start(tiny_trained_lenet)
+        try:
+            _, ok, report = self._ask(req_send, rep_recv, ("stats", 1))
+            assert ok
+            assert "repro_serve_requests_total" not in report["metrics"]
+        finally:
+            req_send.send(("close", None))
+            worker.join(10.0)
+        assert not worker.is_alive()
 
     def test_unknown_message_is_answered_as_internal_error(
             self, tiny_trained_lenet):
         worker, req_send, rep_recv = self._start(tiny_trained_lenet)
-        req_send.send(("bogus", 7))
-        assert rep_recv.poll(10.0)
-        req_id, ok, (kind, _) = rep_recv.recv()
+        req_id, ok, (kind, _) = self._ask(req_send, rep_recv, ("bogus", 7))
         assert (req_id, ok, kind) == (7, False, "internal")
         req_send.send(("close", None))
         worker.join(10.0)
