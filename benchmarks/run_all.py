@@ -1,6 +1,6 @@
 """Run the benchmark suites and record the perf trajectory.
 
-Three suites, each versioned as a JSON file under ``benchmarks/`` so
+Two suites, each versioned as a JSON file under ``benchmarks/`` so
 regressions show up in review diffs (machine-to-machine variance means
 only same-machine ratios are meaningful):
 
@@ -8,20 +8,15 @@ only same-machine ratios are meaningful):
   ``benchmarks/BENCH_kernels.json`` (median ns per kernel call, the
   interquartile range across rounds, and the machine fingerprint:
   CPU, ``cpu_count``, NumPy version, kernel tier);
-* ``--serve`` — ``bench_serve.py`` →
-  ``benchmarks/BENCH_serve.json`` (closed-loop multi-client serving
-  throughput: micro-batched service vs per-request sequential baseline,
-  with a pooled-unbatched ablation and bit-identity checks);
 * ``--dse`` — ``bench_dse.py`` → ``benchmarks/BENCH_dse.json``
   (the design-space exploration runner at 4 workers vs 1, plus
   exact-evaluator screening savings; records ``cpu_count`` so the
   parallel ratio reads in context).
 
-With no flags all suites run.  The batched exact forward and scene
-serving are measured by perfbench's workloads.  Usage::
+With no flags both suites run.  The batched exact forward and serving
+are measured by perfbench's workloads.  Usage::
 
-    PYTHONPATH=src python benchmarks/run_all.py [--kernels] [--serve]
-                                                [--dse]
+    PYTHONPATH=src python benchmarks/run_all.py [--kernels] [--dse]
 """
 
 from __future__ import annotations
@@ -36,7 +31,6 @@ from pathlib import Path
 
 BENCH_DIR = Path(__file__).resolve().parent
 DEFAULT_OUTPUT = BENCH_DIR / "BENCH_kernels.json"
-SERVE_OUTPUT = BENCH_DIR / "BENCH_serve.json"
 DSE_OUTPUT = BENCH_DIR / "BENCH_dse.json"
 
 #: numpy-vs-native benchmark twins (see bench_kernels.py) folded into
@@ -81,12 +75,11 @@ def _fingerprint(cpu: str) -> dict:
     sys.path.insert(0, str(BENCH_DIR.parent / "src"))
     try:
         import repro.native as native
-        from repro.sc import ops
-        tier = "native" if native.enabled() else ops._NUMPY_TIER
     finally:
         sys.path.pop(0)
     return {"cpu": cpu, "cpu_count": os.cpu_count(),
-            "numpy": numpy.__version__, "kernel_tier": tier}
+            "numpy": numpy.__version__,
+            "kernel_tier": "native" if native.enabled() else "numpy"}
 
 
 def run_kernel_benchmarks(output: Path = DEFAULT_OUTPUT) -> dict:
@@ -131,35 +124,6 @@ def run_kernel_benchmarks(output: Path = DEFAULT_OUTPUT) -> dict:
     return medians
 
 
-def run_serve_benchmarks(output: Path = SERVE_OUTPUT) -> dict:
-    """Run bench_serve.py in-process; write and return the payload."""
-    sys.path.insert(0, str(BENCH_DIR.parent / "src"))
-    sys.path.insert(0, str(BENCH_DIR))
-    try:
-        from bench_serve import measure_serve
-        results = measure_serve()
-    finally:
-        sys.path.pop(0)
-        sys.path.pop(0)
-    payload = {
-        "unit": "closed-loop requests per second per mode",
-        "note": "multi-threaded closed-loop clients against the "
-                "micro-batching InferenceService; per_request_sequential "
-                "is the pre-serve status quo (fresh Engine per request, "
-                "batch size 1), pooled_sequential isolates the engine "
-                "pool (max_batch=1), micro_batched is the full service; "
-                "bit_identical asserts every exact response equals a "
-                "dedicated single-request Engine.predict with the same "
-                "per-request seed",
-        **results,
-    }
-    output.write_text(json.dumps(payload, indent=2) + "\n")
-    print(f"wrote {output}")
-    print(f"  micro-batched vs per-request sequential (exact, L=64, "
-          f"8 clients): {results['speedup_exact_L64_8_clients']}x")
-    return payload
-
-
 def run_dse_benchmarks(output: Path = DSE_OUTPUT,
                        quick: bool = False) -> dict:
     """Run bench_dse.py in-process; write and return the payload."""
@@ -195,25 +159,19 @@ def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--kernels", action="store_true",
                         help="run only the kernel microbenchmarks")
-    parser.add_argument("--serve", action="store_true",
-                        help="run only the serving throughput benchmark")
     parser.add_argument("--dse", action="store_true",
                         help="run only the DSE throughput benchmark")
     parser.add_argument("--dse-quick", action="store_true",
                         help="CI-smoke sizing for the DSE benchmark")
     parser.add_argument("--output", type=Path, default=DEFAULT_OUTPUT,
                         help="where to write the kernel medians JSON")
-    parser.add_argument("--serve-output", type=Path, default=SERVE_OUTPUT,
-                        help="where to write the serving benchmark JSON")
     parser.add_argument("--dse-output", type=Path, default=DSE_OUTPUT,
                         help="where to write the DSE benchmark JSON")
     args = parser.parse_args(argv)
     dse = args.dse or args.dse_quick
-    run_all = not (args.kernels or args.serve or dse)
+    run_all = not (args.kernels or dse)
     if args.kernels or run_all:
         run_kernel_benchmarks(args.output)
-    if args.serve or run_all:
-        run_serve_benchmarks(args.serve_output)
     if dse or run_all:
         run_dse_benchmarks(args.dse_output, quick=args.dse_quick)
 

@@ -65,6 +65,6 @@ setup(
     version=VERSION,
     package_dir={"": "src"},
     packages=find_packages("src"),
-    install_requires=["numpy", "scipy"],
+    install_requires=["numpy>=2.0", "scipy"],
     cmdclass={"build_py": build_py_with_native},
 )

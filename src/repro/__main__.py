@@ -307,8 +307,9 @@ def _serve_parser() -> argparse.ArgumentParser:
                         help="engine-pool LRU capacity (default: 8)")
     parser.add_argument("--procs", type=int, default=1,
                         help="worker processes; >1 serves through the "
-                             "multi-process tier with compiled plans in "
-                             "shared memory (default: 1, in-process)")
+                             "multi-process tier, whose forked workers "
+                             "inherit the compiled plans (default: 1, "
+                             "in-process)")
     parser.add_argument("--no-warm", action="store_true",
                         help="skip preloading the default spec's engine")
     parser.add_argument("--drain-grace", type=float, default=10.0,
@@ -325,8 +326,14 @@ def _serve(argv) -> int:
     parser = _serve_parser()
     args = parser.parse_args(argv)
     _check_backend(parser, args.backend)
-    if args.procs < 1:
-        parser.error("--procs must be >= 1")
+    # Policy bounds fail before the quick model trains, not after.
+    for name in ("max_batch", "max_queue", "max_engines", "workers",
+                 "procs"):
+        if getattr(args, name) < 1:
+            parser.error(f"--{name.replace('_', '-')} must be >= 1")
+    for name in ("max_wait_ms", "drain_grace"):
+        if getattr(args, name) < 0:
+            parser.error(f"--{name.replace('_', '-')} must be >= 0")
     from repro.serve import InferenceService, ProcServeFacade, run_server
 
     kinds = _resolve_kinds_arg(parser, args.kinds, args.model)
@@ -339,11 +346,15 @@ def _serve(argv) -> int:
         max_batch=args.max_batch, max_wait_ms=args.max_wait_ms,
         workers=args.workers, max_queue=args.max_queue,
         max_engines=args.max_engines, warm=not args.no_warm)
-    if args.procs > 1:
-        service = ProcServeFacade({args.model: model}, procs=args.procs,
-                                  **service_kwargs)
-    else:
-        service = InferenceService({args.model: model}, **service_kwargs)
+    try:  # e.g. a stream length the max-pooling segment cannot divide
+        if args.procs > 1:
+            service = ProcServeFacade({args.model: model},
+                                      procs=args.procs, **service_kwargs)
+        else:
+            service = InferenceService({args.model: model},
+                                       **service_kwargs)
+    except ValueError as exc:
+        parser.error(str(exc))
     print(f"service ready: model={args.model} backend={args.backend} "
           f"L={args.length} kinds={','.join(kinds)} "
           f"max_batch={args.max_batch} "

@@ -101,7 +101,7 @@ class Engine:
         plan is rejected — the plan already fixes the storage precision).
     **backend_opts:
         Extra keyword arguments forwarded to the backend constructor
-        (e.g. ``segment``/``chunk_budget``/``sng`` for ``exact``,
+        (e.g. ``segment``/``sng`` for ``exact``,
         ``samples``/``noisy`` for ``surrogate``).
     """
 

@@ -27,8 +27,8 @@ many images:
   operate on whole ``(C, B, W, ·)`` blocks.
 
 Large batches are internally split so the transient count tensors stay
-within ``batch_budget`` bytes; chunk boundaries never change results
-(every stream's computation is independent).
+within :attr:`ExactBackend.BATCH_BUDGET` bytes; chunk boundaries never
+change results (every stream's computation is independent).
 """
 
 from __future__ import annotations
@@ -68,28 +68,26 @@ class ExactBackend:
         in layer order, exactly like the legacy simulator).
     segment:
         Hardware max-pooling segment length ``c``.
-    chunk_budget:
-        Upper bound (bytes) on any transient product/unpacked tensor in
-        the APC counting path.
     sng:
         ``"ideal"`` (PCG64 comparator) or ``"lfsr"`` (pooled LFSR
         sequences served from the cached orbit tables of
         :mod:`repro.sc.lfsr`).
-    batch_budget:
-        Upper bound (bytes) on the per-batch APC count tensors; larger
-        batches are split internally.
     """
 
     name = "exact"
 
+    #: upper bound (bytes) on any transient product/unpacked tensor in
+    #: the NumPy APC counting path
+    CHUNK_BUDGET = 1 << 26
+    #: upper bound (bytes) on the per-batch APC count tensors; larger
+    #: batches are split internally
+    BATCH_BUDGET = 1 << 29
+
     def __init__(self, plan, seed: int = 0, segment: int = DEFAULT_SEGMENT,
-                 chunk_budget: int = 1 << 26, sng: str = "ideal",
-                 batch_budget: int = 1 << 29):
+                 sng: str = "ideal"):
         self.plan = plan
         self.length = plan.length
         self.segment = self._checked_segment(plan, segment)
-        self.chunk_budget = int(chunk_budget)
-        self.batch_budget = int(batch_budget)
         self.factory = StreamFactory(seed=seed, encoding=Encoding.BIPOLAR,
                                      sng=sng)
         self.weight_streams = [
@@ -164,7 +162,7 @@ class ExactBackend:
                 per_image = max(per_image,
                                 lp.units * self.length * 2
                                 + self.length * width)
-        return max(1, self.batch_budget // max(per_image, 1))
+        return max(1, self.BATCH_BUDGET // max(per_image, 1))
 
     def _validated(self, images: np.ndarray) -> np.ndarray:
         return as_image_batch(images, bipolar=True,
@@ -267,12 +265,12 @@ class ExactBackend:
         t0 = _prof.tick()
         counts = numpy_apc_counts(
             x, self._weight_t[i], self._weight_last[i], lp.n_inputs,
-            self.length, min(self.TILE_BYTES, self.chunk_budget),
-            self.chunk_budget)
+            self.length, min(self.TILE_BYTES, self.CHUNK_BUDGET),
+            self.CHUNK_BUDGET)
         # The whole transposed-counting pass (its transpose_pack /
         # popcount_sum callees time themselves too, so subtracting them
         # from this line isolates the XOR + LSB-patch glue).
-        _prof.tock(t0, "apc_counts", ops._NUMPY_TIER)
+        _prof.tock(t0, "apc_counts", "numpy")
         return counts
 
     def _biased(self, x: np.ndarray) -> np.ndarray:
@@ -407,7 +405,8 @@ class ExactBackend:
 def numpy_apc_counts(x: np.ndarray, wT: np.ndarray, w_last: np.ndarray,
                      n: int, length: int,
                      tile_bytes: int = ExactBackend.TILE_BYTES,
-                     chunk_budget: int = 1 << 26) -> np.ndarray:
+                     chunk_budget: int = ExactBackend.CHUNK_BUDGET
+                     ) -> np.ndarray:
     """APC counts of a packed bank against a weight bank, pure NumPy:
     ``(R, n, nbytes)`` × ``(C, L, W)`` → ``(C, R, L)`` int16.
 

@@ -2,11 +2,10 @@
 
 The word engine dispatches each kernel (popcount, transpose_pack,
 popcount_sum, mux_select, stanh, apc_counts, apc_conv_max_btanh_pack) to
-one of three tiers:
+one of two tiers:
 
-* ``native``     — the compiled C library (``repro.native``),
-* ``numpy-simd`` — NumPy >= 2.0 ``bitwise_count`` vector path,
-* ``numpy-lut``  — the 256-entry lookup-table fallback.
+* ``native`` — the compiled C library (``repro.native``),
+* ``numpy``  — vectorized NumPy (popcounts through ``bitwise_count``).
 
 Profiling attributes wall time and call counts to ``(kernel, tier)``
 pairs in the current metrics registry, so ``/metrics`` and

@@ -113,9 +113,7 @@ def stanh_packed(data: np.ndarray, length: int, n_states: int,
         state = nxt[state, col]
     if length % 8:
         out[..., -1] &= ops.pad_mask(length)[-1]
-    # The byte-LUT walk is the numpy tier's only strategy here (there
-    # is no bitwise_count variant), so the label is just "numpy-lut".
-    _prof.tock(t0, "stanh", "numpy-lut")
+    _prof.tock(t0, "stanh", "numpy")
     return out
 
 

@@ -15,9 +15,8 @@ DESIGN.md, "bit-packing").
 The hot reductions are *word-level*: packed bytes are re-viewed as
 ``uint64`` words (zero-padded to an 8-byte multiple when needed) and
 counted with the hardware ``popcnt`` instruction via ``numpy.bitwise_count``
-(a byte-LUT fallback covers NumPy < 2).  No function in this module
-round-trips through :func:`unpack_bits` any more — see DESIGN.md,
-"word-level engine".
+(NumPy >= 2.0).  No function in this module round-trips through
+:func:`unpack_bits` any more — see DESIGN.md, "word-level engine".
 
 Invariant: the padding bits of the final byte of every packed stream are
 **zero**.  All constructors and every operation here maintain it (NOT and
@@ -52,28 +51,6 @@ __all__ = [
     "mux_select",
     "segment_popcount",
 ]
-
-#: True when numpy provides a native SIMD popcount (NumPy >= 2.0).
-HAVE_BITWISE_COUNT = hasattr(np, "bitwise_count")
-
-#: Profiling tier label for the NumPy fallback actually in effect
-#: (``REPRO_PROFILE=1`` attributes kernel wall time per tier).
-_NUMPY_TIER = "numpy-simd" if HAVE_BITWISE_COUNT else "numpy-lut"
-
-# Number of set bits for every byte value; fallback popcount for NumPy < 2.
-_POPCOUNT_TABLE = np.array(
-    [bin(i).count("1") for i in range(256)], dtype=np.uint8
-)
-
-
-def _byte_popcount(data: np.ndarray) -> np.ndarray:
-    """Per-element set-bit counts (uint8) of an unsigned integer array."""
-    if HAVE_BITWISE_COUNT:
-        return np.bitwise_count(data)
-    if data.dtype != np.uint8:
-        data = np.ascontiguousarray(data).view(np.uint8)
-    return _POPCOUNT_TABLE[data]
-
 
 def _as_words(data: np.ndarray) -> np.ndarray:
     """View packed bytes as uint64 words, zero-padding to an 8-byte multiple.
@@ -155,8 +132,7 @@ def popcount(data: np.ndarray, length: int | None = None) -> np.ndarray:
 
     Runs in the native kernel tier when armed (bit-identical; see
     :mod:`repro.native`), else on uint64 words through
-    ``numpy.bitwise_count`` where available (NumPy >= 2), falling back
-    to a byte LUT otherwise.
+    ``numpy.bitwise_count``.
     """
     data = np.asarray(data)
     if length is not None:
@@ -173,11 +149,8 @@ def popcount(data: np.ndarray, length: int | None = None) -> np.ndarray:
         _prof.tock(t0, "popcount", "native")
         return out
     t0 = _prof.tick()
-    if HAVE_BITWISE_COUNT:
-        out = np.bitwise_count(_as_words(data)).sum(axis=-1, dtype=np.int64)
-    else:
-        out = _POPCOUNT_TABLE[data].sum(axis=-1, dtype=np.int64)
-    _prof.tock(t0, "popcount", _NUMPY_TIER)
+    out = np.bitwise_count(_as_words(data)).sum(axis=-1, dtype=np.int64)
+    _prof.tock(t0, "popcount", "numpy")
     return out
 
 
@@ -232,7 +205,7 @@ def transpose_pack(data: np.ndarray, length: int, align: int = 4,
         out[r0:r1, :, :(n + 7) // 8] = np.packbits(
             np.swapaxes(bits, -1, -2), axis=-1)
     out = out.reshape(batch + (length, width))
-    _prof.tock(t0, "transpose_pack", _NUMPY_TIER)
+    _prof.tock(t0, "transpose_pack", "numpy")
     return out
 
 
@@ -254,20 +227,11 @@ def popcount_sum(data: np.ndarray, dtype=np.int64) -> np.ndarray:
         _prof.tock(t0, "popcount_sum", "native")
         return out
     t0 = _prof.tick()
-    if not HAVE_BITWISE_COUNT:
-        out = _POPCOUNT_TABLE[data].sum(axis=-1, dtype=dtype)
-    else:
-        out = None
-        nbytes = data.shape[-1]
-        for word, width in ((np.uint64, 8), (np.uint32, 4),
-                            (np.uint16, 2)):
-            if nbytes % width == 0:
-                out = np.bitwise_count(data.view(word)).sum(axis=-1,
-                                                            dtype=dtype)
-                break
-        if out is None:
-            out = np.bitwise_count(data).sum(axis=-1, dtype=dtype)
-    _prof.tock(t0, "popcount_sum", _NUMPY_TIER)
+    word = next((word for word, width in ((np.uint64, 8), (np.uint32, 4),
+                                          (np.uint16, 2))
+                 if data.shape[-1] % width == 0), np.uint8)
+    out = np.bitwise_count(data.view(word)).sum(axis=-1, dtype=dtype)
+    _prof.tock(t0, "popcount_sum", "numpy")
     return out
 
 
@@ -387,18 +351,16 @@ def segment_popcount(data: np.ndarray, length: int, segment: int) -> np.ndarray:
         bps = segment // 8
         segs = np.ascontiguousarray(data).reshape(
             data.shape[:-1] + (nseg, bps))
-        if bps == 1:
-            return _byte_popcount(segs[..., 0]).astype(np.int64)
-        if HAVE_BITWISE_COUNT and bps in (2, 4, 8):
+        if bps in (1, 2, 4, 8):
             words = segs.view(np.dtype(f"uint{bps * 8}"))[..., 0]
             return np.bitwise_count(words).astype(np.int64)
-        if HAVE_BITWISE_COUNT and bps % 8 == 0:
+        if bps % 8 == 0:
             words = segs.view(np.uint64)
             return np.bitwise_count(words).sum(axis=-1, dtype=np.int64)
-        return _byte_popcount(segs).sum(axis=-1, dtype=np.int64)
+        return np.bitwise_count(segs).sum(axis=-1, dtype=np.int64)
 
     nbytes = data.shape[-1]
-    counts = _byte_popcount(data)
+    counts = np.bitwise_count(data)
     cum = np.zeros(data.shape[:-1] + (nbytes + 1,), dtype=np.int64)
     np.cumsum(counts, axis=-1, out=cum[..., 1:])
     # Prefix popcount at every segment boundary: whole bytes below the
@@ -411,7 +373,7 @@ def segment_popcount(data: np.ndarray, length: int, segment: int) -> np.ndarray:
     if partial.any():
         idx = full[partial]
         masks = ((0xFF00 >> rem[partial]) & 0xFF).astype(np.uint8)
-        bound[..., partial] += _byte_popcount(
+        bound[..., partial] += np.bitwise_count(
             np.bitwise_and(data[..., idx], masks)
         )
     return np.diff(bound, axis=-1, prepend=0)

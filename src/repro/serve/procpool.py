@@ -72,6 +72,10 @@ SCRAPE_TIMEOUT_S = 10.0
 #: before terminating it
 CLOSE_JOIN_S = 5.0
 
+#: puller threads per worker — the largest micro-batch a worker can
+#: gather from relayed traffic
+WORKER_THREADS = 16
+
 # ---------------------------------------------------------------------------
 # worker process
 # ---------------------------------------------------------------------------
@@ -94,8 +98,8 @@ def _rebuild_error(kind: str, message: str) -> Exception:
 
 
 def _worker_main(worker_id: int, models, plans: dict, warm_key,
-                 max_engines: int, batcher: dict, req_conn, rep_conn,
-                 threads: int) -> None:
+                 max_engines: int, batcher: dict, req_conn,
+                 rep_conn) -> None:
     """A worker process: a bare executor fed from its request pipe.
 
     Messages are ``(kind, req_id, *args)``; every kind but ``close`` is
@@ -168,7 +172,7 @@ def _worker_main(worker_id: int, models, plans: dict, warm_key,
 
     pullers = [threading.Thread(target=pull, name=f"pull-{i}",
                                 daemon=True)
-               for i in range(max(1, int(threads)))]
+               for i in range(WORKER_THREADS)]
     for thread in pullers:
         thread.start()
     for thread in pullers:
@@ -217,17 +221,17 @@ class ProcExecutor:
     :class:`LocalExecutor` over an :class:`EnginePool` of
     ``max_engines`` with ``batcher`` (its micro-batcher policy).  With
     ``warm``, ``resolver`` names the specs whose plans are compiled here
-    once and whose default engine every worker builds at startup."""
+    once and whose default engine every worker builds at startup.
+    Admission allows ``2 * batcher["max_queue"]`` requests in flight per
+    model."""
 
     def __init__(self, models: dict, resolver: RequestResolver, *,
-                 procs: int, batcher: dict, max_engines: int, warm: bool,
-                 worker_threads: int, max_inflight_per_model: int):
+                 procs: int, batcher: dict, max_engines: int, warm: bool):
         self.models = models
         self.procs = int(procs)
-        self.max_inflight_per_model = int(max_inflight_per_model)
+        self.admission_limit = 2 * int(batcher["max_queue"])
         self._batcher = batcher
         self._max_engines = int(max_engines)
-        self._worker_threads = int(worker_threads)
 
         # Every warm plan, keyed like EnginePool's plan tier; compiled
         # before the first fork so all workers share one copy.
@@ -264,8 +268,7 @@ class ProcExecutor:
         proc = self._ctx.Process(
             target=_worker_main,
             args=(index, self.models, self.plans, self._warm_key,
-                  self._max_engines, self._batcher, req_recv, rep_send,
-                  self._worker_threads),
+                  self._max_engines, self._batcher, req_recv, rep_send),
             name=f"serve-worker-{index}", daemon=True)
         proc.start()
         # The parent's copies of the worker-side ends must close right
@@ -384,14 +387,14 @@ class ProcExecutor:
         model = key[0]
         with self._lock:
             inflight = self._inflight_by_model.get(model, 0)
-            if inflight >= self.max_inflight_per_model:
+            if inflight >= self.admission_limit:
                 obs.counter("repro_serve_admission_rejects_total",
                             "Requests refused by frontend admission "
                             "control, by model.", model=model).inc()
                 raise QueueFull(
                     f"model {model!r} has {inflight} requests in "
                     f"flight (admission limit "
-                    f"{self.max_inflight_per_model}); retry shortly")
+                    f"{self.admission_limit}); retry shortly")
             self._inflight_by_model[model] = inflight + 1
         wait = (None if deadline is None
                 else max(deadline - time.monotonic(), 0.0) + REPLY_SLACK_S)
@@ -430,7 +433,7 @@ class ProcExecutor:
                 "workers": self.procs,
                 "alive": len(self._live()),
                 "restarts": self._restarts,
-                "admission_limit_per_model": self.max_inflight_per_model,
+                "admission_limit_per_model": self.admission_limit,
             },
             "pool": pool,
             "workers": [{"worker": r["worker"], "pid": r["pid"],
@@ -482,11 +485,10 @@ class ProcServeFacade(ServeFrontend):
     """The frontend bound to a :class:`ProcExecutor`.
 
     Parameters mirror :class:`InferenceService`, plus ``procs`` (worker
-    process count), ``worker_threads`` (puller threads per worker — the
-    largest micro-batch a worker can gather from relayed traffic) and
-    ``max_inflight_per_model`` (admission bound, default
-    ``2 * max_queue``).  ``/stats`` reports ``procs``, the summed
-    ``pool`` and each worker's own report under ``workers``.
+    process count).  Each worker pulls relayed traffic on
+    :data:`WORKER_THREADS` threads, and admission bounds each model to
+    ``2 * max_queue`` requests in flight.  ``/stats`` reports ``procs``,
+    the summed ``pool`` and each worker's own report under ``workers``.
     """
 
     def __init__(self, model, *, procs: int = 2, backend: str = "exact",
@@ -494,8 +496,7 @@ class ProcServeFacade(ServeFrontend):
                  weight_bits=None, seed: int = 0, max_batch: int = 16,
                  max_wait_ms: float = 2.0, workers: int = 1,
                  max_queue: int = 1024, max_engines: int = 8,
-                 warm: bool = True, worker_threads: int = 16,
-                 max_inflight_per_model: int = None):
+                 warm: bool = True):
         if procs < 1:
             raise ValueError("procs must be >= 1")
         models = model_set(model)
@@ -504,10 +505,7 @@ class ProcServeFacade(ServeFrontend):
             length=length, kinds=kinds, pooling=pooling,
             weight_bits=weight_bits, seed=seed)
         super().__init__(resolver, ProcExecutor(
-            models, resolver, procs=procs, worker_threads=worker_threads,
-            max_inflight_per_model=(2 * int(max_queue)
-                                    if max_inflight_per_model is None
-                                    else max_inflight_per_model),
-            max_engines=max_engines, warm=warm,
+            models, resolver, procs=procs, max_engines=max_engines,
+            warm=warm,
             batcher=dict(max_batch=max_batch, max_wait_ms=max_wait_ms,
                          workers=workers, max_queue=max_queue)))

@@ -139,6 +139,36 @@ class TestServeCli:
         err = capsys.readouterr().err
         assert "unknown backend 'warp'" in err
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--max-batch", "0"], "--max-batch must be >= 1"),
+        (["--max-queue", "0"], "--max-queue must be >= 1"),
+        (["--max-engines", "0"], "--max-engines must be >= 1"),
+        (["--workers", "0"], "--workers must be >= 1"),
+        (["--procs", "0"], "--procs must be >= 1"),
+        (["--max-wait-ms", "-1"], "--max-wait-ms must be >= 0"),
+        (["--drain-grace", "-1"], "--drain-grace must be >= 0"),
+    ])
+    def test_serve_rejects_bad_policy_before_training(self, capsys, flags,
+                                                      message):
+        """Bad serving policy exits 2 with one usage line before the
+        quick model trains."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(["serve", "--train", "50", "--epochs", "1", *flags])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert message in captured.err and "Traceback" not in captured.err
+        assert "training quick" not in captured.out
+
+    def test_serve_unservable_spec_is_a_usage_error(self, capsys):
+        """A stream length the max-pooling segment cannot divide exits 2
+        with the engine's message instead of a traceback."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(["serve", "--length", "40", "--train", "50", "--epochs",
+                  "1"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "multiple of segment" in err and "Traceback" not in err
+
     def test_serve_help_documents_policy_flags(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["serve", "--help"])

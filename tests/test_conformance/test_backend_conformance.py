@@ -154,7 +154,7 @@ class TestExactConformance:
         model = zoo_trained["mlp"]
         cfg = _cfg("mlp", None, PoolKind.MAX, 64)
         backend = Engine(model, cfg, backend="exact", seed=0).backend
-        assert backend._max_batch() < backend.batch_budget
+        assert backend._max_batch() < backend.BATCH_BUDGET
 
     def test_unpooled_mux_conv_under_avg_pooling(self, zoo_trained,
                                                  images):

@@ -3,9 +3,8 @@
 Exact logits are a pure function of (model weights, config, weight bits,
 stream length, seed, SNG, input).  Each row of :data:`ROWS` fixes one
 such cell and ``golden_logits.json`` records the SHA-256 of the row's
-float64 little-endian logits.  Every kernel tier (native, NumPy with
-SIMD popcount, NumPy with the byte-LUT fallback) and every NumPy build
-must reproduce the table bit for bit.
+float64 little-endian logits.  Both kernel tiers (native and NumPy)
+and every NumPy build must reproduce the table bit for bit.
 
 The inputs are chosen so nothing outside the simulator can move a bit:
 untrained seed-0 zoo weights (trained weights come out of BLAS matmuls,

@@ -12,6 +12,7 @@ import pytest
 from repro.core.config import NetworkConfig, PoolKind
 from repro.data.synthetic_mnist import to_bipolar
 from repro.engine import Engine
+from repro.engine.exact import ExactBackend
 
 
 @pytest.fixture(scope="module")
@@ -49,14 +50,15 @@ class TestBatchingInvariance:
         np.testing.assert_array_equal(batched, seq)
 
     def test_internal_batch_splitting_is_invisible(self, tiny_trained_lenet,
-                                                   images):
+                                                   images, monkeypatch):
         """A tiny batch budget forces internal chunking; results match."""
         cfg = NetworkConfig.from_kinds(PoolKind.MAX, 64,
                                        ("APC", "APC", "APC"))
         whole = Engine(tiny_trained_lenet, cfg, backend="exact",
                        seed=5).forward(images)
-        split = Engine(tiny_trained_lenet, cfg, backend="exact", seed=5,
-                       batch_budget=1).forward(images)
+        monkeypatch.setattr(ExactBackend, "BATCH_BUDGET", 1)
+        split = Engine(tiny_trained_lenet, cfg, backend="exact",
+                       seed=5).forward(images)
         np.testing.assert_array_equal(whole, split)
 
     def test_lfsr_sng_batch_size_invariant(self, tiny_trained_lenet,
@@ -74,14 +76,15 @@ class TestBatchingInvariance:
         np.testing.assert_array_equal(batched, seq)
 
     def test_counting_tile_size_is_invisible(self, tiny_trained_lenet,
-                                             images):
-        """chunk_budget tiles the counting loop without changing results."""
+                                             images, monkeypatch):
+        """CHUNK_BUDGET tiles the counting loop without changing results."""
         cfg = NetworkConfig.from_kinds(PoolKind.MAX, 64,
                                        ("APC", "APC", "APC"))
         a = Engine(tiny_trained_lenet, cfg, backend="exact",
                    seed=5).forward(images[:2])
-        b = Engine(tiny_trained_lenet, cfg, backend="exact", seed=5,
-                   chunk_budget=1 << 12).forward(images[:2])
+        monkeypatch.setattr(ExactBackend, "CHUNK_BUDGET", 1 << 12)
+        b = Engine(tiny_trained_lenet, cfg, backend="exact",
+                   seed=5).forward(images[:2])
         np.testing.assert_array_equal(a, b)
 
 

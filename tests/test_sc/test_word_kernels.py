@@ -8,9 +8,9 @@ and ``L % 64 != 0``, and arbitrary batch shapes.
 
 Every dispatch-sensitive test runs once per kernel tier via the
 ``kernel_tier`` fixture: the native compiled tier (skipped where not
-built), the NumPy SIMD path with native dispatch pinned off, and the
-NumPy < 2 byte-LUT fallback — so all pure paths stay exercised on boxes
-where the faster tiers would otherwise shadow them.
+built) and the NumPy ``bitwise_count`` path with native dispatch pinned
+off — so the pure path stays exercised on boxes where the native tier
+would otherwise shadow it.
 """
 
 import numpy as np
@@ -31,30 +31,22 @@ lengths = st.one_of(
 batch_shapes = st.sampled_from([(), (1,), (3,), (2, 3)])
 
 
-@pytest.fixture(scope="module", params=["native", "numpy-simd", "numpy-lut"])
+@pytest.fixture(scope="module", params=["native", "numpy-simd"])
 def kernel_tier(request):
     """Pin the kernel dispatch to one tier for the whole module pass.
 
     Module scope keeps hypothesis happy (no function-scoped fixture in
-    ``@given`` tests) and groups the three passes so each tier's state
-    is entered once.
+    ``@given`` tests) and groups the passes so each tier's state is
+    entered once.
     """
     if request.param == "native":
         if not native.available():
             pytest.skip("native kernel tier not built")
         with native.override(True):
             yield request.param
-    elif request.param == "numpy-simd":
-        with native.override(False):
-            yield request.param
     else:
         with native.override(False):
-            have = ops.HAVE_BITWISE_COUNT
-            ops.HAVE_BITWISE_COUNT = False
-            try:
-                yield request.param
-            finally:
-                ops.HAVE_BITWISE_COUNT = have
+            yield request.param
 
 
 def random_bits(data, shape, length):

@@ -139,10 +139,10 @@ class TestAdmissionControl:
     def test_admission_limit_refuses_with_queue_full(
             self, tiny_trained_lenet, images):
         with ProcServeFacade(tiny_trained_lenet, procs=1, length=LENGTH,
-                             warm=False,
-                             max_inflight_per_model=1) as facade:
+                             warm=False, max_queue=1) as facade:
+            assert facade.executor.admission_limit == 2  # 2 * max_queue
             with facade.executor._lock:
-                facade.executor._inflight_by_model["default"] = 1
+                facade.executor._inflight_by_model["default"] = 2
             with pytest.raises(QueueFull, match="admission"):
                 facade.predict(images[0])
             with facade.executor._lock:
@@ -325,13 +325,15 @@ class TestWorkerProtocol:
     """The worker loop, run in a thread over real pipes."""
 
     @pytest.fixture(autouse=True)
-    def _own_registry(self):
+    def _own_registry(self, monkeypatch):
+        # one puller thread per worker, so every message is taken in order
+        monkeypatch.setattr(procpool, "WORKER_THREADS", 1)
         # the worker swaps in a fresh registry; restore the suite's
         with obs.scoped_registry():
             yield
 
     @staticmethod
-    def _start(model, threads=1, plans=None, warm_key=None):
+    def _start(model, plans=None, warm_key=None):
         req_recv, req_send = multiprocessing.Pipe(duplex=False)
         rep_recv, rep_send = multiprocessing.Pipe(duplex=False)
         batcher = dict(max_batch=8, max_wait_ms=1.0, workers=1,
@@ -339,7 +341,7 @@ class TestWorkerProtocol:
         worker = threading.Thread(
             target=procpool._worker_main,
             args=(0, {"default": model}, plans or {}, warm_key, 2,
-                  batcher, req_recv, rep_send, threads))
+                  batcher, req_recv, rep_send))
         worker.start()
         return worker, req_send, rep_recv
 
