@@ -116,7 +116,7 @@ class ExactBackend:
         self._fresh_factory = self.factory.fork()
 
     @staticmethod
-    def _checked_segment(plan, segment: int) -> int:
+    def _checked_segment(plan, segment: int = DEFAULT_SEGMENT) -> int:
         """Reject a max-pooling segment the stream length cannot carry.
 
         Runs before any stream is drawn, so a spec whose every forward

@@ -46,7 +46,8 @@ from multiprocessing import connection
 
 from repro import faults, obs
 from repro.core.config import config_digest
-from repro.engine import build_graph, compile_plan
+from repro.engine import build_graph, compile_plan, get_backend
+from repro.engine.exact import ExactBackend
 from repro.nn.zoo import model_digest
 from repro.serve.batcher import DeadlineExceeded, QueueFull
 from repro.serve.pool import EnginePool, model_set
@@ -241,9 +242,14 @@ class ProcExecutor:
             for name, model in models.items():
                 key, config, _ = resolver.resolve({"model": name})
                 bits = key[3]
+                plan = compile_plan(build_graph(model, config),
+                                    weight_bits=bits)
+                if issubclass(get_backend(key[1]), ExactBackend):
+                    # A spec the warm engine cannot carry fails here,
+                    # before any fork, not in a respawning worker.
+                    ExactBackend._checked_segment(plan)
                 self.plans[(model_digest(model), config_digest(config),
-                            bits, config.length)] = compile_plan(
-                    build_graph(model, config), weight_bits=bits)
+                            bits, config.length)] = plan
             self._warm_key = resolver.resolve({})[0]
 
         self._ctx = multiprocessing.get_context("fork")

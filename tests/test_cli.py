@@ -169,6 +169,17 @@ class TestServeCli:
         err = capsys.readouterr().err
         assert "multiple of segment" in err and "Traceback" not in err
 
+    def test_serve_unservable_spec_under_procs_is_a_usage_error(self,
+                                                               capsys):
+        """The multi-process tier reports the same spec as a usage error
+        too, before it forks a worker."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(["serve", "--length", "40", "--procs", "2", "--train",
+                  "50", "--epochs", "1"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "multiple of segment" in err and "Traceback" not in err
+
     def test_serve_help_documents_policy_flags(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["serve", "--help"])

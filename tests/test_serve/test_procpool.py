@@ -77,6 +77,16 @@ class TestInheritedPlans:
         assert pool["plans"] >= 2  # one per worker, both inherited
         assert pool["plans_compiled"] == 0
 
+    def test_unservable_warm_spec_fails_before_any_fork(
+            self, tiny_trained_lenet, monkeypatch):
+        """A stream length the max-pooling segment cannot divide raises
+        in the parent instead of crash-looping every worker."""
+        def no_spawn(self, index):
+            raise AssertionError("a worker was forked")
+        monkeypatch.setattr(procpool.ProcExecutor, "_spawn", no_spawn)
+        with pytest.raises(ValueError, match="multiple of segment"):
+            ProcServeFacade(tiny_trained_lenet, procs=2, length=40)
+
     def test_cold_facade_inherits_nothing(self, tiny_trained_lenet):
         with ProcServeFacade(tiny_trained_lenet, procs=1, length=LENGTH,
                              warm=False) as facade:
