@@ -6,8 +6,10 @@ behavioral branch), so armed or disarmed the simulator's output bits
 are identical (asserted by ``tests/test_conformance``):
 
 * **metrics** (:mod:`.registry`, :mod:`.exposition`) — process-wide
-  counters / gauges / log-bucket histograms, scraped at ``GET /metrics``
-  and ``python -m repro stats``;
+  counters / gauges / log-bucket histograms.  Registry snapshots are
+  what crosses a process boundary: :func:`merge` sums them and
+  :func:`render` turns the result into the text scraped at
+  ``GET /metrics`` and ``python -m repro stats --metrics``;
 * **tracing** (:mod:`.trace`) — hierarchical spans over the request
   lifecycle and DSE evaluations, JSONL via ``REPRO_TRACE=path``;
 * **kernel profiling** (:mod:`.kernels`) — wall time per kernel per
@@ -28,7 +30,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 
 from . import kernels, trace
-from .exposition import merge, parse, render
+from .exposition import merge, render
 from .registry import (
     DEFAULT_TIME_BUCKETS,
     MetricsRegistry,
@@ -53,7 +55,6 @@ __all__ = [
     "gauge",
     "histogram",
     "render",
-    "parse",
     "merge",
     "span",
     "record_span",

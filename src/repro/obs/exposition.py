@@ -1,38 +1,24 @@
-"""Prometheus text exposition: render a registry snapshot, parse it back.
+"""Prometheus text exposition of registry snapshots, and their merge.
 
 ``render`` emits the classic text format (``# HELP`` / ``# TYPE``
 headers, one sample per line, histograms expanded into cumulative
-``_bucket{le="..."}`` series plus ``_sum`` and ``_count``).  ``parse``
-is the inverse — not a full scraper, just enough structure recovery
-for the round-trip conformance test and the ``python -m repro stats``
-CLI to re-tabulate a scrape.
+``_bucket{le="..."}`` series plus ``_sum`` and ``_count``).  ``merge``
+sums snapshots from several processes into one snapshot, so text is
+produced once, at the HTTP edge (``GET /metrics``, which
+``python -m repro stats --metrics`` prints verbatim).
 """
 
 from __future__ import annotations
 
 import math
 
-__all__ = ["render", "parse", "merge"]
+__all__ = ["render", "merge"]
 
 _ESCAPES = {"\\": "\\\\", '"': '\\"', "\n": "\\n"}
-_UNESCAPES = {"\\\\": "\\", '\\"': '"', "\\n": "\n"}
 
 
 def _escape(value: str) -> str:
     return "".join(_ESCAPES.get(c, c) for c in str(value))
-
-
-def _unescape(value: str) -> str:
-    out, i = [], 0
-    while i < len(value):
-        pair = value[i:i + 2]
-        if pair in _UNESCAPES:
-            out.append(_UNESCAPES[pair])
-            i += 2
-        else:
-            out.append(value[i])
-            i += 1
-    return "".join(out)
 
 
 def _fmt(value: float) -> str:
@@ -85,166 +71,42 @@ def render(source) -> str:
     return "\n".join(lines) + "\n" if lines else ""
 
 
-def _parse_labels(body: str) -> dict:
-    labels, i = {}, 0
-    while i < len(body):
-        eq = body.index("=", i)
-        key = body[i:eq].strip()
-        if body[eq + 1] != '"':
-            raise ValueError(f"unquoted label value near {body[eq:]!r}")
-        j = eq + 2
-        raw = []
-        while body[j] != '"':
-            if body[j] == "\\":
-                raw.append(body[j:j + 2])
-                j += 2
-            else:
-                raw.append(body[j])
-                j += 1
-        labels[key] = _unescape("".join(raw))
-        i = j + 1
-        if i < len(body) and body[i] == ",":
-            i += 1
-    return labels
+def merge(snapshots) -> dict:
+    """Sum several ``registry.snapshot()`` dicts into one of the same shape.
 
+    The multi-process serving tier takes each worker's process-wide
+    registry snapshot and merges it with the frontend's own, then
+    renders once — one ``/metrics`` page for the whole server.
+    Counters and gauges add per label-value tuple; histograms add their
+    cumulative bucket counts, sums and counts bound by bound.  Summed
+    gauges are the meaningful aggregate for every gauge the serving
+    layer emits (queue depths, resident engines/plans); point-in-time
+    gauges that must *not* be summed (``repro_serve_draining``) are
+    published by the frontend alone.
 
-def _parse_value(text: str) -> float:
-    if text == "+Inf":
-        return math.inf
-    if text == "-Inf":
-        return -math.inf
-    return float(text)
-
-
-def parse(text: str) -> dict:
-    """Structure a text exposition back into
-    ``{name: {"kind", "help", "samples": {label-frozenset: value}}}``.
-
-    Histogram series come back under their base name with the
-    synthetic ``le``/``_sum``/``_count`` structure reassembled into
-    ``{"buckets": [(le, cum), ...], "sum": s, "count": n}`` keyed by
-    the non-``le`` labels.
-    """
-    metrics = {}
-    types = {}
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        if line.startswith("# HELP "):
-            _, _, rest = line.partition("# HELP ")
-            name, _, help_text = rest.partition(" ")
-            metrics.setdefault(name, {"kind": "untyped", "help": "",
-                                      "samples": {}})
-            metrics[name]["help"] = _unescape(help_text)
-            continue
-        if line.startswith("# TYPE "):
-            _, _, rest = line.partition("# TYPE ")
-            name, _, kind = rest.partition(" ")
-            types[name] = kind
-            metrics.setdefault(name, {"kind": kind, "help": "",
-                                      "samples": {}})
-            metrics[name]["kind"] = kind
-            continue
-        if line.startswith("#"):
-            continue
-        # sample line: name{labels} value  (a label value may contain
-        # spaces, so split on the brace first when one starts the name)
-        brace = line.find("{")
-        if brace != -1 and (" " not in line or brace < line.index(" ")):
-            name = line[:brace]
-            close = line.rindex("}")
-            labels = _parse_labels(line[brace + 1:close])
-            value_text = line[close + 1:].strip().split()[0]
-        else:
-            name, _, rest = line.partition(" ")
-            labels = {}
-            value_text = rest.strip().split()[0]
-        value = _parse_value(value_text)
-
-        base = name
-        part = None
-        for suffix in ("_bucket", "_sum", "_count"):
-            candidate = name[:-len(suffix)] if name.endswith(suffix) else None
-            if candidate and types.get(candidate) == "histogram":
-                base, part = candidate, suffix
-                break
-        entry = metrics.setdefault(
-            base, {"kind": types.get(base, "untyped"), "help": "",
-                   "samples": {}})
-        if part is None:
-            entry["samples"][frozenset(labels.items())] = value
-            continue
-        le = labels.pop("le", None)
-        key = frozenset(labels.items())
-        hist = entry["samples"].setdefault(
-            key, {"buckets": [], "sum": 0.0, "count": 0})
-        if part == "_bucket":
-            hist["buckets"].append((_parse_value(le), value))
-        elif part == "_sum":
-            hist["sum"] = value
-        else:
-            hist["count"] = int(value)
-    for entry in metrics.values():
-        if entry["kind"] == "histogram":
-            for hist in entry["samples"].values():
-                hist["buckets"].sort(key=lambda pair: pair[0])
-                hist["count"] = int(hist["count"])
-    return metrics
-
-
-def _merge_hist(into: dict, hist: dict) -> None:
-    cum = dict(into["buckets"])
-    for bound, value in hist["buckets"]:
-        cum[bound] = cum.get(bound, 0) + value
-    into["buckets"] = sorted(cum.items())
-    into["sum"] += hist["sum"]
-    into["count"] += hist["count"]
-
-
-def merge(texts) -> str:
-    """Merge several text expositions into one, summing samples.
-
-    The multi-process serving tier scrapes each worker's process-wide
-    registry, then merges the texts with the frontend's own — one
-    ``/metrics`` page for the whole server.  Counters and histogram
-    buckets are additive by construction; gauges are summed too, which
-    is the meaningful aggregate for every gauge the serving layer emits
-    (queue depths, resident engines/plans).  Point-in-time gauges that
-    must *not* be summed (``repro_serve_draining``) are the frontend's
-    to publish after merging.
-
-    Returns Prometheus text; ``help``/``kind`` metadata comes from the
-    first exposition that defines each metric.
+    ``kind``, ``help`` and ``labelnames`` come from the first snapshot
+    that defines each metric; every process runs the same
+    instrumentation, so the label names agree.  Inputs are not mutated.
     """
     merged = {}
-    for text in texts:
-        for name, entry in parse(text).items():
-            into = merged.setdefault(
-                name, {"kind": entry["kind"], "help": entry["help"],
-                       "samples": {}})
-            if not into["help"]:
-                into["help"] = entry["help"]
-            if into["kind"] == "untyped" and entry["kind"] != "untyped":
-                into["kind"] = entry["kind"]
-            for labels, sample in entry["samples"].items():
-                if isinstance(sample, dict):
-                    hist = into["samples"].setdefault(
-                        labels, {"buckets": [], "sum": 0.0, "count": 0})
-                    _merge_hist(hist, sample)
+    for snapshot in snapshots:
+        for name, meta in snapshot.items():
+            into = merged.get(name)
+            if into is None:
+                merged[name] = {**meta, "samples": dict(meta["samples"])}
+                continue
+            samples = into["samples"]
+            for labelvalues, sample in meta["samples"].items():
+                have = samples.get(labelvalues)
+                if have is None:
+                    samples[labelvalues] = sample
+                elif into["kind"] == "histogram":
+                    samples[labelvalues] = {
+                        "buckets": [(bound, cum + more) for (bound, cum),
+                                    (_, more) in zip(have["buckets"],
+                                                     sample["buckets"])],
+                        "sum": have["sum"] + sample["sum"],
+                        "count": have["count"] + sample["count"]}
                 else:
-                    into["samples"][labels] = \
-                        into["samples"].get(labels, 0.0) + sample
-    # Re-shape into render()'s snapshot format: labelnames + tuple keys.
-    snapshot = {}
-    for name, entry in merged.items():
-        labelnames = sorted({k for labels in entry["samples"]
-                             for k, _ in labels})
-        samples = {}
-        for labels, sample in entry["samples"].items():
-            values = dict(labels)
-            samples[tuple(values.get(k, "") for k in labelnames)] = sample
-        snapshot[name] = {"kind": entry["kind"], "help": entry["help"],
-                          "labelnames": tuple(labelnames),
-                          "samples": samples}
-    return render(snapshot)
+                    samples[labelvalues] = have + sample
+    return merged

@@ -24,7 +24,7 @@ its own single child, so ``registry.counter("x").inc()`` just works.
 
 Histogram buckets are **fixed and log-spaced** (:func:`log_buckets`):
 bucket layout never adapts to data, so two scrapes are always
-comparable and exposition round-trips exactly.
+comparable and snapshots from different processes merge bound by bound.
 
 The module-level *current registry* (:func:`get_registry` /
 :func:`set_registry`) is what instrumentation sites write to at event

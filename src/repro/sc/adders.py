@@ -17,9 +17,9 @@ second-to-last: shape ``(..., n, nbytes)`` for ``n`` inputs, and reduce it.
 
 Per-cycle counts are computed by moving the summand axis to the front
 (so the reduction vectorizes over long contiguous cycle runs), unpacking
-in stream-axis chunks bounded by ``chunk_budget`` bytes, and reducing in
-uint8 — the full ``(..., n, L)`` bit tensor is never materialized when a
-budget smaller than it is passed (see DESIGN.md, "word-level engine").
+in stream-axis chunks bounded by :data:`CHUNK_BUDGET` bytes, and reducing
+in uint8 — the full ``(..., n, L)`` bit tensor is never materialized when
+it is larger than the budget (see DESIGN.md, "word-level engine").
 
 Notes
 -----
@@ -48,13 +48,12 @@ __all__ = [
     "parallel_counter",
     "apc_count",
     "apc_gate_equivalents",
-    "DEFAULT_CHUNK_BUDGET",
 ]
 
-#: Default bound (bytes) on the unpacked bit tensor materialized at once
-#: while counting columns; 64 MiB keeps the working set cache-friendly
-#: without chunking the common microbench/layer shapes.
-DEFAULT_CHUNK_BUDGET = 1 << 26
+#: Bound (bytes) on the unpacked bit tensor materialized at once while
+#: counting columns on the NumPy tier; 64 MiB keeps the working set
+#: cache-friendly without chunking the common microbench/layer shapes.
+CHUNK_BUDGET = 1 << 26
 
 
 def or_add(streams: np.ndarray) -> np.ndarray:
@@ -90,14 +89,15 @@ def mux_add(streams: np.ndarray, select: np.ndarray,
     return ops.mux_select(streams, select, length)
 
 
-def _column_counts(streams: np.ndarray, length: int, chunk_budget,
+def _column_counts(streams: np.ndarray, length: int,
                    approximate: bool) -> np.ndarray:
     """Per-cycle ones counts ``(..., length)``, optionally APC-approximate.
 
     The summand axis is moved to the front so ``np.add.reduce`` runs over
     axis 0 with contiguous cycle runs, and the stream axis is unpacked in
-    byte-aligned chunks whose unpacked size stays within ``chunk_budget``
-    bytes.  Counts accumulate in uint8 whenever ``n`` permits.
+    byte-aligned chunks whose unpacked size stays within
+    :data:`CHUNK_BUDGET` bytes.  Counts accumulate in uint8 whenever
+    ``n`` permits.
     """
     length = check_stream_length(length)
     streams = np.asarray(streams, dtype=np.uint8)
@@ -119,10 +119,8 @@ def _column_counts(streams: np.ndarray, length: int, chunk_budget,
     batch = front.shape[1:-1]
     # The APC approximation can emit n + 1, so uint8 is safe up to n = 254.
     acc_dtype = np.uint8 if n <= 254 else np.int16
-    if chunk_budget is None:
-        chunk_budget = DEFAULT_CHUNK_BUDGET
     rows = int(np.prod(batch, dtype=np.int64)) if batch else 1
-    chunk_bytes = max(int(chunk_budget) // max(n * rows * 8, 1), 1)
+    chunk_bytes = max(CHUNK_BUDGET // max(n * rows * 8, 1), 1)
     out = np.empty(batch + (length,), dtype=np.int16)
     for start in range(0, nbytes, chunk_bytes):
         stop = min(start + chunk_bytes, nbytes)
@@ -139,22 +137,17 @@ def _column_counts(streams: np.ndarray, length: int, chunk_budget,
     return out
 
 
-def parallel_counter(streams: np.ndarray, length: int,
-                     chunk_budget: int | None = None) -> np.ndarray:
+def parallel_counter(streams: np.ndarray, length: int) -> np.ndarray:
     """Exact accumulative parallel counter: per-cycle ones counts.
 
     Returns an int16 array ``(..., length)`` where entry ``t`` is the
     number of input streams whose bit ``t`` is one.  This is the
     conventional (non-approximate) counter used as Table 3's baseline.
-
-    ``chunk_budget`` bounds the bytes of unpacked bits materialized at
-    once (default :data:`DEFAULT_CHUNK_BUDGET`).
     """
-    return _column_counts(streams, length, chunk_budget, approximate=False)
+    return _column_counts(streams, length, approximate=False)
 
 
-def apc_count(streams: np.ndarray, length: int,
-              chunk_budget: int | None = None) -> np.ndarray:
+def apc_count(streams: np.ndarray, length: int) -> np.ndarray:
     """Approximate parallel counter: per-cycle counts with LSB approximation.
 
     Behavioural model of the APC of ref (20) (see module Notes): the
@@ -165,10 +158,9 @@ def apc_count(streams: np.ndarray, length: int,
     even exact count with a set approximate LSB overshoots by one, which
     the APC's binary output width accommodates.
 
-    Returns an int16 array ``(..., length)``.  ``chunk_budget`` bounds the
-    bytes of unpacked bits materialized at once.
+    Returns an int16 array ``(..., length)``.
     """
-    return _column_counts(streams, length, chunk_budget, approximate=True)
+    return _column_counts(streams, length, approximate=True)
 
 
 def apc_gate_equivalents(n_inputs: int) -> dict:

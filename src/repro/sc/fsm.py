@@ -33,11 +33,18 @@ from repro.utils.validation import check_positive_int
 
 __all__ = ["saturating_counter"]
 
+#: Dispatch-friendly ``(min, max)`` cycles per scan block.  Any block
+#: length produces identical output (the composition is exact); this
+#: only tunes how the ``B + T/B`` Python-level iterations split, while
+#: the work arrays always span the full ``T`` cycles regardless.
+BLOCK_RANGE = (8, 128)
+
 
 def _block_size(n_cycles: int) -> int:
-    """Default block length: ≈√T bounded to a dispatch-friendly range."""
+    """Block length: ≈√T bounded to :data:`BLOCK_RANGE` and to ``T``."""
     root = int(round(float(n_cycles) ** 0.5))
-    return max(1, min(max(root, 8), 128, n_cycles))
+    lo, hi = BLOCK_RANGE
+    return max(1, min(max(root, lo), hi, n_cycles))
 
 
 def saturating_counter(
@@ -45,7 +52,6 @@ def saturating_counter(
     n_states: int,
     init: int = None,
     threshold: int = None,
-    block: int = None,
 ) -> np.ndarray:
     """Run a saturating up/down counter over per-cycle increments.
 
@@ -65,11 +71,6 @@ def saturating_counter(
         Defaults to ``n_states // 2`` — the right half of the Figure 6
         diagram.  The re-designed Stanh of Figure 11 passes
         ``round(n_states / 5)`` instead.
-    block:
-        Cycles per scan block; defaults to ≈``√T``.  Any value produces
-        identical output (the composition is exact) — this only tunes how
-        the ``B + T/B`` Python-level iterations split; the work arrays
-        always span the full ``T`` cycles regardless.
 
     Returns
     -------
@@ -92,11 +93,9 @@ def saturating_counter(
         return np.empty(inc.shape, dtype=bool)
     if native.enabled():
         # Native tier: a plain sequential scan beats the blocked
-        # composition once the per-cycle step is one compiled clamp;
-        # ``block`` only tunes the NumPy path and never changes output.
+        # composition once the per-cycle step is one compiled clamp.
         return native.saturating_counter(inc, n_states, init, threshold)
-    B = check_positive_int(block, "block") if block else _block_size(T)
-    B = min(B, T)
+    B = _block_size(T)
     nblocks = -(-T // B)
     pad = nblocks * B - T
     if pad:

@@ -233,10 +233,6 @@ class MicroBatcher:
             self._work.notify_all()
         return ticket
 
-    def run(self, key, payload, timeout: float = None):
-        """Submit and block for the result (the serving hot path)."""
-        return self.submit(key, payload).result(timeout)
-
     def close(self, timeout: float = 10.0) -> None:
         """Stop accepting requests; drain the queue, join the workers."""
         with self._work:

@@ -95,11 +95,6 @@ class EnginePool:
         self._plans_rederived = 0
 
     # ------------------------------------------------------------------
-    @property
-    def model(self):
-        """The default model (single-model construction compatibility)."""
-        return self.models[self.default_model]
-
     def _resolve_model(self, model):
         """Map a model spec (``None`` / registered name) to (name, model)."""
         if model is None:
@@ -191,25 +186,6 @@ class EnginePool:
                 obs.counter("repro_pool_evictions_total",
                             "Engines evicted from the pool (LRU).").inc()
             return engine
-
-    def warm_up(self, specs) -> int:
-        """Preload engines for an iterable of request specs.
-
-        Each spec is a ``(config, backend)`` pair or a dict of
-        :meth:`get` keyword arguments; returns how many engines were
-        newly constructed *by this call* (already-warm specs count zero,
-        and concurrent traffic's own misses are not attributed here —
-        the lock is reentrant, so the check and the build are atomic).
-        """
-        built = 0
-        for spec in specs:
-            kwargs = dict(spec) if isinstance(spec, dict) else \
-                {"config": spec[0], "backend": spec[1]}
-            with self._lock:
-                if self.engine_key(**kwargs) not in self._engines:
-                    built += 1
-                self.get(**kwargs)
-        return built
 
     def stats(self) -> dict:
         """Counters snapshot, including the ``/stats`` hit rate."""

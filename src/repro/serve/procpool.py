@@ -143,7 +143,7 @@ def _worker_main(worker_id: int, models, plans: dict, warm_key,
         return {"worker": worker_id, "pid": os.getpid(),
                 "stats": {"service": {"requests": requests},
                           **executor.stats()},
-                "metrics": obs.render(obs.get_registry())}
+                "metrics": obs.get_registry().snapshot()}
 
     handlers = {"run": run, "stats": stats}
     recv_lock = threading.Lock()
@@ -457,8 +457,8 @@ class ProcExecutor:
                   "Relayed requests awaiting a worker reply.").set(
                       len(self._pending))
 
-    def metric_texts(self) -> list:
-        """Every live worker's rendered registry."""
+    def metric_snapshots(self) -> list:
+        """Every live worker's registry snapshot."""
         return [reply["metrics"] for reply in self._scrape_workers()]
 
     def close(self) -> None:

@@ -207,8 +207,9 @@ class ServeFrontend:
     """The request lifecycle both serving modes share.
 
     An executor provides ``run(kind, key, payload, deadline)``,
-    ``stats()``, ``export_gauges()``, ``metric_texts()`` and
-    ``close()``.  ``run`` gets a ``"predict"`` or ``"scene"``
+    ``stats()``, ``export_gauges()``, ``metric_snapshots()`` (registry
+    snapshots of any other processes, for the merged ``/metrics`` page)
+    and ``close()``.  ``run`` gets a ``"predict"`` or ``"scene"``
     request's group key, its validated payload (a bipolar image batch,
     or :meth:`RequestResolver.resolve_scene`'s tuple) and its absolute
     monotonic deadline, and returns the class indices or the
@@ -344,13 +345,12 @@ class ServeFrontend:
         self.executor.export_gauges()
 
     def metrics_text(self) -> str:
-        """The ``/metrics`` page: this process's registry, merged with
-        every worker process's (counters and histograms sum; summed
-        gauges read as totals across processes)."""
+        """The ``/metrics`` page: this process's registry snapshot,
+        merged with every worker process's (counters and histograms sum;
+        summed gauges read as totals across processes), rendered once."""
         self.export_gauges()
-        texts = [obs.render(obs.get_registry()),
-                 *self.executor.metric_texts()]
-        return texts[0] if len(texts) == 1 else obs.merge(texts)
+        return obs.render(obs.merge([obs.get_registry().snapshot(),
+                                     *self.executor.metric_snapshots()]))
 
     def close(self) -> None:
         """Refuse further requests, shut the executor down (idempotent)."""
@@ -461,7 +461,7 @@ class LocalExecutor:
                   "Compiled plans resident in the pool.").set(
                       pool["plans"])
 
-    def metric_texts(self) -> list:
+    def metric_snapshots(self) -> list:
         return []  # this process's registry is the whole story
 
     def close(self) -> None:

@@ -88,7 +88,7 @@ class TestPoolModelKeys:
     def test_single_model_construction_unchanged(self, zoo_trained):
         pool = EnginePool(zoo_trained["lenet_s"])
         assert pool.default_model == "default"
-        assert pool.model is zoo_trained["lenet_s"]
+        assert pool.models["default"] is zoo_trained["lenet_s"]
         assert pool.get(_cfg(), backend="float") is not None
 
     def test_length_siblings_still_share_plans_per_model(self, zoo_trained):

@@ -1,11 +1,12 @@
-"""Prometheus text exposition: render format and render→parse round-trip."""
+"""Prometheus text exposition: render format and the snapshot merge."""
 
+import copy
 import math
 
 import pytest
 
 from repro import obs
-from repro.obs.exposition import merge, parse, render
+from repro.obs.exposition import merge, render
 
 
 @pytest.fixture()
@@ -58,95 +59,91 @@ class TestRender:
         assert "\n\\c" not in text  # newline stayed escaped
 
 
-class TestRoundTrip:
-    def test_full_round_trip(self, registry):
-        registry.counter("reqs_total", "Total requests.",
-                         labelnames=("outcome",)).labels(outcome="ok").inc(7)
-        registry.gauge("depth", "Queue depth.").set(2.5)
-        hist = registry.histogram("lat_seconds", "Latency.",
-                                  buckets=(0.1, 1.0))
-        for v in (0.05, 0.5, 5.0):
-            hist.observe(v)
-
-        back = parse(render(registry))
-
-        assert back["reqs_total"]["kind"] == "counter"
-        assert back["reqs_total"]["help"] == "Total requests."
-        assert back["reqs_total"]["samples"][
-            frozenset({("outcome", "ok")})] == 7
-        assert back["depth"]["samples"][frozenset()] == 2.5
-
-        hist_back = back["lat_seconds"]["samples"][frozenset()]
-        assert hist_back["buckets"] == [(0.1, 1), (1.0, 2), (math.inf, 3)]
-        assert hist_back["sum"] == pytest.approx(5.55)
-        assert hist_back["count"] == 3
-
-    def test_label_values_round_trip_with_specials(self, registry):
-        value = 'sp ace "quote" back\\slash new\nline'
-        registry.counter("s_total", labelnames=("v",)).labels(v=value).inc()
-        back = parse(render(registry))
-        assert back["s_total"]["samples"][frozenset({("v", value)})] == 1
-
-    def test_parse_tolerates_untyped_lines(self):
-        back = parse("plain_metric 42\n")
-        assert back["plain_metric"]["kind"] == "untyped"
-        assert back["plain_metric"]["samples"][frozenset()] == 42.0
-
-
 class TestMerge:
     """merge(): the multi-process /metrics aggregation primitive."""
 
-    def _render_worker(self, requests, latencies):
-        with obs.scoped_registry() as reg:
-            reg.counter("reqs_total", "Total requests.",
-                        labelnames=("outcome",)).labels(
-                            outcome="ok").inc(requests)
-            reg.gauge("depth", "Queue depth.").set(requests)
-            hist = reg.histogram("lat_seconds", "Latency.",
-                                 buckets=(0.1, 1.0))
-            for v in latencies:
-                hist.observe(v)
-            return render(reg)
+    @staticmethod
+    def _worker(requests, latencies, paths=("ok",)):
+        reg = obs.MetricsRegistry()
+        family = reg.counter("reqs_total", "Total requests.",
+                             labelnames=("outcome", "path"))
+        for path in paths:
+            family.labels(outcome="ok", path=path).inc(requests)
+        reg.gauge("depth", "Queue depth.").set(requests)
+        hist = reg.histogram("lat_seconds", "Latency.", buckets=(0.1, 1.0))
+        for v in latencies:
+            hist.observe(v)
+        return reg.snapshot()
 
     def test_counters_gauges_and_histograms_sum(self):
-        merged = parse(merge([
-            self._render_worker(3, [0.05, 0.5]),
-            self._render_worker(4, [5.0]),
-        ]))
-        assert merged["reqs_total"]["samples"][
-            frozenset({("outcome", "ok")})] == 7
-        assert merged["depth"]["samples"][frozenset()] == 7
-        hist = merged["lat_seconds"]["samples"][frozenset()]
+        merged = merge([self._worker(3, [0.05, 0.5]),
+                        self._worker(4, [5.0])])
+        assert merged["reqs_total"]["samples"][("ok", "ok")] == 7
+        assert merged["depth"]["samples"][()] == 7
+        hist = merged["lat_seconds"]["samples"][()]
         assert hist["buckets"] == [(0.1, 1), (1.0, 2), (math.inf, 3)]
         assert hist["sum"] == pytest.approx(5.55)
         assert hist["count"] == 3
 
     def test_disjoint_series_pass_through(self):
-        a = "# TYPE only_a_total counter\nonly_a_total 1\n"
-        b = "# TYPE only_b_total counter\nonly_b_total 2\n"
-        merged = parse(merge([a, b]))
-        assert merged["only_a_total"]["samples"][frozenset()] == 1
-        assert merged["only_b_total"]["samples"][frozenset()] == 2
+        a, b = obs.MetricsRegistry(), obs.MetricsRegistry()
+        a.counter("only_a_total").inc(1)
+        b.counter("only_b_total").inc(2)
+        merged = merge([a.snapshot(), b.snapshot()])
+        assert merged["only_a_total"]["samples"] == {(): 1}
+        assert merged["only_b_total"]["samples"] == {(): 2}
 
     def test_metadata_comes_from_first_definer(self):
-        untyped = "m_total 1\n"
-        typed = "# HELP m_total Real help.\n# TYPE m_total counter\nm_total 2\n"
-        text = merge([untyped, typed])
+        a, b = obs.MetricsRegistry(), obs.MetricsRegistry()
+        a.counter("m_total", "First help.").inc(1)
+        b.counter("m_total", "Second help.").inc(2)
+        text = render(merge([a.snapshot(), b.snapshot()]))
+        assert "# HELP m_total First help." in text
         assert "# TYPE m_total counter" in text
-        assert "# HELP m_total Real help." in text
-        assert parse(text)["m_total"]["samples"][frozenset()] == 3
+        assert "m_total 3" in text.splitlines()
 
     def test_label_sets_merge_by_value(self):
-        a = ('# TYPE r_total counter\n'
-             'r_total{model="a"} 1\nr_total{model="b"} 2\n')
-        b = '# TYPE r_total counter\nr_total{model="a"} 5\n'
-        merged = parse(merge([a, b]))
-        samples = merged["r_total"]["samples"]
-        assert samples[frozenset({("model", "a")})] == 6
-        assert samples[frozenset({("model", "b")})] == 2
+        a, b = obs.MetricsRegistry(), obs.MetricsRegistry()
+        for reg, counts in ((a, {"a": 1, "b": 2}), (b, {"a": 5})):
+            family = reg.counter("r_total", labelnames=("model",))
+            for model, n in counts.items():
+                family.labels(model=model).inc(n)
+        merged = merge([a.snapshot(), b.snapshot()])
+        assert merged["r_total"]["samples"] == {("a",): 6, ("b",): 2}
 
-    def test_merged_text_round_trips_through_parse(self):
-        text = merge([self._render_worker(1, [0.5]),
-                      self._render_worker(2, [0.05])])
-        again = merge([text])
-        assert parse(again) == parse(text)
+    def test_inputs_are_not_mutated(self):
+        snapshots = [self._worker(1, [0.5]), self._worker(2, [0.05])]
+        before = copy.deepcopy(snapshots)
+        merge(snapshots)
+        assert snapshots == before
+
+    def test_one_snapshot_renders_as_the_registry(self, registry):
+        registry.counter("reqs_total", labelnames=("outcome",)).labels(
+            outcome="ok").inc(2)
+        registry.histogram("lat_seconds", buckets=(0.1,)).observe(0.05)
+        assert render(merge([registry.snapshot()])) == render(registry)
+
+    def test_rendered_merge_pins_the_page(self):
+        """Labeled counter with escaped values, gauge and histogram from
+        two processes; bucket counts stay integers, as on a one-process
+        page."""
+        path = 'a "b"\n\\c sp'
+        text = render(merge([
+            self._worker(3, [0.05, 0.5], paths=(path, "/x")),
+            self._worker(4, [5.0, 0.25], paths=(path,)),
+        ]))
+        assert text == (
+            '# HELP depth Queue depth.\n'
+            '# TYPE depth gauge\n'
+            'depth 7\n'
+            '# HELP lat_seconds Latency.\n'
+            '# TYPE lat_seconds histogram\n'
+            'lat_seconds_bucket{le="0.1"} 1\n'
+            'lat_seconds_bucket{le="1"} 3\n'
+            'lat_seconds_bucket{le="+Inf"} 4\n'
+            'lat_seconds_sum 5.8\n'
+            'lat_seconds_count 4\n'
+            '# HELP reqs_total Total requests.\n'
+            '# TYPE reqs_total counter\n'
+            'reqs_total{outcome="ok",path="/x"} 3\n'
+            'reqs_total{outcome="ok",path="a \\"b\\"\\n\\\\c sp"} 7\n')

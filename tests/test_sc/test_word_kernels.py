@@ -13,13 +13,15 @@ off — so the pure path stays exercised on boxes where the native tier
 would otherwise shadow it.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.native as native
-from repro.sc import activation, adders, ops
+from repro.sc import activation, adders, fsm, ops
 from repro.sc.fsm import saturating_counter
 from repro.sc.lfsr import LFSR
 
@@ -145,11 +147,12 @@ def test_column_counters_match_unpacked(kernel_tier, data, length, shape, n,
     bits = random_bits(data, shape + (n,), length)
     packed = ops.pack_bits(bits)
     exact_ref = bits.sum(axis=-2, dtype=np.int16)
-    exact = adders.parallel_counter(packed, length, chunk_budget=budget)
-    np.testing.assert_array_equal(exact, exact_ref)
     lsb = (exact_ref - bits[..., -1, :]) & np.int16(1)
     approx_ref = (exact_ref & ~np.int16(1)) | lsb
-    approx = adders.apc_count(packed, length, chunk_budget=budget)
+    with mock.patch.object(adders, "CHUNK_BUDGET", budget):
+        exact = adders.parallel_counter(packed, length)
+        approx = adders.apc_count(packed, length)
+    np.testing.assert_array_equal(exact, exact_ref)
     np.testing.assert_array_equal(approx, approx_ref)
 
 
@@ -188,8 +191,11 @@ def test_saturating_counter_matches_loop(kernel_tier, data, shape, T,
     inc = rng.integers(-30, 31, size=shape + (T,))
     init = int(rng.integers(0, n_states))
     threshold = int(rng.integers(0, n_states + 2))
-    out = saturating_counter(inc, n_states, init=init, threshold=threshold,
-                             block=block)
+    # a fixed block pins BLOCK_RANGE to (block, block); None keeps ≈√T
+    block_range = fsm.BLOCK_RANGE if block is None else (block, block)
+    with mock.patch.object(fsm, "BLOCK_RANGE", block_range):
+        out = saturating_counter(inc, n_states, init=init,
+                                 threshold=threshold)
     ref = _counter_loop_reference(inc, n_states, init, threshold)
     np.testing.assert_array_equal(out, ref)
 

@@ -112,7 +112,7 @@ class TestFlushPolicy:
         batcher = MicroBatcher(runner, max_batch=16, max_wait_ms=5000)
         try:
             start = time.monotonic()
-            assert batcher.run("g", 1, timeout=10.0) == ("g", 1)
+            assert batcher.submit("g", 1).result(10.0) == ("g", 1)
             elapsed = time.monotonic() - start
         finally:
             batcher.close()
@@ -175,7 +175,7 @@ class TestFlushPolicy:
         runner = RecordingRunner()
         batcher = MicroBatcher(runner, max_batch=8, max_wait_ms=0)
         try:
-            assert [batcher.run("g", i, timeout=10.0)[1] for i in range(4)] \
+            assert [batcher.submit("g", i).result(10.0)[1] for i in range(4)] \
                 == list(range(4))
         finally:
             batcher.close()
@@ -230,7 +230,7 @@ class TestErrorsAndLifecycle:
             gate.set()
             # the batcher keeps serving; repeated waits on the dead
             # ticket keep raising instead of hanging or yielding a value
-            assert batcher.run("g", 2, timeout=10.0) == ("g", 2)
+            assert batcher.submit("g", 2).result(10.0) == ("g", 2)
             with pytest.raises(TimeoutError):
                 ticket.result(timeout=0.01)
         finally:
@@ -241,7 +241,7 @@ class TestErrorsAndLifecycle:
                                max_wait_ms=5)
         try:
             with pytest.raises(RuntimeError, match="returned 0 results"):
-                batcher.run("g", 1, timeout=10.0)
+                batcher.submit("g", 1).result(10.0)
         finally:
             batcher.close()
 
@@ -272,7 +272,7 @@ class TestErrorsAndLifecycle:
             blocker.result(timeout=10.0)
             assert [t.result(timeout=10.0)[1] for t in tickets] == [0, 1, 2]
             # capacity freed up once the backlog drained
-            assert batcher.run("g", 7, timeout=10.0) == ("g", 7)
+            assert batcher.submit("g", 7).result(10.0) == ("g", 7)
         finally:
             batcher.close()
 
@@ -280,7 +280,7 @@ class TestErrorsAndLifecycle:
         runner = RecordingRunner()
         batcher = MicroBatcher(runner, max_batch=4, max_wait_ms=7)
         try:
-            batcher.run("g", 1, timeout=10.0)
+            batcher.submit("g", 1).result(10.0)
         finally:
             batcher.close()
         stats = batcher.stats()

@@ -101,7 +101,7 @@ class TestBisection:
         runner = _GatedRunner()
         batcher = MicroBatcher(runner, max_batch=8, max_wait_ms=5)
         try:
-            assert batcher.run("g", 1, timeout=10.0) == ("g", 1)
+            assert batcher.submit("g", 1).result(10.0) == ("g", 1)
         finally:
             batcher.close()
         assert batcher.stats()["bisections"] == 0
@@ -139,7 +139,7 @@ class TestDeadlines:
             assert dead.cancel()
             gate.set()
             assert blocker.result(timeout=10.0) == ("w", "warm")
-            assert batcher.run("g", "live", timeout=10.0) == ("g", "live")
+            assert batcher.submit("g", "live").result(10.0) == ("g", "live")
         finally:
             batcher.close()
         assert "dead" not in runner.served()

@@ -56,6 +56,17 @@ def observed_service(tiny_trained_lenet, tmp_path):
             trace.configure(None)
 
 
+def _sample(text, series) -> float:
+    """Sum of an exposition series' samples: ``series`` is a bare name
+    (every label set) or a name with its labels (that sample alone)."""
+    total = 0.0
+    for line in text.splitlines():
+        head, _, value = line.rpartition(" ")
+        if head == series or head.startswith(series + "{"):
+            total += float(value)
+    return total
+
+
 def _predict(base, image):
     request = urllib.request.Request(
         base + "/predict", data=json.dumps({"image": image.tolist()}).encode(),
@@ -75,21 +86,31 @@ class TestMetricsEndpoint:
             assert "text/plain" in resp.headers["Content-Type"]
             text = resp.read().decode()
 
-        parsed = obs.parse(text)
-        ok = parsed["repro_serve_requests_total"]["samples"][
-            frozenset({("outcome", "ok")})]
-        assert ok >= 1
-        latency = parsed["repro_serve_latency_seconds"]["samples"][
-            frozenset()]
-        assert latency["count"] >= 1
-        assert latency["buckets"][-1][1] == latency["count"]
+        assert _sample(text, 'repro_serve_requests_total{outcome="ok"}') >= 1
+        count = _sample(text, "repro_serve_latency_seconds_count")
+        assert count >= 1
+        assert _sample(text, 'repro_serve_latency_seconds_bucket{le="+Inf"}'
+                       ) == count
         # scrape-time gauges published by export_gauges()
-        assert parsed["repro_serve_queue_depth"]["kind"] == "gauge"
-        assert parsed["repro_serve_inflight_batches"]["samples"][
-            frozenset()] == 0
-        assert parsed["repro_pool_engines"]["samples"][frozenset()] >= 1
-        assert parsed["repro_serve_batches_total"]["samples"][
-            frozenset()] >= 1
+        lines = text.splitlines()
+        assert "# TYPE repro_serve_queue_depth gauge" in lines
+        assert "repro_serve_inflight_batches 0" in lines
+        assert _sample(text, "repro_pool_engines") >= 1
+        assert _sample(text, "repro_serve_batches_total") >= 1
+
+    def test_in_process_page_is_the_registry_rendered(
+            self, observed_service, image):
+        """One process: merging the lone snapshot changes no byte."""
+        base, service, _ = observed_service
+        _predict(base, image)
+        # the batch worker drops its in-flight count after replying
+        deadline = time.monotonic() + 10.0
+        while (service.batcher.stats()["inflight_batches"]
+               and time.monotonic() < deadline):
+            time.sleep(0.01)
+        text = service.metrics_text()
+        service.export_gauges()
+        assert text == obs.render(obs.get_registry())
 
     def test_stats_reports_window_throughput_and_inflight(
             self, observed_service, image):

@@ -117,17 +117,7 @@ class TestEviction:
             EnginePool(pool_model, max_engines=0)
 
 
-class TestWarmUpAndThreads:
-    def test_warm_up_preloads(self, pool_model):
-        pool = EnginePool(pool_model)
-        built = pool.warm_up([
-            (_cfg(), "float"),
-            {"config": _cfg(), "backend": "noise", "seed": 3},
-        ])
-        assert built == 2
-        assert pool.warm_up([(_cfg(), "float")]) == 0  # already warm
-        assert pool.stats()["engines"] == 2
-
+class TestSharedEngines:
     def test_concurrent_gets_build_once(self, pool_model):
         pool = EnginePool(pool_model)
         engines = [None] * 8
