@@ -111,6 +111,10 @@ class TestMerge:
         merged = merge([a.snapshot(), b.snapshot()])
         assert merged["r_total"]["samples"] == {("a",): 6, ("b",): 2}
 
+    def test_no_snapshots_merge_to_an_empty_page(self):
+        assert merge([]) == {}
+        assert render(merge([])) == ""
+
     def test_inputs_are_not_mutated(self):
         snapshots = [self._worker(1, [0.5]), self._worker(2, [0.05])]
         before = copy.deepcopy(snapshots)

@@ -464,6 +464,39 @@ class TestWorkerProtocol:
             worker.join(10.0)
         assert not worker.is_alive()
 
+    def test_stats_reply_carries_the_registry_snapshot(
+            self, tiny_trained_lenet, images):
+        """The worker's registry crosses the pipe as a snapshot dict
+        whose label-value keys still merge by value with other
+        processes' snapshots."""
+        key = ("default", "exact", _cfg(), (None,) * 4, 0)
+        worker, req_send, rep_recv = self._start(tiny_trained_lenet)
+        try:
+            for req_id in (1, 2):
+                _, ok, _ = self._ask(
+                    req_send, rep_recv,
+                    ("run", req_id, "predict", key, images[:1], None))
+                assert ok
+            _, ok, report = self._ask(req_send, rep_recv, ("stats", 3))
+            assert ok
+            snapshot = report["metrics"]
+            assert snapshot["repro_serve_batches_total"]["samples"] == {
+                (): 2}
+            sizes = snapshot["repro_serve_batch_size"]
+            assert sizes["kind"] == "histogram"
+            assert sizes["samples"][()]["count"] == 2
+            merged = obs.merge([snapshot, snapshot])
+            assert merged["repro_serve_batches_total"]["samples"] == {
+                (): 4}
+            assert merged["repro_serve_batch_size"]["samples"][()][
+                "count"] == 4
+            assert "repro_serve_batches_total 4" in obs.render(
+                merged).splitlines()
+        finally:
+            req_send.send(("close", None))
+            worker.join(10.0)
+        assert not worker.is_alive()
+
     def test_unknown_message_is_answered_as_internal_error(
             self, tiny_trained_lenet):
         worker, req_send, rep_recv = self._start(tiny_trained_lenet)
