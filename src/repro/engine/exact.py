@@ -5,12 +5,16 @@ golden digest table in ``tests/test_conformance/golden_logits.json``.
 The computation is organized around a batch axis so one call simulates
 many images:
 
-* all images of a batch are encoded with **one** SNG call when the SNG
-  is the ideal PCG64 comparator — numpy fills the ``(B, 784, L)``
-  uniform block in C order, which draws exactly the same PRNG sequence
-  as ``B`` sequential per-image calls, so batching never perturbs the
-  streams (pooled-LFSR SNGs advance per call, so they encode one image
-  per call to keep the same invariant);
+* :meth:`ExactBackend.forward` encodes all images of a batch with
+  **one** SNG call when the SNG is the ideal PCG64 comparator — numpy
+  fills uniforms in C order, so the (chunked) draw replays exactly the
+  PRNG sequence of ``B`` sequential per-image calls and batching never
+  perturbs the streams (pooled-LFSR SNGs advance per call, so they
+  encode one image per call to keep the same invariant);
+* :meth:`ExactBackend.forward_independent` draws nothing per request:
+  every request starts from the post-construction stream state, so its
+  comparator block and MUX selects are drawn once at construction and
+  each batch is one compare against that block plus a pack;
 * MUX select signals are pre-drawn per image in the legacy
   image-major/layer-major order; each MUX layer makes one per-cycle
   gather per operand for the whole batch (average pooling folded in);
@@ -48,7 +52,7 @@ from repro.core.config import FEBKind, PoolKind
 from repro.engine.backends import register_backend
 from repro.engine.engine import as_image_batch
 from repro.sc import activation, ops
-from repro.sc.encoding import Encoding
+from repro.sc.encoding import Encoding, to_probability
 from repro.sc.rng import IdealSNG, StreamFactory
 from repro.utils.validation import check_positive_int
 
@@ -109,11 +113,17 @@ class ExactBackend:
                 self._weight_t.append(None)
                 self._weight_last.append(None)
         # Post-construction stream state: weight streams are drawn, no
-        # image has been encoded.  ``forward_independent`` forks this
-        # snapshot once per request so every image of a coalesced batch
-        # replays the exact draws a freshly-constructed backend (same
-        # seed) would make for its first image.
-        self._fresh_factory = self.factory.fork()
+        # image has been encoded.  Every ``forward_independent`` request
+        # replays the draws a freshly-constructed backend (same seed)
+        # would make for its first image — the same comparator values
+        # and MUX selects for every image — so they are drawn once, from
+        # one fork, and shared read-only.
+        fresh = self.factory.fork()
+        self._fresh_selects = self._draw_selects([fresh])   # (1, L) rows
+        self._fresh_block = fresh.sng.draw_block(
+            int(np.prod(plan.input_shape)), self.length)    # (pixels, L)
+        for array in (self._fresh_block, *self._fresh_selects.values()):
+            array.flags.writeable = False
 
     @staticmethod
     def _checked_segment(plan, segment: int = DEFAULT_SEGMENT) -> int:
@@ -187,8 +197,8 @@ class ExactBackend:
     def forward_independent(self, images: np.ndarray) -> np.ndarray:
         """Batched simulation with *per-request* stream state.
 
-        Each image's streams (SNG uniforms and MUX selects) are drawn
-        from a fork of the post-construction snapshot, so row ``i`` of
+        Each image is compared against the comparator block and MUX
+        selects cached from the post-construction state, so row ``i`` of
         the result is bit-identical to what a freshly-constructed backend
         with the same seed would return for ``images[i]`` alone — while
         the expensive layer execution still runs batched.  This is the
@@ -196,9 +206,9 @@ class ExactBackend:
         concurrent single-image requests into one call must not perturb
         any response.
 
-        Unlike :meth:`forward`, this method never mutates the backend's
-        own stream factory, so concurrent calls from multiple serving
-        workers are safe on a shared backend.
+        Unlike :meth:`forward`, this method draws nothing and mutates no
+        state, so concurrent calls from multiple serving workers are safe
+        on a shared backend.
         """
         flat = self._validated(images)
         with obs.span("engine.forward", backend=self.name,
@@ -209,12 +219,12 @@ class ExactBackend:
             for start in range(0, flat.shape[0], step):
                 stop = min(start + step, flat.shape[0])
                 with obs.span("engine.encode", images=stop - start):
-                    imgs = flat[start:stop]
-                    forks = [self._fresh_factory.fork() for _ in imgs]
-                    selects = self._draw_selects(forks)
-                    banks = np.stack([f.packed(img, self.length)
-                                      for f, img in zip(forks, imgs)])
-                out[start:stop] = self._run_layers(banks, selects)
+                    probs = to_probability(flat[start:stop],
+                                           self.factory.encoding)
+                    banks = ops.pack_bits(self.factory.sng.compare(
+                        self._fresh_block, probs))      # (B, pixels, nb)
+                out[start:stop] = self._run_layers(banks,
+                                                   self._fresh_selects)
         return out
 
     # ------------------------------------------------------------------

@@ -110,7 +110,7 @@ def padding_is_zero(data: np.ndarray, length: int) -> bool:
 def pack_bits(bits: np.ndarray) -> np.ndarray:
     """Pack a boolean/int array of bits (stream axis last) into bytes."""
     bits = np.asarray(bits)
-    if bits.dtype != np.uint8:
+    if bits.dtype not in (np.uint8, np.bool_):
         bits = bits.astype(np.uint8)
     return np.packbits(bits, axis=-1)
 

@@ -17,6 +17,10 @@ cycle.  Two generators are provided:
     table of :mod:`repro.sc.lfsr`, so generation is array indexing rather
     than per-cycle register stepping.
 
+Both draw, compare and pack in row chunks of at most :data:`CHUNK_BYTES`
+of comparator values, so a bank's transient memory is bounded whatever
+its size.
+
 :class:`StreamFactory` bundles an SNG with seed management and exposes the
 high-level ``streams(values, length)`` API used by all function blocks.
 """
@@ -35,29 +39,31 @@ from repro.utils.validation import check_positive_int, check_stream_length
 __all__ = ["IdealSNG", "LfsrSNG", "StreamFactory"]
 
 
-class IdealSNG:
-    """Comparator SNG driven by an ideal PRNG (numpy PCG64).
+#: Upper bound (bytes) on the comparator values one generation chunk
+#: holds.  Streams are drawn, compared and packed this many values at a
+#: time, so no bank of any size materializes its whole ``(rows, length)``
+#: block of uniforms or LFSR states.
+CHUNK_BYTES = 4 << 20
 
-    Each call to :meth:`generate` draws fresh, independent uniforms, so any
-    two generated streams are statistically independent — the ideal case
-    for AND/XNOR multipliers.
+
+def _row_chunks(rows: int, length: int) -> list:
+    """Row slices covering ``rows`` streams, each within CHUNK_BYTES of
+    8-byte comparator values."""
+    step = max(1, CHUNK_BYTES // (8 * length))
+    return [slice(start, min(start + step, rows))
+            for start in range(0, rows, step)]
+
+
+class _ComparatorSNG:
+    """The comparator datapath every SNG shares.
+
+    A subclass supplies two steps: ``draw(rows, length)``, the comparator
+    values of one generation call as ``(row slice, block)`` chunks, and
+    ``compare(block, probs)``, the stream bits of those values against
+    ones-probabilities (broadcasting a leading batch axis of ``probs``).
+    :meth:`generate` and the exact backend's cached input encode run
+    through the same two steps.
     """
-
-    def __init__(self, seed: int = 0):
-        self._seed = seed
-        self._rng = spawn_rng(seed, "ideal-sng")
-
-    def clone(self) -> "IdealSNG":
-        """A new generator frozen at this one's current PRNG state.
-
-        Draws from the clone replay exactly what this generator would
-        produce next, without advancing it — the serving layer uses this
-        to give every coalesced request its own deterministic stream
-        state (see :meth:`StreamFactory.fork`).
-        """
-        twin = IdealSNG(seed=self._seed)
-        twin._rng.bit_generator.state = self._rng.bit_generator.state
-        return twin
 
     def generate(self, probs: np.ndarray, length: int) -> np.ndarray:
         """Generate packed streams with ones-probability ``probs``.
@@ -75,8 +81,59 @@ class IdealSNG:
         """
         length = check_stream_length(length)
         probs = np.asarray(probs, dtype=np.float64)
-        uniforms = self._rng.random(probs.shape + (length,))
-        return ops.pack_bits(uniforms < probs[..., None])
+        flat = probs.reshape(-1)
+        out = np.empty((flat.size, ops.packed_nbytes(length)),
+                       dtype=np.uint8)
+        for rows, block in self.draw(flat.size, length):
+            out[rows] = ops.pack_bits(self.compare(block, flat[rows]))
+        return out.reshape(probs.shape + out.shape[-1:])
+
+    def draw_block(self, rows: int, length: int) -> np.ndarray:
+        """The whole ``(rows, length)`` comparator block of one call.
+
+        Advances the generator exactly as :meth:`generate` over ``rows``
+        streams would; for blocks small enough to keep (one image).
+        """
+        length = check_stream_length(length)
+        return np.concatenate([block for _, block in self.draw(rows, length)])
+
+
+class IdealSNG(_ComparatorSNG):
+    """Comparator SNG driven by an ideal PRNG (numpy PCG64).
+
+    Each call to :meth:`generate` draws fresh, independent uniforms, so any
+    two generated streams are statistically independent — the ideal case
+    for AND/XNOR multipliers.
+    """
+
+    def __init__(self, seed: int = 0):
+        self._seed = seed
+        self._rng = spawn_rng(seed, "ideal-sng")
+
+    def clone(self) -> "IdealSNG":
+        """A new generator frozen at this one's current PRNG state.
+
+        Draws from the clone replay exactly what this generator would
+        produce next, without advancing it (see
+        :meth:`StreamFactory.fork`).
+        """
+        twin = IdealSNG(seed=self._seed)
+        twin._rng.bit_generator.state = self._rng.bit_generator.state
+        return twin
+
+    def draw(self, rows: int, length: int):
+        """PCG64 uniforms for ``rows`` streams, in row chunks.
+
+        ``random()`` fills in C order, so the chunks replay one
+        ``(rows, length)`` draw value for value and leave the generator
+        in the same state.
+        """
+        return ((chunk, self._rng.random((chunk.stop - chunk.start, length)))
+                for chunk in _row_chunks(rows, length))
+
+    @staticmethod
+    def compare(block: np.ndarray, probs: np.ndarray) -> np.ndarray:
+        return block < probs[..., None]
 
     def reseed(self, seed: int) -> None:
         """Reset the generator to a deterministic state."""
@@ -84,7 +141,7 @@ class IdealSNG:
         self._rng = spawn_rng(seed, "ideal-sng")
 
 
-class LfsrSNG:
+class LfsrSNG(_ComparatorSNG):
     """Comparator SNG driven by a pool of maximal-length LFSRs.
 
     Parameters
@@ -111,17 +168,15 @@ class LfsrSNG:
         twin._counter = self._counter
         return twin
 
-    def generate(self, probs: np.ndarray, length: int) -> np.ndarray:
-        """Generate packed streams; see :meth:`IdealSNG.generate`."""
-        length = check_stream_length(length)
-        probs = np.asarray(probs, dtype=np.float64)
-        flat = probs.reshape(-1)
-        max_val = (1 << self.width) - 1
-        thresholds = np.round(flat * max_val).astype(np.int64)
+    def draw(self, rows: int, length: int):
+        """LFSR states for ``rows`` streams, in row chunks.
 
-        # One LFSR sequence per pool slot, offset so repeated calls do not
-        # replay the identical window.
-        n_slots = min(self.pool, max(flat.size, 1))
+        One LFSR sequence per pool slot, offset by the call counter
+        (advanced once per call) so repeated calls do not replay the
+        identical window; stream ``r`` reads slot ``r mod n_slots``.
+        """
+        max_val = (1 << self.width) - 1
+        n_slots = min(self.pool, max(rows, 1))
         sequences = np.empty((n_slots, length), dtype=np.int64)
         for slot in range(n_slots):
             lfsr = LFSR(
@@ -132,11 +187,14 @@ class LfsrSNG:
             )
             sequences[slot] = lfsr.sequence(length)
         self._counter += 1
+        return ((chunk,
+                 sequences[np.arange(chunk.start, chunk.stop) % n_slots])
+                for chunk in _row_chunks(rows, length))
 
-        slots = np.arange(flat.size) % n_slots
-        bits = sequences[slots] <= thresholds[:, None]
-        packed = ops.pack_bits(bits)
-        return packed.reshape(probs.shape + (packed.shape[-1],))
+    def compare(self, block: np.ndarray, probs: np.ndarray) -> np.ndarray:
+        max_val = (1 << self.width) - 1
+        thresholds = np.round(probs * max_val).astype(np.int64)
+        return block <= thresholds[..., None]
 
     def reseed(self, seed: int) -> None:
         """Reset the generator to a deterministic state."""
@@ -175,10 +233,9 @@ class StreamFactory:
         The fork replays exactly the draws this factory would make next
         (SNG uniforms *and* MUX select integers) without advancing it.
         Forking the same factory twice yields two identical, mutually
-        independent replicas — the micro-batching service forks a
-        post-construction snapshot once per request so every request in a
-        coalesced batch sees the stream state a freshly-seeded factory
-        would, bit for bit.
+        independent replicas — the exact backend draws one from its
+        post-construction state to cache the input draws every request
+        shares.
         """
         twin = object.__new__(StreamFactory)
         twin.sng = self.sng.clone()

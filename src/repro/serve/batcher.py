@@ -24,7 +24,7 @@ first of three conditions holds:
 
 Batching is *transparent* by construction: the runner the service
 installs uses :meth:`repro.engine.exact.ExactBackend.
-forward_independent`, whose per-request stream-state forks make every
+forward_independent`, whose cached post-construction draws make every
 coalesced response bit-identical to a dedicated single-request engine
 call.  The batcher itself never inspects payloads.
 

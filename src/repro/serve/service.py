@@ -401,7 +401,7 @@ class LocalExecutor:
         batch = np.stack(payloads)
         backend = engine.backend
         if hasattr(backend, "forward_independent"):
-            # Per-request stream-state forks: thread-safe on a shared
+            # Draws nothing per request: thread-safe on a shared
             # engine and bit-identical to single-request calls.
             logits = backend.forward_independent(batch)
         else:

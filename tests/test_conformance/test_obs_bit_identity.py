@@ -59,7 +59,7 @@ def test_exact_logits_identical_armed_vs_disarmed(tiny_trained_lenet,
 
 def test_forward_independent_identical_armed_vs_disarmed(
         tiny_trained_lenet, images, tmp_path):
-    """The per-request stream-fork path (what serving uses) too."""
+    """The per-request path (what serving uses) too."""
     cfg = NetworkConfig.from_kinds(PoolKind.MAX, LENGTH,
                                    ("MUX", "APC", "APC"))
 

@@ -30,7 +30,7 @@ from repro.dse import (
     ScreenPolicy,
     SearchSpace,
 )
-from repro.dse.runner import EVAL_BATCH, EVALUATOR_SPECS
+from repro.dse.runner import EVAL_BATCH, EVALUATOR_SPECS, _blas_threads_fn
 from repro.nn.zoo import model_digest
 
 
@@ -93,6 +93,27 @@ class TestLenetEquivalence:
     def test_frontier_subset_of_passing(self, serial):
         assert set(map(id, serial.frontier)) <= set(map(id,
                                                         serial.passing))
+
+
+def _blas_threads():
+    return _blas_threads_fn("get")()
+
+
+class TestWorkerBlasThreads:
+    def test_pool_workers_split_the_cores(self, trained_mlp):
+        """Each pool worker caps its BLAS pool at its share of the cores,
+        so workers x BLAS threads never oversubscribe the machine."""
+        if _blas_threads_fn("get") is None:
+            pytest.skip("NumPy's BLAS exposes no OpenBLAS thread control")
+        workers = 2
+        runner = _runner(trained_mlp, 100.0, workers=workers)
+        pool, _ = runner._executor({})
+        try:
+            caps = {pool.submit(_blas_threads).result(timeout=60)
+                    for _ in range(2 * workers)}
+        finally:
+            pool.shutdown()
+        assert caps == {max(1, os.cpu_count() // workers)}
 
 
 class TestMlpEquivalence:

@@ -6,6 +6,8 @@ themselves are pinned by the golden digest table
 (``tests/test_conformance/test_golden_logits.py``).
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from repro.core.config import NetworkConfig, PoolKind
 from repro.data.synthetic_mnist import to_bipolar
 from repro.engine import Engine
 from repro.engine.exact import ExactBackend
+from repro.sc.rng import IdealSNG, LfsrSNG, StreamFactory
 
 
 @pytest.fixture(scope="module")
@@ -120,8 +123,6 @@ class TestExactValidation:
             self, tiny_trained_lenet, kinds, length, monkeypatch):
         """A length every forward would reject fails at construction,
         before any stream is drawn."""
-        from repro.sc.rng import StreamFactory
-
         def no_draws(*args, **kwargs):
             raise AssertionError("a stream was drawn")
 
@@ -150,6 +151,7 @@ class TestForwardIndependent:
         (PoolKind.MAX, ("APC", "APC", "APC"), "ideal"),
         (PoolKind.AVG, ("MUX", "APC", "APC"), "ideal"),
         (PoolKind.MAX, ("APC", "APC", "APC"), "lfsr"),
+        (PoolKind.MAX, ("MUX", "MUX", "APC"), "lfsr"),
     ])
     def test_rows_match_fresh_single_request_engines(
             self, tiny_trained_lenet, images, pooling, kinds, sng):
@@ -228,3 +230,42 @@ class TestForwardIndependent:
             whole[2], backend.forward_independent(flat[2:3])[0])
         np.testing.assert_array_equal(
             whole[1:3], backend.forward_independent(flat[1:3]))
+
+    @pytest.mark.parametrize("pooling,kinds,sng", [
+        (PoolKind.MAX, ("APC", "APC", "APC"), "ideal"),
+        (PoolKind.AVG, ("MUX", "MUX", "APC"), "lfsr"),
+    ])
+    def test_draws_nothing_per_request(self, tiny_trained_lenet, images,
+                                       pooling, kinds, sng, monkeypatch):
+        """Every request's SNG values and MUX selects are the ones cached
+        at construction: serving a batch draws no stream."""
+        cfg = NetworkConfig.from_kinds(pooling, 64, kinds)
+        backend = Engine(tiny_trained_lenet, cfg, backend="exact", seed=6,
+                         sng=sng).backend
+        flat = images.reshape(len(images), -1)[:3]
+        before = backend.forward_independent(flat)
+
+        def no_draws(*args, **kwargs):
+            raise AssertionError("a stream was drawn")
+
+        for owner, name in ((IdealSNG, "generate"), (LfsrSNG, "generate"),
+                            (StreamFactory, "select_signal")):
+            monkeypatch.setattr(owner, name, no_draws)
+        np.testing.assert_array_equal(backend.forward_independent(flat),
+                                      before)
+
+
+class TestConstructionMemory:
+    def test_lenet5_engine_builds_in_bounded_memory(self,
+                                                    tiny_trained_lenet):
+        """Weight banks are drawn in bounded chunks: building the LeNet-5
+        L=64 engine never holds its 27.6 M-draw float64 block (~210 MB)."""
+        cfg = NetworkConfig.from_kinds(PoolKind.MAX, 64,
+                                       ("APC", "APC", "APC"))
+        tracemalloc.start()
+        try:
+            Engine(tiny_trained_lenet, cfg, backend="exact", seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 48 * 2**20, f"peak {peak / 2**20:.1f} MB"

@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.sc import ops
+from repro.sc import ops, rng
 from repro.sc.encoding import Encoding
+from repro.sc.lfsr import LFSR
 from repro.sc.rng import IdealSNG, LfsrSNG, StreamFactory
+from repro.utils.seeding import derive_seed
 
 
 class TestIdealSNG:
@@ -97,3 +99,57 @@ class TestStreamFactory:
         sel = fab.select_signal(4, 8000)
         counts = np.bincount(sel, minlength=4)
         assert counts.min() > 1700
+
+
+class TestChunkedGeneration:
+    """Row-chunked generation equals one unchunked draw, bit for bit, and
+    leaves the generator where the unchunked draw would."""
+
+    EDGES = np.array([0.0, 1.0, 2.0 ** -53, 1.0 - 2.0 ** -53])
+
+    @staticmethod
+    def _probs(length):
+        # Four chunks, the last one partial.
+        rows = 3 * max(1, rng.CHUNK_BYTES // (8 * length)) + 5
+        probs = np.random.default_rng(length).random(rows)
+        probs[::7] = np.resize(TestChunkedGeneration.EDGES, probs[::7].size)
+        return probs
+
+    @pytest.mark.parametrize("length", [1, 40, 64])
+    def test_ideal_matches_unchunked_draw(self, length):
+        probs = self._probs(length)
+        sng, twin = IdealSNG(seed=3), IdealSNG(seed=3)
+        packed = sng.generate(probs, length)
+        expected = ops.pack_bits(
+            twin._rng.random(probs.shape + (length,)) < probs[:, None])
+        np.testing.assert_array_equal(packed, expected)
+        assert (sng._rng.bit_generator.state
+                == twin._rng.bit_generator.state)
+
+    @pytest.mark.parametrize("length", [1, 40, 64])
+    def test_lfsr_matches_unchunked_draw(self, length):
+        probs = self._probs(length)
+        sng = LfsrSNG(width=12, seed=5)
+        sng.generate(probs[:3], length)             # counter 0 -> 1
+        max_val = (1 << sng.width) - 1
+        sequences = np.stack([
+            LFSR(sng.width, seed=derive_seed(5, "lfsr-sng", slot, 1)
+                 % max_val + 1).sequence(length)
+            for slot in range(sng.pool)]).astype(np.int64)
+        slots = np.arange(probs.size) % sng.pool
+        thresholds = np.round(probs * max_val).astype(np.int64)
+        expected = ops.pack_bits(sequences[slots] <= thresholds[:, None])
+        np.testing.assert_array_equal(sng.generate(probs, length), expected)
+        assert sng._counter == 2
+
+    @pytest.mark.parametrize("make", [lambda: IdealSNG(seed=8),
+                                      lambda: LfsrSNG(width=12, seed=8)])
+    def test_draw_block_compare_replays_generate(self, make):
+        """The cached-block encode (draw once, compare per batch) equals
+        generate on the same state."""
+        probs = np.random.default_rng(0).random((3, 50))
+        sng, twin = make(), make()
+        block = sng.draw_block(50, 64)
+        np.testing.assert_array_equal(
+            ops.pack_bits(sng.compare(block, probs)),
+            np.stack([twin.clone().generate(p, 64) for p in probs]))
