@@ -4,7 +4,8 @@ Not a paper table — these time the packed-bit kernels that make the
 bit-level LeNet-5 simulation tractable, and guard against performance
 regressions: XNOR multiply, APC column counting, the vectorized Stanh
 FSM, a full feature-extraction-block forward, one exact conv-layer
-pass and the fused APC conv stage at the LeNet-5 layer-0/1 shapes.
+pass, the fused APC conv stage at the LeNet-5 layer-0/1 shapes and the
+fused APC FC stage at the fc1 shape.
 
 The ``*_numpy`` / ``*_native`` twins time the same computation with the
 dispatch pinned to each tier (``repro.native.override``); ``run_all.py``
@@ -164,15 +165,20 @@ def _apc_inner_banks(factory, rng):
     of 150 inputs."""
     x = factory.packed(rng.uniform(-1, 1, (64, 150)), L)
     w = factory.packed(rng.uniform(-1, 1, (32, 150)), L)
+    return x, w, *_numpy_banks(w, L)
+
+
+def _numpy_banks(w, length):
+    """The NumPy tier's counting bank of packed weights ``w``: the
+    transposed bank and its last-input bit plane."""
     with native.override(False):
-        wT = ops.transpose_pack(w, L)
-        w_last = ops.unpack_bits(w[:, -1, :], L)
-    return x, wT, w_last
+        return (ops.transpose_pack(w, length),
+                ops.unpack_bits(w[:, -1, :], length))
 
 
 def test_kernel_apc_inner_numpy(benchmark, factory, rng):
     """Exact-backend inner product, pure-NumPy transposed counting."""
-    x, wT, w_last = _apc_inner_banks(factory, rng)
+    x, _, wT, w_last = _apc_inner_banks(factory, rng)
 
     def run():
         with native.override(False):
@@ -185,8 +191,9 @@ def test_kernel_apc_inner_numpy(benchmark, factory, rng):
 @_needs_native
 def test_kernel_apc_inner_native(benchmark, factory, rng):
     """Exact-backend inner product through the fused native kernel."""
-    x, wT, w_last = _apc_inner_banks(factory, rng)
-    out = benchmark(lambda: native.apc_inner_counts(x, wT, 150, L))
+    x, w, wT, w_last = _apc_inner_banks(factory, rng)
+    bank = native.weight_bank(w, L)
+    out = benchmark(lambda: native.apc_inner_counts(x, bank))
     with native.override(False):
         ref = numpy_apc_counts(x, wT, w_last, 150, L)
     assert np.array_equal(out, ref)
@@ -254,8 +261,8 @@ _CONV_L = 64
 
 def _conv_stage(rng, layer):
     """Batch-16 inputs of one conv stage at L=64: the biased input bank,
-    the plan's patch table, the transposed weight bank (and its last-input
-    bit plane) and the 2x2 pool windows."""
+    the plan's patch table, the packed weights, the transposed weight
+    bank (and its last-input bit plane) and the 2x2 pool windows."""
     from repro.engine.plan import conv_patch_index, pool_window_indices
     cin, side, channels, n_states = _CONV_STAGES[layer]
     rows = cin * side * side
@@ -265,10 +272,7 @@ def _conv_stage(rng, layer):
     nb = _CONV_L // 8
     x = rng.integers(0, 256, (16, rows + 1, nb), dtype=np.uint8)
     w = rng.integers(0, 256, (channels, table.shape[1], nb), dtype=np.uint8)
-    with native.override(False):
-        wT = ops.transpose_pack(w, _CONV_L)
-        w_last = ops.unpack_bits(w[:, -1, :], _CONV_L)
-    return x, table, wT, w_last, windows, n_states
+    return x, table, w, *_numpy_banks(w, _CONV_L), windows, n_states
 
 
 def _conv_stage_numpy(x, table, wT, w_last, windows, n_states):
@@ -286,7 +290,7 @@ def _conv_stage_numpy(x, table, wT, w_last, windows, n_states):
 @pytest.mark.parametrize("layer", sorted(_CONV_STAGES))
 def test_kernel_conv_stage_numpy(benchmark, rng, layer):
     """One APC conv stage with max pooling, pinned to the NumPy path."""
-    x, table, wT, w_last, windows, n_states = _conv_stage(rng, layer)
+    x, table, _, wT, w_last, windows, n_states = _conv_stage(rng, layer)
 
     def run():
         with native.override(False):
@@ -301,11 +305,56 @@ def test_kernel_conv_stage_numpy(benchmark, rng, layer):
 @pytest.mark.parametrize("layer", sorted(_CONV_STAGES))
 def test_kernel_conv_stage_native(benchmark, rng, layer):
     """The same conv stage through the fused native kernel."""
-    x, table, wT, w_last, windows, n_states = _conv_stage(rng, layer)
+    x, table, w, wT, w_last, windows, n_states = _conv_stage(rng, layer)
+    bank = native.weight_bank(w, _CONV_L)
     out = benchmark(lambda: native.apc_conv_max_btanh_pack(
-        x, table, wT, windows, 16, n_states))
+        x, table, bank, windows, 16, n_states))
     with native.override(False):
         ref = _conv_stage_numpy(x, table, wT, w_last, windows, n_states)
+    assert np.array_equal(out, ref)
+
+
+#: LeNet-5 fc1 under APC-Btanh: 800 pooled inputs + bias, 500 units
+_FC_N, _FC_UNITS, _FC_STATES = 801, 500, 1002
+
+
+def _fc_stage(rng):
+    """Batch-16 biased fc1 input bank at L=64 and the packed weights."""
+    nb = _CONV_L // 8
+    x = rng.integers(0, 256, (16, _FC_N, nb), dtype=np.uint8)
+    w = rng.integers(0, 256, (_FC_UNITS, _FC_N, nb), dtype=np.uint8)
+    return x, w
+
+
+def _fc_stage_numpy(x, wT, w_last):
+    """The ExactBackend._fc_layer NumPy composition: count, Btanh, pack,
+    image-major."""
+    counts = numpy_apc_counts(x, wT, w_last, _FC_N, _CONV_L)
+    bits = activation.btanh_counts(counts, _FC_N, _FC_STATES)
+    return np.ascontiguousarray(ops.pack_bits(bits).transpose(1, 0, 2))
+
+
+def test_kernel_fc_stage_numpy(benchmark, rng):
+    """One APC FC stage (LeNet-5 fc1, batch 16), pinned to NumPy."""
+    x, w = _fc_stage(rng)
+    wT, w_last = _numpy_banks(w, _CONV_L)
+
+    def run():
+        with native.override(False):
+            return _fc_stage_numpy(x, wT, w_last)
+
+    out = benchmark.pedantic(run, rounds=5, iterations=1)
+    assert out.shape == (16, _FC_UNITS, _CONV_L // 8)
+
+
+@_needs_native
+def test_kernel_fc_stage_native(benchmark, rng):
+    """The same FC stage through the fused native kernel."""
+    x, w = _fc_stage(rng)
+    bank = native.weight_bank(w, _CONV_L)
+    out = benchmark(lambda: native.apc_fc_btanh_pack(x, bank, _FC_STATES))
+    with native.override(False):
+        ref = _fc_stage_numpy(x, *_numpy_banks(w, _CONV_L))
     assert np.array_equal(out, ref)
 
 

@@ -49,6 +49,8 @@ _NATIVE_PAIRS = {
                               "test_kernel_conv_stage_native[layer0]"),
     "apc_conv_stage_layer1": ("test_kernel_conv_stage_numpy[layer1]",
                               "test_kernel_conv_stage_native[layer1]"),
+    "apc_fc_stage": ("test_kernel_fc_stage_numpy",
+                     "test_kernel_fc_stage_native"),
 }
 
 

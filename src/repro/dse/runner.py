@@ -67,17 +67,12 @@ resumability, never the search.
 
 from __future__ import annotations
 
-import ctypes
 import dataclasses
-import glob
 import multiprocessing
-import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import TimeoutError as _FutureTimeout
 from concurrent.futures.process import BrokenProcessPool
-
-import numpy as np
 
 from repro import faults, obs
 
@@ -91,6 +86,7 @@ from repro.engine.graph import build_graph
 from repro.engine.plan import compile_plan
 from repro.hw.network_cost import NetworkCost, graph_network_cost
 from repro.nn.zoo import model_digest
+from repro.utils.blas import cap_blas_threads
 
 __all__ = ["EVALUATOR_SPECS", "DesignPoint", "EvalTask", "DSERecord",
            "DSEResult", "ParallelRunner"]
@@ -198,38 +194,9 @@ def _bump(stats: dict, key: str, n: int = 1) -> None:
 #: Worker-global context, set once per process by the pool initializer.
 _WORKER_CTX = None
 
-#: Thread-count entry points of the OpenBLAS builds NumPy wheels bundle
-#: (scipy-openblas, 64-bit integers) or link (plain OpenBLAS); ``{}`` is
-#: ``set`` or ``get``.
-_BLAS_THREAD_SYMBOLS = ("scipy_openblas_{}_num_threads64_",
-                        "scipy_openblas_{}_num_threads",
-                        "openblas_{}_num_threads64_",
-                        "openblas_{}_num_threads")
-
-
-def _blas_threads_fn(verb: str):
-    """The loaded OpenBLAS's ``<verb>_num_threads`` function, or None."""
-    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)),
-                        "numpy.libs")
-    for path in sorted(glob.glob(os.path.join(libs, "*openblas*"))):
-        lib = ctypes.CDLL(path)
-        for pattern in _BLAS_THREAD_SYMBOLS:
-            fn = getattr(lib, pattern.format(verb), None)
-            if fn is not None:
-                fn.argtypes = [ctypes.c_int] if verb == "set" else []
-                fn.restype = None if verb == "set" else ctypes.c_int
-                return fn
-    return None
-
-
 def _init_worker(payload: dict, workers: int) -> None:
     global _WORKER_CTX
-    # A fork-started worker inherits a spin-waiting BLAS pool sized to
-    # every core, so workers x threads oversubscribe the box (measured:
-    # 4 workers ran at half the speed of one).  Split the cores instead.
-    set_threads = _blas_threads_fn("set")
-    if set_threads is not None:
-        set_threads(max(1, (os.cpu_count() or 1) // workers))
+    cap_blas_threads(workers)
     _WORKER_CTX = _EvalContext(**payload)
     # Re-arm tracing/profiling from the environment: a spawn-started
     # worker reimports everything, and a fork-started one inherits a

@@ -94,24 +94,23 @@ class ExactBackend:
         self.segment = self._checked_segment(plan, segment)
         self.factory = StreamFactory(seed=seed, encoding=Encoding.BIPOLAR,
                                      sng=sng)
-        self.weight_streams = [
-            self.factory.packed(np.clip(lp.weights, -1.0, 1.0), self.length)
-            for lp in plan.layers
-        ]
-        # Transposed weight banks for the counting layers (APC inner
-        # products and the decoded output layer): per cycle, each unit's
-        # n weight bits packed as one short row — built once, shared by
-        # every batch.  MUX layers never count, so they skip it.
-        self._weight_t = []
-        self._weight_last = []
-        for lp, w in zip(plan.layers, self.weight_streams):
-            if lp.kind is FEBKind.APC or lp.final:
-                self._weight_t.append(ops.transpose_pack(w, self.length))
-                self._weight_last.append(
-                    ops.unpack_bits(w[:, -1, :], self.length))
-            else:
-                self._weight_t.append(None)
-                self._weight_last.append(None)
+        # The kernel tier is fixed here, once: every counting layer's
+        # weights are stored only in the form that tier reads, and the
+        # layers dispatch on this record rather than per call.
+        self.native_tier = native.enabled()
+        # Weight streams are drawn in layer order.  A MUX layer keeps its
+        # packed streams; a counting layer (APC inner products and the
+        # decoded output layer) keeps only its bank: per cycle, each
+        # unit's n weight bits packed as one short row — built once,
+        # shared by every batch.
+        self.weight_streams = []
+        self._banks = []
+        for lp in plan.layers:
+            w = self.factory.packed(np.clip(lp.weights, -1.0, 1.0),
+                                    self.length)
+            counting = lp.kind is FEBKind.APC or lp.final
+            self.weight_streams.append(None if counting else w)
+            self._banks.append(self._bank(w) if counting else None)
         # Post-construction stream state: weight streams are drawn, no
         # image has been encoded.  Every ``forward_independent`` request
         # replays the draws a freshly-constructed backend (same seed)
@@ -124,6 +123,20 @@ class ExactBackend:
             int(np.prod(plan.input_shape)), self.length)    # (pixels, L)
         for array in (self._fresh_block, *self._fresh_selects.values()):
             array.flags.writeable = False
+
+    def _bank(self, w: np.ndarray):
+        """The counting bank of packed weights ``(C, n, nb)``.
+
+        Native tier: a :class:`repro.native.WeightBank` in the kernels'
+        counting layout.  NumPy tier: the row-major ``(C, L, W)``
+        transposed bank and its last-input plane ``(C, L)``, transposed
+        in ``TILE_BYTES`` chunks to bound the unpacked transient.
+        """
+        if self.native_tier:
+            return native.weight_bank(w, self.length)
+        return (ops.transpose_pack(w, self.length,
+                                   chunk_budget=self.TILE_BYTES),
+                ops.unpack_bits(w[:, -1, :], self.length))
 
     @staticmethod
     def _checked_segment(plan, segment: int = DEFAULT_SEGMENT) -> int:
@@ -264,19 +277,17 @@ class ExactBackend:
         fuses the transposition, XOR, row popcount and LSB patch into one
         cache-tiled pass over the bank.
         """
-        lp = self.plan.layers[i]
-        if native.enabled():
+        if self.native_tier:
             t0 = _prof.tick()
-            counts = native.apc_inner_counts(x, self._weight_t[i],
-                                             lp.n_inputs, self.length,
+            counts = native.apc_inner_counts(x, self._banks[i],
                                              approximate=True)
             _prof.tock(t0, "apc_counts", "native")
             return counts
         t0 = _prof.tick()
+        w_t, w_last = self._banks[i]
         counts = numpy_apc_counts(
-            x, self._weight_t[i], self._weight_last[i], lp.n_inputs,
-            self.length, min(self.TILE_BYTES, self.CHUNK_BUDGET),
-            self.CHUNK_BUDGET)
+            x, w_t, w_last, self.plan.layers[i].n_inputs, self.length,
+            min(self.TILE_BYTES, self.CHUNK_BUDGET), self.CHUNK_BUDGET)
         # The whole transposed-counting pass (its transpose_pack /
         # popcount_sum callees time themselves too, so subtracting them
         # from this line isolates the XOR + LSB-patch glue).
@@ -337,12 +348,12 @@ class ExactBackend:
             [lp.patch_index, np.full((P, 1), S)], axis=1)  # (P, n)
 
         if lp.kind is FEBKind.APC and lp.pooled and not avg \
-                and native.enabled():
+                and self.native_tier:
             # Native tier: patch gather, counting, max pool, Btanh and
             # pack run per pool window; no count tensor is built.
             t0 = _prof.tick()
             out = native.apc_conv_max_btanh_pack(
-                x, table, self._weight_t[i], windows, self.segment,
+                x, table, self._banks[i], windows, self.segment,
                 lp.n_states)                            # (C, B, W, nb)
             _prof.tock(t0, "apc_conv_max_btanh_pack", "native")
         elif lp.kind is FEBKind.APC:
@@ -395,9 +406,20 @@ class ExactBackend:
         """Fully-connected stage on ``(B, S, nb)``; final returns logits."""
         x = self._biased(x)                                 # (B, n, nb)
         L = self.length
-        w = self.weight_streams[i]
         n = lp.n_inputs
         if lp.kind is FEBKind.APC or lp.final:
+            if self.native_tier:
+                # Counting, Btanh and pack (or the output layer's count
+                # sums) in one call; no count tensor is built.
+                t0 = _prof.tick()
+                if lp.final:
+                    total = native.apc_fc_sums(x, self._banks[i])  # (B, C)
+                    out = (2.0 * total - n * L) / L
+                else:
+                    out = native.apc_fc_btanh_pack(
+                        x, self._banks[i], lp.n_states)     # (B, C, nb)
+                _prof.tock(t0, "apc_fc_btanh_pack", "native")
+                return out
             counts = self._apc_counts(i, x)                 # (C, B, L)
             if lp.final:
                 total = counts.sum(axis=-1, dtype=np.int64)  # (C, B)
@@ -407,7 +429,8 @@ class ExactBackend:
                 ops.pack_bits(bits).transpose(1, 0, 2))
         sel = selects["ip", i]                              # (B, L)
         x_sel = ops.mux_select(x, sel, L)                   # (B, nb)
-        w_sel = ops.mux_select(w, sel[:, None], L)          # (B, C, nb)
+        w_sel = ops.mux_select(self.weight_streams[i], sel[:, None],
+                               L)                           # (B, C, nb)
         return activation.stanh_packed(ops.xnor_(x_sel[:, None], w_sel, L),
                                        L, lp.n_states)
 

@@ -4,9 +4,16 @@ This package arms an optional compiled tier below the NumPy word engine
 (DESIGN.md, "Native kernel tier").  The five loops it owns — the fused
 transpose+popcount column counter, the exact-backend inner product, the
 Stanh byte-LUT walk, the saturating-counter FSM scan and the fused APC
-conv stage (count → max pool → Btanh → pack per pool window) — are
-bit-identical re-implementations of their NumPy counterparts; the pure NumPy paths
-remain the conformance oracle and the fallback.
+conv stage (count → max pool → Btanh → pack per pool window), plus the
+fused APC FC layer (count → Btanh → pack, or the output layer's count
+sums) — are bit-identical re-implementations of their NumPy
+counterparts; the pure NumPy paths remain the conformance oracle and the
+fallback.
+
+The three counting kernels read weights as a :class:`WeightBank`: the
+packed bank laid out once by :func:`weight_bank` (the exact backend does
+it at construction), so no call copies weights.  They reject a plain
+array, which would be the row-major ``transpose_pack`` bank.
 
 Capability protocol
 -------------------
@@ -30,10 +37,9 @@ Capability protocol
 * unset — best effort: build/load if a toolchain exists, else record
   the reason and fall back to NumPy.
 
-All wrappers take the same logical arguments as the NumPy kernels they
-shadow and return freshly-allocated arrays; the dispatchers in
-``repro.sc`` and ``repro.engine.exact`` call them only when
-``enabled()`` is true.
+All wrappers return freshly-allocated arrays.  The dispatchers in
+``repro.sc`` call them only when ``enabled()`` is true; the exact
+backend checks ``enabled()`` once, when it is built.
 """
 
 from __future__ import annotations
@@ -42,6 +48,7 @@ import contextlib
 import ctypes
 import os
 from ctypes import POINTER, c_int, c_int64, c_uint8
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -55,7 +62,11 @@ __all__ = [
     "transpose_pack",
     "popcount_rows",
     "column_counts",
+    "WeightBank",
+    "weight_bank",
     "apc_inner_counts",
+    "apc_fc_btanh_pack",
+    "apc_fc_sums",
     "stanh_lut",
     "saturating_counter",
     "apc_conv_max_btanh_pack",
@@ -88,6 +99,13 @@ def _configure(lib) -> None:
         _u8p, _u8p, c_int64, c_int64, c_int64, c_int64, c_int64, c_int64,
         c_int, _i16p]
     lib.repro_apc_inner_counts.restype = c_int
+    lib.repro_layout_bank.argtypes = [
+        _u8p, c_int64, c_int64, c_int64, c_int64, c_int64, _u8p]
+    lib.repro_layout_bank.restype = c_int
+    lib.repro_apc_fc_btanh_pack.argtypes = [
+        _u8p, c_int64, c_int64, c_int64, _u8p, c_int64, c_int64, c_int64,
+        c_int64, _u8p, _i64p]
+    lib.repro_apc_fc_btanh_pack.restype = c_int
     lib.repro_stanh_lut.argtypes = [
         _u8p, c_int64, c_int64, _u8p, _u8p, c_int64, c_uint8, _u8p]
     lib.repro_stanh_lut.restype = c_int
@@ -226,24 +244,141 @@ def column_counts(streams: np.ndarray, length: int,
     return out
 
 
-def apc_inner_counts(x: np.ndarray, wT: np.ndarray, n: int, length: int,
+def _row_width(n: int) -> int:
+    """Bytes per transposed cycle row of ``n`` inputs (4-byte aligned,
+    as ``ops.transpose_pack`` pads them)."""
+    width = (n + 7) // 8
+    return width + (-width) % 4
+
+
+@dataclass(frozen=True)
+class WeightBank:
+    """A packed weight bank laid out for the native counting kernels.
+
+    ``data`` holds ``channels`` blocks of ``length × width`` bytes: each
+    channel's ``n`` weight streams bit-transposed into one ``width``-byte
+    row per cycle, word-major when ``width % 8 == 0`` (the counting
+    layout of ``kernels.c``).  :func:`weight_bank` builds one; the type
+    is what tells a laid-out bank from a row-major one, and its sizes
+    are checked here so no bank can overrun the kernels' reads.
+    """
+
+    data: np.ndarray
+    n: int
+    length: int
+
+    def __post_init__(self):
+        data = self.data
+        if (not isinstance(data, np.ndarray) or data.dtype != np.uint8
+                or data.ndim != 2 or not data.flags.c_contiguous
+                or self.n < 1 or self.length < 1
+                or data.shape[1] != self.length * _row_width(self.n)):
+            shape = getattr(data, "shape", data)
+            raise ValueError(f"not a laid-out bank of n={self.n} "
+                             f"L={self.length}: {shape}")
+
+    @property
+    def channels(self) -> int:
+        return self.data.shape[0]
+
+    @property
+    def width(self) -> int:
+        return _row_width(self.n)
+
+
+def weight_bank(w: np.ndarray, length: int) -> WeightBank:
+    """Lay a packed weight bank ``(C, n, nbytes)`` out for counting.
+
+    One pass per bank, no transient: the result replaces the row-major
+    ``transpose_pack`` bank and its last-input plane, which only the
+    NumPy counting path reads.
+    """
+    w = np.asarray(w)
+    if w.dtype != np.uint8 or w.ndim != 3 or 0 in w.shape[:2]:
+        raise ValueError(f"expected a uint8 weight bank (C, n, nbytes), "
+                         f"got {w.dtype} {w.shape}")
+    C, n, nbytes = w.shape
+    length = check_positive_int(length, "length")
+    if nbytes != (length + 7) // 8:
+        raise ValueError(f"weight bank of {nbytes} bytes per stream does "
+                         f"not carry length {length}")
+    width = _row_width(n)
+    w = np.ascontiguousarray(w)
+    data = np.empty((C, length * width), dtype=np.uint8)
+    _check(_lib.repro_layout_bank(_ptr(w, _u8p), C, n, nbytes, length,
+                                  width, _ptr(data, _u8p)))
+    data.flags.writeable = False
+    return WeightBank(data, n, length)
+
+
+def _checked_bank(bank) -> WeightBank:
+    if not isinstance(bank, WeightBank):
+        raise TypeError(f"expected a WeightBank from native.weight_bank, "
+                        f"got {type(bank).__name__}")
+    return bank
+
+
+def _checked_rows(x, bank: WeightBank) -> np.ndarray:
+    """A packed input bank ``(R, n, nbytes)`` matching ``bank``."""
+    x = np.asarray(x)
+    if x.dtype != np.uint8 or x.ndim != 3:
+        raise ValueError(f"expected uint8 x (R, n, nbytes), got "
+                         f"{x.dtype} {x.shape}")
+    if x.shape[1] != bank.n or x.shape[2] != (bank.length + 7) // 8:
+        raise ValueError(f"bank mismatch: x {x.shape} against n={bank.n} "
+                         f"L={bank.length}")
+    return np.ascontiguousarray(x)
+
+
+def apc_inner_counts(x: np.ndarray, bank: WeightBank,
                      approximate: bool = True) -> np.ndarray:
     """Fused exact-backend inner product: packed bank ``(R, n, nbytes)``
-    against a transposed weight bank ``(C, L, W)`` → ``(C, R, L)`` int16
-    counts, transposition and XOR-popcount fused in cache tiles."""
-    x = np.ascontiguousarray(x, dtype=np.uint8)
-    wT = np.ascontiguousarray(wT, dtype=np.uint8)
-    if x.ndim != 3 or wT.ndim != 3:
-        raise ValueError("expected x (R, n, nbytes) and wT (C, L, W)")
-    R, nbytes = x.shape[0], x.shape[2]
-    C, L, W = wT.shape
-    if x.shape[1] != n or L != length or W * 8 < n:
-        raise ValueError(
-            f"bank mismatch: x {x.shape} wT {wT.shape} n={n} L={length}")
+    against a :class:`WeightBank` of ``C`` channels → ``(C, R, L)``
+    int16 counts, transposition and XOR-popcount fused in cache tiles."""
+    bank = _checked_bank(bank)
+    x = _checked_rows(x, bank)
+    R, C, L = x.shape[0], bank.channels, bank.length
     out = np.empty((C, R, L), dtype=np.int16)
     _check(_lib.repro_apc_inner_counts(
-        _ptr(x, _u8p), _ptr(wT, _u8p), R, C, n, nbytes, L, W,
-        1 if approximate else 0, _ptr(out, _i16p)))
+        _ptr(x, _u8p), _ptr(bank.data, _u8p), R, C, bank.n, x.shape[2], L,
+        bank.width, 1 if approximate else 0, _ptr(out, _i16p)))
+    return out
+
+
+def _apc_fc(x, bank, n_states: int, bits, sums) -> None:
+    _check(_lib.repro_apc_fc_btanh_pack(
+        _ptr(x, _u8p), x.shape[0], bank.n, x.shape[2],
+        _ptr(bank.data, _u8p), bank.channels, bank.length, bank.width,
+        n_states, None if bits is None else _ptr(bits, _u8p),
+        None if sums is None else _ptr(sums, _i64p)))
+
+
+def apc_fc_btanh_pack(x: np.ndarray, bank: WeightBank,
+                      n_states: int) -> np.ndarray:
+    """One APC fully-connected layer: packed input bank ``(R, n, nbytes)``
+    (bias row included) against a :class:`WeightBank` of ``C`` channels →
+    packed Btanh output streams ``(R, C, nbytes)``.
+
+    Bit-identical to ``pack_bits(btanh_counts(counts, n, n_states))``
+    over the APC counts, transposed to ``(R, C, nbytes)``, without
+    building the counts or any later intermediate.
+    """
+    bank = _checked_bank(bank)
+    x = _checked_rows(x, bank)
+    n_states = check_positive_int(n_states, "n_states")
+    out = np.empty((x.shape[0], bank.channels, x.shape[2]), dtype=np.uint8)
+    _apc_fc(x, bank, n_states, out, None)
+    return out
+
+
+def apc_fc_sums(x: np.ndarray, bank: WeightBank) -> np.ndarray:
+    """The decoded output layer's counting: packed input bank
+    ``(R, n, nbytes)`` against a :class:`WeightBank` of ``C`` channels →
+    ``(R, C)`` int64 APC counts summed over the ``L`` cycles."""
+    bank = _checked_bank(bank)
+    x = _checked_rows(x, bank)
+    out = np.empty((x.shape[0], bank.channels), dtype=np.int64)
+    _apc_fc(x, bank, 1, None, out)
     return out
 
 
@@ -306,12 +441,12 @@ def _int_table(name: str, table, cols: int | None, bound: int) -> np.ndarray:
 
 
 def apc_conv_max_btanh_pack(x: np.ndarray, table: np.ndarray,
-                            wT: np.ndarray, windows: np.ndarray,
+                            bank: WeightBank, windows: np.ndarray,
                             segment: int, n_states: int) -> np.ndarray:
     """One APC conv stage with max pooling: packed input banks
     ``(B, S, nbytes)`` (bias row included), the conv patch table
-    ``(P, n)`` indexing ``[0, S)``, the transposed weight bank
-    ``(C, L, W)`` and 2×2 pool windows ``(Wn, 4)`` indexing ``[0, P)``
+    ``(P, n)`` indexing ``[0, S)``, a :class:`WeightBank` of ``C``
+    channels and 2×2 pool windows ``(Wn, 4)`` indexing ``[0, P)``
     → packed Btanh output streams ``(C, B, Wn, nbytes)``.
 
     Bit-identical to ``pack_bits(btanh_counts(apc_max_pool(
@@ -320,32 +455,29 @@ def apc_conv_max_btanh_pack(x: np.ndarray, table: np.ndarray,
     building the patch bank, the counts or any later intermediate.
     Every argument is checked here, before a pointer reaches C.
     """
+    bank = _checked_bank(bank)
     x = np.asarray(x)
-    wT = np.asarray(wT)
     if x.dtype != np.uint8 or x.ndim != 3:
         raise ValueError(f"expected uint8 x (B, S, nbytes), got "
                          f"{x.dtype} {x.shape}")
-    if wT.dtype != np.uint8 or wT.ndim != 3:
-        raise ValueError(f"expected uint8 wT (C, L, W), got "
-                         f"{wT.dtype} {wT.shape}")
     B, S, nbytes = x.shape
-    C, L, W = wT.shape
+    L = bank.length
     table = _int_table("table", table, None, S)
     P, n = table.shape
     windows = _int_table("windows", windows, 4, P)
-    if n == 0 or W * 8 < n or nbytes != (L + 7) // 8:
-        raise ValueError(f"bank mismatch: x {x.shape} wT {wT.shape} n={n}")
+    if n != bank.n or nbytes != (L + 7) // 8:
+        raise ValueError(f"bank mismatch: x {x.shape} table {table.shape} "
+                         f"against n={bank.n} L={L}")
     segment = check_positive_int(segment, "segment")
     n_states = check_positive_int(n_states, "n_states")
     if L % segment:
         raise ValueError(f"stream length {L} must be a multiple of "
                          f"segment {segment}")
     x = np.ascontiguousarray(x)
-    wT = np.ascontiguousarray(wT)
-    Wn = windows.shape[0]
+    C, Wn = bank.channels, windows.shape[0]
     out = np.empty((C, B, Wn, nbytes), dtype=np.uint8)
     _check(_lib.repro_apc_conv_max_btanh_pack(
-        _ptr(x, _u8p), B, S, nbytes, _ptr(table, _i64p), n, _ptr(wT, _u8p),
-        C, L, W, _ptr(windows, _i64p), Wn, segment, n_states,
-        _ptr(out, _u8p)))
+        _ptr(x, _u8p), B, S, nbytes, _ptr(table, _i64p), n,
+        _ptr(bank.data, _u8p), C, L, bank.width, _ptr(windows, _i64p), Wn,
+        segment, n_states, _ptr(out, _u8p)))
     return out

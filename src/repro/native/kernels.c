@@ -5,27 +5,32 @@
  * import by repro/native/build.py with whatever system toolchain is
  * present.  Every kernel here is a bit-identical re-implementation of a
  * NumPy word-engine loop (repro.sc.ops / adders / fsm / activation, the
- * exact backend's transposed counting and its APC conv stage with max
- * pooling) — arming the tier must change zero output bits, which the
- * conformance suite enforces.
+ * exact backend's transposed counting, its APC conv stage with max
+ * pooling and its APC FC layer) — arming the tier must change zero
+ * output bits, which the conformance suite enforces.
  *
- * Two design rules (DESIGN.md, "Native kernel tier"):
+ * Three design rules (DESIGN.md, "Native kernel tier"):
  *
  *  1. *Fuse* the loops NumPy cannot: the transpose_pack + popcount_sum
  *     pair becomes one pass that never materializes the transposed
  *     bank (repro_column_counts), the exact backend's inner product
  *     transposes a cache-resident tile and XOR-popcounts it in place
- *     (repro_apc_inner_counts), and a pooled APC conv stage runs
+ *     (repro_apc_inner_counts), a pooled APC conv stage runs
  *     gather -> count -> max pool -> Btanh -> pack per pool window
  *     without ever building its count tensor
- *     (repro_apc_conv_max_btanh_pack).
- *  2. *Tile* to the cache: the inner-product kernel re-reads its
+ *     (repro_apc_conv_max_btanh_pack), and an APC FC layer runs
+ *     count -> Btanh -> pack per row tile, or the output layer's count
+ *     sums, the same way (repro_apc_fc_btanh_pack).
+ *  2. *Tile* to the cache: the inner-product kernels re-read their
  *     transposed input tile once per output channel, so the tile is
  *     sized (TILE_BYTES) to stay resident across the channel loop; the
  *     conv stage's per-window tile and count scratch fit L1/L2 beside
  *     the weight bank.  Counting rows are laid out so the cycle loop
  *     vectorizes (count_layout: word-major for widths that are a
  *     multiple of 8 bytes).
+ *  3. *Lay weights out once*: repro_layout_bank writes a weight bank in
+ *     the counting layout when the backend is built, and every
+ *     counting kernel reads that stored bank — no call copies weights.
  *
  * All kernels are pure functions of their arguments writing distinct
  * output buffers, so concurrent calls from serving threads are safe
@@ -360,26 +365,21 @@ static inline uint64_t load64(const uint8_t *p)
     return v;
 }
 
-/* Word-major copy of a row-major (C, L, W) weight bank, or the bank
- * itself when the layout is row-major (*owned stays NULL). */
-static const uint8_t *layout_weights(const count_layout *cl,
-                                     const uint8_t *wT, int64_t C,
-                                     uint8_t **owned)
+/* Lay a packed weight bank (C, n, nbytes) out for counting: each
+ * channel's n streams bit-transposed into the (L, W) cycle rows of
+ * count_layout (word-major when W % 8 == 0).  The exact backend calls
+ * this once per counting layer at construction; every counting kernel
+ * below reads the stored bank as is, so no call copies weights. */
+API int repro_layout_bank(const uint8_t *w, int64_t C, int64_t n,
+                          int64_t nbytes, int64_t L, int64_t W,
+                          uint8_t *out)
 {
-    *owned = NULL;
-    if (!cl->words)
-        return wT;
-    const int64_t L = cl->L, W = cl->W;
-    uint8_t *ww = (uint8_t *)malloc((size_t)(C * L * W));
-    if (!ww)
-        return NULL;
+    const count_layout cl = make_layout(n, L, W, 0);
+    memset(out, 0, (size_t)(C * L * W));
     for (int64_t c = 0; c < C; c++)
-        for (int64_t k = 0; k < cl->words; k++)
-            for (int64_t t = 0; t < L; t++)
-                memcpy(ww + c * L * W + (k * L + t) * 8,
-                       wT + c * L * W + t * W + 8 * k, 8);
-    *owned = ww;
-    return ww;
+        transpose_rows(w + c * n * nbytes, NULL, n, nbytes, L, cl.tstride,
+                       cl.kstride, out + c * L * W);
+    return 0;
 }
 
 /* APC counts of one transposed input row block xr against one weight
@@ -430,9 +430,73 @@ static inline void count_cycles(const count_layout *cl, const uint8_t *xr,
     }
 }
 
+/* Btanh + pack (repro.sc.activation.btanh_counts, then pack_bits) of K
+ * APC count rows, row k at cnt + k * L, into the packed output rows
+ * o + k * ostride: per row, state += 2*count - n clamped into [0, hi]
+ * from init half, output bit t = state >= half, big-endian, padding
+ * bits zero.  Each row's clamp chain is serial; K > 1 interleaves K
+ * chains so each runs in the others' latency shadow (four rows at once
+ * halved the chain time at LeNet-5 fc1's shapes).  Callers pass K as a
+ * constant <= 4, so the inlined loop keeps every state in a register.
+ *
+ * max_btanh_pack keeps its own chain: it switches source rows per
+ * segment with the pool's accumulator adds riding in the chain's
+ * shadow, and moving those adds out to call this helper per segment
+ * measured ~15% slower at LeNet-5 layer 0. */
+static inline void btanh_pack_rows(int K, const int16_t *cnt, int64_t L,
+                                   int64_t n, int64_t hi, int64_t half,
+                                   uint8_t *o, int64_t ostride)
+{
+    int64_t s[4];
+    unsigned acc[4];
+    for (int k = 0; k < K; k++) {
+        s[k] = half;
+        acc[k] = 0;
+    }
+    for (int64_t t = 0; t < L; t++) {
+        for (int k = 0; k < K; k++) {
+            int64_t v = s[k] + 2 * (int64_t)cnt[k * L + t] - n;
+            v = v < 0 ? 0 : v;
+            s[k] = v > hi ? hi : v;
+            acc[k] = (acc[k] << 1) | (unsigned)(s[k] >= half);
+        }
+        if ((t & 7) == 7)
+            for (int k = 0; k < K; k++) {
+                o[k * ostride + (t >> 3)] = (uint8_t)acc[k];
+                acc[k] = 0;
+            }
+    }
+    if (L & 7)
+        for (int k = 0; k < K; k++)
+            o[k * ostride + (L >> 3)] = (uint8_t)(acc[k] << (8 - (L & 7)));
+}
+
 /* Bytes of transposed input tile kept cache-resident across the
- * channel loop of repro_apc_inner_counts. */
+ * channel loop of the inner-product kernels. */
 #define TILE_BYTES (1 << 19)
+
+/* Rows of L x W transposed bytes per TILE_BYTES tile, in [1, R] (1 when
+ * R is 0, so the scratch allocation is never empty). */
+static int64_t tile_rows(int64_t R, int64_t L, int64_t W)
+{
+    int64_t Rb = TILE_BYTES / (L * W > 0 ? L * W : 1);
+    if (Rb > R)
+        Rb = R;
+    return Rb < 1 ? 1 : Rb;
+}
+
+/* Transpose the rn input rows x[r0 .. r0 + rn) into buf, in the layout
+ * of cl. */
+static void transpose_tile(const count_layout *cl, const uint8_t *x,
+                           int64_t r0, int64_t rn, int64_t nbytes,
+                           uint8_t *buf)
+{
+    const int64_t n = cl->n, L = cl->L, W = cl->W;
+    memset(buf, 0, (size_t)(rn * L * W));
+    for (int64_t rr = 0; rr < rn; rr++)
+        transpose_rows(x + (r0 + rr) * n * nbytes, NULL, n, nbytes, L,
+                       cl->tstride, cl->kstride, buf + rr * L * W);
+}
 
 /* Fused exact-backend inner product (ExactBackend._apc_counts):
  *
@@ -440,47 +504,97 @@ static inline void count_cycles(const count_layout *cl, const uint8_t *xr,
  *
  * with the APC LSB patch applied from the last input's product bit
  * (read out of the XOR of the transposed rows — no separate last-bit
- * planes).  x is the packed input bank (R, n, nbytes); wT is the
- * pre-transposed weight bank (C, L, W); out is (C, R, L) int16.
+ * planes).  x is the packed input bank (R, n, nbytes); bank is the
+ * weight bank (C, L, W) as repro_layout_bank laid it out; out is
+ * (C, R, L) int16.
  *
  * The input is transposed tile-by-tile into a scratch buffer sized to
  * TILE_BYTES, in the counting layout of count_layout, then every
  * output channel streams over the cached tile — the transposition is
  * fused into the counting pass and the working set never leaves the
  * cache. */
-API int repro_apc_inner_counts(const uint8_t *x, const uint8_t *wT,
+API int repro_apc_inner_counts(const uint8_t *x, const uint8_t *bank,
                                int64_t R, int64_t C, int64_t n,
                                int64_t nbytes, int64_t L, int64_t W,
                                int approximate, int16_t *out)
 {
     ENSURE_TABLES();
     const count_layout cl = make_layout(n, L, W, approximate);
-    int64_t Rb = TILE_BYTES / (L * W > 0 ? L * W : 1);
-    if (Rb < 1)
-        Rb = 1;
-    if (Rb > R)
-        Rb = R;
-    uint8_t *wown;
-    const uint8_t *wl = layout_weights(&cl, wT, C, &wown);
+    const int64_t Rb = tile_rows(R, L, W);
     uint8_t *buf = (uint8_t *)malloc((size_t)(Rb * L * W));
-    if (!wl || !buf) {
-        free(wown);
+    if (!buf)
+        return -1;
+    for (int64_t r0 = 0; r0 < R; r0 += Rb) {
+        int64_t rn = (R - r0 < Rb) ? R - r0 : Rb;
+        transpose_tile(&cl, x, r0, rn, nbytes, buf);
+        for (int64_t c = 0; c < C; c++)
+            for (int64_t rr = 0; rr < rn; rr++)
+                count_cycles(&cl, buf + rr * L * W, bank + c * L * W,
+                             out + (c * R + r0 + rr) * L);
+    }
+    free(buf);
+    return 0;
+}
+
+/* One APC fully-connected layer (ExactBackend._fc_layer): inner
+ * product -> APC count -> Btanh -> pack in one call, without the
+ * (C, R, L) count tensor.
+ *
+ *   x[r, j, :]    (R, n, nbytes) packed input bank, bias row included
+ *   bank          (C, L, W) weight bank laid out by repro_layout_bank
+ *   bits[r, c, :] (R, C, nbytes) packed Btanh output bits, or, when
+ *   sums is not NULL (the decoded output layer),
+ *   sums[r, c]    (R, C) the APC counts summed over all L cycles.
+ *
+ * A row tile is transposed once as in repro_apc_inner_counts; then per
+ * channel the counts of every row of the tile go into an Rb x L int16
+ * scratch before any Btanh chain starts (a count read right after its
+ * vector store stalls the serial chain ~3x), and each row's chain packs
+ * straight into its output row, already image-major. */
+API int repro_apc_fc_btanh_pack(const uint8_t *x, int64_t R, int64_t n,
+                                int64_t nbytes, const uint8_t *bank,
+                                int64_t C, int64_t L, int64_t W,
+                                int64_t n_states, uint8_t *bits,
+                                int64_t *sums)
+{
+    ENSURE_TABLES();
+    const count_layout cl = make_layout(n, L, W, 1);
+    const int64_t Rb = tile_rows(R, L, W), ob = (L + 7) / 8;
+    const int64_t hi = n_states - 1, half = n_states / 2;
+    uint8_t *buf = (uint8_t *)malloc((size_t)(Rb * L * W));
+    int16_t *cnt = (int16_t *)malloc((size_t)(Rb * L) * sizeof(int16_t));
+    if (!buf || !cnt) {
         free(buf);
+        free(cnt);
         return -1;
     }
     for (int64_t r0 = 0; r0 < R; r0 += Rb) {
         int64_t rn = (R - r0 < Rb) ? R - r0 : Rb;
-        memset(buf, 0, (size_t)(rn * L * W));
-        for (int64_t rr = 0; rr < rn; rr++)
-            transpose_rows(x + (r0 + rr) * n * nbytes, NULL, n, nbytes, L,
-                           cl.tstride, cl.kstride, buf + rr * L * W);
-        for (int64_t c = 0; c < C; c++)
+        transpose_tile(&cl, x, r0, rn, nbytes, buf);
+        for (int64_t c = 0; c < C; c++) {
             for (int64_t rr = 0; rr < rn; rr++)
-                count_cycles(&cl, buf + rr * L * W, wl + c * L * W,
-                             out + (c * R + r0 + rr) * L);
+                count_cycles(&cl, buf + rr * L * W, bank + c * L * W,
+                             cnt + rr * L);
+            int64_t rr = 0;
+            if (sums) {
+                for (; rr < rn; rr++) {
+                    int64_t tot = 0;
+                    for (int64_t t = 0; t < L; t++)
+                        tot += cnt[rr * L + t];
+                    sums[(r0 + rr) * C + c] = tot;
+                }
+            } else {
+                for (; rr + 4 <= rn; rr += 4)
+                    btanh_pack_rows(4, cnt + rr * L, L, n, hi, half,
+                                    bits + ((r0 + rr) * C + c) * ob, C * ob);
+                for (; rr < rn; rr++)
+                    btanh_pack_rows(1, cnt + rr * L, L, n, hi, half,
+                                    bits + ((r0 + rr) * C + c) * ob, C * ob);
+            }
+        }
     }
-    free(wown);
     free(buf);
+    free(cnt);
     return 0;
 }
 
@@ -592,7 +706,7 @@ static void max_btanh_pack(const int16_t *counts, int64_t L,
  *
  *   x[b, s, :]       (B, S, nbytes) packed input bank, bias row included
  *   table[p, j]      (P, n) row of x feeding input j of conv position p
- *   wT[c, t, :]      (C, L, W) transposed weight bank
+ *   bank             (C, L, W) weight bank laid out by repro_layout_bank
  *   windows[w, 0..3] (Wn, 4) positions in [0, P) of each 2x2 window
  *   out[c, b, w, :]  (C, B, Wn, nbytes) packed Btanh output bits
  *
@@ -608,7 +722,7 @@ static void max_btanh_pack(const int16_t *counts, int64_t L,
 API int repro_apc_conv_max_btanh_pack(const uint8_t *x, int64_t B,
                                       int64_t S, int64_t nbytes,
                                       const int64_t *table, int64_t n,
-                                      const uint8_t *wT,
+                                      const uint8_t *bank,
                                       int64_t C, int64_t L, int64_t W,
                                       const int64_t *windows, int64_t Wn,
                                       int64_t segment, int64_t n_states,
@@ -617,12 +731,9 @@ API int repro_apc_conv_max_btanh_pack(const uint8_t *x, int64_t B,
     ENSURE_TABLES();
     const count_layout cl = make_layout(n, L, W, 1);
     const int64_t ob = (L + 7) / 8;
-    uint8_t *wown;
-    const uint8_t *wl = layout_weights(&cl, wT, C, &wown);
     uint8_t *tile = (uint8_t *)malloc((size_t)(4 * L * W));
     int16_t *cnt = (int16_t *)malloc((size_t)(C * 4 * L) * sizeof(int16_t));
-    if (!wl || !tile || !cnt) {
-        free(wown);
+    if (!tile || !cnt) {
         free(tile);
         free(cnt);
         return -1;
@@ -637,14 +748,13 @@ API int repro_apc_conv_max_btanh_pack(const uint8_t *x, int64_t B,
                                tile + k * L * W);
             for (int64_t c = 0; c < C; c++)
                 for (int k = 0; k < 4; k++)
-                    count_cycles(&cl, tile + k * L * W, wl + c * L * W,
+                    count_cycles(&cl, tile + k * L * W, bank + c * L * W,
                                  cnt + (c * 4 + k) * L);
             for (int64_t c = 0; c < C; c++)
                 max_btanh_pack(cnt + c * 4 * L, L, segment, n, n_states,
                                out + ((c * B + b) * Wn + w) * ob);
         }
     }
-    free(wown);
     free(tile);
     free(cnt);
     return 0;

@@ -1,8 +1,8 @@
 """Kernel-tier profiling hooks: wall time per kernel per dispatch tier.
 
 The word engine dispatches each kernel (popcount, transpose_pack,
-popcount_sum, mux_select, stanh, apc_counts, apc_conv_max_btanh_pack) to
-one of two tiers:
+popcount_sum, mux_select, stanh, apc_counts, apc_conv_max_btanh_pack,
+apc_fc_btanh_pack) to one of two tiers:
 
 * ``native`` — the compiled C library (``repro.native``),
 * ``numpy``  — vectorized NumPy (popcounts through ``bitwise_count``).

@@ -56,6 +56,7 @@ from repro.serve.service import (
     RequestResolver,
     ServeFrontend,
 )
+from repro.utils.blas import cap_blas_threads
 
 __all__ = ["ProcExecutor", "ProcServeFacade"]
 
@@ -98,8 +99,8 @@ def _rebuild_error(kind: str, message: str) -> Exception:
     return dict(_ERROR_KINDS).get(kind, RuntimeError)(message)
 
 
-def _worker_main(worker_id: int, models, plans: dict, warm_key,
-                 max_engines: int, batcher: dict, req_conn,
+def _worker_main(worker_id: int, procs: int, models, plans: dict,
+                 warm_key, max_engines: int, batcher: dict, req_conn,
                  rep_conn) -> None:
     """A worker process: a bare executor fed from its request pipe.
 
@@ -113,6 +114,7 @@ def _worker_main(worker_id: int, models, plans: dict, warm_key,
     when a chaos kill lands while a sibling thread holds it.
     """
     faults.maybe_install_from_env()
+    cap_blas_threads(procs)
     # The frontend counts every request; counts it made before this
     # fork (or respawn) must not reach the merged scrape a second time.
     obs.set_registry(obs.MetricsRegistry())
@@ -120,8 +122,9 @@ def _worker_main(worker_id: int, models, plans: dict, warm_key,
     pool._plans.update(plans)  # the parent's compiled plans, inherited
     executor = LocalExecutor(pool, **batcher)
     if warm_key is not None:
-        # Weight streams are drawn here, not inherited: drawing them in
-        # the parent would add the drawing transient to its peak RSS.
+        # The warm engine is built here, not inherited: built in the
+        # parent, its weight banks would also sit in the resident set of
+        # a process that serves no request.
         executor.engine(warm_key)
     count_lock = threading.Lock()
     served = 0
@@ -273,8 +276,9 @@ class ProcExecutor:
         rep_recv, rep_send = self._ctx.Pipe(duplex=False)
         proc = self._ctx.Process(
             target=_worker_main,
-            args=(index, self.models, self.plans, self._warm_key,
-                  self._max_engines, self._batcher, req_recv, rep_send),
+            args=(index, self.procs, self.models, self.plans,
+                  self._warm_key, self._max_engines, self._batcher,
+                  req_recv, rep_send),
             name=f"serve-worker-{index}", daemon=True)
         proc.start()
         # The parent's copies of the worker-side ends must close right

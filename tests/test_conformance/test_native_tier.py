@@ -148,11 +148,13 @@ input_counts = st.one_of(
 
 def _numpy_counts(x, w, n, length):
     """The exact backend's NumPy counting path (the oracle) on packed
-    banks ``x (R, n, nb)`` and ``w (C, n, nb)``, plus ``wT``."""
+    banks ``x (R, n, nb)`` and ``w (C, n, nb)``, plus the native
+    :class:`~repro.native.WeightBank` of ``w``."""
     with native.override(False):
         wT = ops.transpose_pack(w, length)
         w_last = ops.unpack_bits(w[:, -1, :], length)
-        return numpy_apc_counts(x, wT, w_last, n, length), wT
+        counts = numpy_apc_counts(x, wT, w_last, n, length)
+    return counts, native.weight_bank(w, length)
 
 
 @needs_native
@@ -165,8 +167,8 @@ def test_apc_inner_counts_bit_identical(data, length, n, rows, channels):
     arithmetic of ``ExactBackend._apc_counts``."""
     x = ops.pack_bits(random_bits(data, (rows, n), length))
     w = ops.pack_bits(random_bits(data, (channels, n), length))
-    ref, wT = _numpy_counts(x, w, n, length)
-    got = native.apc_inner_counts(x, wT, n, length)
+    ref, bank = _numpy_counts(x, w, n, length)
+    got = native.apc_inner_counts(x, bank)
     assert got.dtype == ref.dtype
     np.testing.assert_array_equal(got, ref)
 
@@ -176,13 +178,13 @@ def _conv_stage_numpy(x, table, w, windows, length, segment, n_states):
     gather, count, ``apc_max_pool``, ``btanh_counts``, ``pack_bits``."""
     B, nb = x.shape[0], x.shape[-1]
     (P, n), C = table.shape, w.shape[0]
-    counts, wT = _numpy_counts(x[:, table].reshape(B * P, n, nb), w, n,
-                               length)
+    counts, bank = _numpy_counts(x[:, table].reshape(B * P, n, nb), w, n,
+                                 length)
     counts = counts.reshape(C, B, P, length)
     with native.override(False):
         pooled = apc_max_pool(counts[:, :, windows], segment)
         out = ops.pack_bits(activation.btanh_counts(pooled, n, n_states))
-    return out, wT
+    return out, bank
 
 
 @needs_native
@@ -219,19 +221,26 @@ def test_apc_conv_max_btanh_pack_bit_identical(data, segment, n_segments,
         table[:] = table[0]
     w = ops.pack_bits(rng.random((channels, n, length)) < 0.5)
     windows = rng.integers(0, P, size=(n_windows, 4))
-    ref, wT = _conv_stage_numpy(x, table, w, windows, length, segment,
-                                n_states)
-    got = native.apc_conv_max_btanh_pack(x, table, wT, windows, segment,
+    ref, bank = _conv_stage_numpy(x, table, w, windows, length, segment,
+                                  n_states)
+    got = native.apc_conv_max_btanh_pack(x, table, bank, windows, segment,
                                          n_states)
     assert got.dtype == ref.dtype and got.shape == ref.shape
     np.testing.assert_array_equal(got, ref)
     assert ops.padding_is_zero(got, length)
 
 
+#: a zero 2-channel bank of n = 3 (W = 4) at L = 16, built without C
+_BANK = native.WeightBank(np.zeros((2, 16 * 4), np.uint8), 3, 16)
+
+
+#: a row-major (C, L, W) bank where a laid-out one belongs
+_ROW_MAJOR = np.zeros((2, 16, 4), np.uint8)
+
+
 def _bad_conv_stage_args(**bad):
     args = dict(x=np.zeros((1, 5, 2), np.uint8),
-                table=np.zeros((4, 3), int),
-                wT=np.zeros((2, 16, 4), np.uint8),
+                table=np.zeros((4, 3), int), bank=_BANK,
                 windows=np.zeros((1, 4), int), segment=16, n_states=6)
     args.update(bad)
     return args
@@ -240,7 +249,6 @@ def _bad_conv_stage_args(**bad):
 @pytest.mark.parametrize("bad,match", [
     (dict(x=np.zeros((1, 5, 2), np.int16)), "uint8 x"),
     (dict(x=np.zeros((5, 2), np.uint8)), "uint8 x"),
-    (dict(wT=np.zeros((16, 4), np.uint8)), "uint8 wT"),
     (dict(table=np.zeros((4, 3), float)), "table"),
     (dict(table=np.zeros(3, int)), "table"),
     (dict(table=np.array([[0, 1, 5]] * 4)), r"table index outside \[0, 5\)"),
@@ -262,6 +270,130 @@ def test_apc_conv_max_btanh_pack_rejects_before_c(bad, match, monkeypatch):
     monkeypatch.setattr(native, "_lib", None)
     with pytest.raises(ValueError, match=match):
         native.apc_conv_max_btanh_pack(**_bad_conv_stage_args(**bad))
+
+
+# FC input counts: every counting layout (W = 4, word-major, bytewise)
+# up to LeNet-5 fc1's n = 801 (W = 104, word-major).
+fc_input_counts = st.one_of(
+    input_counts,
+    st.integers(min_value=257, max_value=801),
+    st.sampled_from([500, 501, 801]),
+)
+
+
+def _fc_numpy(x, w, n, length, n_states):
+    """The exact backend's NumPy FC composition: counts, ``btanh_counts``,
+    ``pack_bits``, image-major — and the output layer's count sums."""
+    counts, bank = _numpy_counts(x, w, n, length)
+    with native.override(False):
+        bits = ops.pack_bits(activation.btanh_counts(counts, n, n_states))
+    sums = counts.sum(axis=-1, dtype=np.int64).T
+    return bits.transpose(1, 0, 2), sums, bank
+
+
+@needs_native
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), length=lengths, n=fc_input_counts,
+       n_states=st.one_of(st.sampled_from([1, 2, 1002]),
+                          st.integers(min_value=0, max_value=40).map(
+                              lambda k: 2 * k + 1)),
+       rows=st.integers(min_value=1, max_value=6),
+       channels=st.integers(min_value=1, max_value=4))
+def test_apc_fc_btanh_pack_bit_identical(data, length, n, n_states, rows,
+                                         channels):
+    """The fused FC layer and the output layer's sums against the NumPy
+    composition, over every counting layout and ``L % 8 != 0``."""
+    x = ops.pack_bits(random_bits(data, (rows, n), length))
+    w = ops.pack_bits(random_bits(data, (channels, n), length))
+    ref_bits, ref_sums, bank = _fc_numpy(x, w, n, length, n_states)
+    got = native.apc_fc_btanh_pack(x, bank, n_states)
+    assert got.dtype == ref_bits.dtype and got.shape == ref_bits.shape
+    np.testing.assert_array_equal(got, ref_bits)
+    assert ops.padding_is_zero(got, length)
+    sums = native.apc_fc_sums(x, bank)
+    assert sums.dtype == np.int64
+    np.testing.assert_array_equal(sums, ref_sums)
+
+
+@needs_native
+@pytest.mark.parametrize("rows", [4, 9, 13])
+def test_apc_fc_btanh_pack_partial_tiles(rows):
+    """n = 801 at L = 1023 puts 4 rows in a 512 KiB tile: a full tile,
+    then one part-filled, exercise the tile loop's tail."""
+    rng = np.random.default_rng(rows)
+    n, length = 801, 1023
+    x = ops.pack_bits(rng.random((rows, n, length)) < 0.5)
+    w = ops.pack_bits(rng.random((3, n, length)) < 0.5)
+    ref_bits, ref_sums, bank = _fc_numpy(x, w, n, length, 1002)
+    np.testing.assert_array_equal(native.apc_fc_btanh_pack(x, bank, 1002),
+                                  ref_bits)
+    np.testing.assert_array_equal(native.apc_fc_sums(x, bank), ref_sums)
+    ref_counts, _ = _numpy_counts(x, w, n, length)
+    np.testing.assert_array_equal(native.apc_inner_counts(x, bank),
+                                  ref_counts)
+
+
+@pytest.mark.parametrize("bad,match", [
+    (dict(x=np.zeros((2, 3, 2), np.int16)), "uint8 x"),
+    (dict(x=np.zeros((3, 2), np.uint8)), "uint8 x"),
+    (dict(x=np.zeros((2, 4, 2), np.uint8)), "bank mismatch"),
+    (dict(x=np.zeros((2, 3, 3), np.uint8)), "bank mismatch"),
+    (dict(n_states=0), "n_states"),
+])
+def test_apc_fc_btanh_pack_rejects_before_c(bad, match, monkeypatch):
+    monkeypatch.setattr(native, "_lib", None)
+    args = dict(x=np.zeros((2, 3, 2), np.uint8), bank=_BANK, n_states=6)
+    args.update(bad)
+    with pytest.raises(ValueError, match=match):
+        native.apc_fc_btanh_pack(**args)
+    if "n_states" not in bad:
+        del args["n_states"]
+        with pytest.raises(ValueError, match=match):
+            native.apc_fc_sums(**args)
+
+
+@pytest.mark.parametrize("call", [
+    lambda bank: native.apc_inner_counts(np.zeros((2, 3, 2), np.uint8),
+                                         bank),
+    lambda bank: native.apc_fc_btanh_pack(np.zeros((2, 3, 2), np.uint8),
+                                          bank, 6),
+    lambda bank: native.apc_fc_sums(np.zeros((2, 3, 2), np.uint8), bank),
+    lambda bank: native.apc_conv_max_btanh_pack(
+        **_bad_conv_stage_args(bank=bank)),
+], ids=["inner_counts", "fc_btanh_pack", "fc_sums", "conv_max_btanh_pack"])
+def test_counting_kernels_reject_row_major_bank(call, monkeypatch):
+    """Every counting kernel reads a bank laid out by ``weight_bank``;
+    the row-major ``transpose_pack`` bank is refused by type, before C."""
+    monkeypatch.setattr(native, "_lib", None)
+    with pytest.raises(TypeError, match="WeightBank"):
+        call(_ROW_MAJOR)
+
+
+@pytest.mark.parametrize("data,n,length", [
+    (np.zeros((2, 64), np.uint8), 3, 17),          # sized for L = 16
+    (np.zeros((2, 64), np.uint8), 40, 16),         # sized for W = 4
+    (np.zeros((2, 64), np.int16), 3, 16),
+    (np.zeros((2, 16, 4), np.uint8), 3, 16),       # row-major shape
+    (np.zeros((2, 128), np.uint8)[:, ::2], 3, 16),  # not contiguous
+    (np.zeros((2, 0), np.uint8), 0, 16),
+])
+def test_weight_bank_type_checks_its_sizes(data, n, length):
+    """A hand-made bank must carry exactly the bytes the kernels read."""
+    with pytest.raises(ValueError, match="not a laid-out bank"):
+        native.WeightBank(data, n, length)
+
+
+@pytest.mark.parametrize("w,length,match", [
+    (np.zeros((2, 3, 2), np.int16), 16, "uint8 weight bank"),
+    (np.zeros((3, 2), np.uint8), 16, "uint8 weight bank"),
+    (np.zeros((0, 3, 2), np.uint8), 16, "uint8 weight bank"),
+    (np.zeros((2, 3, 2), np.uint8), 17, "does not carry length 17"),
+    (np.zeros((2, 3, 2), np.uint8), 0, "length"),
+])
+def test_weight_bank_rejects_before_c(w, length, match, monkeypatch):
+    monkeypatch.setattr(native, "_lib", None)
+    with pytest.raises(ValueError, match=match):
+        native.weight_bank(w, length)
 
 
 # ----------------------------------------------------------------------

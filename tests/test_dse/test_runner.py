@@ -30,8 +30,9 @@ from repro.dse import (
     ScreenPolicy,
     SearchSpace,
 )
-from repro.dse.runner import EVAL_BATCH, EVALUATOR_SPECS, _blas_threads_fn
+from repro.dse.runner import EVAL_BATCH, EVALUATOR_SPECS
 from repro.nn.zoo import model_digest
+from repro.utils.blas import blas_threads_fn
 
 
 def _runner(trained, threshold, workers=1, max_length=128, min_length=64,
@@ -96,14 +97,14 @@ class TestLenetEquivalence:
 
 
 def _blas_threads():
-    return _blas_threads_fn("get")()
+    return blas_threads_fn("get")()
 
 
 class TestWorkerBlasThreads:
     def test_pool_workers_split_the_cores(self, trained_mlp):
         """Each pool worker caps its BLAS pool at its share of the cores,
         so workers x BLAS threads never oversubscribe the machine."""
-        if _blas_threads_fn("get") is None:
+        if blas_threads_fn("get") is None:
             pytest.skip("NumPy's BLAS exposes no OpenBLAS thread control")
         workers = 2
         runner = _runner(trained_mlp, 100.0, workers=workers)

@@ -11,10 +11,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from repro.core.config import NetworkConfig, PoolKind
+import repro.native as native
+from repro.core.config import FEBKind, NetworkConfig, PoolKind
 from repro.data.synthetic_mnist import to_bipolar
 from repro.engine import Engine
 from repro.engine.exact import ExactBackend
+from repro.sc import activation
 from repro.sc.rng import IdealSNG, LfsrSNG, StreamFactory
 
 
@@ -269,3 +271,65 @@ class TestConstructionMemory:
         finally:
             tracemalloc.stop()
         assert peak < 48 * 2**20, f"peak {peak / 2**20:.1f} MB"
+
+    def test_numpy_tier_engine_builds_in_bounded_memory(self,
+                                                       tiny_trained_lenet):
+        """The NumPy tier transposes each counting bank in ``TILE_BYTES``
+        chunks: fc1's unpacked bits (25.6 MB at once) are never held
+        whole, so the L=64 build peaks near 29 MB instead of 41 MB."""
+        cfg = NetworkConfig.from_kinds(PoolKind.MAX, 64,
+                                       ("APC", "APC", "APC"))
+        with native.override(False):
+            tracemalloc.start()
+            try:
+                Engine(tiny_trained_lenet, cfg, backend="exact", seed=0)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak < 32 * 2**20, f"peak {peak / 2**20:.1f} MB"
+
+
+@pytest.mark.skipif(not native.available(),
+                    reason="native kernel tier not built")
+class TestNativeTierRecord:
+    def _backends(self, model, kinds, pooling=PoolKind.AVG):
+        cfg = NetworkConfig.from_kinds(pooling, 64, kinds)
+        with native.override(False):
+            ref = Engine(model, cfg, backend="exact", seed=2).backend
+        with native.override(True):
+            got = Engine(model, cfg, backend="exact", seed=2).backend
+        return ref, got
+
+    def test_fc_layers_build_no_count_tensor(self, tiny_trained_lenet,
+                                             images, monkeypatch):
+        """On the native tier each APC FC layer is one fused call: the
+        count kernel and the NumPy Btanh are never reached, and the
+        logits match the NumPy tier's bit for bit."""
+        ref, got = self._backends(tiny_trained_lenet, ("MUX", "MUX", "APC"))
+        flat = images.reshape(len(images), -1)
+        expected = ref.forward_independent(flat)
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a count tensor was built")
+
+        monkeypatch.setattr(native, "apc_inner_counts", unreachable)
+        monkeypatch.setattr(activation, "btanh_counts", unreachable)
+        np.testing.assert_array_equal(got.forward_independent(flat),
+                                      expected)
+
+    def test_tier_is_fixed_at_construction(self, tiny_trained_lenet,
+                                           images):
+        """A backend keeps one bank per counting layer, in the form its
+        construction-time tier reads, whatever the dispatch later says."""
+        ref, got = self._backends(tiny_trained_lenet, ("APC", "MUX", "APC"),
+                                  PoolKind.MAX)
+        assert got.native_tier and not ref.native_tier
+        for lp, bank, w in zip(got.plan.layers, got._banks,
+                               got.weight_streams):
+            counting = lp.kind is FEBKind.APC or lp.final
+            assert isinstance(bank, native.WeightBank) == counting
+            assert (w is None) == counting
+        flat = images.reshape(len(images), -1)
+        with native.override(False):
+            np.testing.assert_array_equal(got.forward_independent(flat),
+                                          ref.forward_independent(flat))

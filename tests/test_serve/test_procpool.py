@@ -344,6 +344,10 @@ class TestWorkerProtocol:
     def _own_registry(self, monkeypatch):
         # one puller thread per worker, so every message is taken in order
         monkeypatch.setattr(procpool, "WORKER_THREADS", 1)
+        # the worker runs in this process: record its BLAS cap instead
+        self.blas_caps = []
+        monkeypatch.setattr(procpool, "cap_blas_threads",
+                            self.blas_caps.append)
         # the worker swaps in a fresh registry; restore the suite's
         with obs.scoped_registry():
             yield
@@ -356,7 +360,7 @@ class TestWorkerProtocol:
                        max_queue=16)
         worker = threading.Thread(
             target=procpool._worker_main,
-            args=(0, {"default": model}, plans or {}, warm_key, 2,
+            args=(0, 2, {"default": model}, plans or {}, warm_key, 2,
                   batcher, req_recv, rep_send))
         worker.start()
         return worker, req_send, rep_recv
@@ -390,6 +394,8 @@ class TestWorkerProtocol:
             assert report["stats"]["service"]["requests"] == 1
             assert report["stats"]["pool"]["plans_compiled"] == 0
             assert "repro_serve_requests_total" not in report["metrics"]
+            # one of 2 workers: BLAS capped at its share of the cores
+            assert self.blas_caps == [2]
         finally:
             req_send.send(("close", None))
             worker.join(10.0)
