@@ -277,7 +277,7 @@ def _conv_stage(rng, layer):
 
 def _conv_stage_numpy(x, table, wT, w_last, windows, n_states):
     """The ExactBackend._conv_layer NumPy composition: gather, count,
-    max pool, Btanh, pack."""
+    max pool, Btanh, pack (channel-major, as that path leaves it)."""
     from repro.blocks.pooling import apc_max_pool
     batch, n, nb = x.shape[0], table.shape[1], x.shape[-1]
     patch = x[:, table].reshape(-1, n, nb)
@@ -304,14 +304,15 @@ def test_kernel_conv_stage_numpy(benchmark, rng, layer):
 @_needs_native
 @pytest.mark.parametrize("layer", sorted(_CONV_STAGES))
 def test_kernel_conv_stage_native(benchmark, rng, layer):
-    """The same conv stage through the fused native kernel."""
+    """The same conv stage through the fused native kernel, over the
+    channel-minor lane bank the exact backend lays out for it."""
     x, table, w, wT, w_last, windows, n_states = _conv_stage(rng, layer)
-    bank = native.weight_bank(w, _CONV_L)
+    bank = native.conv_bank(w, _CONV_L)
     out = benchmark(lambda: native.apc_conv_max_btanh_pack(
         x, table, bank, windows, 16, n_states))
     with native.override(False):
         ref = _conv_stage_numpy(x, table, wT, w_last, windows, n_states)
-    assert np.array_equal(out, ref)
+    assert np.array_equal(out, ref.transpose(1, 0, 2, 3))
 
 
 #: LeNet-5 fc1 under APC-Btanh: 800 pooled inputs + bias, 500 units

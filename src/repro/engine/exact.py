@@ -110,7 +110,11 @@ class ExactBackend:
                                     self.length)
             counting = lp.kind is FEBKind.APC or lp.final
             self.weight_streams.append(None if counting else w)
-            self._banks.append(self._bank(w) if counting else None)
+            self._banks.append(self._bank(lp, w) if counting else None)
+        # Each conv layer's patch table with the bias stream (input row
+        # S, appended by ``_biased``) as its last column: ``(P, n)``.
+        self._tables = [self._biased_table(lp) if lp.op == "conv" else None
+                        for lp in plan.layers]
         # Post-construction stream state: weight streams are drawn, no
         # image has been encoded.  Every ``forward_independent`` request
         # replays the draws a freshly-constructed backend (same seed)
@@ -124,19 +128,45 @@ class ExactBackend:
         for array in (self._fresh_block, *self._fresh_selects.values()):
             array.flags.writeable = False
 
-    def _bank(self, w: np.ndarray):
-        """The counting bank of packed weights ``(C, n, nb)``.
+    def _fused_conv(self, lp) -> bool:
+        """Whether layer ``lp`` runs as one native conv-stage call
+        (``native.apc_conv_max_btanh_pack``): an APC conv with max
+        pooling, on the native tier."""
+        return (self.native_tier and lp.op == "conv"
+                and lp.kind is FEBKind.APC and lp.pooled
+                and self.plan.config.pooling is PoolKind.MAX)
 
-        Native tier: a :class:`repro.native.WeightBank` in the kernels'
-        counting layout.  NumPy tier: the row-major ``(C, L, W)``
-        transposed bank and its last-input plane ``(C, L)``, transposed
-        in ``TILE_BYTES`` chunks to bound the unpacked transient.
+    def _bank(self, lp, w: np.ndarray):
+        """The counting bank of layer ``lp``'s packed weights
+        ``(C, n, nb)``.
+
+        Native tier: a :class:`repro.native.ConvBank` (one SIMD lane per
+        channel) for a fused conv stage, else a
+        :class:`repro.native.WeightBank` in the kernels' counting layout.
+        NumPy tier: the row-major ``(C, L, W)`` transposed bank and its
+        last-input plane ``(C, L)``, transposed in ``TILE_BYTES`` chunks
+        to bound the unpacked transient.
         """
+        if self._fused_conv(lp):
+            return native.conv_bank(w, self.length)
         if self.native_tier:
             return native.weight_bank(w, self.length)
         return (ops.transpose_pack(w, self.length,
                                    chunk_budget=self.TILE_BYTES),
                 ops.unpack_bits(w[:, -1, :], self.length))
+
+    @staticmethod
+    def _biased_table(lp) -> np.ndarray:
+        """Conv layer ``lp``'s read-only ``(P, n)`` patch table: the
+        plan's ``patch_index`` plus a column of ``S``, the bias row."""
+        channels_in = (lp.n_inputs - 1) // (lp.kernel * lp.kernel)
+        _, (in_h, in_w), _ = lp.geometry
+        P = lp.patch_index.shape[0]
+        table = np.concatenate(
+            [lp.patch_index, np.full((P, 1), channels_in * in_h * in_w)],
+            axis=1)
+        table.flags.writeable = False
+        return table
 
     @staticmethod
     def _checked_segment(plan, segment: int = DEFAULT_SEGMENT) -> int:
@@ -338,25 +368,25 @@ class ExactBackend:
         window count, or the full conv-position count for an unpooled
         stage).
         """
-        B, S, nb = x.shape
+        B, _, nb = x.shape
         x = self._biased(x)                             # (B, S+1, nb)
         L = self.length
-        P = lp.patch_index.shape[0]
         windows = lp.pool_windows
         avg = self.plan.config.pooling is PoolKind.AVG
-        table = np.concatenate(
-            [lp.patch_index, np.full((P, 1), S)], axis=1)  # (P, n)
+        table = self._tables[i]                         # (P, n)
+        P = table.shape[0]
 
-        if lp.kind is FEBKind.APC and lp.pooled and not avg \
-                and self.native_tier:
+        if self._fused_conv(lp):
             # Native tier: patch gather, counting, max pool, Btanh and
-            # pack run per pool window; no count tensor is built.
+            # pack run per pool window; no count tensor is built, and
+            # the kernel writes image-major.
             t0 = _prof.tick()
             out = native.apc_conv_max_btanh_pack(
                 x, table, self._banks[i], windows, self.segment,
-                lp.n_states)                            # (C, B, W, nb)
+                lp.n_states)                            # (B, C, W, nb)
             _prof.tock(t0, "apc_conv_max_btanh_pack", "native")
-        elif lp.kind is FEBKind.APC:
+            return out.reshape(B, -1, nb)
+        if lp.kind is FEBKind.APC:
             patch = x[:, table]                         # (B, P, n, nb)
             counts = self._apc_counts(
                 i, patch.reshape(B * P, lp.n_inputs, nb))

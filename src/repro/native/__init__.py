@@ -10,10 +10,12 @@ sums) — are bit-identical re-implementations of their NumPy
 counterparts; the pure NumPy paths remain the conformance oracle and the
 fallback.
 
-The three counting kernels read weights as a :class:`WeightBank`: the
-packed bank laid out once by :func:`weight_bank` (the exact backend does
-it at construction), so no call copies weights.  They reject a plain
-array, which would be the row-major ``transpose_pack`` bank.
+The counting kernels read weights laid out once (the exact backend does
+it at construction), so no call copies weights: the inner-product and
+FC kernels a :class:`WeightBank` from :func:`weight_bank`, the conv
+stage a channel-minor :class:`ConvBank` from :func:`conv_bank`.  Each
+refuses any other bank by type — a plain array would be the row-major
+``transpose_pack`` bank.
 
 Capability protocol
 -------------------
@@ -64,6 +66,8 @@ __all__ = [
     "column_counts",
     "WeightBank",
     "weight_bank",
+    "ConvBank",
+    "conv_bank",
     "apc_inner_counts",
     "apc_fc_btanh_pack",
     "apc_fc_sums",
@@ -102,6 +106,9 @@ def _configure(lib) -> None:
     lib.repro_layout_bank.argtypes = [
         _u8p, c_int64, c_int64, c_int64, c_int64, c_int64, _u8p]
     lib.repro_layout_bank.restype = c_int
+    lib.repro_layout_conv_bank.argtypes = [
+        _u8p, c_int64, c_int64, c_int64, c_int64, c_int64, _u8p]
+    lib.repro_layout_conv_bank.restype = c_int
     lib.repro_apc_fc_btanh_pack.argtypes = [
         _u8p, c_int64, c_int64, c_int64, _u8p, c_int64, c_int64, c_int64,
         c_int64, _u8p, _i64p]
@@ -253,14 +260,14 @@ def _row_width(n: int) -> int:
 
 @dataclass(frozen=True)
 class WeightBank:
-    """A packed weight bank laid out for the native counting kernels.
+    """A packed weight bank laid out for the inner-product and FC kernels.
 
     ``data`` holds ``channels`` blocks of ``length × width`` bytes: each
     channel's ``n`` weight streams bit-transposed into one ``width``-byte
     row per cycle, word-major when ``width % 8 == 0`` (the counting
     layout of ``kernels.c``).  :func:`weight_bank` builds one; the type
-    is what tells a laid-out bank from a row-major one, and its sizes
-    are checked here so no bank can overrun the kernels' reads.
+    is what tells it from a row-major array or a :class:`ConvBank`, and
+    its sizes are checked here so no bank can overrun the kernels' reads.
     """
 
     data: np.ndarray
@@ -286,6 +293,74 @@ class WeightBank:
         return _row_width(self.n)
 
 
+#: channels per SIMD lane group of the conv stage (``LANES`` in
+#: ``kernels.c``); a :class:`ConvBank` pads its channel axis to it
+LANES = 16
+
+
+def _lane_layout(n: int, channels: int) -> tuple[type, int, int]:
+    """A conv lane bank's word type, words per cycle row and padded
+    channel count (``lane_word``/``lane_pad`` in ``kernels.c``)."""
+    width = _row_width(n)
+    word = np.uint64 if width % 8 == 0 else np.uint32
+    cp = -(-channels // LANES) * LANES
+    return word, width // np.dtype(word).itemsize, cp
+
+
+@dataclass(frozen=True)
+class ConvBank:
+    """A packed weight bank laid out for the APC conv stage, one SIMD
+    lane per output channel.
+
+    ``data`` is ``(words, length, Cp)``: each channel's ``n`` weight
+    streams bit-transposed into one ``width``-byte row per cycle, split
+    into ``words`` words — uint64 when ``width % 8 == 0``, else uint32 —
+    and stored channel-minor, with ``Cp`` the ``channels`` rounded up to
+    :data:`LANES` (the padding channels zero).  :func:`conv_bank` builds
+    one; its sizes are checked here so no bank can overrun the kernel's
+    reads.
+    """
+
+    data: np.ndarray
+    n: int
+    channels: int
+
+    def __post_init__(self):
+        data = self.data
+        ok = (isinstance(data, np.ndarray) and data.ndim == 3
+              and data.flags.c_contiguous and self.n >= 1
+              and self.channels >= 1)
+        if ok:
+            word, words, cp = _lane_layout(self.n, self.channels)
+            ok = (data.dtype == word and data.shape[1] >= 1
+                  and data.shape[::2] == (words, cp))
+        if not ok:
+            shape = getattr(data, "shape", data)
+            raise ValueError(f"not a conv lane bank of n={self.n} "
+                             f"channels={self.channels}: {shape}")
+
+    @property
+    def length(self) -> int:
+        return self.data.shape[1]
+
+    @property
+    def width(self) -> int:
+        return _row_width(self.n)
+
+
+def _checked_weights(w, length: int) -> tuple[np.ndarray, int]:
+    """A packed weight bank ``(C, n, nbytes)`` carrying ``length``."""
+    w = np.asarray(w)
+    if w.dtype != np.uint8 or w.ndim != 3 or 0 in w.shape[:2]:
+        raise ValueError(f"expected a uint8 weight bank (C, n, nbytes), "
+                         f"got {w.dtype} {w.shape}")
+    length = check_positive_int(length, "length")
+    if w.shape[2] != (length + 7) // 8:
+        raise ValueError(f"weight bank of {w.shape[2]} bytes per stream "
+                         f"does not carry length {length}")
+    return np.ascontiguousarray(w), length
+
+
 def weight_bank(w: np.ndarray, length: int) -> WeightBank:
     """Lay a packed weight bank ``(C, n, nbytes)`` out for counting.
 
@@ -293,17 +368,9 @@ def weight_bank(w: np.ndarray, length: int) -> WeightBank:
     ``transpose_pack`` bank and its last-input plane, which only the
     NumPy counting path reads.
     """
-    w = np.asarray(w)
-    if w.dtype != np.uint8 or w.ndim != 3 or 0 in w.shape[:2]:
-        raise ValueError(f"expected a uint8 weight bank (C, n, nbytes), "
-                         f"got {w.dtype} {w.shape}")
+    w, length = _checked_weights(w, length)
     C, n, nbytes = w.shape
-    length = check_positive_int(length, "length")
-    if nbytes != (length + 7) // 8:
-        raise ValueError(f"weight bank of {nbytes} bytes per stream does "
-                         f"not carry length {length}")
     width = _row_width(n)
-    w = np.ascontiguousarray(w)
     data = np.empty((C, length * width), dtype=np.uint8)
     _check(_lib.repro_layout_bank(_ptr(w, _u8p), C, n, nbytes, length,
                                   width, _ptr(data, _u8p)))
@@ -311,10 +378,23 @@ def weight_bank(w: np.ndarray, length: int) -> WeightBank:
     return WeightBank(data, n, length)
 
 
-def _checked_bank(bank) -> WeightBank:
-    if not isinstance(bank, WeightBank):
-        raise TypeError(f"expected a WeightBank from native.weight_bank, "
-                        f"got {type(bank).__name__}")
+def conv_bank(w: np.ndarray, length: int) -> ConvBank:
+    """Lay a packed weight bank ``(C, n, nbytes)`` out for the APC conv
+    stage: channel-minor words, one SIMD lane per output channel."""
+    w, length = _checked_weights(w, length)
+    C, n, nbytes = w.shape
+    word, words, cp = _lane_layout(n, C)
+    data = np.empty((words, length, cp), dtype=word)
+    _check(_lib.repro_layout_conv_bank(_ptr(w, _u8p), C, n, nbytes, length,
+                                       _row_width(n), _ptr(data, _u8p)))
+    data.flags.writeable = False
+    return ConvBank(data, n, C)
+
+
+def _checked_bank(bank, kind=WeightBank):
+    if not isinstance(bank, kind):
+        raise TypeError(f"expected a {kind.__name__}, got "
+                        f"{type(bank).__name__}")
     return bank
 
 
@@ -441,21 +521,22 @@ def _int_table(name: str, table, cols: int | None, bound: int) -> np.ndarray:
 
 
 def apc_conv_max_btanh_pack(x: np.ndarray, table: np.ndarray,
-                            bank: WeightBank, windows: np.ndarray,
+                            bank: ConvBank, windows: np.ndarray,
                             segment: int, n_states: int) -> np.ndarray:
     """One APC conv stage with max pooling: packed input banks
     ``(B, S, nbytes)`` (bias row included), the conv patch table
-    ``(P, n)`` indexing ``[0, S)``, a :class:`WeightBank` of ``C``
+    ``(P, n)`` indexing ``[0, S)``, a :class:`ConvBank` of ``C``
     channels and 2×2 pool windows ``(Wn, 4)`` indexing ``[0, P)``
-    → packed Btanh output streams ``(C, B, Wn, nbytes)``.
+    → packed Btanh output streams ``(B, C, Wn, nbytes)``, image-major.
 
     Bit-identical to ``pack_bits(btanh_counts(apc_max_pool(
     counts[:, :, windows], segment), n, n_states))`` over the APC counts
-    ``(C, B, P, L)`` of ``x[:, table]`` against the weights, without
-    building the patch bank, the counts or any later intermediate.
-    Every argument is checked here, before a pointer reaches C.
+    ``(C, B, P, L)`` of ``x[:, table]`` against the weights, transposed
+    to image-major, without building the patch bank, the counts or any
+    later intermediate.  Every argument is checked here, before a
+    pointer reaches C.
     """
-    bank = _checked_bank(bank)
+    bank = _checked_bank(bank, ConvBank)
     x = np.asarray(x)
     if x.dtype != np.uint8 or x.ndim != 3:
         raise ValueError(f"expected uint8 x (B, S, nbytes), got "
@@ -475,7 +556,7 @@ def apc_conv_max_btanh_pack(x: np.ndarray, table: np.ndarray,
                          f"segment {segment}")
     x = np.ascontiguousarray(x)
     C, Wn = bank.channels, windows.shape[0]
-    out = np.empty((C, B, Wn, nbytes), dtype=np.uint8)
+    out = np.empty((B, C, Wn, nbytes), dtype=np.uint8)
     _check(_lib.repro_apc_conv_max_btanh_pack(
         _ptr(x, _u8p), B, S, nbytes, _ptr(table, _i64p), n,
         _ptr(bank.data, _u8p), C, L, bank.width, _ptr(windows, _i64p), Wn,

@@ -9,7 +9,7 @@
  * pooling and its APC FC layer) — arming the tier must change zero
  * output bits, which the conformance suite enforces.
  *
- * Three design rules (DESIGN.md, "Native kernel tier"):
+ * Four design rules (DESIGN.md, "Native kernel tier"):
  *
  *  1. *Fuse* the loops NumPy cannot: the transpose_pack + popcount_sum
  *     pair becomes one pass that never materializes the transposed
@@ -25,12 +25,20 @@
  *     transposed input tile once per output channel, so the tile is
  *     sized (TILE_BYTES) to stay resident across the channel loop; the
  *     conv stage's per-window tile and count scratch fit L1/L2 beside
- *     the weight bank.  Counting rows are laid out so the cycle loop
+ *     its bank.  Counting rows are laid out so the cycle loop
  *     vectorizes (count_layout: word-major for widths that are a
  *     multiple of 8 bytes).
- *  3. *Lay weights out once*: repro_layout_bank writes a weight bank in
- *     the counting layout when the backend is built, and every
- *     counting kernel reads that stored bank — no call copies weights.
+ *  3. *Lay weights out once*: repro_layout_bank (the inner-product and
+ *     FC layout) and repro_layout_conv_bank (the conv stage's
+ *     channel-minor layout) write a weight bank when the backend is
+ *     built, and every counting kernel reads that stored bank — no call
+ *     copies weights.
+ *  4. *One lane per independent chain*: the conv stage's per-channel
+ *     max pool and Btanh counters step in lockstep, so they run one
+ *     output channel per lane of GCC/Clang vector types (LANES; no
+ *     intrinsics, so the tier needs a compiler with vector extensions
+ *     and builds under either of build.py's flag sets).  A serial clamp
+ *     chain per channel left the core waiting on its latency.
  *
  * All kernels are pure functions of their arguments writing distinct
  * output buffers, so concurrent calls from serving threads are safe
@@ -44,6 +52,10 @@
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
+
+#if !defined(__GNUC__) && !defined(__clang__)
+#error "the native kernel tier needs GCC/Clang vector extensions"
+#endif
 
 #if defined(_WIN32)
 #define API __declspec(dllexport)
@@ -78,15 +90,7 @@ static void init_tables(void)
     }
 }
 
-#if defined(__GNUC__) || defined(__clang__)
 __attribute__((constructor)) static void ctor_tables(void) { init_tables(); }
-#else
-static int tables_ready = 0;
-#define ENSURE_TABLES() do { if (!tables_ready) { init_tables(); tables_ready = 1; } } while (0)
-#endif
-#ifndef ENSURE_TABLES
-#define ENSURE_TABLES() do { } while (0)
-#endif
 
 /* ------------------------------------------------------------------ */
 /* helpers                                                            */
@@ -94,13 +98,7 @@ static int tables_ready = 0;
 
 static inline int64_t popcnt64(uint64_t x)
 {
-#if defined(__GNUC__) || defined(__clang__)
     return (int64_t)__builtin_popcountll(x);
-#else
-    int64_t c = 0;
-    while (x) { x &= x - 1; c++; }
-    return c;
-#endif
 }
 
 /* 8x8 bit-matrix transpose (Hacker's Delight 7-3).  Viewing the word
@@ -190,7 +188,6 @@ API int repro_transpose_pack(const uint8_t *in, int64_t R, int64_t n,
                              int64_t nbytes, int64_t L, int64_t W,
                              uint8_t *out)
 {
-    ENSURE_TABLES();
     memset(out, 0, (size_t)(R * L * W));
     for (int64_t r = 0; r < R; r++)
         transpose_rows(in + r * n * nbytes, NULL, n, nbytes, L, W, 8,
@@ -203,7 +200,6 @@ API int repro_transpose_pack(const uint8_t *in, int64_t R, int64_t n,
 API int repro_popcount_rows(const uint8_t *in, int64_t rows, int64_t nbytes,
                             int64_t *out)
 {
-    ENSURE_TABLES();
     for (int64_t r = 0; r < rows; r++) {
         const uint8_t *a = in + r * nbytes;
         int64_t c = 0, i = 0;
@@ -230,7 +226,6 @@ API int repro_column_counts(const uint8_t *in, int64_t R, int64_t n,
                             int64_t nbytes, int64_t L, int approximate,
                             int16_t *out)
 {
-    ENSURE_TABLES();
     int64_t kmax = (L + 7) / 8;
     if (kmax > nbytes)
         kmax = nbytes;
@@ -368,8 +363,9 @@ static inline uint64_t load64(const uint8_t *p)
 /* Lay a packed weight bank (C, n, nbytes) out for counting: each
  * channel's n streams bit-transposed into the (L, W) cycle rows of
  * count_layout (word-major when W % 8 == 0).  The exact backend calls
- * this once per counting layer at construction; every counting kernel
- * below reads the stored bank as is, so no call copies weights. */
+ * this once per counting layer at construction (the fused conv stage's
+ * layers use repro_layout_conv_bank instead); the inner-product and FC
+ * kernels read the stored bank as is, so no call copies weights. */
 API int repro_layout_bank(const uint8_t *w, int64_t C, int64_t n,
                           int64_t nbytes, int64_t L, int64_t W,
                           uint8_t *out)
@@ -438,11 +434,8 @@ static inline void count_cycles(const count_layout *cl, const uint8_t *xr,
  * chains so each runs in the others' latency shadow (four rows at once
  * halved the chain time at LeNet-5 fc1's shapes).  Callers pass K as a
  * constant <= 4, so the inlined loop keeps every state in a register.
- *
- * max_btanh_pack keeps its own chain: it switches source rows per
- * segment with the pool's accumulator adds riding in the chain's
- * shadow, and moving those adds out to call this helper per segment
- * measured ~15% slower at LeNet-5 layer 0. */
+ * (The conv stage runs its chains one channel per SIMD lane instead:
+ * max_btanh_lanes.) */
 static inline void btanh_pack_rows(int K, const int16_t *cnt, int64_t L,
                                    int64_t n, int64_t hi, int64_t half,
                                    uint8_t *o, int64_t ostride)
@@ -518,7 +511,6 @@ API int repro_apc_inner_counts(const uint8_t *x, const uint8_t *bank,
                                int64_t nbytes, int64_t L, int64_t W,
                                int approximate, int16_t *out)
 {
-    ENSURE_TABLES();
     const count_layout cl = make_layout(n, L, W, approximate);
     const int64_t Rb = tile_rows(R, L, W);
     uint8_t *buf = (uint8_t *)malloc((size_t)(Rb * L * W));
@@ -557,7 +549,6 @@ API int repro_apc_fc_btanh_pack(const uint8_t *x, int64_t R, int64_t n,
                                 int64_t n_states, uint8_t *bits,
                                 int64_t *sums)
 {
-    ENSURE_TABLES();
     const count_layout cl = make_layout(n, L, W, 1);
     const int64_t Rb = tile_rows(R, L, W), ob = (L + 7) / 8;
     const int64_t hi = n_states - 1, half = n_states / 2;
@@ -648,56 +639,270 @@ API int name(const T *inc, int64_t rows, int64_t Tn, int64_t hi,          \
 DEFINE_SATC(repro_saturating_counter_i64, int64_t)
 DEFINE_SATC(repro_saturating_counter_i32, int32_t)
 
-/* APC-Max-Btanh (Section 4.4) of one pool window of one channel:
+
+/* ------------------------------------------------------------------ */
+/* the APC conv stage: one SIMD lane per output channel               */
+/* ------------------------------------------------------------------ */
+
+/* Channels per lane group.  The conv stage runs every output channel's
+ * max pool and Btanh counter in one lane of GCC/Clang vector types (no
+ * intrinsics) and pads the channel axis of its bank and count scratch to
+ * a multiple of LANES.  What keeps GCC 12 from lowering the lanes to
+ * scalar or shuffle-bound code (both measured):
  *
- *   row[k] = counts + k * L, k < 4: the window's four APC count rows
- *   o[0 .. nbytes)                 packed Btanh output bits
- *
- * in one pass: the accumulator max pool of blocks.pooling.apc_max_pool
- * (segment 0 takes candidate 0; segment j > 0 takes the first-index
- * argmax of the candidates' totals through segment j - 1), the Btanh
- * saturating counter over the winner's counts (state += 2*count - n
- * clamped into [0, K-1], init and threshold K/2, output bit =
- * state >= K/2) and the big-endian pack, padding bits zero.  The
- * windowed copy, segment sums, increments and bit array of the NumPy
- * composition are never built.  L must be a multiple of segment. */
-static void max_btanh_pack(const int16_t *counts, int64_t L,
-                           int64_t segment, int64_t n, int64_t n_states,
-                           uint8_t *o)
+ *  - no vector is wider than one AVX-512 register, so a group's int64
+ *    lanes are two vectors of HLANES, whose clamp chains run in each
+ *    other's latency shadow;
+ *  - no lane is widened by a conversion: __builtin_convertvector lowers
+ *    a widening to shuffles that all queue on one port.  The counts are
+ *    int32 lanes, and int32 -> int64 splits the even and odd lanes with
+ *    shifts (LO64/HI64): on a little-endian target the int64 half h
+ *    holds channels 2i + h, and JOIN32 undoes the split on any. */
+#define LANES 16
+#define HLANES 8
+
+typedef int32_t i32xL __attribute__((vector_size(4 * LANES)));
+typedef uint32_t u32xL __attribute__((vector_size(4 * LANES)));
+typedef int64_t i64xH __attribute__((vector_size(8 * HLANES)));
+typedef uint64_t u64xH __attribute__((vector_size(8 * HLANES)));
+
+/* The even (LO64) and odd (HI64) int32 lanes of v, sign-extended to
+ * int64 lanes; JOIN32 is their inverse (its halves must fit int32). */
+#define LO64(v) ((i64xH)((u64xH)(v) << 32) >> 32)
+#define HI64(v) ((i64xH)(v) >> 32)
+#define JOIN32(lo, hi) \
+    ((i32xL)(((u64xH)(lo) & 0xFFFFFFFFu) | ((u64xH)(hi) << 32)))
+
+/* Counting chunks: one 256-bit vector of bank words.  Compilers
+ * vectorize a lane popcount only up to their preferred vector width
+ * (256 bits for GCC on x86), so the count loop runs in these. */
+#define CHUNK_BYTES 32
+typedef uint32_t u32xC __attribute__((vector_size(CHUNK_BYTES)));
+typedef uint64_t u64xC __attribute__((vector_size(CHUNK_BYTES)));
+typedef int32_t i32xC32 __attribute__((vector_size(CHUNK_BYTES)));
+typedef int32_t i32xC64 __attribute__((vector_size(CHUNK_BYTES / 2)));
+
+/* C channels padded to whole lane groups. */
+static int64_t lane_pad(int64_t C)
 {
-    const int64_t hi = n_states - 1, half = n_states / 2;
-    const int16_t *row[4];
-    for (int k = 0; k < 4; k++)
-        row[k] = counts + k * L;
-    int64_t tot[4] = {0, 0, 0, 0};
-    int64_t s = half;
-    unsigned acc = 0;
-    int sel = 0;
+    return (C + LANES - 1) / LANES * LANES;
+}
+
+/* Word bytes of a conv lane bank of W-byte cycle rows: the u64 words of
+ * count_layout when W % 8 == 0, else u32 (W is a multiple of 4). */
+static int64_t lane_word(int64_t W)
+{
+    return W % 8 ? 4 : 8;
+}
+
+/* Lay a packed weight bank (C, n, nbytes) out for the conv stage: each
+ * channel's n streams bit-transposed into W-byte cycle rows, stored
+ * channel-minor as (words, L, Cp) words of lane_word(W) bytes — word k
+ * of channel c's row t at (k * L + t) * Cp + c — with Cp = lane_pad(C)
+ * and the padding channels zero.  The exact backend calls this once per
+ * fused conv layer at construction. */
+API int repro_layout_conv_bank(const uint8_t *w, int64_t C, int64_t n,
+                               int64_t nbytes, int64_t L, int64_t W,
+                               uint8_t *out)
+{
+    const int64_t ws = lane_word(W), words = W / ws, Cp = lane_pad(C);
+    uint8_t *row = (uint8_t *)malloc((size_t)(L * W));
+    if (!row)
+        return -1;
+    memset(out, 0, (size_t)(words * L * Cp * ws));
+    for (int64_t c = 0; c < C; c++) {
+        memset(row, 0, (size_t)(L * W));
+        transpose_rows(w + c * n * nbytes, NULL, n, nbytes, L, W, 8, row);
+        for (int64_t k = 0; k < words; k++)
+            for (int64_t t = 0; t < L; t++)
+                memcpy(out + ((k * L + t) * Cp + c) * ws, row + t * W + k * ws,
+                       (size_t)ws);
+    }
+    free(row);
+    return 0;
+}
+
+/* APC counts of one pool window, channel-minor: the 4 * L transposed
+ * rows of tile (W bytes each, row-major) against every channel of a
+ * conv lane bank (words of T; word k of cycle t's Cp channels at
+ * bank + (k * L + t) * Cp), into cnt[r * Cp + c]:
+ *
+ *   cnt = n - popcount(x ^ w), LSB patched from the last input's product
+ *   bit (word lastk, bit mask) as in count_layout, wrapped to int16 as
+ *   the NumPy oracle's counts are, held in int32 lanes.
+ *
+ * A lane group's chunks accumulate their popcounts in registers across
+ * the words; chunks holding only padding channels are skipped (their
+ * counts stay as the caller zeroed them).  V is the chunk vector of T,
+ * NL its lanes, TO32 stores it as int32 lanes. */
+#define DEFINE_COUNT_LANES(name, T, V, NL, POPCNT, TO32)                  \
+static void name(const uint8_t *tile, const T *bank, int64_t L,           \
+                 int64_t W, int64_t C, int64_t Cp, int64_t words,         \
+                 int64_t lastk, T mask, int64_t n, int32_t *cnt)          \
+{                                                                         \
+    const V nv = (V){0} + (T)n, mv = (V){0} + mask;                       \
+    for (int64_t p = 0; p < 4; p++)                                       \
+        for (int64_t t = 0; t < L; t++) {                                 \
+            const uint8_t *xr = tile + (p * L + t) * W;                   \
+            const T *bt = bank + t * Cp;                                  \
+            int32_t *out = cnt + (p * L + t) * Cp;                        \
+            T xl;                                                         \
+            memcpy(&xl, xr + lastk * (int64_t)sizeof(T), sizeof(T));      \
+            for (int64_t g = 0; g < C; g += LANES) {                      \
+                const int64_t qn = (C - g + (NL) - 1) / (NL);             \
+                V acc[LANES / (NL)];                                      \
+                for (int q = 0; q < LANES / (NL); q++)                    \
+                    acc[q] = (V){0};                                      \
+                for (int64_t k = 0; k < words; k++) {                     \
+                    T x;                                                  \
+                    memcpy(&x, xr + k * (int64_t)sizeof(T), sizeof(T));   \
+                    const T *b = bt + k * L * Cp + g;                     \
+                    for (int q = 0; q < LANES / (NL); q++) {              \
+                        V v;                                              \
+                        T a[NL];                                          \
+                        if (q >= qn)                                      \
+                            break;                                        \
+                        memcpy(&v, b + q * (NL), sizeof v);               \
+                        v ^= x;                                           \
+                        memcpy(a, &v, sizeof v);                          \
+                        for (int i = 0; i < (NL); i++)                    \
+                            a[i] = (T)POPCNT(a[i]);                       \
+                        memcpy(&v, a, sizeof v);                          \
+                        acc[q] += v;                                      \
+                    }                                                     \
+                }                                                         \
+                const T *b = bt + lastk * L * Cp + g;                     \
+                for (int q = 0; q < LANES / (NL); q++) {                  \
+                    V w;                                                  \
+                    if (q >= qn)                                          \
+                        break;                                            \
+                    memcpy(&w, b + q * (NL), sizeof w);                   \
+                    V c = (nv - acc[q]) ^ ((V)(((w ^ xl) & mv) == 0) & 1);\
+                    TO32(c, out + g + q * (NL));                          \
+                }                                                         \
+            }                                                             \
+        }                                                                 \
+}
+
+#define STORE32_FROM32(c, o) do {                                         \
+    i32xC32 c32_ = ((i32xC32)(c) << 16) >> 16;                            \
+    memcpy((o), &c32_, sizeof c32_);                                      \
+} while (0)
+#define STORE32_FROM64(c, o) do {                                         \
+    i32xC64 c32_ = (__builtin_convertvector((c), i32xC64) << 16) >> 16;  \
+    memcpy((o), &c32_, sizeof c32_);                                      \
+} while (0)
+
+DEFINE_COUNT_LANES(count_lanes32, uint32_t, u32xC, CHUNK_BYTES / 4,
+                   __builtin_popcount, STORE32_FROM32)
+DEFINE_COUNT_LANES(count_lanes64, uint64_t, u64xC, CHUNK_BYTES / 8,
+                   popcnt64, STORE32_FROM64)
+
+/* Cycles an int32 running sum of int16-valued counts can take without
+ * overflow (2^16 * 2^15 = 2^31). */
+#define SUM32_CYCLES 65536
+
+/* Stores the low byte of lane i < lanes of the int32 lanes v at
+ * o + i * stride. */
+static void store_lane_bytes(const i32xL *v, int64_t lanes, uint8_t *o,
+                             int64_t stride)
+{
+    int32_t b[LANES];
+    memcpy(b, v, sizeof b);
+    for (int64_t i = 0; i < lanes; i++)
+        o[i * stride] = (uint8_t)b[i];
+}
+
+/* APC-Max-Btanh (Section 4.4) of one pool window for LANES channels at
+ * once, one channel per lane:
+ *
+ *   cnt[(k * L + t) * Cp + i]   count of candidate k < 4 at cycle t,
+ *                               lane i (the window's count scratch)
+ *   o[i * ostride + 0 .. nb)    packed Btanh output of lane i < lanes
+ *
+ * in one pass per lane: the accumulator max pool of
+ * blocks.pooling.apc_max_pool (segment 0 takes candidate 0; segment
+ * j > 0 takes the first-index argmax of the candidates' totals through
+ * segment j - 1), the Btanh saturating counter over the winner's counts
+ * (state += 2*count - n clamped into [0, hi], init and threshold half,
+ * output bit = state >= half) and the big-endian pack, padding bits
+ * zero.  One byte per lane is stored every 8 cycles.
+ *
+ * Lane widths: the state is int64 — before its clamp it reaches
+ * min(hi, half + n * t) + n at cycle t, inside int64 for every n_states;
+ * the candidates' totals are int64 (they reach n * L), fed by int32
+ * sums flushed every segment or SUM32_CYCLES cycles; the counts and the
+ * increment 2*count - n are int32, the increment wrapping as the NumPy
+ * oracle's int32 does.  The clamps and the threshold test are sign
+ * shifts (x >> 63 is -1 exactly when x < 0), which keeps the serial
+ * chain in plain vector arithmetic.  L must be a multiple of segment. */
+static void max_btanh_lanes(const int32_t *cnt, int64_t Cp, int64_t L,
+                            int64_t segment, int64_t n, int64_t hi,
+                            int64_t half, int64_t lanes, uint8_t *o,
+                            int64_t ostride)
+{
+    const i64xH zero = {0};
+    const i64xH hiv = zero + hi, below = zero + (half - 1);
+    const u32xL n32 = (u32xL){0} + (uint32_t)n;
+    i64xH s[2] = {zero + half, zero + half}, acc[2] = {zero, zero};
+    i64xH tot[4][2] = {{zero, zero}, {zero, zero}, {zero, zero},
+                       {zero, zero}};
+    /* One-hot source masks: lane i reads candidate k where sel[k][i]. */
+    i32xL sel[4] = {{0}, {0}, {0}, {0}};
+    sel[0] = sel[0] - 1;
     for (int64_t j0 = 0; j0 < L; j0 += segment) {
-        const int16_t *src = row[sel];
-        /* The accumulators' adds ride in the latency shadow of the
-         * counter's serial clamp chain. */
-        for (int64_t t = j0; t < j0 + segment; t++) {
-            tot[0] += row[0][t];
-            tot[1] += row[1][t];
-            tot[2] += row[2][t];
-            tot[3] += row[3][t];
-            s += 2 * (int64_t)src[t] - n;
-            s = s < 0 ? 0 : s;
-            s = s > hi ? hi : s;
-            acc = (acc << 1) | (unsigned)(s >= half);
-            if ((t & 7) == 7) {
-                o[t >> 3] = (uint8_t)acc;
-                acc = 0;
+        const int64_t j1 = j0 + segment;
+        for (int64_t b0 = j0; b0 < j1; b0 += SUM32_CYCLES) {
+            const int64_t b1 = j1 - b0 > SUM32_CYCLES ? b0 + SUM32_CYCLES
+                                                      : j1;
+            i32xL sum[4] = {{0}, {0}, {0}, {0}};
+            for (int64_t t = b0; t < b1; t++) {
+                i32xL c[4];
+                for (int k = 0; k < 4; k++) {
+                    memcpy(&c[k], cnt + (k * L + t) * Cp, sizeof c[k]);
+                    sum[k] += c[k];
+                }
+                u32xL src = (u32xL)((c[0] & sel[0]) | (c[1] & sel[1])
+                                    | (c[2] & sel[2]) | (c[3] & sel[3]));
+                i32xL inc = (i32xL)(2 * src - n32);
+                i64xH d[2] = {LO64(inc), HI64(inc)};
+                for (int h = 0; h < 2; h++) {
+                    i64xH v = s[h] + d[h];
+                    v &= ~(v >> 63);
+                    s[h] = v ^ ((v ^ hiv) & ((hiv - v) >> 63));
+                    acc[h] = acc[h] + acc[h] - ((below - s[h]) >> 63);
+                }
+                if ((t & 7) == 7) {
+                    i32xL bits = JOIN32(acc[0], acc[1]);
+                    store_lane_bytes(&bits, lanes, o + (t >> 3), ostride);
+                    acc[0] = acc[1] = zero;
+                }
+            }
+            for (int k = 0; k < 4; k++) {
+                tot[k][0] += LO64(sum[k]);
+                tot[k][1] += HI64(sum[k]);
             }
         }
-        sel = 0;
-        for (int k = 1; k < 4; k++)
-            if (tot[k] > tot[sel])
-                sel = k;
+        i64xH m[4][2];
+        for (int h = 0; h < 2; h++) {
+            i64xH best = tot[0][h];
+            i64xH g1 = tot[1][h] > best;
+            best = (tot[1][h] & g1) | (best & ~g1);
+            i64xH g2 = tot[2][h] > best;
+            best = (tot[2][h] & g2) | (best & ~g2);
+            i64xH g3 = tot[3][h] > best;
+            m[0][h] = ~(g1 | g2 | g3);
+            m[1][h] = g1 & ~(g2 | g3);
+            m[2][h] = g2 & ~g3;
+            m[3][h] = g3;
+        }
+        for (int k = 0; k < 4; k++)
+            sel[k] = JOIN32(m[k][0], m[k][1]);
     }
-    if (L & 7)
-        o[(L + 7) / 8 - 1] = (uint8_t)(acc << (8 - (L & 7)));
+    if (L & 7) {
+        i32xL bits = JOIN32(acc[0], acc[1]) << (8 - (L & 7));
+        store_lane_bytes(&bits, lanes, o + (L >> 3), ostride);
+    }
 }
 
 /* One APC conv stage with max pooling (ExactBackend._conv_layer):
@@ -706,19 +911,23 @@ static void max_btanh_pack(const int16_t *counts, int64_t L,
  *
  *   x[b, s, :]       (B, S, nbytes) packed input bank, bias row included
  *   table[p, j]      (P, n) row of x feeding input j of conv position p
- *   bank             (C, L, W) weight bank laid out by repro_layout_bank
+ *   bank             (words, L, Cp) conv lane bank laid out by
+ *                    repro_layout_conv_bank
  *   windows[w, 0..3] (Wn, 4) positions in [0, P) of each 2x2 window
- *   out[c, b, w, :]  (C, B, Wn, nbytes) packed Btanh output bits
+ *   out[b, c, w, :]  (B, C, Wn, nbytes) packed Btanh output bits,
+ *                    image-major
  *
  * Per (image, window): the window's four positions are transposed
- * straight out of x through the table into a 4 x L x W tile; all C x 4
- * x L counts go into an int16 scratch; only then does max_btanh_pack
- * run per channel.  Finishing the counts first keeps the vector stores
- * of count_cycles out of the counter's serial clamp chain (a count read
- * right after its store stalled the chain ~3x).  Working set per
- * window: tile 4*L*W bytes + scratch 8*C*L bytes + the weight bank
- * C*L*W bytes — at LeNet-5 layer 1, L = 64: 16 KiB + 25 KiB in L1/L2
- * beside a 200 KiB L2-resident bank. */
+ * straight out of x through the table into a 4 x L x W row-major tile;
+ * each (position, cycle) row is counted against every channel at once
+ * into a (4, L, Cp) int32 scratch, channel-minor; only then does
+ * max_btanh_lanes run per group of LANES channels, storing each
+ * channel's byte every 8 cycles.  Finishing the counts first keeps
+ * their stores out of the counters' serial clamp chains.  Working set
+ * per window: tile 4*L*W bytes + scratch 16*L*Cp bytes + the bank
+ * L*W*Cp bytes — at LeNet-5 layer 1, L = 64: 16 KiB + 64 KiB in L1/L2
+ * beside a 256 KiB L2-resident bank.  Every allocation is freed on
+ * every return. */
 API int repro_apc_conv_max_btanh_pack(const uint8_t *x, int64_t B,
                                       int64_t S, int64_t nbytes,
                                       const int64_t *table, int64_t n,
@@ -728,11 +937,17 @@ API int repro_apc_conv_max_btanh_pack(const uint8_t *x, int64_t B,
                                       int64_t segment, int64_t n_states,
                                       uint8_t *out)
 {
-    ENSURE_TABLES();
-    const count_layout cl = make_layout(n, L, W, 1);
-    const int64_t ob = (L + 7) / 8;
+    const int64_t ws = lane_word(W), words = W / ws, Cp = lane_pad(C);
+    const int64_t ob = (L + 7) / 8, lastk = ((n - 1) >> 3) / ws;
+    const int64_t hi = n_states - 1, half = n_states / 2;
+    uint8_t mb[8] = {0, 0, 0, 0, 0, 0, 0, 0};
+    uint32_t m32;
+    uint64_t m64;
+    mb[((n - 1) >> 3) % ws] = (uint8_t)(0x80u >> ((n - 1) & 7));
+    memcpy(&m32, mb, 4);
+    memcpy(&m64, mb, 8);
     uint8_t *tile = (uint8_t *)malloc((size_t)(4 * L * W));
-    int16_t *cnt = (int16_t *)malloc((size_t)(C * 4 * L) * sizeof(int16_t));
+    int32_t *cnt = (int32_t *)calloc((size_t)(4 * L * Cp), sizeof(int32_t));
     if (!tile || !cnt) {
         free(tile);
         free(cnt);
@@ -744,15 +959,17 @@ API int repro_apc_conv_max_btanh_pack(const uint8_t *x, int64_t B,
             memset(tile, 0, (size_t)(4 * L * W));
             for (int k = 0; k < 4; k++)
                 transpose_rows(xb, table + windows[4 * w + k] * n, n,
-                               nbytes, L, cl.tstride, cl.kstride,
-                               tile + k * L * W);
-            for (int64_t c = 0; c < C; c++)
-                for (int k = 0; k < 4; k++)
-                    count_cycles(&cl, tile + k * L * W, bank + c * L * W,
-                                 cnt + (c * 4 + k) * L);
-            for (int64_t c = 0; c < C; c++)
-                max_btanh_pack(cnt + c * 4 * L, L, segment, n, n_states,
-                               out + ((c * B + b) * Wn + w) * ob);
+                               nbytes, L, W, 8, tile + k * L * W);
+            if (ws == 8)
+                count_lanes64(tile, (const uint64_t *)bank, L, W, C, Cp,
+                              words, lastk, m64, n, cnt);
+            else
+                count_lanes32(tile, (const uint32_t *)bank, L, W, C, Cp,
+                              words, lastk, m32, n, cnt);
+            for (int64_t g = 0; g < C; g += LANES)
+                max_btanh_lanes(cnt + g, Cp, L, segment, n, hi, half,
+                                C - g < LANES ? C - g : LANES,
+                                out + ((b * C + g) * Wn + w) * ob, Wn * ob);
         }
     }
     free(tile);

@@ -146,15 +146,19 @@ input_counts = st.one_of(
 )
 
 
-def _numpy_counts(x, w, n, length):
+def _oracle_counts(x, w, n, length):
     """The exact backend's NumPy counting path (the oracle) on packed
-    banks ``x (R, n, nb)`` and ``w (C, n, nb)``, plus the native
-    :class:`~repro.native.WeightBank` of ``w``."""
+    banks ``x (R, n, nb)`` and ``w (C, n, nb)``."""
     with native.override(False):
         wT = ops.transpose_pack(w, length)
         w_last = ops.unpack_bits(w[:, -1, :], length)
-        counts = numpy_apc_counts(x, wT, w_last, n, length)
-    return counts, native.weight_bank(w, length)
+        return numpy_apc_counts(x, wT, w_last, n, length)
+
+
+def _numpy_counts(x, w, n, length):
+    """The oracle counts plus the native
+    :class:`~repro.native.WeightBank` of ``w``."""
+    return _oracle_counts(x, w, n, length), native.weight_bank(w, length)
 
 
 @needs_native
@@ -175,16 +179,17 @@ def test_apc_inner_counts_bit_identical(data, length, n, rows, channels):
 
 def _conv_stage_numpy(x, table, w, windows, length, segment, n_states):
     """The exact backend's NumPy APC conv stage with max pooling:
-    gather, count, ``apc_max_pool``, ``btanh_counts``, ``pack_bits``."""
+    gather, count, ``apc_max_pool``, ``btanh_counts``, ``pack_bits``,
+    image-major — plus the native :class:`~repro.native.ConvBank` of
+    ``w``."""
     B, nb = x.shape[0], x.shape[-1]
     (P, n), C = table.shape, w.shape[0]
-    counts, bank = _numpy_counts(x[:, table].reshape(B * P, n, nb), w, n,
-                                 length)
+    counts = _oracle_counts(x[:, table].reshape(B * P, n, nb), w, n, length)
     counts = counts.reshape(C, B, P, length)
     with native.override(False):
         pooled = apc_max_pool(counts[:, :, windows], segment)
         out = ops.pack_bits(activation.btanh_counts(pooled, n, n_states))
-    return out, bank
+    return out.transpose(1, 0, 2, 3), native.conv_bank(w, length)
 
 
 @needs_native
@@ -192,22 +197,25 @@ def _conv_stage_numpy(x, table, w, windows, length, segment, n_states):
 @given(data=st.data(),
        segment=st.sampled_from([4, 8, 12, 16, 32]),
        n_segments=st.integers(min_value=1, max_value=5),
-       n=input_counts,
+       n=st.one_of(input_counts, st.sampled_from([500, 501])),
        n_states=st.one_of(st.sampled_from([1, 2, 3, 52, 1002]),
                           st.integers(min_value=0, max_value=40).map(
                               lambda k: 2 * k + 1)),
        batch=st.integers(min_value=1, max_value=3),
-       channels=st.integers(min_value=1, max_value=4),
+       channels=st.one_of(st.integers(min_value=1, max_value=4),
+                          st.sampled_from([15, 16, 17, 33, 50])),
        n_windows=st.integers(min_value=1, max_value=4),
        inputs=st.sampled_from(["random", "sparse", "equal"]))
 def test_apc_conv_max_btanh_pack_bit_identical(data, segment, n_segments,
                                                n, n_states, batch,
                                                channels, n_windows,
                                                inputs):
-    """The fused conv stage against the NumPy composition, over every
-    counting layout, lengths whose last byte is zero-padded (e.g.
-    12 × 3), mostly-zero inputs (the transposes' zero-block skip) and
-    all-equal patches that tie every window's candidates."""
+    """The fused conv stage against the NumPy composition, over both
+    lane-bank word sizes and every row width, channel counts within one
+    lane group and across several (15, 16, 17, 33, 50), lengths whose
+    last byte is zero-padded (e.g. 12 × 3), mostly-zero inputs (the
+    transposes' zero-block skip) and all-equal patches that tie every
+    window's candidates."""
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     length = segment * n_segments
     S = int(rng.integers(1, 2 * n + 2))
@@ -230,8 +238,43 @@ def test_apc_conv_max_btanh_pack_bit_identical(data, segment, n_segments,
     assert ops.padding_is_zero(got, length)
 
 
+@needs_native
+def test_apc_conv_max_btanh_pack_never_overflows_its_lanes():
+    """The Btanh state reaches ``hi + n`` and a pool total ``n·L``.  At
+    ``n_states`` up to ``2**63 - 1`` neither clamp can bind within L
+    cycles, so the bits must equal those of the smallest such
+    ``n_states``, ``2·n·L + 3`` (where the NumPy oracle is exact); a
+    segment longer than 65 536 cycles crosses the int32 partial sums
+    that feed the int64 totals."""
+    rng = np.random.default_rng(11)
+    n, channels = 26, 17
+    x = ops.pack_bits(rng.random((1, 40, 24)) < 0.5)
+    table = rng.integers(0, 40, size=(8, n))
+    w = ops.pack_bits(rng.random((channels, n, 24)) < 0.5)
+    windows = np.arange(8).reshape(2, 4)
+    ref, bank = _conv_stage_numpy(x, table, w, windows, 24, 8,
+                                  2 * n * 24 + 3)
+    for n_states in (2**62 + 1, 2**63 - 1):
+        got = native.apc_conv_max_btanh_pack(x, table, bank, windows, 8,
+                                             n_states)
+        np.testing.assert_array_equal(got, ref)
+    segment = 65_544
+    x = ops.pack_bits(rng.random((1, 6, 2 * segment)) < 0.5)
+    table = rng.integers(0, 6, size=(4, 3))
+    w = ops.pack_bits(rng.random((channels, 3, 2 * segment)) < 0.5)
+    windows = np.arange(4).reshape(1, 4)
+    ref, bank = _conv_stage_numpy(x, table, w, windows, 2 * segment,
+                                  segment, 5)
+    np.testing.assert_array_equal(native.apc_conv_max_btanh_pack(
+        x, table, bank, windows, segment, 5), ref)
+
+
 #: a zero 2-channel bank of n = 3 (W = 4) at L = 16, built without C
 _BANK = native.WeightBank(np.zeros((2, 16 * 4), np.uint8), 3, 16)
+
+#: the same bank laid out for the conv stage: one uint32 word per cycle,
+#: two channels padded to one lane group
+_CONV_BANK = native.ConvBank(np.zeros((1, 16, native.LANES), np.uint32), 3, 2)
 
 
 #: a row-major (C, L, W) bank where a laid-out one belongs
@@ -240,7 +283,7 @@ _ROW_MAJOR = np.zeros((2, 16, 4), np.uint8)
 
 def _bad_conv_stage_args(**bad):
     args = dict(x=np.zeros((1, 5, 2), np.uint8),
-                table=np.zeros((4, 3), int), bank=_BANK,
+                table=np.zeros((4, 3), int), bank=_CONV_BANK,
                 windows=np.zeros((1, 4), int), segment=16, n_states=6)
     args.update(bad)
     return args
@@ -352,21 +395,31 @@ def test_apc_fc_btanh_pack_rejects_before_c(bad, match, monkeypatch):
             native.apc_fc_sums(**args)
 
 
-@pytest.mark.parametrize("call", [
-    lambda bank: native.apc_inner_counts(np.zeros((2, 3, 2), np.uint8),
-                                         bank),
-    lambda bank: native.apc_fc_btanh_pack(np.zeros((2, 3, 2), np.uint8),
-                                          bank, 6),
-    lambda bank: native.apc_fc_sums(np.zeros((2, 3, 2), np.uint8), bank),
-    lambda bank: native.apc_conv_max_btanh_pack(
-        **_bad_conv_stage_args(bank=bank)),
-], ids=["inner_counts", "fc_btanh_pack", "fc_sums", "conv_max_btanh_pack"])
-def test_counting_kernels_reject_row_major_bank(call, monkeypatch):
-    """Every counting kernel reads a bank laid out by ``weight_bank``;
-    the row-major ``transpose_pack`` bank is refused by type, before C."""
+_KERNEL_BANKS = [
+    (lambda bank: native.apc_inner_counts(np.zeros((2, 3, 2), np.uint8),
+                                          bank), "WeightBank", _CONV_BANK),
+    (lambda bank: native.apc_fc_btanh_pack(np.zeros((2, 3, 2), np.uint8),
+                                           bank, 6), "WeightBank", _CONV_BANK),
+    (lambda bank: native.apc_fc_sums(np.zeros((2, 3, 2), np.uint8), bank),
+     "WeightBank", _CONV_BANK),
+    (lambda bank: native.apc_conv_max_btanh_pack(
+        **_bad_conv_stage_args(bank=bank)), "ConvBank", _BANK),
+]
+_KERNEL_IDS = ["inner_counts", "fc_btanh_pack", "fc_sums",
+               "conv_max_btanh_pack"]
+
+
+@pytest.mark.parametrize("call,kind,other", _KERNEL_BANKS, ids=_KERNEL_IDS)
+def test_counting_kernels_reject_row_major_bank(call, kind, other,
+                                                monkeypatch):
+    """Every counting kernel reads a bank laid out for it — the conv
+    stage a ``conv_bank``, the others a ``weight_bank``; the row-major
+    ``transpose_pack`` bank and the other kernels' layout are refused by
+    type, before C."""
     monkeypatch.setattr(native, "_lib", None)
-    with pytest.raises(TypeError, match="WeightBank"):
-        call(_ROW_MAJOR)
+    for bank in (_ROW_MAJOR, other):
+        with pytest.raises(TypeError, match=kind):
+            call(bank)
 
 
 @pytest.mark.parametrize("data,n,length", [
@@ -383,17 +436,63 @@ def test_weight_bank_type_checks_its_sizes(data, n, length):
         native.WeightBank(data, n, length)
 
 
+@pytest.mark.parametrize("data,n,channels", [
+    (np.zeros((1, 16, 16), np.uint32), 3, 0),          # no channel
+    (np.zeros((1, 16, 16), np.uint32), 3, 17),         # Cp is 32
+    (np.zeros((1, 16, 32), np.uint32), 3, 16),         # Cp is 16
+    (np.zeros((1, 16, 16), np.uint64), 3, 2),          # W = 4: uint32
+    (np.zeros((1, 16, 16), np.uint32), 40, 2),         # W = 8: uint64
+    (np.zeros((2, 16, 16), np.uint64), 40, 2),         # W = 8: 1 word
+    (np.zeros((2, 16, 16), np.uint32), 3, 2),          # W = 4: 1 word
+    (np.zeros((1, 0, 16), np.uint32), 3, 2),           # L = 0
+    (np.zeros((16, 16), np.uint32), 3, 2),             # not (words, L, Cp)
+    (np.zeros((1, 16, 32), np.uint32)[:, :, ::2], 3, 2),  # not contiguous
+    (np.zeros((1, 16, 16), np.uint32), 0, 2),
+])
+def test_conv_bank_type_checks_its_sizes(data, n, channels):
+    """A hand-made conv lane bank must carry exactly the words, cycles
+    and padded channels the conv kernel reads."""
+    with pytest.raises(ValueError, match="not a conv lane bank"):
+        native.ConvBank(data, n, channels)
+
+
+@pytest.mark.parametrize("make", [native.weight_bank, native.conv_bank],
+                         ids=["weight_bank", "conv_bank"])
 @pytest.mark.parametrize("w,length,match", [
     (np.zeros((2, 3, 2), np.int16), 16, "uint8 weight bank"),
     (np.zeros((3, 2), np.uint8), 16, "uint8 weight bank"),
     (np.zeros((0, 3, 2), np.uint8), 16, "uint8 weight bank"),
+    (np.zeros((2, 0, 2), np.uint8), 16, "uint8 weight bank"),
     (np.zeros((2, 3, 2), np.uint8), 17, "does not carry length 17"),
     (np.zeros((2, 3, 2), np.uint8), 0, "length"),
 ])
-def test_weight_bank_rejects_before_c(w, length, match, monkeypatch):
+def test_weight_bank_rejects_before_c(make, w, length, match, monkeypatch):
     monkeypatch.setattr(native, "_lib", None)
     with pytest.raises(ValueError, match=match):
-        native.weight_bank(w, length)
+        make(w, length)
+
+
+@needs_native
+@pytest.mark.parametrize("n,channels,word", [
+    (3, 2, np.uint32), (26, 20, np.uint32), (40, 16, np.uint64),
+    (80, 17, np.uint32), (100, 33, np.uint64), (501, 50, np.uint64),
+])
+def test_conv_bank_layout(n, channels, word):
+    """``conv_bank`` stores word k of channel c's transposed cycle row t
+    at ``[k, t, c]``, the padding channels zero."""
+    rng = np.random.default_rng(n)
+    length = 21
+    w = ops.pack_bits(rng.random((channels, n, length)) < 0.5)
+    bank = native.conv_bank(w, length)
+    with native.override(False):
+        rows = ops.transpose_pack(w, length)           # (C, L, W) bytes
+    words = rows.view(word)                            # (C, L, W / size)
+    assert bank.data.dtype == word and not bank.data.flags.writeable
+    assert bank.data.shape == (words.shape[2], length,
+                               -(-channels // native.LANES) * native.LANES)
+    np.testing.assert_array_equal(bank.data[:, :, :channels],
+                                  words.transpose(2, 1, 0))
+    assert not bank.data[:, :, channels:].any()
 
 
 # ----------------------------------------------------------------------

@@ -320,15 +320,19 @@ class TestNativeTierRecord:
     def test_tier_is_fixed_at_construction(self, tiny_trained_lenet,
                                            images):
         """A backend keeps one bank per counting layer, in the form its
-        construction-time tier reads, whatever the dispatch later says."""
+        construction-time tier reads, whatever the dispatch later says:
+        a conv lane bank for the max-pooled APC conv stage, a counting
+        bank for every other counting layer."""
         ref, got = self._backends(tiny_trained_lenet, ("APC", "MUX", "APC"),
                                   PoolKind.MAX)
         assert got.native_tier and not ref.native_tier
+        kinds = []
         for lp, bank, w in zip(got.plan.layers, got._banks,
                                got.weight_streams):
             counting = lp.kind is FEBKind.APC or lp.final
-            assert isinstance(bank, native.WeightBank) == counting
+            kinds.append(type(bank).__name__ if counting else None)
             assert (w is None) == counting
+        assert kinds == ["ConvBank", None, "WeightBank", "WeightBank"]
         flat = images.reshape(len(images), -1)
         with native.override(False):
             np.testing.assert_array_equal(got.forward_independent(flat),
