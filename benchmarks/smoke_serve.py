@@ -67,6 +67,7 @@ REQUIRED_METRICS = (
     "repro_pool_lookups_total",
     "repro_pool_engines",
     "repro_pool_plans",
+    "repro_engine_layer_seconds_count",
 )
 
 
@@ -134,6 +135,9 @@ def _metrics_phase(base: str) -> None:
                    if line.startswith("repro_serve_requests_total")
                    and 'outcome="ok"' in line)
     assert float(ok_line.rsplit(" ", 1)[1]) >= 4, ok_line
+    layer_line = next(line for line in text.splitlines()
+                      if line.startswith("repro_engine_layer_seconds_count"))
+    assert 'tier="' in layer_line, layer_line
     print(f"GET /metrics: {len(present)} series, no NaN, "
           f"{scrapes} scrapes during load")
 

@@ -812,39 +812,11 @@ def _kernel_tier_line(status: dict) -> str:
 
 
 def _observability_line() -> str:
-    """One-line tracing/profiling arming status for ``repro list``."""
+    """One-line tracing arming status for ``repro list``."""
     from repro import obs
     rec = obs.trace.recorder()
-    trace = f"trace -> {rec.path}" if rec is not None else \
+    return f"trace -> {rec.path}" if rec is not None else \
         "trace off (REPRO_TRACE=path to arm)"
-    profile = "kernel profiling on" if obs.kernels.armed() else \
-        "kernel profiling off (REPRO_PROFILE=1 to arm)"
-    return f"{trace}; {profile}"
-
-
-def _maybe_print_kernel_profile() -> None:
-    """With REPRO_PROFILE=1, exercise each kernel once and print the
-    per-kernel per-tier attribution table."""
-    from repro import obs
-    if not obs.kernels.armed():
-        return
-    import numpy as np
-
-    from repro.sc import activation, ops
-    rng = np.random.default_rng(0)
-    bank = rng.integers(0, 256, size=(64, 128), dtype=np.uint8)
-    bank[:, -1] &= ops.pad_mask(1024)[-1]
-    ops.popcount(bank, 1024)
-    xT = ops.transpose_pack(bank[None], 1024)
-    ops.popcount_sum(xT)
-    ops.mux_select(bank[None], rng.integers(0, 64, size=1024), 1024)
-    activation.stanh_packed(bank, 1024, 16)
-    rows = obs.kernels.summary()
-    print("kernel profile (one exercise pass per kernel):")
-    print(f"  {'kernel':16s} {'tier':12s} {'calls':>6s} {'ms':>10s}")
-    for row in rows:
-        print(f"  {row['kernel']:16s} {row['tier']:12s} "
-              f"{row['calls']:6d} {1e3 * row['seconds']:10.3f}")
 
 
 SUBCOMMANDS = {"infer": _infer, "serve": _serve, "dse": _dse,
@@ -858,9 +830,8 @@ def main(argv=None) -> int:
     # REPRO_FAULTS="seed=1;site=dse.evaluate,action=kill,hits=3" etc.
     from repro import faults, obs
     faults.maybe_install_from_env()
-    # Observability arming: REPRO_TRACE=path writes a JSONL span trace,
-    # REPRO_PROFILE=1 attributes kernel wall time per dispatch tier.
-    obs.maybe_enable_from_env()
+    # REPRO_TRACE=path writes a JSONL span trace.
+    obs.trace.maybe_enable_from_env()
     if argv and argv[0] in SUBCOMMANDS:
         return SUBCOMMANDS[argv[0]](argv[1:])
     parser = argparse.ArgumentParser(
@@ -891,7 +862,6 @@ def main(argv=None) -> int:
         print("model zoo:")
         for name in zoo_names():
             print(f"  {name:10s} {ZOO[name].description}")
-        _maybe_print_kernel_profile()
         print("engine inference:      python -m repro infer --help")
         print("inference service:     python -m repro serve --help")
         print("design-space search:   python -m repro dse --help")

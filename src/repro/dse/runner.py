@@ -198,10 +198,10 @@ def _init_worker(payload: dict, workers: int) -> None:
     global _WORKER_CTX
     cap_blas_threads(workers)
     _WORKER_CTX = _EvalContext(**payload)
-    # Re-arm tracing/profiling from the environment: a spawn-started
+    # Re-arm tracing from the environment: a spawn-started
     # worker reimports everything, and a fork-started one inherits a
     # recorder whose pid guard reopens the JSONL file on first emit.
-    obs.maybe_enable_from_env()
+    obs.trace.maybe_enable_from_env()
 
 
 def _worker_evaluate(task: EvalTask) -> float:

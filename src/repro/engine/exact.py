@@ -37,11 +37,12 @@ change results (every stream's computation is independent).
 
 from __future__ import annotations
 
+import time
+
 import numpy as np
 
 import repro.native as native
 from repro import obs
-from repro.obs import kernels as _prof
 from repro.blocks.pooling import (
     DEFAULT_SEGMENT,
     apc_average_pool,
@@ -98,6 +99,7 @@ class ExactBackend:
         # weights are stored only in the form that tier reads, and the
         # layers dispatch on this record rather than per call.
         self.native_tier = native.enabled()
+        self.tier = "native" if self.native_tier else "numpy"
         # Weight streams are drawn in layer order.  A MUX layer keeps its
         # packed streams; a counting layer (APC inner products and the
         # decoded output layer) keeps only its bank: per cycle, each
@@ -229,7 +231,8 @@ class ExactBackend:
         """
         flat = self._validated(images)
         with obs.span("engine.forward", backend=self.name,
-                      batch=int(flat.shape[0]), length=self.length):
+                      batch=int(flat.shape[0]), length=self.length,
+                      tier=self.tier):
             out = np.empty((flat.shape[0], self.plan.layers[-1].units))
             step = self._max_batch()
             for start in range(0, flat.shape[0], step):
@@ -256,7 +259,7 @@ class ExactBackend:
         flat = self._validated(images)
         with obs.span("engine.forward", backend=self.name,
                       batch=int(flat.shape[0]), length=self.length,
-                      independent=True):
+                      tier=self.tier, independent=True):
             out = np.empty((flat.shape[0], self.plan.layers[-1].units))
             step = self._max_batch()
             for start in range(0, flat.shape[0], step):
@@ -308,21 +311,12 @@ class ExactBackend:
         cache-tiled pass over the bank.
         """
         if self.native_tier:
-            t0 = _prof.tick()
-            counts = native.apc_inner_counts(x, self._banks[i],
-                                             approximate=True)
-            _prof.tock(t0, "apc_counts", "native")
-            return counts
-        t0 = _prof.tick()
+            return native.apc_inner_counts(x, self._banks[i],
+                                           approximate=True)
         w_t, w_last = self._banks[i]
-        counts = numpy_apc_counts(
+        return numpy_apc_counts(
             x, w_t, w_last, self.plan.layers[i].n_inputs, self.length,
             min(self.TILE_BYTES, self.CHUNK_BUDGET), self.CHUNK_BUDGET)
-        # The whole transposed-counting pass (its transpose_pack /
-        # popcount_sum callees time themselves too, so subtracting them
-        # from this line isolates the XOR + LSB-patch glue).
-        _prof.tock(t0, "apc_counts", "numpy")
-        return counts
 
     def _biased(self, x: np.ndarray) -> np.ndarray:
         """The ``(B, S, nb)`` bank with the constant-1 bias stream as row S."""
@@ -350,14 +344,26 @@ class ExactBackend:
         return self._run_layers(x, selects)
 
     def _run_layers(self, x: np.ndarray, selects) -> np.ndarray:
-        """Execute the layer pipeline on an encoded ``(B, pixels, nb)`` bank."""
+        """Execute the layer pipeline on an encoded ``(B, pixels, nb)`` bank.
+
+        Each layer's wall time, span included, is observed into
+        ``repro_engine_layer_seconds`` by layer and kernel tier.
+        """
         for i, lp in enumerate(self.plan.layers):
+            start = time.perf_counter()
             with obs.span("engine.layer", index=i, op=lp.op,
                           kind=lp.kind.value, units=lp.units):
                 if lp.op == "conv":
                     x = self._conv_layer(i, lp, x, selects)
                 else:
                     x = self._fc_layer(i, lp, x, selects)
+            if obs.armed():
+                obs.histogram(
+                    "repro_engine_layer_seconds",
+                    "Wall time of one engine layer over one batch, "
+                    "by kernel tier.",
+                    layer=i, op=lp.op, kind=lp.kind.value, tier=self.tier,
+                ).observe(time.perf_counter() - start)
         return x
 
     def _conv_layer(self, i, lp, x, selects):
@@ -380,12 +386,9 @@ class ExactBackend:
             # Native tier: patch gather, counting, max pool, Btanh and
             # pack run per pool window; no count tensor is built, and
             # the kernel writes image-major.
-            t0 = _prof.tick()
-            out = native.apc_conv_max_btanh_pack(
+            return native.apc_conv_max_btanh_pack(
                 x, table, self._banks[i], windows, self.segment,
-                lp.n_states)                            # (B, C, W, nb)
-            _prof.tock(t0, "apc_conv_max_btanh_pack", "native")
-            return out.reshape(B, -1, nb)
+                lp.n_states).reshape(B, -1, nb)         # (B, C·W, nb)
         if lp.kind is FEBKind.APC:
             patch = x[:, table]                         # (B, P, n, nb)
             counts = self._apc_counts(
@@ -441,15 +444,11 @@ class ExactBackend:
             if self.native_tier:
                 # Counting, Btanh and pack (or the output layer's count
                 # sums) in one call; no count tensor is built.
-                t0 = _prof.tick()
                 if lp.final:
                     total = native.apc_fc_sums(x, self._banks[i])  # (B, C)
-                    out = (2.0 * total - n * L) / L
-                else:
-                    out = native.apc_fc_btanh_pack(
-                        x, self._banks[i], lp.n_states)     # (B, C, nb)
-                _prof.tock(t0, "apc_fc_btanh_pack", "native")
-                return out
+                    return (2.0 * total - n * L) / L
+                return native.apc_fc_btanh_pack(
+                    x, self._banks[i], lp.n_states)         # (B, C, nb)
             counts = self._apc_counts(i, x)                 # (C, B, L)
             if lp.final:
                 total = counts.sum(axis=-1, dtype=np.int64)  # (C, B)

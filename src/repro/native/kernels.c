@@ -625,11 +625,12 @@ API int name(const T *inc, int64_t rows, int64_t Tn, int64_t hi,          \
         uint8_t *o = out + r * Tn;                                        \
         int64_t s = init;                                                 \
         for (int64_t t = 0; t < Tn; t++) {                                \
-            s += (int64_t)a[t];                                           \
+            /* s is in [0, hi]: capping the add at hi - s keeps it from   \
+             * wrapping, and a negative add cannot wrap from s >= 0. */   \
+            int64_t d = (int64_t)a[t];                                    \
+            s += d < hi - s ? d : hi - s;                                 \
             if (s < 0)                                                    \
                 s = 0;                                                    \
-            else if (s > hi)                                              \
-                s = hi;                                                   \
             o[t] = (uint8_t)(s >= threshold);                             \
         }                                                                 \
     }                                                                     \

@@ -1,6 +1,6 @@
-"""repro.obs — unified telemetry: metrics, tracing, kernel profiling.
+"""repro.obs — unified telemetry: metrics and tracing.
 
-Three independent facilities with one shared contract — instrumentation
+Two independent facilities with one shared contract — instrumentation
 is *pure observation* (clocks and counters only, never an RNG, never a
 behavioral branch), so armed or disarmed the simulator's output bits
 are identical (asserted by ``tests/test_conformance``):
@@ -11,9 +11,12 @@ are identical (asserted by ``tests/test_conformance``):
   :func:`render` turns the result into the text scraped at
   ``GET /metrics`` and ``python -m repro stats --metrics``;
 * **tracing** (:mod:`.trace`) — hierarchical spans over the request
-  lifecycle and DSE evaluations, JSONL via ``REPRO_TRACE=path``;
-* **kernel profiling** (:mod:`.kernels`) — wall time per kernel per
-  dispatch tier, ``REPRO_PROFILE=1``.
+  lifecycle and DSE evaluations, JSONL via ``REPRO_TRACE=path``.
+
+Where engine time goes per kernel tier is a metric, not a third
+facility: the exact backend observes each layer's wall time into
+``repro_engine_layer_seconds{layer,op,kind,tier}``, so merged worker
+scrapes carry it like any other histogram.
 
 Event-time call sites use the module-level conveniences below
 (``obs.counter(...).inc()``), which resolve the *current* registry per
@@ -29,7 +32,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 
-from . import kernels, trace
+from . import trace
 from .exposition import merge, render
 from .registry import (
     DEFAULT_TIME_BUCKETS,
@@ -60,8 +63,6 @@ __all__ = [
     "record_span",
     "current",
     "trace",
-    "kernels",
-    "maybe_enable_from_env",
 ]
 
 
@@ -107,14 +108,3 @@ def scoped_registry(registry=None):
     finally:
         set_registry(previous)
 
-
-def maybe_enable_from_env() -> dict:
-    """Arm tracing/profiling from ``REPRO_TRACE`` / ``REPRO_PROFILE``.
-
-    Called once at CLI entry (like ``faults.maybe_install_from_env``).
-    Returns ``{"trace": bool, "profile": bool}`` for status display.
-    """
-    return {
-        "trace": trace.maybe_enable_from_env(),
-        "profile": kernels.maybe_enable_from_env(),
-    }

@@ -1,7 +1,7 @@
 """Thread-safe metrics registry: counters, gauges, log-bucket histograms.
 
 The registry is the process-wide aggregation point every instrumented
-subsystem writes to (serve, engine kernels, DSE, fault injection) and
+subsystem writes to (serve, engine layers, DSE, fault injection) and
 every exporter reads from (``GET /metrics``, ``python -m repro stats``,
 chaos tests).  Design constraints, in order:
 

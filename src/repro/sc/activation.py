@@ -32,7 +32,6 @@ import functools
 import numpy as np
 
 import repro.native as native
-from repro.obs import kernels as _prof
 from repro.sc import ops
 from repro.sc.bitstream import Bitstream
 from repro.sc.encoding import Encoding
@@ -100,11 +99,7 @@ def stanh_packed(data: np.ndarray, length: int, n_states: int,
     if native.enabled():
         # Native tier: the same byte-LUT walk, but the per-byte gather
         # loop runs compiled instead of one numpy dispatch per column.
-        t0 = _prof.tick()
-        out = native.stanh_lut(data, length, nxt, outb, n_states // 2)
-        _prof.tock(t0, "stanh", "native")
-        return out
-    t0 = _prof.tick()
+        return native.stanh_lut(data, length, nxt, outb, n_states // 2)
     state = np.full(data.shape[:-1], n_states // 2, dtype=np.uint8)
     out = np.empty_like(data)
     for j in range(data.shape[-1]):
@@ -113,7 +108,6 @@ def stanh_packed(data: np.ndarray, length: int, n_states: int,
         state = nxt[state, col]
     if length % 8:
         out[..., -1] &= ops.pad_mask(length)[-1]
-    _prof.tock(t0, "stanh", "numpy")
     return out
 
 

@@ -96,6 +96,16 @@ def saturating_counter(
         # composition once the per-cycle step is one compiled clamp.
         return native.saturating_counter(inc, n_states, init, threshold)
     B = _block_size(T)
+    # int32 is ample unless a block's partial sums could overflow it; for
+    # narrow increment dtypes the dtype bound settles it without a scan.
+    if inc.dtype.itemsize <= 2:
+        maxabs = 1 << (8 * inc.dtype.itemsize)
+    else:
+        maxabs = max(-int(inc.min()), int(inc.max())) if inc.size else 0
+    bound = (maxabs + 1) * (B + 1) + n_states
+    if bound >= 2**63:
+        return _saturating_scan(inc, hi, init, threshold)
+    work = np.int32 if bound < 2**31 else np.int64
     nblocks = -(-T // B)
     pad = nblocks * B - T
     if pad:
@@ -104,13 +114,6 @@ def saturating_counter(
             [inc, np.zeros(inc.shape[:-1] + (pad,), dtype=inc.dtype)],
             axis=-1,
         )
-    # int32 is ample unless a block's partial sums could overflow it; for
-    # narrow increment dtypes the dtype bound settles it without a scan.
-    if inc.dtype.itemsize <= 2:
-        maxabs = 1 << (8 * inc.dtype.itemsize)
-    else:
-        maxabs = int(np.abs(inc).max()) if inc.size else 0
-    work = np.int32 if (maxabs + 1) * (B + 1) + n_states < 2**31 else np.int64
     a = inc.reshape(inc.shape[:-1] + (nblocks, B)).astype(work)
 
     P = np.cumsum(a, axis=-1)                       # composed shifts S
@@ -135,3 +138,19 @@ def saturating_counter(
     np.minimum(P, V, out=P)
     out = P >= threshold
     return out.reshape(out.shape[:-2] + (nblocks * B,))[..., :T]
+
+
+def _saturating_scan(inc: np.ndarray, hi: int, init: int,
+                     threshold: int) -> np.ndarray:
+    """Per-cycle scan for increments whose block sums could overflow
+    int64: each add is capped at ``hi - state`` first, so it never wraps
+    (the state is never negative, so a negative add cannot wrap either).
+    """
+    inc = inc.astype(np.int64, copy=False)
+    state = np.full(inc.shape[:-1], init, dtype=np.int64)
+    out = np.empty(inc.shape, dtype=bool)
+    for t in range(inc.shape[-1]):
+        state += np.minimum(inc[..., t], hi - state)
+        np.maximum(state, 0, out=state)
+        out[..., t] = state >= threshold
+    return out

@@ -31,7 +31,6 @@ import functools
 import numpy as np
 
 import repro.native as native
-from repro.obs import kernels as _prof
 from repro.utils.validation import check_stream_length
 
 __all__ = [
@@ -144,14 +143,8 @@ def popcount(data: np.ndarray, length: int | None = None) -> np.ndarray:
                 f"length {length} requires {nbytes}"
             )
     if data.dtype == np.uint8 and data.ndim and native.enabled():
-        t0 = _prof.tick()
-        out = native.popcount_rows(data)
-        _prof.tock(t0, "popcount", "native")
-        return out
-    t0 = _prof.tick()
-    out = np.bitwise_count(_as_words(data)).sum(axis=-1, dtype=np.int64)
-    _prof.tock(t0, "popcount", "numpy")
-    return out
+        return native.popcount_rows(data)
+    return np.bitwise_count(_as_words(data)).sum(axis=-1, dtype=np.int64)
 
 
 def transpose_pack(data: np.ndarray, length: int, align: int = 4,
@@ -183,11 +176,7 @@ def transpose_pack(data: np.ndarray, length: int, align: int = 4,
     if data.shape[-1] * 8 >= length and native.enabled():
         # Native tier: one cache-tiled 8x8-block pass, no unpacked
         # transient at all (chunk_budget is moot — results identical).
-        t0 = _prof.tick()
-        out = native.transpose_pack(data, length, align)
-        _prof.tock(t0, "transpose_pack", "native")
-        return out
-    t0 = _prof.tick()
+        return native.transpose_pack(data, length, align)
     batch = data.shape[:-2]
     n = data.shape[-2]
     width = (n + 7) // 8
@@ -204,9 +193,7 @@ def transpose_pack(data: np.ndarray, length: int, align: int = 4,
         bits = unpack_bits(flat[r0:r1], length)            # (r, n, L)
         out[r0:r1, :, :(n + 7) // 8] = np.packbits(
             np.swapaxes(bits, -1, -2), axis=-1)
-    out = out.reshape(batch + (length, width))
-    _prof.tock(t0, "transpose_pack", "numpy")
-    return out
+    return out.reshape(batch + (length, width))
 
 
 def popcount_sum(data: np.ndarray, dtype=np.int64) -> np.ndarray:
@@ -222,17 +209,11 @@ def popcount_sum(data: np.ndarray, dtype=np.int64) -> np.ndarray:
     """
     data = np.ascontiguousarray(data)
     if data.dtype == np.uint8 and data.ndim and native.enabled():
-        t0 = _prof.tick()
-        out = native.popcount_rows(data).astype(dtype, copy=False)
-        _prof.tock(t0, "popcount_sum", "native")
-        return out
-    t0 = _prof.tick()
+        return native.popcount_rows(data).astype(dtype, copy=False)
     word = next((word for word, width in ((np.uint64, 8), (np.uint32, 4),
                                           (np.uint16, 2))
                  if data.shape[-1] % width == 0), np.uint8)
-    out = np.bitwise_count(data.view(word)).sum(axis=-1, dtype=dtype)
-    _prof.tock(t0, "popcount_sum", "numpy")
-    return out
+    return np.bitwise_count(data.view(word)).sum(axis=-1, dtype=dtype)
 
 
 def and_(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -306,7 +287,6 @@ def mux_select(streams: np.ndarray, select: np.ndarray, length: int) -> np.ndarr
     if select.size and (select.min() < 0 or select.max() >= n):
         raise ValueError(f"select values must lie in [0, {n}), got "
                          f"[{select.min()}, {select.max()}]")
-    t0 = _prof.tick()
     cycle = np.arange(length)
     # flat byte holding input select[..., t]'s bit t, within one row
     index = np.multiply(select, streams.shape[-1], dtype=np.intp)
@@ -318,9 +298,7 @@ def mux_select(streams: np.ndarray, select: np.ndarray, length: int) -> np.ndarr
         index = index + rows[..., None]
         flat = flat.reshape(-1)
     bit = np.uint8(0x80) >> (cycle & 7).astype(np.uint8)
-    out = np.packbits(flat.take(index, axis=-1) & bit, axis=-1)
-    _prof.tock(t0, "mux_select", "numpy")
-    return out
+    return np.packbits(flat.take(index, axis=-1) & bit, axis=-1)
 
 
 def segment_popcount(data: np.ndarray, length: int, segment: int) -> np.ndarray:

@@ -3,8 +3,9 @@
 The whole ``repro.obs`` contract rests on instrumentation reading
 clocks and writing counters/JSON — never touching an RNG, never
 branching on armed-ness in a way that changes compute.  This test
-pins that: exact-backend logits with tracing + kernel profiling +
-metrics all armed are ``np.array_equal`` to a fully disarmed run.
+pins that: exact-backend logits with tracing and metrics armed —
+including the per-layer ``repro_engine_layer_seconds`` timing — are
+``np.array_equal`` to a fully disarmed run.
 """
 
 import numpy as np
@@ -13,7 +14,7 @@ import pytest
 from repro import obs
 from repro.core.config import NetworkConfig, PoolKind
 from repro.engine import Engine
-from repro.obs import kernels, trace
+from repro.obs import trace
 from repro.obs.registry import set_armed
 
 LENGTH = 64
@@ -35,7 +36,7 @@ def _exact_logits(model, images):
 
 def test_exact_logits_identical_armed_vs_disarmed(tiny_trained_lenet,
                                                   images, tmp_path):
-    # Disarmed baseline: no tracing, no profiling, metrics frozen.
+    # Disarmed baseline: no tracing, metrics frozen.
     set_armed(False)
     try:
         baseline = _exact_logits(tiny_trained_lenet, images)
@@ -43,18 +44,17 @@ def test_exact_logits_identical_armed_vs_disarmed(tiny_trained_lenet,
         set_armed(True)
 
     # Everything armed at once, into throwaway sinks.
-    with obs.scoped_registry():
+    with obs.scoped_registry() as registry:
         trace.configure(str(tmp_path / "trace.jsonl"))
-        kernels.arm(True)
         try:
             armed = _exact_logits(tiny_trained_lenet, images)
         finally:
-            kernels.arm(False)
             trace.configure(None)
 
     assert np.array_equal(baseline, armed)
     # The armed run really did observe — both sinks are non-trivial.
     assert (tmp_path / "trace.jsonl").read_text().strip()
+    assert "repro_engine_layer_seconds" in registry.snapshot()
 
 
 def test_forward_independent_identical_armed_vs_disarmed(
@@ -70,14 +70,13 @@ def test_forward_independent_identical_armed_vs_disarmed(
     finally:
         set_armed(True)
 
-    with obs.scoped_registry():
+    with obs.scoped_registry() as registry:
         trace.configure(str(tmp_path / "trace.jsonl"))
-        kernels.arm(True)
         try:
             engine = Engine(tiny_trained_lenet, cfg, backend="exact", seed=3)
             armed = engine.backend.forward_independent(images)
         finally:
-            kernels.arm(False)
             trace.configure(None)
 
     assert np.array_equal(baseline, armed)
+    assert "repro_engine_layer_seconds" in registry.snapshot()

@@ -1,11 +1,15 @@
-"""Instrumentation sites: fault trips, DSE runner counters, kernel hooks."""
+"""Instrumentation sites: fault trips, DSE runner counters, engine layers."""
 
 import numpy as np
 import pytest
 
+import repro.native as native
 from repro import faults, obs
+from repro.core.config import NetworkConfig, PoolKind
 from repro.dse.runner import _bump
-from repro.obs import kernels
+from repro.engine import Engine
+from repro.nn.lenet import build_lenet5
+from repro.obs.registry import set_armed
 
 
 @pytest.fixture()
@@ -47,47 +51,48 @@ class TestDseCounters:
         assert "repro_dse_timeouts_total" not in registry.snapshot()
 
 
-class TestKernelProfiling:
-    @pytest.fixture()
-    def profiled(self, registry):
-        kernels.arm(True)
+class TestEngineLayerMetric:
+    """``repro_engine_layer_seconds``: one observation per engine layer
+    per batch, labelled with the tier fixed at backend construction."""
+
+    LENGTH = 16
+
+    @staticmethod
+    def _counts(registry):
+        family = registry.snapshot()["repro_engine_layer_seconds"]
+        names = family["labelnames"]
+        return {tuple(zip(names, key)): sample["count"]
+                for key, sample in family["samples"].items()}
+
+    def _forward(self, tier):
+        cfg = NetworkConfig.from_kinds(PoolKind.MAX, self.LENGTH,
+                                       ("APC", "MUX", "APC"))
+        with native.override(tier == "native"):
+            engine = Engine(build_lenet5("max", seed=0), cfg,
+                            backend="exact", seed=0)
+        images = np.random.default_rng(0).uniform(-1, 1, size=(2, 784))
+        engine.backend.forward_independent(images)
+        return engine.backend.plan.layers
+
+    def _expected(self, layers, tier):
+        return {(("kind", lp.kind.value), ("layer", str(i)), ("op", lp.op),
+                 ("tier", tier)): 1
+                for i, lp in enumerate(layers)}
+
+    @pytest.mark.skipif(not native.available(),
+                        reason="native tier not built")
+    def test_one_count_per_layer_native(self, registry):
+        layers = self._forward("native")
+        assert self._counts(registry) == self._expected(layers, "native")
+
+    def test_one_count_per_layer_numpy(self, registry):
+        layers = self._forward("numpy")
+        assert self._counts(registry) == self._expected(layers, "numpy")
+
+    def test_disarmed_records_no_series(self, registry):
+        set_armed(False)
         try:
-            yield registry
+            self._forward("numpy")
         finally:
-            kernels.arm(False)
-
-    def test_disarmed_tick_is_none_and_tock_noops(self, registry):
-        assert not kernels.armed()
-        assert kernels.tick() is None
-        kernels.tock(None, "popcount", "native")
-        assert "repro_kernel_calls_total" not in registry.snapshot()
-
-    def test_ops_attribute_time_by_kernel_and_tier(self, profiled):
-        from repro.sc import ops
-        bank = np.random.default_rng(0).integers(
-            0, 256, size=(8, 16), dtype=np.uint8)
-        ops.popcount(bank, 128)
-        ops.transpose_pack(bank, 128)
-        rows = {r["kernel"]: r for r in kernels.summary()}
-        assert rows["popcount"]["calls"] >= 1
-        assert rows["popcount"]["seconds"] >= 0
-        assert rows["transpose_pack"]["calls"] >= 1
-        tiers = {r["tier"] for r in rows.values()}
-        assert tiers <= {"native", "numpy"}
-
-    def test_summary_sorted_by_descending_seconds(self, profiled):
-        kernels.tock(0.0, "slow", "native")   # elapsed = now - 0 (huge)
-        t0 = kernels.tick()
-        kernels.tock(t0, "fast", "native")
-        rows = kernels.summary()
-        assert [r["kernel"] for r in rows[:2]] == ["slow", "fast"]
-
-    def test_maybe_enable_from_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_PROFILE", "1")
-        try:
-            assert kernels.maybe_enable_from_env()
-        finally:
-            kernels.arm(False)
-        monkeypatch.setenv("REPRO_PROFILE", "0")
-        assert not kernels.maybe_enable_from_env()
-        assert not kernels.armed()
+            set_armed(True)
+        assert "repro_engine_layer_seconds" not in registry.snapshot()

@@ -200,6 +200,33 @@ def test_saturating_counter_matches_loop(kernel_tier, data, shape, T,
     np.testing.assert_array_equal(out, ref)
 
 
+int64s = st.integers(min_value=-2**63, max_value=2**63 - 1)
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(),
+       incs=st.lists(int64s, min_size=1, max_size=12),
+       n_states=st.one_of(st.integers(min_value=1, max_value=2**63 - 1),
+                          st.integers(min_value=2**63 - 4,
+                                      max_value=2**63 - 1)))
+def test_saturating_counter_never_wraps(kernel_tier, data, incs, n_states):
+    # Full-range int64 increments against a Python-int reference: no
+    # add may wrap, however close the state sits to either int64 bound.
+    init = data.draw(st.one_of(
+        st.none(), st.integers(min_value=0, max_value=n_states - 1)))
+    threshold = data.draw(st.one_of(
+        st.none(), st.integers(min_value=0, max_value=n_states)))
+    out = saturating_counter(np.array(incs, dtype=np.int64), n_states,
+                             init=init, threshold=threshold)
+    state = n_states // 2 if init is None else init
+    threshold = n_states // 2 if threshold is None else threshold
+    ref = []
+    for a in incs:
+        state = min(max(state + a, 0), n_states - 1)
+        ref.append(state >= threshold)
+    assert out.tolist() == ref
+
+
 @settings(max_examples=40, deadline=None)
 @given(data=st.data(), length=lengths, shape=batch_shapes,
        n_states=st.integers(min_value=2, max_value=32))

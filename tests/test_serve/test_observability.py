@@ -97,6 +97,10 @@ class TestMetricsEndpoint:
         assert "repro_serve_inflight_batches 0" in lines
         assert _sample(text, "repro_pool_engines") >= 1
         assert _sample(text, "repro_serve_batches_total") >= 1
+        # the engine's per-layer histogram, labelled with the kernel tier
+        layers = [line for line in lines
+                  if line.startswith("repro_engine_layer_seconds_count{")]
+        assert layers and all('tier="' in line for line in layers)
 
     def test_in_process_page_is_the_registry_rendered(
             self, observed_service, image):

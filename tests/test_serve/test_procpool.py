@@ -259,14 +259,29 @@ class TestDrainAndStats:
 
     def test_metrics_text_merges_worker_registries(
             self, tiny_trained_lenet, images):
-        with obs.scoped_registry(), ProcServeFacade(
+        with obs.scoped_registry() as frontend, ProcServeFacade(
                 tiny_trained_lenet, procs=2, length=LENGTH,
                 max_wait_ms=1.0) as facade:
             for seed in range(4):
                 facade.predict_one(images[seed], seed=seed)
             text = facade.metrics_text()
             served = facade.stats()["service"]["requests"]
+            workers = facade.executor.metric_snapshots()
         assert "repro_serve_procs 2" in text
+        # engine layers run in the workers only; the page sums their
+        # per-layer counts, each series labelled with its kernel tier
+        layer_counts = [
+            sum(sample["count"] for sample in snapshot.get(
+                "repro_engine_layer_seconds", {"samples": {}})[
+                    "samples"].values())
+            for snapshot in workers]
+        assert "repro_engine_layer_seconds" not in frontend.snapshot()
+        assert len(layer_counts) == 2 and sum(layer_counts) > 0
+        assert (_sample(text, "repro_engine_layer_seconds_count")
+                == sum(layer_counts))
+        assert 'tier="' in next(
+            line for line in text.splitlines()
+            if line.startswith("repro_engine_layer_seconds_count{"))
         # worker-side series present in the merged exposition
         assert "repro_pool_lookups_total" in text
         assert "repro_serve_batch_size" in text
