@@ -20,7 +20,7 @@ import pytest
 
 import repro.native as native
 from repro.core.feature_extraction import make_feb
-from repro.engine.exact import numpy_apc_counts
+from repro.engine.exact import channel_minor_order, numpy_apc_counts
 from repro.sc import activation, adders, ops
 from repro.sc.rng import StreamFactory
 
@@ -305,11 +305,14 @@ def test_kernel_conv_stage_numpy(benchmark, rng, layer):
 @pytest.mark.parametrize("layer", sorted(_CONV_STAGES))
 def test_kernel_conv_stage_native(benchmark, rng, layer):
     """The same conv stage through the fused native kernel, over the
-    channel-minor lane bank the exact backend lays out for it."""
+    channel-minor lane bank and gather plan the exact backend lays out
+    for it."""
     x, table, w, wT, w_last, windows, n_states = _conv_stage(rng, layer)
-    bank = native.conv_bank(w, _CONV_L)
+    cin, side = _CONV_STAGES[layer][:2]
+    bank = native.conv_bank(w, _CONV_L, table,
+                            channel_minor_order(cin, side, side))
     out = benchmark(lambda: native.apc_conv_max_btanh_pack(
-        x, table, bank, windows, 16, n_states))
+        x, bank, windows, 16, n_states))
     with native.override(False):
         ref = _conv_stage_numpy(x, table, wT, w_last, windows, n_states)
     assert np.array_equal(out, ref.transpose(1, 0, 2, 3))

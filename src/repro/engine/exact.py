@@ -57,7 +57,7 @@ from repro.sc.encoding import Encoding, to_probability
 from repro.sc.rng import IdealSNG, StreamFactory
 from repro.utils.validation import check_positive_int
 
-__all__ = ["ExactBackend", "numpy_apc_counts"]
+__all__ = ["ExactBackend", "channel_minor_order", "numpy_apc_counts"]
 
 
 @register_backend
@@ -100,6 +100,10 @@ class ExactBackend:
         # layers dispatch on this record rather than per call.
         self.native_tier = native.enabled()
         self.tier = "native" if self.native_tier else "numpy"
+        # Each conv layer's patch table with the bias stream (input row
+        # S, appended by ``_biased``) as its last column: ``(P, n)``.
+        self._tables = [self._biased_table(lp) if lp.op == "conv" else None
+                        for lp in plan.layers]
         # Weight streams are drawn in layer order.  A MUX layer keeps its
         # packed streams; a counting layer (APC inner products and the
         # decoded output layer) keeps only its bank: per cycle, each
@@ -107,16 +111,12 @@ class ExactBackend:
         # shared by every batch.
         self.weight_streams = []
         self._banks = []
-        for lp in plan.layers:
+        for i, lp in enumerate(plan.layers):
             w = self.factory.packed(np.clip(lp.weights, -1.0, 1.0),
                                     self.length)
             counting = lp.kind is FEBKind.APC or lp.final
             self.weight_streams.append(None if counting else w)
-            self._banks.append(self._bank(lp, w) if counting else None)
-        # Each conv layer's patch table with the bias stream (input row
-        # S, appended by ``_biased``) as its last column: ``(P, n)``.
-        self._tables = [self._biased_table(lp) if lp.op == "conv" else None
-                        for lp in plan.layers]
+            self._banks.append(self._bank(i, lp, w) if counting else None)
         # Post-construction stream state: weight streams are drawn, no
         # image has been encoded.  Every ``forward_independent`` request
         # replays the draws a freshly-constructed backend (same seed)
@@ -138,19 +138,24 @@ class ExactBackend:
                 and lp.kind is FEBKind.APC and lp.pooled
                 and self.plan.config.pooling is PoolKind.MAX)
 
-    def _bank(self, lp, w: np.ndarray):
-        """The counting bank of layer ``lp``'s packed weights
+    def _bank(self, i: int, lp, w: np.ndarray):
+        """The counting bank of layer ``i`` (``lp``)'s packed weights
         ``(C, n, nb)``.
 
         Native tier: a :class:`repro.native.ConvBank` (one SIMD lane per
-        channel) for a fused conv stage, else a
+        channel, gathering through the patch table in
+        :func:`channel_minor_order`) for a fused conv stage, else a
         :class:`repro.native.WeightBank` in the kernels' counting layout.
         NumPy tier: the row-major ``(C, L, W)`` transposed bank and its
         last-input plane ``(C, L)``, transposed in ``TILE_BYTES`` chunks
         to bound the unpacked transient.
         """
         if self._fused_conv(lp):
-            return native.conv_bank(w, self.length)
+            channels_in = (lp.n_inputs - 1) // (lp.kernel * lp.kernel)
+            _, (in_h, in_w), _ = lp.geometry
+            return native.conv_bank(
+                w, self.length, self._tables[i],
+                channel_minor_order(channels_in, in_h, in_w))
         if self.native_tier:
             return native.weight_bank(w, self.length)
         return (ops.transpose_pack(w, self.length,
@@ -383,11 +388,11 @@ class ExactBackend:
         P = table.shape[0]
 
         if self._fused_conv(lp):
-            # Native tier: patch gather, counting, max pool, Btanh and
-            # pack run per pool window; no count tensor is built, and
-            # the kernel writes image-major.
+            # Native tier: the bank's gather plan, counting, max pool,
+            # Btanh and pack run per pool window; no count tensor is
+            # built, and the kernel writes image-major.
             return native.apc_conv_max_btanh_pack(
-                x, table, self._banks[i], windows, self.segment,
+                x, self._banks[i], windows, self.segment,
                 lp.n_states).reshape(B, -1, nb)         # (B, C·W, nb)
         if lp.kind is FEBKind.APC:
             patch = x[:, table]                         # (B, P, n, nb)
@@ -462,6 +467,19 @@ class ExactBackend:
                                L)                           # (B, C, nb)
         return activation.stanh_packed(ops.xnor_(x_sel[:, None], w_sel, L),
                                        L, lp.n_states)
+
+
+def channel_minor_order(channels_in: int, in_h: int,
+                        in_w: int) -> np.ndarray:
+    """Image positions of a conv layer's biased input rows in
+    channel-minor order: row ``(ch, y, x)`` goes to position
+    ``(y·in_w + x)·channels_in + ch`` and the bias row (the last) stays
+    last, so the ``kernel·channels_in`` inputs of one patch row are
+    consecutive positions — the order the fused conv stage transposes
+    each image in (:func:`repro.native.conv_bank`)."""
+    pixels = in_h * in_w
+    ch, pixel = np.divmod(np.arange(channels_in * pixels), pixels)
+    return np.append(pixel * channels_in + ch, channels_in * pixels)
 
 
 def numpy_apc_counts(x: np.ndarray, wT: np.ndarray, w_last: np.ndarray,

@@ -13,7 +13,8 @@ fallback.
 The counting kernels read weights laid out once (the exact backend does
 it at construction), so no call copies weights: the inner-product and
 FC kernels a :class:`WeightBank` from :func:`weight_bank`, the conv
-stage a channel-minor :class:`ConvBank` from :func:`conv_bank`.  Each
+stage a channel-minor :class:`ConvBank` from :func:`conv_bank`, which
+also holds the stage's gather plan, so no call re-derives it.  Each
 refuses any other bank by type — a plain array would be the row-major
 ``transpose_pack`` bank.
 
@@ -123,8 +124,9 @@ def _configure(lib) -> None:
         _i32p, c_int64, c_int64, c_int64, c_int64, c_int64, _u8p]
     lib.repro_saturating_counter_i32.restype = c_int
     lib.repro_apc_conv_max_btanh_pack.argtypes = [
-        _u8p, c_int64, c_int64, c_int64, _i64p, c_int64, _u8p, c_int64,
-        c_int64, c_int64, _i64p, c_int64, c_int64, c_int64, _u8p]
+        _u8p, c_int64, c_int64, c_int64, _i64p, _i64p, c_int64, _i64p,
+        c_int64, _u8p, c_int64, c_int64, c_int64, _i64p, c_int64, c_int64,
+        c_int64, _u8p]
     lib.repro_apc_conv_max_btanh_pack.restype = c_int
 
 
@@ -310,20 +312,36 @@ def _lane_layout(n: int, channels: int) -> tuple[type, int, int]:
 @dataclass(frozen=True)
 class ConvBank:
     """A packed weight bank laid out for the APC conv stage, one SIMD
-    lane per output channel.
+    lane per output channel, with the stage's gather plan.
 
     ``data`` is ``(words, length, Cp)``: each channel's ``n`` weight
-    streams bit-transposed into one ``width``-byte row per cycle, split
-    into ``words`` words — uint64 when ``width % 8 == 0``, else uint32 —
-    and stored channel-minor, with ``Cp`` the ``channels`` rounded up to
-    :data:`LANES` (the padding channels zero).  :func:`conv_bank` builds
-    one; its sizes are checked here so no bank can overrun the kernel's
-    reads.
+    streams, in tile order, bit-transposed into one ``width``-byte row
+    per cycle, split into MSB-first words — uint64 when
+    ``width % 8 == 0``, else uint32 — and stored channel-minor, with
+    ``Cp`` the ``channels`` rounded up to :data:`LANES` (the padding
+    channels zero).
+
+    The gather plan cuts each conv position's ``n`` inputs out of one
+    transposed image, run by run:
+
+    * ``image`` ``(S,)`` — the input row at each image position (a
+      permutation of the ``S`` rows of the biased input bank);
+    * ``runs`` ``(R,)`` — the bit length of each run of tile inputs, in
+      tile order, summing to ``n``;
+    * ``sources`` ``(P, R)`` — the image position of run ``r``'s first
+      input at conv position ``p``; the run reads ``runs[r]``
+      consecutive positions from there.
+
+    :func:`conv_bank` builds one; its sizes and plan are checked here so
+    no bank can overrun the kernel's reads.
     """
 
     data: np.ndarray
     n: int
     channels: int
+    image: np.ndarray
+    runs: np.ndarray
+    sources: np.ndarray
 
     def __post_init__(self):
         data = self.data
@@ -338,6 +356,23 @@ class ConvBank:
             shape = getattr(data, "shape", data)
             raise ValueError(f"not a conv lane bank of n={self.n} "
                              f"channels={self.channels}: {shape}")
+        image, runs, sources = self.image, self.runs, self.sources
+        ok = all(isinstance(a, np.ndarray) and a.dtype == np.int64
+                 and a.flags.c_contiguous for a in (image, runs, sources))
+        if ok:
+            S = image.shape[0] if image.ndim == 1 else 0
+            ok = (S >= 1 and runs.ndim == 1 and runs.size >= 1
+                  and sources.ndim == 2 and sources.shape[0] >= 1
+                  and sources.shape[1] == runs.size
+                  and _is_permutation(image)
+                  and runs.min() >= 1 and int(runs.sum()) == self.n
+                  and sources.min() >= 0
+                  and (sources + runs).max() <= S)
+        if not ok:
+            raise ValueError(f"not a gather plan of n={self.n}: image "
+                             f"{getattr(image, 'shape', image)}, runs "
+                             f"{getattr(runs, 'shape', runs)}, sources "
+                             f"{getattr(sources, 'shape', sources)}")
 
     @property
     def length(self) -> int:
@@ -346,6 +381,11 @@ class ConvBank:
     @property
     def width(self) -> int:
         return _row_width(self.n)
+
+    @property
+    def rows(self) -> int:
+        """Rows ``S`` of the biased input bank the plan gathers from."""
+        return self.image.shape[0]
 
 
 def _checked_weights(w, length: int) -> tuple[np.ndarray, int]:
@@ -378,17 +418,86 @@ def weight_bank(w: np.ndarray, length: int) -> WeightBank:
     return WeightBank(data, n, length)
 
 
-def conv_bank(w: np.ndarray, length: int) -> ConvBank:
+def _is_permutation(a: np.ndarray) -> bool:
+    """Whether the integer vector ``a`` holds each of ``0 .. len(a) - 1``
+    once.  (Counted, not sorted: NumPy's sort kernels would page in
+    ~0.5 MB of code per process for vectors this short.)"""
+    return bool(a.size and a.min() >= 0 and a.max() < a.size
+                and (np.bincount(a, minlength=a.size) == 1).all())
+
+
+def _int_table(name: str, table, cols: int, bound: int) -> np.ndarray:
+    """An integer ``(rows, cols)`` index table with entries in
+    ``[0, bound)``, as contiguous int64 for C."""
+    table = np.asarray(table)
+    if (not np.issubdtype(table.dtype, np.integer) or table.ndim != 2
+            or table.shape[1] != cols):
+        raise ValueError(f"expected integer {name} (rows, {cols}), got "
+                         f"{table.dtype} {table.shape}")
+    if table.size and (table.min() < 0 or table.max() >= bound):
+        raise ValueError(f"{name} index outside [0, {bound})")
+    return np.ascontiguousarray(table, dtype=np.int64)
+
+
+def _gather_plan(table: np.ndarray, order: np.ndarray):
+    """Tile order, runs and run sources of a conv stage's gather.
+
+    ``order[s]`` is the image position of input row ``s``.  Each
+    position's inputs are permuted by image position (as the first
+    position's sort them; the last column, the one the APC LSB patch
+    reads, stays last), then maximal runs are merged: tile inputs whose
+    sources are consecutive image positions at *every* conv position.
+    Any table gives a correct plan; the geometry only decides how long
+    the runs are.  Returns the column permutation ``(n,)``, the run
+    lengths ``(R,)`` and the sources ``(P, R)``.
+    """
+    pos = order[table]                                  # (P, n)
+    n = table.shape[1]
+    first = pos[0, :-1].tolist()
+    perm = sorted(range(n - 1), key=first.__getitem__) + [n - 1]
+    pos = pos[:, perm]
+    joined = np.all(np.diff(pos, axis=1) == 1, axis=0)  # (n - 1,)
+    starts = np.flatnonzero(np.concatenate([[True], ~joined]))
+    runs = np.diff(np.append(starts, n))
+    return perm, runs, np.ascontiguousarray(pos[:, starts])
+
+
+def conv_bank(w: np.ndarray, length: int, table: np.ndarray,
+              order: np.ndarray) -> ConvBank:
     """Lay a packed weight bank ``(C, n, nbytes)`` out for the APC conv
-    stage: channel-minor words, one SIMD lane per output channel."""
+    stage, with its gather plan: channel-minor words, one SIMD lane per
+    output channel.
+
+    ``table`` ``(P, n)`` names the input row feeding input ``j`` of conv
+    position ``p``, and ``order`` ``(S,)`` the image position of each of
+    the ``S`` input rows (a permutation).  The weights are permuted into
+    the plan's tile order (see :func:`_gather_plan`) before they are
+    laid out.
+    """
     w, length = _checked_weights(w, length)
     C, n, nbytes = w.shape
+    order = np.asarray(order)
+    if np.issubdtype(order.dtype, np.integer):
+        order = order.astype(np.int64)
+    if (order.dtype != np.int64 or order.ndim != 1
+            or not _is_permutation(order)):
+        raise ValueError(f"order must be a permutation of the input rows, "
+                         f"got {order.dtype} {order.shape}")
+    S = order.shape[0]
+    table = _int_table("table", table, n, S)
+    if table.shape[0] < 1:
+        raise ValueError("table has no conv position")
+    perm, runs, sources = _gather_plan(table, order)
+    w = np.ascontiguousarray(w[:, perm])
     word, words, cp = _lane_layout(n, C)
     data = np.empty((words, length, cp), dtype=word)
     _check(_lib.repro_layout_conv_bank(_ptr(w, _u8p), C, n, nbytes, length,
                                        _row_width(n), _ptr(data, _u8p)))
-    data.flags.writeable = False
-    return ConvBank(data, n, C)
+    image = np.empty(S, dtype=np.int64)
+    image[order] = np.arange(S)
+    for array in (data, image, runs, sources):
+        array.flags.writeable = False
+    return ConvBank(data, n, C, image, runs, sources)
 
 
 def _checked_bank(bank, kind=WeightBank):
@@ -506,35 +615,21 @@ def saturating_counter(increments: np.ndarray, n_states: int, init: int,
     return out.view(bool)
 
 
-def _int_table(name: str, table, cols: int | None, bound: int) -> np.ndarray:
-    """An integer ``(rows, cols)`` index table with entries in
-    ``[0, bound)``, as contiguous int64 for C."""
-    table = np.asarray(table)
-    if (not np.issubdtype(table.dtype, np.integer) or table.ndim != 2
-            or (cols is not None and table.shape[1] != cols)):
-        shape = f"(rows, {cols})" if cols is not None else "(rows, n)"
-        raise ValueError(f"expected integer {name} {shape}, got "
-                         f"{table.dtype} {table.shape}")
-    if table.size and (table.min() < 0 or table.max() >= bound):
-        raise ValueError(f"{name} index outside [0, {bound})")
-    return np.ascontiguousarray(table, dtype=np.int64)
-
-
-def apc_conv_max_btanh_pack(x: np.ndarray, table: np.ndarray,
-                            bank: ConvBank, windows: np.ndarray,
-                            segment: int, n_states: int) -> np.ndarray:
+def apc_conv_max_btanh_pack(x: np.ndarray, bank: ConvBank,
+                            windows: np.ndarray, segment: int,
+                            n_states: int) -> np.ndarray:
     """One APC conv stage with max pooling: packed input banks
-    ``(B, S, nbytes)`` (bias row included), the conv patch table
-    ``(P, n)`` indexing ``[0, S)``, a :class:`ConvBank` of ``C``
-    channels and 2×2 pool windows ``(Wn, 4)`` indexing ``[0, P)``
+    ``(B, S, nbytes)`` (bias row included), a :class:`ConvBank` of ``C``
+    channels whose gather plan reads those ``S`` rows at ``P`` conv
+    positions, and 2×2 pool windows ``(Wn, 4)`` indexing ``[0, P)``
     → packed Btanh output streams ``(B, C, Wn, nbytes)``, image-major.
 
     Bit-identical to ``pack_bits(btanh_counts(apc_max_pool(
     counts[:, :, windows], segment), n, n_states))`` over the APC counts
-    ``(C, B, P, L)`` of ``x[:, table]`` against the weights, transposed
-    to image-major, without building the patch bank, the counts or any
-    later intermediate.  Every argument is checked here, before a
-    pointer reaches C.
+    ``(C, B, P, L)`` of ``x[:, table]`` against the weights (``table``
+    as given to :func:`conv_bank`), transposed to image-major, without
+    building the patch bank, the counts or any later intermediate.
+    Every argument is checked here, before a pointer reaches C.
     """
     bank = _checked_bank(bank, ConvBank)
     x = np.asarray(x)
@@ -543,12 +638,10 @@ def apc_conv_max_btanh_pack(x: np.ndarray, table: np.ndarray,
                          f"{x.dtype} {x.shape}")
     B, S, nbytes = x.shape
     L = bank.length
-    table = _int_table("table", table, None, S)
-    P, n = table.shape
-    windows = _int_table("windows", windows, 4, P)
-    if n != bank.n or nbytes != (L + 7) // 8:
-        raise ValueError(f"bank mismatch: x {x.shape} table {table.shape} "
-                         f"against n={bank.n} L={L}")
+    if S != bank.rows or nbytes != (L + 7) // 8:
+        raise ValueError(f"bank mismatch: x {x.shape} against S={bank.rows} "
+                         f"L={L}")
+    windows = _int_table("windows", windows, 4, bank.sources.shape[0])
     segment = check_positive_int(segment, "segment")
     n_states = check_positive_int(n_states, "n_states")
     if L % segment:
@@ -558,7 +651,8 @@ def apc_conv_max_btanh_pack(x: np.ndarray, table: np.ndarray,
     C, Wn = bank.channels, windows.shape[0]
     out = np.empty((B, C, Wn, nbytes), dtype=np.uint8)
     _check(_lib.repro_apc_conv_max_btanh_pack(
-        _ptr(x, _u8p), B, S, nbytes, _ptr(table, _i64p), n,
-        _ptr(bank.data, _u8p), C, L, bank.width, _ptr(windows, _i64p), Wn,
-        segment, n_states, _ptr(out, _u8p)))
+        _ptr(x, _u8p), B, S, nbytes, _ptr(bank.image, _i64p),
+        _ptr(bank.runs, _i64p), bank.runs.size, _ptr(bank.sources, _i64p),
+        bank.n, _ptr(bank.data, _u8p), C, L, bank.width,
+        _ptr(windows, _i64p), Wn, segment, n_states, _ptr(out, _u8p)))
     return out

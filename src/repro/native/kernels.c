@@ -15,24 +15,26 @@
  *     pair becomes one pass that never materializes the transposed
  *     bank (repro_column_counts), the exact backend's inner product
  *     transposes a cache-resident tile and XOR-popcounts it in place
- *     (repro_apc_inner_counts), a pooled APC conv stage runs
- *     gather -> count -> max pool -> Btanh -> pack per pool window
- *     without ever building its count tensor
- *     (repro_apc_conv_max_btanh_pack), and an APC FC layer runs
+ *     (repro_apc_inner_counts), a pooled APC conv stage transposes
+ *     each image once and runs cut -> count -> max pool -> Btanh ->
+ *     pack per pool window, cutting every position's tile out of the
+ *     transposed image by word shifts and never building its count
+ *     tensor (repro_apc_conv_max_btanh_pack), and an APC FC layer runs
  *     count -> Btanh -> pack per row tile, or the output layer's count
  *     sums, the same way (repro_apc_fc_btanh_pack).
  *  2. *Tile* to the cache: the inner-product kernels re-read their
  *     transposed input tile once per output channel, so the tile is
  *     sized (TILE_BYTES) to stay resident across the channel loop; the
- *     conv stage's per-window tile and count scratch fit L1/L2 beside
- *     its bank.  Counting rows are laid out so the cycle loop
- *     vectorizes (count_layout: word-major for widths that are a
- *     multiple of 8 bytes).
+ *     conv stage's transposed image, per-window tiles and count
+ *     scratch fit L1/L2 beside its bank.  Counting rows are laid out
+ *     so the cycle loop vectorizes (count_layout: word-major for widths
+ *     that are a multiple of 8 bytes).
  *  3. *Lay weights out once*: repro_layout_bank (the inner-product and
  *     FC layout) and repro_layout_conv_bank (the conv stage's
- *     channel-minor layout) write a weight bank when the backend is
- *     built, and every counting kernel reads that stored bank — no call
- *     copies weights.
+ *     channel-minor layout, over weights permuted into its gather
+ *     plan's tile order) write a weight bank when the backend is built,
+ *     and every counting kernel reads that stored bank and plan — no
+ *     call copies weights or re-derives a gather.
  *  4. *One lane per independent chain*: the conv stage's per-channel
  *     max pool and Btanh counters step in lockstep, so they run one
  *     output channel per lane of GCC/Clang vector types (LANES; no
@@ -696,12 +698,31 @@ static int64_t lane_word(int64_t W)
     return W % 8 ? 4 : 8;
 }
 
+/* MSB-first loads: bit i of the packed byte row at p is bit 63 - i
+ * (31 - i) of the word, on either endianness.  GCC and Clang compile
+ * the shifts to one load and a byte swap. */
+static inline uint64_t load_be64(const uint8_t *p)
+{
+    uint64_t v = 0;
+    for (int i = 0; i < 8; i++)
+        v = (v << 8) | p[i];
+    return v;
+}
+
+static inline uint32_t load_be32(const uint8_t *p)
+{
+    return ((uint32_t)p[0] << 24) | ((uint32_t)p[1] << 16)
+        | ((uint32_t)p[2] << 8) | (uint32_t)p[3];
+}
+
 /* Lay a packed weight bank (C, n, nbytes) out for the conv stage: each
- * channel's n streams bit-transposed into W-byte cycle rows, stored
- * channel-minor as (words, L, Cp) words of lane_word(W) bytes — word k
- * of channel c's row t at (k * L + t) * Cp + c — with Cp = lane_pad(C)
- * and the padding channels zero.  The exact backend calls this once per
- * fused conv layer at construction. */
+ * channel's n streams bit-transposed into W-byte cycle rows, split into
+ * MSB-first words of lane_word(W) bytes (input i of word k at bit
+ * 8 * ws - 1 - i, i.e. input 8 * ws * k + i) and stored channel-minor
+ * as (words, L, Cp) — word k of channel c's row t at (k * L + t) * Cp
+ * + c — with Cp = lane_pad(C) and the padding channels zero.  The exact
+ * backend calls this once per fused conv layer at construction, on the
+ * weights permuted into its gather plan's tile order. */
 API int repro_layout_conv_bank(const uint8_t *w, int64_t C, int64_t n,
                                int64_t nbytes, int64_t L, int64_t W,
                                uint8_t *out)
@@ -715,74 +736,145 @@ API int repro_layout_conv_bank(const uint8_t *w, int64_t C, int64_t n,
         memset(row, 0, (size_t)(L * W));
         transpose_rows(w + c * n * nbytes, NULL, n, nbytes, L, W, 8, row);
         for (int64_t k = 0; k < words; k++)
-            for (int64_t t = 0; t < L; t++)
-                memcpy(out + ((k * L + t) * Cp + c) * ws, row + t * W + k * ws,
-                       (size_t)ws);
+            for (int64_t t = 0; t < L; t++) {
+                const uint8_t *src = row + t * W + k * ws;
+                const int64_t at = (k * L + t) * Cp + c;
+                if (ws == 8)
+                    ((uint64_t *)out)[at] = load_be64(src);
+                else
+                    ((uint32_t *)out)[at] = load_be32(src);
+            }
     }
     free(row);
     return 0;
 }
 
-/* APC counts of one pool window, channel-minor: the 4 * L transposed
- * rows of tile (W bytes each, row-major) against every channel of a
- * conv lane bank (words of T; word k of cycle t's Cp channels at
- * bank + (k * L + t) * Cp), into cnt[r * Cp + c]:
+/* Bit-transpose one image of S packed streams into img: stream image[q]
+ * (the input row at image position q) becomes bit 63 - q % 64 of word
+ * q / 64 of every cycle, stored word-major — word k of cycle t at
+ * img[k * L + t] — for ceil(S / 64) words, followed by one zero pad
+ * word of L cycles, so a funnel shift from any position reads inside
+ * the buffer. */
+static void transpose_image(const uint8_t *xb, const int64_t *image,
+                            int64_t S, int64_t nbytes, int64_t L,
+                            uint64_t *img)
+{
+    const int64_t iw = (S + 63) / 64;
+    memset(img, 0, (size_t)((iw + 1) * L) * sizeof(uint64_t));
+    transpose_rows(xb, image, S, nbytes, L, 8, 8 * L, (uint8_t *)img);
+    for (int64_t i = 0; i < iw * L; i++)
+        img[i] = load_be64((const uint8_t *)(img + i));
+}
+
+/* Cut one conv position's tile out of a transposed image: run r copies
+ * runs[r] consecutive image positions from src[r] on to the next
+ * runs[r] tile inputs, for all L cycles.  Tile input i is bit
+ * 63 - i % 64 of word i / 64, word-major like the image (T64 words of
+ * L cycles).  A run is cut at tile word boundaries; each piece is one
+ * two-word funnel shift (word b is read even when the piece starts on a
+ * word boundary: the pad word keeps it in bounds), a mask and a store
+ * — the first piece of a tile word stores, the others OR — in a loop
+ * over cycles the compiler vectorizes. */
+static void cut_tile(const uint64_t *img, int64_t L, const int64_t *runs,
+                     int64_t R, const int64_t *src, uint64_t *tile)
+{
+    int64_t d = 0;
+    for (int64_t r = 0; r < R; r++) {
+        int64_t s = src[r], len = runs[r];
+        while (len > 0) {
+            const int ds = (int)(d & 63), sh = (int)(s & 63);
+            const int64_t l = len < 64 - ds ? len : 64 - ds;
+            const uint64_t m = (~(uint64_t)0 << (64 - l)) >> ds;
+            const uint64_t *restrict a = img + (s >> 6) * L;
+            const uint64_t *restrict b = a + L;
+            uint64_t *restrict o = tile + (d >> 6) * L;
+            /* b >> 1 >> (63 - sh) is b >> (64 - sh), and 0 at sh = 0 */
+            if (ds == 0)
+                for (int64_t t = 0; t < L; t++)
+                    o[t] = ((a[t] << sh) | (b[t] >> 1 >> (63 - sh))) & m;
+            else
+                for (int64_t t = 0; t < L; t++)
+                    o[t] |= (((a[t] << sh) | (b[t] >> 1 >> (63 - sh))) >> ds)
+                        & m;
+            d += l;
+            s += l;
+            len -= l;
+        }
+    }
+}
+
+/* APC counts of one pool window, channel-minor: the 4 tiles of a window
+ * (cut_tile's layout, T64 words of L cycles each, tile p at
+ * tile + p * T64 * L) against every channel of a conv lane bank (words
+ * of T; word k of cycle t's Cp channels at bank + (k * L + t) * Cp),
+ * into cnt[(p * L + t) * Cp + c]:
  *
  *   cnt = n - popcount(x ^ w), LSB patched from the last input's product
- *   bit (word lastk, bit mask) as in count_layout, wrapped to int16 as
- *   the NumPy oracle's counts are, held in int32 lanes.
+ *   bit (word lastk, bit mask), wrapped to int16 as the NumPy oracle's
+ *   counts are, held in int32 lanes.
  *
- * A lane group's chunks accumulate their popcounts in registers across
- * the words; chunks holding only padding channels are skipped (their
- * counts stay as the caller zeroed them).  V is the chunk vector of T,
- * NL its lanes, TO32 stores it as int32 lanes. */
-#define DEFINE_COUNT_LANES(name, T, V, NL, POPCNT, TO32)                  \
-static void name(const uint8_t *tile, const T *bank, int64_t L,           \
-                 int64_t W, int64_t C, int64_t Cp, int64_t words,         \
+ * All four positions share bank row t, so each bank chunk is loaded
+ * once and counted against the four tile words.  A lane group's chunks
+ * accumulate their popcounts in registers across the words; chunks
+ * holding only padding channels are skipped (their counts stay as the
+ * caller zeroed them).  V is the chunk vector of T, NL its lanes,
+ * XWORD(row, k, L) word k of a tile row, TO32 stores a chunk as int32
+ * lanes. */
+#define DEFINE_COUNT_LANES(name, T, V, NL, POPCNT, XWORD, TO32)           \
+static void name(const uint64_t *tile, const T *bank, int64_t L,          \
+                 int64_t T64, int64_t C, int64_t Cp, int64_t words,       \
                  int64_t lastk, T mask, int64_t n, int32_t *cnt)          \
 {                                                                         \
     const V nv = (V){0} + (T)n, mv = (V){0} + mask;                       \
-    for (int64_t p = 0; p < 4; p++)                                       \
-        for (int64_t t = 0; t < L; t++) {                                 \
-            const uint8_t *xr = tile + (p * L + t) * W;                   \
-            const T *bt = bank + t * Cp;                                  \
-            int32_t *out = cnt + (p * L + t) * Cp;                        \
-            T xl;                                                         \
-            memcpy(&xl, xr + lastk * (int64_t)sizeof(T), sizeof(T));      \
-            for (int64_t g = 0; g < C; g += LANES) {                      \
-                const int64_t qn = (C - g + (NL) - 1) / (NL);             \
-                V acc[LANES / (NL)];                                      \
+    for (int64_t t = 0; t < L; t++) {                                     \
+        const uint64_t *xr[4];                                            \
+        T xl[4];                                                          \
+        for (int p = 0; p < 4; p++) {                                     \
+            xr[p] = tile + p * T64 * L + t;                               \
+            xl[p] = XWORD(xr[p], lastk, L);                               \
+        }                                                                 \
+        const T *bt = bank + t * Cp;                                      \
+        for (int64_t g = 0; g < C; g += LANES) {                          \
+            const int64_t qn = (C - g + (NL) - 1) / (NL);                 \
+            V acc[4][LANES / (NL)];                                       \
+            for (int p = 0; p < 4; p++)                                   \
                 for (int q = 0; q < LANES / (NL); q++)                    \
-                    acc[q] = (V){0};                                      \
-                for (int64_t k = 0; k < words; k++) {                     \
-                    T x;                                                  \
-                    memcpy(&x, xr + k * (int64_t)sizeof(T), sizeof(T));   \
-                    const T *b = bt + k * L * Cp + g;                     \
-                    for (int q = 0; q < LANES / (NL); q++) {              \
-                        V v;                                              \
-                        T a[NL];                                          \
-                        if (q >= qn)                                      \
-                            break;                                        \
-                        memcpy(&v, b + q * (NL), sizeof v);               \
-                        v ^= x;                                           \
-                        memcpy(a, &v, sizeof v);                          \
-                        for (int i = 0; i < (NL); i++)                    \
-                            a[i] = (T)POPCNT(a[i]);                       \
-                        memcpy(&v, a, sizeof v);                          \
-                        acc[q] += v;                                      \
-                    }                                                     \
-                }                                                         \
-                const T *b = bt + lastk * L * Cp + g;                     \
+                    acc[p][q] = (V){0};                                   \
+            for (int64_t k = 0; k < words; k++) {                         \
+                T x[4];                                                   \
+                for (int p = 0; p < 4; p++)                               \
+                    x[p] = XWORD(xr[p], k, L);                            \
+                const T *b = bt + k * L * Cp + g;                         \
                 for (int q = 0; q < LANES / (NL); q++) {                  \
-                    V w;                                                  \
+                    V v;                                                  \
                     if (q >= qn)                                          \
                         break;                                            \
-                    memcpy(&w, b + q * (NL), sizeof w);                   \
-                    V c = (nv - acc[q]) ^ ((V)(((w ^ xl) & mv) == 0) & 1);\
-                    TO32(c, out + g + q * (NL));                          \
+                    memcpy(&v, b + q * (NL), sizeof v);                   \
+                    for (int p = 0; p < 4; p++) {                         \
+                        V u = v ^ x[p];                                   \
+                        T a[NL];                                          \
+                        memcpy(a, &u, sizeof u);                          \
+                        for (int i = 0; i < (NL); i++)                    \
+                            a[i] = (T)POPCNT(a[i]);                       \
+                        memcpy(&u, a, sizeof u);                          \
+                        acc[p][q] += u;                                   \
+                    }                                                     \
+                }                                                         \
+            }                                                             \
+            const T *b = bt + lastk * L * Cp + g;                         \
+            for (int q = 0; q < LANES / (NL); q++) {                      \
+                V w;                                                      \
+                if (q >= qn)                                              \
+                    break;                                                \
+                memcpy(&w, b + q * (NL), sizeof w);                       \
+                for (int p = 0; p < 4; p++) {                             \
+                    V c = (nv - acc[p][q])                                \
+                        ^ ((V)(((w ^ xl[p]) & mv) == 0) & 1);             \
+                    TO32(c, cnt + (p * L + t) * Cp + g + q * (NL));       \
                 }                                                         \
             }                                                             \
         }                                                                 \
+    }                                                                     \
 }
 
 #define STORE32_FROM32(c, o) do {                                         \
@@ -794,10 +886,17 @@ static void name(const uint8_t *tile, const T *bank, int64_t L,           \
     memcpy((o), &c32_, sizeof c32_);                                      \
 } while (0)
 
+/* Word k of a tile row whose u64 words lie L apart: u64 words as
+ * stored; u32 word k is the high (even k) or low (odd k) half of u64
+ * word k / 2. */
+#define XWORD64(row, k, L) ((row)[(k) * (L)])
+#define XWORD32(row, k, L) \
+    ((uint32_t)((row)[((k) >> 1) * (L)] >> (((k) & 1) ? 0 : 32)))
+
 DEFINE_COUNT_LANES(count_lanes32, uint32_t, u32xC, CHUNK_BYTES / 4,
-                   __builtin_popcount, STORE32_FROM32)
+                   __builtin_popcount, XWORD32, STORE32_FROM32)
 DEFINE_COUNT_LANES(count_lanes64, uint64_t, u64xC, CHUNK_BYTES / 8,
-                   popcnt64, STORE32_FROM64)
+                   popcnt64, XWORD64, STORE32_FROM64)
 
 /* Cycles an int32 running sum of int16-valued counts can take without
  * overflow (2^16 * 2^15 = 2^31). */
@@ -911,27 +1010,35 @@ static void max_btanh_lanes(const int32_t *cnt, int64_t Cp, int64_t L,
  * window, without the (C, B, P, L) count tensor.
  *
  *   x[b, s, :]       (B, S, nbytes) packed input bank, bias row included
- *   table[p, j]      (P, n) row of x feeding input j of conv position p
+ *   image[q]         (S,) input row at image position q
+ *   runs[r]          (R,) bits of tile run r, in tile order (sum n)
+ *   sources[p, r]    (P, R) image position of run r's first input at
+ *                    conv position p (the run reads sources[p, r] ..
+ *                    sources[p, r] + runs[r] - 1)
  *   bank             (words, L, Cp) conv lane bank laid out by
- *                    repro_layout_conv_bank
+ *                    repro_layout_conv_bank, inputs in tile order
  *   windows[w, 0..3] (Wn, 4) positions in [0, P) of each 2x2 window
  *   out[b, c, w, :]  (B, C, Wn, nbytes) packed Btanh output bits,
  *                    image-major
  *
- * Per (image, window): the window's four positions are transposed
- * straight out of x through the table into a 4 x L x W row-major tile;
- * each (position, cycle) row is counted against every channel at once
- * into a (4, L, Cp) int32 scratch, channel-minor; only then does
- * max_btanh_lanes run per group of LANES channels, storing each
- * channel's byte every 8 cycles.  Finishing the counts first keeps
- * their stores out of the counters' serial clamp chains.  Working set
- * per window: tile 4*L*W bytes + scratch 16*L*Cp bytes + the bank
- * L*W*Cp bytes — at LeNet-5 layer 1, L = 64: 16 KiB + 64 KiB in L1/L2
- * beside a 256 KiB L2-resident bank.  Every allocation is freed on
- * every return. */
+ * Per image, the S rows are transposed once, through the image order,
+ * into a word-major buffer (transpose_image).  Per window, each of its
+ * four positions' tiles is cut out of that buffer by word shifts, one
+ * run at a time (cut_tile); the tiles are counted against every channel
+ * at once into a (4, L, Cp) int32 scratch, channel-minor
+ * (count_lanes); only then does max_btanh_lanes run per group of LANES
+ * channels, storing each channel's byte every 8 cycles.  Finishing the
+ * counts first keeps their stores out of the counters' serial clamp
+ * chains.  Working set per window: the image buffer
+ * 8 * (ceil(S / 64) + 1) * L bytes, tiles 32 * T64 * L bytes, scratch
+ * 16 * L * Cp bytes and the bank L * W * Cp bytes — at LeNet-5 layer 1,
+ * L = 64: 24 KiB + 16 KiB + 64 KiB in L1/L2 beside a 256 KiB
+ * L2-resident bank.  Every allocation is freed on every return. */
 API int repro_apc_conv_max_btanh_pack(const uint8_t *x, int64_t B,
                                       int64_t S, int64_t nbytes,
-                                      const int64_t *table, int64_t n,
+                                      const int64_t *image,
+                                      const int64_t *runs, int64_t R,
+                                      const int64_t *sources, int64_t n,
                                       const uint8_t *bank,
                                       int64_t C, int64_t L, int64_t W,
                                       const int64_t *windows, int64_t Wn,
@@ -939,33 +1046,33 @@ API int repro_apc_conv_max_btanh_pack(const uint8_t *x, int64_t B,
                                       uint8_t *out)
 {
     const int64_t ws = lane_word(W), words = W / ws, Cp = lane_pad(C);
-    const int64_t ob = (L + 7) / 8, lastk = ((n - 1) >> 3) / ws;
+    const int64_t ob = (L + 7) / 8, lastk = (n - 1) / (8 * ws);
     const int64_t hi = n_states - 1, half = n_states / 2;
-    uint8_t mb[8] = {0, 0, 0, 0, 0, 0, 0, 0};
-    uint32_t m32;
-    uint64_t m64;
-    mb[((n - 1) >> 3) % ws] = (uint8_t)(0x80u >> ((n - 1) & 7));
-    memcpy(&m32, mb, 4);
-    memcpy(&m64, mb, 8);
-    uint8_t *tile = (uint8_t *)malloc((size_t)(4 * L * W));
+    const int64_t T64 = (n + 63) / 64, iw = (S + 63) / 64;
+    const uint64_t m64 = (uint64_t)1 << (63 - (n - 1) % 64);
+    const uint32_t m32 = (uint32_t)1 << (31 - (n - 1) % 32);
+    uint64_t *img = (uint64_t *)malloc((size_t)((iw + 1) * L)
+                                       * sizeof(uint64_t));
+    uint64_t *tile = (uint64_t *)malloc((size_t)(4 * T64 * L)
+                                        * sizeof(uint64_t));
     int32_t *cnt = (int32_t *)calloc((size_t)(4 * L * Cp), sizeof(int32_t));
-    if (!tile || !cnt) {
+    if (!img || !tile || !cnt) {
+        free(img);
         free(tile);
         free(cnt);
         return -1;
     }
     for (int64_t b = 0; b < B; b++) {
-        const uint8_t *xb = x + b * S * nbytes;
+        transpose_image(x + b * S * nbytes, image, S, nbytes, L, img);
         for (int64_t w = 0; w < Wn; w++) {
-            memset(tile, 0, (size_t)(4 * L * W));
             for (int k = 0; k < 4; k++)
-                transpose_rows(xb, table + windows[4 * w + k] * n, n,
-                               nbytes, L, W, 8, tile + k * L * W);
+                cut_tile(img, L, runs, R, sources + windows[4 * w + k] * R,
+                         tile + k * T64 * L);
             if (ws == 8)
-                count_lanes64(tile, (const uint64_t *)bank, L, W, C, Cp,
+                count_lanes64(tile, (const uint64_t *)bank, L, T64, C, Cp,
                               words, lastk, m64, n, cnt);
             else
-                count_lanes32(tile, (const uint32_t *)bank, L, W, C, Cp,
+                count_lanes32(tile, (const uint32_t *)bank, L, T64, C, Cp,
                               words, lastk, m32, n, cnt);
             for (int64_t g = 0; g < C; g += LANES)
                 max_btanh_lanes(cnt + g, Cp, L, segment, n, hi, half,
@@ -973,6 +1080,7 @@ API int repro_apc_conv_max_btanh_pack(const uint8_t *x, int64_t B,
                                 out + ((b * C + g) * Wn + w) * ob, Wn * ob);
         }
     }
+    free(img);
     free(tile);
     free(cnt);
     return 0;

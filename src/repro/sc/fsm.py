@@ -91,6 +91,10 @@ def saturating_counter(
     hi = n_states - 1
     if T == 0:
         return np.empty(inc.shape, dtype=bool)
+    if inc.dtype == np.uint64:
+        # Both tiers count in int64.  An increment >= hi saturates from
+        # any state, so capping at 2**63 - 1 is exact where a cast wraps.
+        inc = np.minimum(inc, np.uint64(2**63 - 1)).astype(np.int64)
     if native.enabled():
         # Native tier: a plain sequential scan beats the blocked
         # composition once the per-cycle step is one compiled clamp.

@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 
 import repro.native as native
 from repro.blocks.pooling import apc_max_pool
-from repro.engine.exact import numpy_apc_counts
+from repro.engine.exact import channel_minor_order, numpy_apc_counts
 from repro.native import build as native_build
 from repro.sc import activation, adders, fsm, ops
 
@@ -177,19 +177,23 @@ def test_apc_inner_counts_bit_identical(data, length, n, rows, channels):
     np.testing.assert_array_equal(got, ref)
 
 
-def _conv_stage_numpy(x, table, w, windows, length, segment, n_states):
+def _conv_stage_numpy(x, table, w, windows, length, segment, n_states,
+                      order=None):
     """The exact backend's NumPy APC conv stage with max pooling:
     gather, count, ``apc_max_pool``, ``btanh_counts``, ``pack_bits``,
     image-major — plus the native :class:`~repro.native.ConvBank` of
-    ``w``."""
-    B, nb = x.shape[0], x.shape[-1]
+    ``w`` gathering through ``table`` in image ``order`` (default: the
+    rows' own order)."""
+    B, S, nb = x.shape
     (P, n), C = table.shape, w.shape[0]
     counts = _oracle_counts(x[:, table].reshape(B * P, n, nb), w, n, length)
     counts = counts.reshape(C, B, P, length)
     with native.override(False):
         pooled = apc_max_pool(counts[:, :, windows], segment)
         out = ops.pack_bits(activation.btanh_counts(pooled, n, n_states))
-    return out.transpose(1, 0, 2, 3), native.conv_bank(w, length)
+    order = np.arange(S) if order is None else order
+    return (out.transpose(1, 0, 2, 3),
+            native.conv_bank(w, length, table, order))
 
 
 @needs_native
@@ -214,8 +218,8 @@ def test_apc_conv_max_btanh_pack_bit_identical(data, segment, n_segments,
     lane-bank word sizes and every row width, channel counts within one
     lane group and across several (15, 16, 17, 33, 50), lengths whose
     last byte is zero-padded (e.g. 12 × 3), mostly-zero inputs (the
-    transposes' zero-block skip) and all-equal patches that tie every
-    window's candidates."""
+    image transpose's zero-block skip), all-equal patches that tie every
+    window's candidates, and the rows' own or a shuffled image order."""
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     length = segment * n_segments
     S = int(rng.integers(1, 2 * n + 2))
@@ -229,13 +233,107 @@ def test_apc_conv_max_btanh_pack_bit_identical(data, segment, n_segments,
         table[:] = table[0]
     w = ops.pack_bits(rng.random((channels, n, length)) < 0.5)
     windows = rng.integers(0, P, size=(n_windows, 4))
+    order = rng.permutation(S) if data.draw(st.booleans()) else None
     ref, bank = _conv_stage_numpy(x, table, w, windows, length, segment,
-                                  n_states)
-    got = native.apc_conv_max_btanh_pack(x, table, bank, windows, segment,
+                                  n_states, order)
+    got = native.apc_conv_max_btanh_pack(x, bank, windows, segment,
                                          n_states)
     assert got.dtype == ref.dtype and got.shape == ref.shape
     np.testing.assert_array_equal(got, ref)
     assert ops.padding_is_zero(got, length)
+
+
+def _conv_geometry(channels_in, in_h, in_w, kernel):
+    """A conv layer's biased patch table ``(P, n)``, its 2×2 pool
+    windows and the exact backend's channel-minor image order."""
+    from repro.engine.plan import conv_patch_index, pool_window_indices
+
+    rows = channels_in * in_h * in_w
+    index = conv_patch_index(channels_in, in_h, in_w, kernel)
+    table = np.concatenate([index, np.full((len(index), 1), rows)], axis=1)
+    windows = pool_window_indices((in_h - kernel + 1) // 2,
+                                  (in_w - kernel + 1) // 2)
+    return table, windows, channel_minor_order(channels_in, in_h, in_w)
+
+
+#: (input channels, height, width, kernel, output channels, K): LeNet-5
+#: layers 0 and 1, lenet_s layers 0 and 1, and a 3-channel odd-sized input
+_CONV_GEOMETRIES = {
+    "lenet5-layer0": (1, 28, 28, 5, 20, 52),
+    "lenet5-layer1": (20, 12, 12, 5, 50, 1002),
+    "lenet_s-layer0": (1, 28, 28, 5, 8, 52),
+    "lenet_s-layer1": (8, 12, 12, 5, 16, 402),
+    "3ch-13x11": (3, 13, 11, 5, 5, 77),
+}
+
+
+@needs_native
+@pytest.mark.parametrize("geometry", sorted(_CONV_GEOMETRIES))
+@pytest.mark.parametrize("inputs", ["random", "background"])
+def test_apc_conv_max_btanh_pack_conv_geometries(geometry, inputs):
+    """The fused conv stage over real conv patch tables in the exact
+    backend's channel-minor image order — where runs of ``k·C`` inputs
+    merge and cross word boundaries — against the NumPy composition, on
+    random inputs and on a mostly all-zero (image background) batch."""
+    cin, h, w_, kernel, channels, n_states = _CONV_GEOMETRIES[geometry]
+    table, windows, order = _conv_geometry(cin, h, w_, kernel)
+    rng = np.random.default_rng(cin * h * w_)
+    length, S = 64, table.max() + 1
+    bits = rng.random((2, S, length)) < 0.5
+    if inputs == "background":
+        bits &= rng.random((2, S, 1)) < 0.05
+    x = ops.pack_bits(bits)
+    w = ops.pack_bits(rng.random((channels, table.shape[1], length)) < 0.5)
+    ref, bank = _conv_stage_numpy(x, table, w, windows, length, 16,
+                                  n_states, order)
+    np.testing.assert_array_equal(
+        native.apc_conv_max_btanh_pack(x, bank, windows, 16, n_states), ref)
+
+
+@needs_native
+@pytest.mark.parametrize("geometry,runs", [
+    ("lenet5-layer0", [5] * 5 + [1]),
+    ("lenet5-layer1", [100] * 5 + [1]),
+    ("lenet_s-layer1", [40] * 5 + [1]),
+    ("3ch-13x11", [15] * 5 + [1]),
+])
+def test_conv_bank_merges_patch_rows_into_runs(geometry, runs):
+    """In channel-minor image order a patch row's ``k·C`` inputs are
+    consecutive at every conv position, so each row is one run; the
+    bias input stays last, a run of its own."""
+    cin, h, w_, kernel, channels, _ = _CONV_GEOMETRIES[geometry]
+    table, _, order = _conv_geometry(cin, h, w_, kernel)
+    w = np.zeros((channels, table.shape[1], 8), np.uint8)
+    bank = native.conv_bank(w, 64, table, order)
+    assert bank.runs.tolist() == runs
+    assert bank.sources.shape == (table.shape[0], len(runs))
+    assert (bank.sources[:, -1] == table.max()).all()
+
+
+@needs_native
+@pytest.mark.parametrize("seed", range(6))
+def test_apc_conv_max_btanh_pack_any_table(seed):
+    """Any table gives a correct plan: random tables with repeated
+    sources, a last column that is not the highest source (the APC LSB
+    patch must still read the table's last column), and a shuffled
+    image order, over both lane-word sizes."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.choice([3, 26, 40, 70, 130, 501]))
+    S = int(rng.integers(2, 2 * n))
+    P, length, channels = 9, 48, int(rng.integers(1, 20))
+    table = rng.integers(0, S, size=(P, n))
+    table[:, :-1] = np.maximum(table[:, :-1], 1)
+    table[:, -1] = 0                     # the lowest source, last
+    table[:, 1] = table[:, 0]            # a repeated source
+    order = rng.permutation(S) if seed % 2 else np.arange(S)
+    x = ops.pack_bits(rng.random((2, S, length)) < 0.5)
+    w = ops.pack_bits(rng.random((channels, n, length)) < 0.5)
+    windows = rng.integers(0, P, size=(3, 4))
+    ref, bank = _conv_stage_numpy(x, table, w, windows, length, 16, 41,
+                                  order)
+    assert int(bank.runs.sum()) == n
+    np.testing.assert_array_equal(
+        native.apc_conv_max_btanh_pack(x, bank, windows, 16, 41), ref)
 
 
 @needs_native
@@ -255,7 +353,7 @@ def test_apc_conv_max_btanh_pack_never_overflows_its_lanes():
     ref, bank = _conv_stage_numpy(x, table, w, windows, 24, 8,
                                   2 * n * 24 + 3)
     for n_states in (2**62 + 1, 2**63 - 1):
-        got = native.apc_conv_max_btanh_pack(x, table, bank, windows, 8,
+        got = native.apc_conv_max_btanh_pack(x, bank, windows, 8,
                                              n_states)
         np.testing.assert_array_equal(got, ref)
     segment = 65_544
@@ -266,15 +364,19 @@ def test_apc_conv_max_btanh_pack_never_overflows_its_lanes():
     ref, bank = _conv_stage_numpy(x, table, w, windows, 2 * segment,
                                   segment, 5)
     np.testing.assert_array_equal(native.apc_conv_max_btanh_pack(
-        x, table, bank, windows, segment, 5), ref)
+        x, bank, windows, segment, 5), ref)
 
 
 #: a zero 2-channel bank of n = 3 (W = 4) at L = 16, built without C
 _BANK = native.WeightBank(np.zeros((2, 16 * 4), np.uint8), 3, 16)
 
 #: the same bank laid out for the conv stage: one uint32 word per cycle,
-#: two channels padded to one lane group
-_CONV_BANK = native.ConvBank(np.zeros((1, 16, native.LANES), np.uint32), 3, 2)
+#: two channels padded to one lane group, gathering one run of 3 inputs
+#: from 5 rows at 4 conv positions
+_PLAN = dict(image=np.arange(5), runs=np.array([3]),
+             sources=np.zeros((4, 1), np.int64))
+_CONV_BANK = native.ConvBank(np.zeros((1, 16, native.LANES), np.uint32), 3,
+                             2, **_PLAN)
 
 
 #: a row-major (C, L, W) bank where a laid-out one belongs
@@ -282,8 +384,7 @@ _ROW_MAJOR = np.zeros((2, 16, 4), np.uint8)
 
 
 def _bad_conv_stage_args(**bad):
-    args = dict(x=np.zeros((1, 5, 2), np.uint8),
-                table=np.zeros((4, 3), int), bank=_CONV_BANK,
+    args = dict(x=np.zeros((1, 5, 2), np.uint8), bank=_CONV_BANK,
                 windows=np.zeros((1, 4), int), segment=16, n_states=6)
     args.update(bad)
     return args
@@ -292,17 +393,13 @@ def _bad_conv_stage_args(**bad):
 @pytest.mark.parametrize("bad,match", [
     (dict(x=np.zeros((1, 5, 2), np.int16)), "uint8 x"),
     (dict(x=np.zeros((5, 2), np.uint8)), "uint8 x"),
-    (dict(table=np.zeros((4, 3), float)), "table"),
-    (dict(table=np.zeros(3, int)), "table"),
-    (dict(table=np.array([[0, 1, 5]] * 4)), r"table index outside \[0, 5\)"),
-    (dict(table=np.array([[0, -1, 2]] * 4)), r"table index outside \[0, 5\)"),
+    (dict(x=np.zeros((1, 6, 2), np.uint8)), "bank mismatch"),
+    (dict(x=np.zeros((1, 5, 3), np.uint8)), "bank mismatch"),
     (dict(windows=np.zeros(4, int)), "windows"),
     (dict(windows=np.zeros((1, 3), int)), "windows"),
     (dict(windows=np.zeros((1, 4), float)), "windows"),
     (dict(windows=np.array([[0, 1, 2, 4]])), r"windows index outside \[0, 4\)"),
     (dict(windows=np.array([[0, -1, 2, 3]])), r"windows index outside \[0, 4\)"),
-    (dict(table=np.zeros((4, 40), int)), "bank mismatch"),
-    (dict(x=np.zeros((1, 5, 3), np.uint8)), "bank mismatch"),
     (dict(segment=12), "multiple of segment 12"),
     (dict(segment=0), "segment"),
     (dict(n_states=0), "n_states"),
@@ -313,6 +410,29 @@ def test_apc_conv_max_btanh_pack_rejects_before_c(bad, match, monkeypatch):
     monkeypatch.setattr(native, "_lib", None)
     with pytest.raises(ValueError, match=match):
         native.apc_conv_max_btanh_pack(**_bad_conv_stage_args(**bad))
+
+
+@pytest.mark.parametrize("bad,match", [
+    (dict(table=np.zeros((4, 3), float)), "table"),
+    (dict(table=np.zeros(3, int)), "table"),
+    (dict(table=np.zeros((0, 3), int)), "no conv position"),
+    (dict(table=np.zeros((4, 40), int)), r"table \(rows, 3\)"),
+    (dict(table=np.array([[0, 1, 5]] * 4)), r"table index outside \[0, 5\)"),
+    (dict(table=np.array([[0, -1, 2]] * 4)), r"table index outside \[0, 5\)"),
+    (dict(order=np.array([0, 1, 2, 3, 3])), "permutation"),
+    (dict(order=np.arange(5.0)), "permutation"),
+    (dict(order=np.arange(5).reshape(1, 5)), "permutation"),
+])
+def test_conv_bank_rejects_before_c(bad, match, monkeypatch):
+    """The gather plan's table and image order are checked when the
+    bank is built: a wrong ``n`` or an index outside the ``S`` input
+    rows never reaches C."""
+    monkeypatch.setattr(native, "_lib", None)
+    args = dict(w=np.zeros((2, 3, 2), np.uint8), length=16,
+                table=np.zeros((4, 3), int), order=np.arange(5))
+    args.update(bad)
+    with pytest.raises(ValueError, match=match):
+        native.conv_bank(**args)
 
 
 # FC input counts: every counting layout (W = 4, word-major, bytewise)
@@ -453,10 +573,38 @@ def test_conv_bank_type_checks_its_sizes(data, n, channels):
     """A hand-made conv lane bank must carry exactly the words, cycles
     and padded channels the conv kernel reads."""
     with pytest.raises(ValueError, match="not a conv lane bank"):
-        native.ConvBank(data, n, channels)
+        native.ConvBank(data, n, channels, **_PLAN)
 
 
-@pytest.mark.parametrize("make", [native.weight_bank, native.conv_bank],
+@pytest.mark.parametrize("plan", [
+    dict(image=np.array([0, 1, 2, 3, 3])),             # not a permutation
+    dict(image=np.arange(5, dtype=np.int32)),          # not int64
+    dict(image=np.arange(0)),                          # no row
+    dict(runs=np.array([2])),                          # sums to 2, not n
+    dict(runs=np.array([3, 0]),
+         sources=np.zeros((4, 2), np.int64)),          # an empty run
+    dict(runs=np.array([2, 1])),                       # sources (P, 1)
+    dict(sources=np.full((4, 1), 3, np.int64)),        # reads row 5
+    dict(sources=np.full((4, 1), -1, np.int64)),
+    dict(sources=np.zeros((0, 1), np.int64)),          # no conv position
+    dict(sources=np.zeros((4, 2), np.int64)[:, ::2]),  # not contiguous
+])
+def test_conv_bank_type_checks_its_plan(plan):
+    """A hand-made gather plan must keep every run inside the image:
+    the kernel reads ``runs[r]`` positions from each source."""
+    with pytest.raises(ValueError, match="not a gather plan"):
+        native.ConvBank(np.zeros((1, 16, 16), np.uint32), 3, 2,
+                        **{**_PLAN, **plan})
+
+
+def _plain_conv_bank(w, length):
+    """``conv_bank`` over one conv position reading every row in order:
+    the tile order is the weights' own."""
+    n = np.shape(w)[1] if np.ndim(w) == 3 else 1
+    return native.conv_bank(w, length, np.arange(n)[None], np.arange(n))
+
+
+@pytest.mark.parametrize("make", [native.weight_bank, _plain_conv_bank],
                          ids=["weight_bank", "conv_bank"])
 @pytest.mark.parametrize("w,length,match", [
     (np.zeros((2, 3, 2), np.int16), 16, "uint8 weight bank"),
@@ -479,14 +627,20 @@ def test_weight_bank_rejects_before_c(make, w, length, match, monkeypatch):
 ])
 def test_conv_bank_layout(n, channels, word):
     """``conv_bank`` stores word k of channel c's transposed cycle row t
-    at ``[k, t, c]``, the padding channels zero."""
+    at ``[k, t, c]``, MSB first (tile input i of a word at its bit
+    ``bits - 1 - i``), inputs in the plan's tile order, the padding
+    channels zero."""
     rng = np.random.default_rng(n)
     length = 21
     w = ops.pack_bits(rng.random((channels, n, length)) < 0.5)
-    bank = native.conv_bank(w, length)
+    # One conv position reading the rows backwards, the last input last:
+    # the tile order reverses all inputs but the last.
+    table = np.append(np.arange(n - 1)[::-1], n - 1)[None]
+    bank = native.conv_bank(w, length, table, np.arange(n))
+    perm = np.append(np.arange(n - 1)[::-1], n - 1)
     with native.override(False):
-        rows = ops.transpose_pack(w, length)           # (C, L, W) bytes
-    words = rows.view(word)                            # (C, L, W / size)
+        rows = ops.transpose_pack(w[:, perm], length)  # (C, L, W) bytes
+    words = rows.view(np.dtype(word).newbyteorder(">")).astype(word)
     assert bank.data.dtype == word and not bank.data.flags.writeable
     assert bank.data.shape == (words.shape[2], length,
                                -(-channels // native.LANES) * native.LANES)

@@ -203,20 +203,27 @@ def test_saturating_counter_matches_loop(kernel_tier, data, shape, T,
 int64s = st.integers(min_value=-2**63, max_value=2**63 - 1)
 
 
+uint64s = st.one_of(st.integers(min_value=0, max_value=2**64 - 1),
+                   st.integers(min_value=2**63 - 2, max_value=2**63 + 1))
+
+
 @settings(max_examples=80, deadline=None)
 @given(data=st.data(),
-       incs=st.lists(int64s, min_size=1, max_size=12),
+       dtype=st.sampled_from([np.int64, np.uint64]),
        n_states=st.one_of(st.integers(min_value=1, max_value=2**63 - 1),
                           st.integers(min_value=2**63 - 4,
                                       max_value=2**63 - 1)))
-def test_saturating_counter_never_wraps(kernel_tier, data, incs, n_states):
-    # Full-range int64 increments against a Python-int reference: no
-    # add may wrap, however close the state sits to either int64 bound.
+def test_saturating_counter_never_wraps(kernel_tier, data, dtype, n_states):
+    # Full-range int64 and uint64 increments against a Python-int
+    # reference: no add may wrap, however close the state sits to either
+    # int64 bound, and no uint64 increment >= 2**63 may turn negative.
+    incs = data.draw(st.lists(int64s if dtype is np.int64 else uint64s,
+                              min_size=1, max_size=12))
     init = data.draw(st.one_of(
         st.none(), st.integers(min_value=0, max_value=n_states - 1)))
     threshold = data.draw(st.one_of(
         st.none(), st.integers(min_value=0, max_value=n_states)))
-    out = saturating_counter(np.array(incs, dtype=np.int64), n_states,
+    out = saturating_counter(np.array(incs, dtype=dtype), n_states,
                              init=init, threshold=threshold)
     state = n_states // 2 if init is None else init
     threshold = n_states // 2 if threshold is None else threshold
