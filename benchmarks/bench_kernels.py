@@ -4,21 +4,23 @@ Not a paper table — these time the packed-bit kernels that make the
 bit-level LeNet-5 simulation tractable, and guard against performance
 regressions: XNOR multiply, APC column counting, the vectorized Stanh
 FSM, a full feature-extraction-block forward, one exact conv-layer
-pass, the fused APC conv stage at the LeNet-5 layer-0/1 shapes and the
-fused APC FC stage at the fc1 shape.
+pass, the fused APC conv stage at the LeNet-5 layer-0/1 shapes under
+max and average pooling and the fused APC FC stage at the fc1 shape.
 
-The ``*_numpy`` / ``*_native`` twins time the same computation with the
-dispatch pinned to each tier (``repro.native.override``); ``run_all.py``
-folds them into the numpy-vs-native speedup column of
-``BENCH_kernels.json``.  The unsuffixed names keep timing whatever the
-repo dispatches to by default, so their trajectory tracks what users
-actually get.
+The ``*_numpy`` / ``*_native`` twins time the same computation on each
+kernel tier: the NumPy composition the exact backend runs with the tier
+off (Stanh with its dispatch pinned off by ``repro.native.override``)
+and the native call that replaces it; ``run_all.py`` folds them into
+the numpy-vs-native speedup column of ``BENCH_kernels.json``.  The
+unsuffixed names keep timing whatever the repo dispatches to by
+default, so their trajectory tracks what users actually get.
 """
 
 import numpy as np
 import pytest
 
 import repro.native as native
+from repro.core.config import PoolKind
 from repro.core.feature_extraction import make_feb
 from repro.engine.exact import channel_minor_order, numpy_apc_counts
 from repro.sc import activation, adders, ops
@@ -97,106 +99,14 @@ def test_kernel_stanh_fsm(benchmark, factory, rng):
 
 
 # ----------------------------------------------------------------------
-# numpy-vs-native tier pairs (same inputs, dispatch pinned per side)
+# numpy-vs-native tier pairs (same inputs, one per kernel tier)
 # ----------------------------------------------------------------------
-
-def _tier_pair_streams(factory, rng, shape=(128, 25)):
-    return factory.packed(rng.uniform(-1, 1, shape), L)
-
-
-def test_kernel_fused_count_numpy(benchmark, factory, rng):
-    """transpose_pack + popcount_sum (the unfused NumPy composition)."""
-    streams = _tier_pair_streams(factory, rng)
-
-    def run():
-        with native.override(False):
-            return ops.popcount_sum(ops.transpose_pack(streams, L),
-                                    dtype=np.int16)
-
-    out = benchmark(run)
-    assert out.shape == (128, L)
-
-
-@_needs_native
-def test_kernel_fused_count_native(benchmark, factory, rng):
-    """The same column counts through the fused native kernel."""
-    streams = _tier_pair_streams(factory, rng)
-
-    def run():
-        with native.override(True):
-            return adders.parallel_counter(streams, L)
-
-    out = benchmark(run)
-    with native.override(False):
-        ref = ops.popcount_sum(ops.transpose_pack(streams, L),
-                               dtype=np.int16)
-    assert np.array_equal(out, ref)
-
-
-def test_kernel_apc_counts_numpy(benchmark, factory, rng):
-    """APC column counts pinned to the pure-NumPy unpack/reduce path."""
-    streams = _tier_pair_streams(factory, rng)
-
-    def run():
-        with native.override(False):
-            return adders.apc_count(streams, L)
-
-    out = benchmark(run)
-    assert out.shape == (128, L)
-
-
-@_needs_native
-def test_kernel_apc_counts_native(benchmark, factory, rng):
-    """APC column counts pinned to the native fused counter."""
-    streams = _tier_pair_streams(factory, rng)
-
-    def run():
-        with native.override(True):
-            return adders.apc_count(streams, L)
-
-    out = benchmark(run)
-    with native.override(False):
-        ref = adders.apc_count(streams, L)
-    assert np.array_equal(out, ref)
-
-
-def _apc_inner_banks(factory, rng):
-    """An exact-backend-shaped inner product: 64 windows x 32 channels
-    of 150 inputs."""
-    x = factory.packed(rng.uniform(-1, 1, (64, 150)), L)
-    w = factory.packed(rng.uniform(-1, 1, (32, 150)), L)
-    return x, w, *_numpy_banks(w, L)
-
 
 def _numpy_banks(w, length):
     """The NumPy tier's counting bank of packed weights ``w``: the
     transposed bank and its last-input bit plane."""
-    with native.override(False):
-        return (ops.transpose_pack(w, length),
-                ops.unpack_bits(w[:, -1, :], length))
-
-
-def test_kernel_apc_inner_numpy(benchmark, factory, rng):
-    """Exact-backend inner product, pure-NumPy transposed counting."""
-    x, _, wT, w_last = _apc_inner_banks(factory, rng)
-
-    def run():
-        with native.override(False):
-            return numpy_apc_counts(x, wT, w_last, 150, L)
-
-    out = benchmark(run)
-    assert out.shape == (32, 64, L)
-
-
-@_needs_native
-def test_kernel_apc_inner_native(benchmark, factory, rng):
-    """Exact-backend inner product through the fused native kernel."""
-    x, w, wT, w_last = _apc_inner_banks(factory, rng)
-    bank = native.weight_bank(w, L)
-    out = benchmark(lambda: native.apc_inner_counts(x, bank))
-    with native.override(False):
-        ref = numpy_apc_counts(x, wT, w_last, 150, L)
-    assert np.array_equal(out, ref)
+    return (ops.transpose_pack(w, length),
+            ops.unpack_bits(w[:, -1, :], length))
 
 
 def test_kernel_stanh_numpy(benchmark, factory, rng):
@@ -226,37 +136,13 @@ def test_kernel_stanh_native(benchmark, factory, rng):
     assert np.array_equal(out, ref)
 
 
-def test_kernel_btanh_numpy(benchmark, rng):
-    """Saturating-counter scan pinned to the blocked NumPy composition."""
-    counts = rng.integers(0, 26, (800, L)).astype(np.int16)
-
-    def run():
-        with native.override(False):
-            return activation.btanh_counts(counts, 25, 50)
-
-    out = benchmark(run)
-    assert out.shape == counts.shape
-
-
-@_needs_native
-def test_kernel_btanh_native(benchmark, rng):
-    """Saturating-counter scan pinned to the native sequential scan."""
-    counts = rng.integers(0, 26, (800, L)).astype(np.int16)
-
-    def run():
-        with native.override(True):
-            return activation.btanh_counts(counts, 25, 50)
-
-    out = benchmark(run)
-    with native.override(False):
-        ref = activation.btanh_counts(counts, 25, 50)
-    assert np.array_equal(out, ref)
-
-
-#: LeNet-5 conv stages under APC-Max-Btanh: (input channels, input
-#: side, output channels, K) of layer 0 (n = 26) and layer 1 (n = 501)
+#: LeNet-5 conv stages under APC-Max-Btanh / APC-Avg-Btanh: (input
+#: channels, input side, output channels, K) of layer 0 (n = 26) and
+#: layer 1 (n = 501)
 _CONV_STAGES = {"layer0": (1, 28, 20, 52), "layer1": (20, 12, 50, 1002)}
 _CONV_L = 64
+_POOLS = pytest.mark.parametrize("pool", [PoolKind.MAX, PoolKind.AVG],
+                                 ids=["max", "avg"])
 
 
 def _conv_stage(rng, layer):
@@ -275,35 +161,38 @@ def _conv_stage(rng, layer):
     return x, table, w, *_numpy_banks(w, _CONV_L), windows, n_states
 
 
-def _conv_stage_numpy(x, table, wT, w_last, windows, n_states):
+def _conv_stage_numpy(x, table, wT, w_last, windows, n_states, pool):
     """The ExactBackend._conv_layer NumPy composition: gather, count,
-    max pool, Btanh, pack (channel-major, as that path leaves it)."""
-    from repro.blocks.pooling import apc_max_pool
+    max or average pool, Btanh, pack (channel-major, as that path
+    leaves it)."""
+    from repro.blocks.pooling import apc_average_pool, apc_max_pool
     batch, n, nb = x.shape[0], table.shape[1], x.shape[-1]
     patch = x[:, table].reshape(-1, n, nb)
     counts = numpy_apc_counts(patch, wT, w_last, n, _CONV_L).reshape(
         len(wT), batch, len(table), _CONV_L)
-    pooled = apc_max_pool(counts[:, :, windows], 16)
+    grouped = counts[:, :, windows]
+    if pool is PoolKind.AVG:
+        pooled = apc_average_pool(grouped)
+    else:
+        pooled = apc_max_pool(grouped, 16)
     return ops.pack_bits(activation.btanh_counts(pooled, n, n_states))
 
 
+@_POOLS
 @pytest.mark.parametrize("layer", sorted(_CONV_STAGES))
-def test_kernel_conv_stage_numpy(benchmark, rng, layer):
-    """One APC conv stage with max pooling, pinned to the NumPy path."""
+def test_kernel_conv_stage_numpy(benchmark, rng, layer, pool):
+    """One pooled APC conv stage, the NumPy composition."""
     x, table, _, wT, w_last, windows, n_states = _conv_stage(rng, layer)
-
-    def run():
-        with native.override(False):
-            return _conv_stage_numpy(x, table, wT, w_last, windows,
-                                     n_states)
-
-    out = benchmark.pedantic(run, rounds=5, iterations=1)
+    out = benchmark.pedantic(
+        lambda: _conv_stage_numpy(x, table, wT, w_last, windows, n_states,
+                                  pool), rounds=5, iterations=1)
     assert out.shape == (len(wT), 16, len(windows), _CONV_L // 8)
 
 
 @_needs_native
+@_POOLS
 @pytest.mark.parametrize("layer", sorted(_CONV_STAGES))
-def test_kernel_conv_stage_native(benchmark, rng, layer):
+def test_kernel_conv_stage_native(benchmark, rng, layer, pool):
     """The same conv stage through the fused native kernel, over the
     channel-minor lane bank and gather plan the exact backend lays out
     for it."""
@@ -311,10 +200,9 @@ def test_kernel_conv_stage_native(benchmark, rng, layer):
     cin, side = _CONV_STAGES[layer][:2]
     bank = native.conv_bank(w, _CONV_L, table,
                             channel_minor_order(cin, side, side))
-    out = benchmark(lambda: native.apc_conv_max_btanh_pack(
-        x, bank, windows, 16, n_states))
-    with native.override(False):
-        ref = _conv_stage_numpy(x, table, wT, w_last, windows, n_states)
+    out = benchmark(lambda: native.apc_conv_pool_btanh_pack(
+        x, bank, windows, pool, 16, n_states))
+    ref = _conv_stage_numpy(x, table, wT, w_last, windows, n_states, pool)
     assert np.array_equal(out, ref.transpose(1, 0, 2, 3))
 
 
@@ -339,15 +227,11 @@ def _fc_stage_numpy(x, wT, w_last):
 
 
 def test_kernel_fc_stage_numpy(benchmark, rng):
-    """One APC FC stage (LeNet-5 fc1, batch 16), pinned to NumPy."""
+    """One APC FC stage (LeNet-5 fc1, batch 16), the NumPy composition."""
     x, w = _fc_stage(rng)
     wT, w_last = _numpy_banks(w, _CONV_L)
-
-    def run():
-        with native.override(False):
-            return _fc_stage_numpy(x, wT, w_last)
-
-    out = benchmark.pedantic(run, rounds=5, iterations=1)
+    out = benchmark.pedantic(lambda: _fc_stage_numpy(x, wT, w_last),
+                             rounds=5, iterations=1)
     assert out.shape == (16, _FC_UNITS, _CONV_L // 8)
 
 
@@ -357,9 +241,7 @@ def test_kernel_fc_stage_native(benchmark, rng):
     x, w = _fc_stage(rng)
     bank = native.weight_bank(w, _CONV_L)
     out = benchmark(lambda: native.apc_fc_btanh_pack(x, bank, _FC_STATES))
-    with native.override(False):
-        ref = _fc_stage_numpy(x, *_numpy_banks(w, _CONV_L))
-    assert np.array_equal(out, ref)
+    assert np.array_equal(out, _fc_stage_numpy(x, *_numpy_banks(w, _CONV_L)))
 
 
 def test_kernel_btanh(benchmark, rng):

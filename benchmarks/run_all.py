@@ -36,19 +36,11 @@ DSE_OUTPUT = BENCH_DIR / "BENCH_dse.json"
 #: numpy-vs-native benchmark twins (see bench_kernels.py) folded into
 #: the ``native`` speedup column of BENCH_kernels.json.
 _NATIVE_PAIRS = {
-    "fused_transpose_popcount_sum": ("test_kernel_fused_count_numpy",
-                                     "test_kernel_fused_count_native"),
-    "apc_column_counts": ("test_kernel_apc_counts_numpy",
-                          "test_kernel_apc_counts_native"),
-    "apc_inner_product": ("test_kernel_apc_inner_numpy",
-                          "test_kernel_apc_inner_native"),
     "stanh_fsm": ("test_kernel_stanh_numpy", "test_kernel_stanh_native"),
-    "saturating_counter": ("test_kernel_btanh_numpy",
-                           "test_kernel_btanh_native"),
-    "apc_conv_stage_layer0": ("test_kernel_conv_stage_numpy[layer0]",
-                              "test_kernel_conv_stage_native[layer0]"),
-    "apc_conv_stage_layer1": ("test_kernel_conv_stage_numpy[layer1]",
-                              "test_kernel_conv_stage_native[layer1]"),
+    **{f"apc_conv_stage_{layer}_{pool}": (
+        f"test_kernel_conv_stage_numpy[{layer}-{pool}]",
+        f"test_kernel_conv_stage_native[{layer}-{pool}]")
+       for layer in ("layer0", "layer1") for pool in ("max", "avg")},
     "apc_fc_stage": ("test_kernel_fc_stage_numpy",
                      "test_kernel_fc_stage_native"),
 }

@@ -132,11 +132,10 @@ class ExactBackend:
 
     def _fused_conv(self, lp) -> bool:
         """Whether layer ``lp`` runs as one native conv-stage call
-        (``native.apc_conv_max_btanh_pack``): an APC conv with max
-        pooling, on the native tier."""
+        (``native.apc_conv_pool_btanh_pack``): a pooled APC conv on the
+        native tier."""
         return (self.native_tier and lp.op == "conv"
-                and lp.kind is FEBKind.APC and lp.pooled
-                and self.plan.config.pooling is PoolKind.MAX)
+                and lp.kind is FEBKind.APC and lp.pooled)
 
     def _bank(self, i: int, lp, w: np.ndarray):
         """The counting bank of layer ``i`` (``lp``)'s packed weights
@@ -145,7 +144,8 @@ class ExactBackend:
         Native tier: a :class:`repro.native.ConvBank` (one SIMD lane per
         channel, gathering through the patch table in
         :func:`channel_minor_order`) for a fused conv stage, else a
-        :class:`repro.native.WeightBank` in the kernels' counting layout.
+        :class:`repro.native.WeightBank` in the FC kernel's counting
+        layout (an FC layer, the output layer or an unpooled conv).
         NumPy tier: the row-major ``(C, L, W)`` transposed bank and its
         last-input plane ``(C, L)``, transposed in ``TILE_BYTES`` chunks
         to bound the unpacked transient.
@@ -208,8 +208,7 @@ class ExactBackend:
         """
         per_image = 0
         for lp in self.plan.layers:
-            width = (lp.n_inputs + 7) // 8
-            width += (-width) % 4
+            width = ops.transposed_width(lp.n_inputs)
             if lp.op == "conv":
                 _, _, (conv_h, conv_w) = lp.geometry
                 positions = conv_h * conv_w
@@ -311,13 +310,10 @@ class ExactBackend:
         """APC counts for every (channel, row) of layer ``i``: ``(C, R, L)``.
 
         ``x`` is the packed input bank ``(R, n, nbytes)``; see
-        :func:`numpy_apc_counts` for the arithmetic.  The native tier
-        fuses the transposition, XOR, row popcount and LSB patch into one
-        cache-tiled pass over the bank.
+        :func:`numpy_apc_counts` for the arithmetic.  NumPy tier only:
+        on the native tier every APC layer is one fused call that never
+        builds its counts.
         """
-        if self.native_tier:
-            return native.apc_inner_counts(x, self._banks[i],
-                                           approximate=True)
         w_t, w_last = self._banks[i]
         return numpy_apc_counts(
             x, w_t, w_last, self.plan.layers[i].n_inputs, self.length,
@@ -388,17 +384,23 @@ class ExactBackend:
         P = table.shape[0]
 
         if self._fused_conv(lp):
-            # Native tier: the bank's gather plan, counting, max pool,
+            # Native tier: the bank's gather plan, counting, pooling,
             # Btanh and pack run per pool window; no count tensor is
             # built, and the kernel writes image-major.
-            return native.apc_conv_max_btanh_pack(
-                x, self._banks[i], windows, self.segment,
-                lp.n_states).reshape(B, -1, nb)         # (B, C·W, nb)
+            return native.apc_conv_pool_btanh_pack(
+                x, self._banks[i], windows, self.plan.config.pooling,
+                self.segment, lp.n_states).reshape(B, -1, nb)  # (B, C·W, nb)
         if lp.kind is FEBKind.APC:
-            patch = x[:, table]                         # (B, P, n, nb)
-            counts = self._apc_counts(
-                i, patch.reshape(B * P, lp.n_inputs, nb))
-            counts = counts.reshape(lp.units, B, P, L)
+            patch = x[:, table].reshape(B * P, lp.n_inputs, nb)
+            if self.native_tier:
+                # An unpooled conv is an FC layer over its patch rows:
+                # one call per batch, then (B, P, C) -> (B, C, P).
+                out = native.apc_fc_btanh_pack(patch, self._banks[i],
+                                               lp.n_states)
+                return np.ascontiguousarray(
+                    out.reshape(B, P, lp.units, nb).transpose(0, 2, 1, 3)
+                ).reshape(B, -1, nb)                    # (B, C·P, nb)
+            counts = self._apc_counts(i, patch).reshape(lp.units, B, P, L)
             if lp.pooled:
                 grouped = counts[:, :, windows, :]      # (C, B, W, 4, L)
                 del counts
@@ -490,8 +492,8 @@ def numpy_apc_counts(x: np.ndarray, wT: np.ndarray, w_last: np.ndarray,
     """APC counts of a packed bank against a weight bank, pure NumPy:
     ``(R, n, nbytes)`` × ``(C, L, W)`` → ``(C, R, L)`` int16.
 
-    The oracle of the native ``apc_inner_counts`` and
-    ``apc_conv_max_btanh_pack`` kernels.  Counting runs in the
+    The oracle of the native ``apc_fc_btanh_pack`` and
+    ``apc_conv_pool_btanh_pack`` kernels' counting.  Counting runs in the
     *transposed* domain: the bank is re-packed so each cycle's ``n``
     input bits form one short row (:func:`repro.sc.ops.transpose_pack`
     — one unpack/pack round trip amortized over all ``C`` output

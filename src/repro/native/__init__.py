@@ -1,21 +1,21 @@
 """Native fused-kernel tier: capability layer and ctypes bindings.
 
 This package arms an optional compiled tier below the NumPy word engine
-(DESIGN.md, "Native kernel tier").  The five loops it owns — the fused
-transpose+popcount column counter, the exact-backend inner product, the
-Stanh byte-LUT walk, the saturating-counter FSM scan and the fused APC
-conv stage (count → max pool → Btanh → pack per pool window), plus the
-fused APC FC layer (count → Btanh → pack, or the output layer's count
-sums) — are bit-identical re-implementations of their NumPy
-counterparts; the pure NumPy paths remain the conformance oracle and the
+(DESIGN.md, "Native kernel tier").  It holds one fused call per APC
+layer of the exact backend — the pooled APC conv stage (count → max or
+average pool → Btanh → pack per pool window) and the APC FC layer
+(count → Btanh → pack, or the output layer's count sums), which also
+runs an unpooled APC conv over its patch rows — plus the Stanh byte-LUT
+walk.  Each is a bit-identical re-implementation of its NumPy
+composition; the pure NumPy paths remain the conformance oracle and the
 fallback.
 
 The counting kernels read weights laid out once (the exact backend does
-it at construction), so no call copies weights: the inner-product and
-FC kernels a :class:`WeightBank` from :func:`weight_bank`, the conv
-stage a channel-minor :class:`ConvBank` from :func:`conv_bank`, which
-also holds the stage's gather plan, so no call re-derives it.  Each
-refuses any other bank by type — a plain array would be the row-major
+it at construction), so no call copies weights: the FC kernel a
+:class:`WeightBank` from :func:`weight_bank`, the conv stage a
+channel-minor :class:`ConvBank` from :func:`conv_bank`, which also holds
+the stage's gather plan, so no call re-derives it.  Each refuses any
+other bank by type — a plain array would be the row-major
 ``transpose_pack`` bank.
 
 Capability protocol
@@ -40,21 +40,21 @@ Capability protocol
 * unset — best effort: build/load if a toolchain exists, else record
   the reason and fall back to NumPy.
 
-All wrappers return freshly-allocated arrays.  The dispatchers in
-``repro.sc`` call them only when ``enabled()`` is true; the exact
-backend checks ``enabled()`` once, when it is built.
+All wrappers return freshly-allocated arrays.  In ``repro.sc`` only
+``activation.stanh_packed`` dispatches here, per call, when ``enabled()``
+is true; the exact backend checks ``enabled()`` once, when it is built.
 """
 
 from __future__ import annotations
 
 import contextlib
-import ctypes
 import os
 from ctypes import POINTER, c_int, c_int64, c_uint8
 from dataclasses import dataclass
 
 import numpy as np
 
+from repro.sc.ops import transposed_width
 from repro.utils.validation import check_positive_int
 
 __all__ = [
@@ -62,19 +62,14 @@ __all__ = [
     "enabled",
     "status",
     "override",
-    "transpose_pack",
-    "popcount_rows",
-    "column_counts",
     "WeightBank",
     "weight_bank",
     "ConvBank",
     "conv_bank",
-    "apc_inner_counts",
     "apc_fc_btanh_pack",
     "apc_fc_sums",
     "stanh_lut",
-    "saturating_counter",
-    "apc_conv_max_btanh_pack",
+    "apc_conv_pool_btanh_pack",
 ]
 
 _ENV = "REPRO_NATIVE"
@@ -86,24 +81,10 @@ _override = None
 _env_setting = os.environ.get(_ENV)
 
 _u8p = POINTER(c_uint8)
-_i16p = POINTER(ctypes.c_int16)
-_i32p = POINTER(ctypes.c_int32)
 _i64p = POINTER(c_int64)
 
 
 def _configure(lib) -> None:
-    lib.repro_transpose_pack.argtypes = [
-        _u8p, c_int64, c_int64, c_int64, c_int64, c_int64, _u8p]
-    lib.repro_transpose_pack.restype = c_int
-    lib.repro_popcount_rows.argtypes = [_u8p, c_int64, c_int64, _i64p]
-    lib.repro_popcount_rows.restype = c_int
-    lib.repro_column_counts.argtypes = [
-        _u8p, c_int64, c_int64, c_int64, c_int64, c_int, _i16p]
-    lib.repro_column_counts.restype = c_int
-    lib.repro_apc_inner_counts.argtypes = [
-        _u8p, _u8p, c_int64, c_int64, c_int64, c_int64, c_int64, c_int64,
-        c_int, _i16p]
-    lib.repro_apc_inner_counts.restype = c_int
     lib.repro_layout_bank.argtypes = [
         _u8p, c_int64, c_int64, c_int64, c_int64, c_int64, _u8p]
     lib.repro_layout_bank.restype = c_int
@@ -117,17 +98,11 @@ def _configure(lib) -> None:
     lib.repro_stanh_lut.argtypes = [
         _u8p, c_int64, c_int64, _u8p, _u8p, c_int64, c_uint8, _u8p]
     lib.repro_stanh_lut.restype = c_int
-    lib.repro_saturating_counter_i64.argtypes = [
-        _i64p, c_int64, c_int64, c_int64, c_int64, c_int64, _u8p]
-    lib.repro_saturating_counter_i64.restype = c_int
-    lib.repro_saturating_counter_i32.argtypes = [
-        _i32p, c_int64, c_int64, c_int64, c_int64, c_int64, _u8p]
-    lib.repro_saturating_counter_i32.restype = c_int
-    lib.repro_apc_conv_max_btanh_pack.argtypes = [
+    lib.repro_apc_conv_pool_btanh_pack.argtypes = [
         _u8p, c_int64, c_int64, c_int64, _i64p, _i64p, c_int64, _i64p,
-        c_int64, _u8p, c_int64, c_int64, c_int64, _i64p, c_int64, c_int64,
-        c_int64, _u8p]
-    lib.repro_apc_conv_max_btanh_pack.restype = c_int
+        c_int64, _u8p, c_int64, c_int64, c_int64, _i64p, c_int64, c_int,
+        c_int64, c_int64, _u8p]
+    lib.repro_apc_conv_pool_btanh_pack.restype = c_int
 
 
 def _try_load() -> None:
@@ -208,68 +183,16 @@ def _check(rc: int) -> None:
 # kernel wrappers
 # ----------------------------------------------------------------------
 
-def transpose_pack(data: np.ndarray, length: int, align: int = 4) -> np.ndarray:
-    """Native ``ops.transpose_pack``: ``(..., n, nbytes)`` → ``(..., L, W)``."""
-    data = np.ascontiguousarray(data, dtype=np.uint8)
-    batch = data.shape[:-2]
-    n, nbytes = data.shape[-2], data.shape[-1]
-    width = (n + 7) // 8
-    width += (-width) % align
-    R = int(np.prod(batch, dtype=np.int64)) if batch else 1
-    out = np.empty(batch + (length, width), dtype=np.uint8)
-    _check(_lib.repro_transpose_pack(
-        _ptr(data, _u8p), R, n, nbytes, length, width, _ptr(out, _u8p)))
-    return out
-
-
-def popcount_rows(data: np.ndarray) -> np.ndarray:
-    """Native per-row popcount over the last axis: ``(..., nbytes)`` → int64."""
-    data = np.ascontiguousarray(data, dtype=np.uint8)
-    nbytes = data.shape[-1] if data.ndim else 1
-    shape = data.shape[:-1]
-    rows = int(np.prod(shape, dtype=np.int64)) if shape else 1
-    out = np.empty(shape, dtype=np.int64)
-    if data.size:
-        _check(_lib.repro_popcount_rows(
-            _ptr(data, _u8p), rows, nbytes, _ptr(out, _i64p)))
-    else:
-        out[...] = 0
-    return out
-
-
-def column_counts(streams: np.ndarray, length: int,
-                  approximate: bool) -> np.ndarray:
-    """Fused transpose+popcount column counts: ``(..., n, nbytes)`` →
-    ``(..., length)`` int16 (the ``parallel_counter``/``apc_count``
-    kernel)."""
-    streams = np.ascontiguousarray(streams, dtype=np.uint8)
-    batch = streams.shape[:-2]
-    n, nbytes = streams.shape[-2], streams.shape[-1]
-    R = int(np.prod(batch, dtype=np.int64)) if batch else 1
-    out = np.empty(batch + (length,), dtype=np.int16)
-    _check(_lib.repro_column_counts(
-        _ptr(streams, _u8p), R, n, nbytes, length,
-        1 if approximate else 0, _ptr(out, _i16p)))
-    return out
-
-
-def _row_width(n: int) -> int:
-    """Bytes per transposed cycle row of ``n`` inputs (4-byte aligned,
-    as ``ops.transpose_pack`` pads them)."""
-    width = (n + 7) // 8
-    return width + (-width) % 4
-
-
 @dataclass(frozen=True)
 class WeightBank:
-    """A packed weight bank laid out for the inner-product and FC kernels.
+    """A packed weight bank laid out for the FC kernel.
 
     ``data`` holds ``channels`` blocks of ``length × width`` bytes: each
     channel's ``n`` weight streams bit-transposed into one ``width``-byte
     row per cycle, word-major when ``width % 8 == 0`` (the counting
     layout of ``kernels.c``).  :func:`weight_bank` builds one; the type
     is what tells it from a row-major array or a :class:`ConvBank`, and
-    its sizes are checked here so no bank can overrun the kernels' reads.
+    its sizes are checked here so no bank can overrun the kernel's reads.
     """
 
     data: np.ndarray
@@ -281,7 +204,7 @@ class WeightBank:
         if (not isinstance(data, np.ndarray) or data.dtype != np.uint8
                 or data.ndim != 2 or not data.flags.c_contiguous
                 or self.n < 1 or self.length < 1
-                or data.shape[1] != self.length * _row_width(self.n)):
+                or data.shape[1] != self.length * transposed_width(self.n)):
             shape = getattr(data, "shape", data)
             raise ValueError(f"not a laid-out bank of n={self.n} "
                              f"L={self.length}: {shape}")
@@ -292,7 +215,7 @@ class WeightBank:
 
     @property
     def width(self) -> int:
-        return _row_width(self.n)
+        return transposed_width(self.n)
 
 
 #: channels per SIMD lane group of the conv stage (``LANES`` in
@@ -303,7 +226,7 @@ LANES = 16
 def _lane_layout(n: int, channels: int) -> tuple[type, int, int]:
     """A conv lane bank's word type, words per cycle row and padded
     channel count (``lane_word``/``lane_pad`` in ``kernels.c``)."""
-    width = _row_width(n)
+    width = transposed_width(n)
     word = np.uint64 if width % 8 == 0 else np.uint32
     cp = -(-channels // LANES) * LANES
     return word, width // np.dtype(word).itemsize, cp
@@ -380,7 +303,7 @@ class ConvBank:
 
     @property
     def width(self) -> int:
-        return _row_width(self.n)
+        return transposed_width(self.n)
 
     @property
     def rows(self) -> int:
@@ -410,7 +333,7 @@ def weight_bank(w: np.ndarray, length: int) -> WeightBank:
     """
     w, length = _checked_weights(w, length)
     C, n, nbytes = w.shape
-    width = _row_width(n)
+    width = transposed_width(n)
     data = np.empty((C, length * width), dtype=np.uint8)
     _check(_lib.repro_layout_bank(_ptr(w, _u8p), C, n, nbytes, length,
                                   width, _ptr(data, _u8p)))
@@ -492,7 +415,7 @@ def conv_bank(w: np.ndarray, length: int, table: np.ndarray,
     word, words, cp = _lane_layout(n, C)
     data = np.empty((words, length, cp), dtype=word)
     _check(_lib.repro_layout_conv_bank(_ptr(w, _u8p), C, n, nbytes, length,
-                                       _row_width(n), _ptr(data, _u8p)))
+                                       transposed_width(n), _ptr(data, _u8p)))
     image = np.empty(S, dtype=np.int64)
     image[order] = np.arange(S)
     for array in (data, image, runs, sources):
@@ -519,21 +442,6 @@ def _checked_rows(x, bank: WeightBank) -> np.ndarray:
     return np.ascontiguousarray(x)
 
 
-def apc_inner_counts(x: np.ndarray, bank: WeightBank,
-                     approximate: bool = True) -> np.ndarray:
-    """Fused exact-backend inner product: packed bank ``(R, n, nbytes)``
-    against a :class:`WeightBank` of ``C`` channels → ``(C, R, L)``
-    int16 counts, transposition and XOR-popcount fused in cache tiles."""
-    bank = _checked_bank(bank)
-    x = _checked_rows(x, bank)
-    R, C, L = x.shape[0], bank.channels, bank.length
-    out = np.empty((C, R, L), dtype=np.int16)
-    _check(_lib.repro_apc_inner_counts(
-        _ptr(x, _u8p), _ptr(bank.data, _u8p), R, C, bank.n, x.shape[2], L,
-        bank.width, 1 if approximate else 0, _ptr(out, _i16p)))
-    return out
-
-
 def _apc_fc(x, bank, n_states: int, bits, sums) -> None:
     _check(_lib.repro_apc_fc_btanh_pack(
         _ptr(x, _u8p), x.shape[0], bank.n, x.shape[2],
@@ -546,7 +454,8 @@ def apc_fc_btanh_pack(x: np.ndarray, bank: WeightBank,
                       n_states: int) -> np.ndarray:
     """One APC fully-connected layer: packed input bank ``(R, n, nbytes)``
     (bias row included) against a :class:`WeightBank` of ``C`` channels →
-    packed Btanh output streams ``(R, C, nbytes)``.
+    packed Btanh output streams ``(R, C, nbytes)``.  An unpooled APC conv
+    is the same layer over its patch rows, one row per (image, position).
 
     Bit-identical to ``pack_bits(btanh_counts(counts, n, n_states))``
     over the APC counts, transposed to ``(R, C, nbytes)``, without
@@ -592,46 +501,33 @@ def stanh_lut(data: np.ndarray, length: int, nxt: np.ndarray,
     return out
 
 
-def saturating_counter(increments: np.ndarray, n_states: int, init: int,
-                       threshold: int) -> np.ndarray:
-    """Saturating-counter FSM scan: ``(..., T)`` integer increments →
-    boolean output bits, clamped into ``[0, n_states - 1]``."""
-    inc = np.asarray(increments)
-    if inc.dtype == np.int32:
-        inc = np.ascontiguousarray(inc)
-        fn = _lib.repro_saturating_counter_i32
-        ptr_t = _i32p
-    else:
-        inc = np.ascontiguousarray(inc, dtype=np.int64)
-        fn = _lib.repro_saturating_counter_i64
-        ptr_t = _i64p
-    T = inc.shape[-1]
-    rows = int(np.prod(inc.shape[:-1], dtype=np.int64)) \
-        if inc.shape[:-1] else 1
-    out = np.empty(inc.shape, dtype=np.uint8)
-    if inc.size:
-        _check(fn(_ptr(inc, ptr_t), rows, T, n_states - 1, int(init),
-                  int(threshold), _ptr(out, _u8p)))
-    return out.view(bool)
+def apc_conv_pool_btanh_pack(x: np.ndarray, bank: ConvBank,
+                             windows: np.ndarray, pool, segment: int,
+                             n_states: int) -> np.ndarray:
+    """One pooled APC conv stage: packed input banks ``(B, S, nbytes)``
+    (bias row included), a :class:`ConvBank` of ``C`` channels whose
+    gather plan reads those ``S`` rows at ``P`` conv positions, and 2×2
+    pool windows ``(Wn, 4)`` indexing ``[0, P)`` → packed Btanh output
+    streams ``(B, C, Wn, nbytes)``, image-major.
 
-
-def apc_conv_max_btanh_pack(x: np.ndarray, bank: ConvBank,
-                            windows: np.ndarray, segment: int,
-                            n_states: int) -> np.ndarray:
-    """One APC conv stage with max pooling: packed input banks
-    ``(B, S, nbytes)`` (bias row included), a :class:`ConvBank` of ``C``
-    channels whose gather plan reads those ``S`` rows at ``P`` conv
-    positions, and 2×2 pool windows ``(Wn, 4)`` indexing ``[0, P)``
-    → packed Btanh output streams ``(B, C, Wn, nbytes)``, image-major.
-
-    Bit-identical to ``pack_bits(btanh_counts(apc_max_pool(
-    counts[:, :, windows], segment), n, n_states))`` over the APC counts
-    ``(C, B, P, L)`` of ``x[:, table]`` against the weights (``table``
-    as given to :func:`conv_bank`), transposed to image-major, without
-    building the patch bank, the counts or any later intermediate.
-    Every argument is checked here, before a pointer reaches C.
+    ``pool`` is the plan's :class:`~repro.core.config.PoolKind`.
+    Bit-identical to ``pack_bits(btanh_counts(pooled, n, n_states))``
+    over the APC counts ``(C, B, P, L)`` of ``x[:, table]`` against the
+    weights (``table`` as given to :func:`conv_bank`), with ``pooled``
+    ``apc_max_pool(counts[:, :, windows], segment)`` under
+    ``PoolKind.MAX`` or ``apc_average_pool(counts[:, :, windows])``
+    under ``PoolKind.AVG`` (which reads no ``segment``), transposed to
+    image-major, without building the patch bank, the counts or any
+    later intermediate.  Every argument is checked here, before a
+    pointer reaches C.
     """
+    # repro.core imports this package (through repro.sc), so PoolKind
+    # is looked up at call time.
+    from repro.core.config import PoolKind
+
     bank = _checked_bank(bank, ConvBank)
+    if not isinstance(pool, PoolKind):
+        raise TypeError(f"expected a PoolKind, got {type(pool).__name__}")
     x = np.asarray(x)
     if x.dtype != np.uint8 or x.ndim != 3:
         raise ValueError(f"expected uint8 x (B, S, nbytes), got "
@@ -642,17 +538,22 @@ def apc_conv_max_btanh_pack(x: np.ndarray, bank: ConvBank,
         raise ValueError(f"bank mismatch: x {x.shape} against S={bank.rows} "
                          f"L={L}")
     windows = _int_table("windows", windows, 4, bank.sources.shape[0])
-    segment = check_positive_int(segment, "segment")
     n_states = check_positive_int(n_states, "n_states")
-    if L % segment:
-        raise ValueError(f"stream length {L} must be a multiple of "
-                         f"segment {segment}")
+    avg = pool is PoolKind.AVG              # POOL_AVG is 1 in kernels.c
+    if avg:
+        segment = L
+    else:
+        segment = check_positive_int(segment, "segment")
+        if L % segment:
+            raise ValueError(f"stream length {L} must be a multiple of "
+                             f"segment {segment}")
     x = np.ascontiguousarray(x)
     C, Wn = bank.channels, windows.shape[0]
     out = np.empty((B, C, Wn, nbytes), dtype=np.uint8)
-    _check(_lib.repro_apc_conv_max_btanh_pack(
+    _check(_lib.repro_apc_conv_pool_btanh_pack(
         _ptr(x, _u8p), B, S, nbytes, _ptr(bank.image, _i64p),
         _ptr(bank.runs, _i64p), bank.runs.size, _ptr(bank.sources, _i64p),
         bank.n, _ptr(bank.data, _u8p), C, L, bank.width,
-        _ptr(windows, _i64p), Wn, segment, n_states, _ptr(out, _u8p)))
+        _ptr(windows, _i64p), Wn, int(avg), segment,
+        n_states, _ptr(out, _u8p)))
     return out

@@ -3,44 +3,41 @@
  * C99, no Python.h: the library is a plain shared object loaded via
  * ctypes (see repro/native/__init__.py), compiled at build or first
  * import by repro/native/build.py with whatever system toolchain is
- * present.  Every kernel here is a bit-identical re-implementation of a
- * NumPy word-engine loop (repro.sc.ops / adders / fsm / activation, the
- * exact backend's transposed counting, its APC conv stage with max
- * pooling and its APC FC layer) — arming the tier must change zero
+ * present.  It holds one kernel per APC layer of the exact backend and
+ * the Stanh walk; each is a bit-identical re-implementation of a NumPy
+ * composition (ExactBackend's counting -> pool -> Btanh -> pack, and
+ * repro.sc.activation.stanh_packed) — arming the tier must change zero
  * output bits, which the conformance suite enforces.
  *
  * Four design rules (DESIGN.md, "Native kernel tier"):
  *
- *  1. *Fuse* the loops NumPy cannot: the transpose_pack + popcount_sum
- *     pair becomes one pass that never materializes the transposed
- *     bank (repro_column_counts), the exact backend's inner product
- *     transposes a cache-resident tile and XOR-popcounts it in place
- *     (repro_apc_inner_counts), a pooled APC conv stage transposes
- *     each image once and runs cut -> count -> max pool -> Btanh ->
- *     pack per pool window, cutting every position's tile out of the
- *     transposed image by word shifts and never building its count
- *     tensor (repro_apc_conv_max_btanh_pack), and an APC FC layer runs
- *     count -> Btanh -> pack per row tile, or the output layer's count
- *     sums, the same way (repro_apc_fc_btanh_pack).
- *  2. *Tile* to the cache: the inner-product kernels re-read their
- *     transposed input tile once per output channel, so the tile is
- *     sized (TILE_BYTES) to stay resident across the channel loop; the
- *     conv stage's transposed image, per-window tiles and count
- *     scratch fit L1/L2 beside its bank.  Counting rows are laid out
- *     so the cycle loop vectorizes (count_layout: word-major for widths
- *     that are a multiple of 8 bytes).
- *  3. *Lay weights out once*: repro_layout_bank (the inner-product and
- *     FC layout) and repro_layout_conv_bank (the conv stage's
- *     channel-minor layout, over weights permuted into its gather
- *     plan's tile order) write a weight bank when the backend is built,
- *     and every counting kernel reads that stored bank and plan — no
- *     call copies weights or re-derives a gather.
+ *  1. *One call per layer*: a pooled APC conv stage transposes each
+ *     image once and runs cut -> count -> max or average pool ->
+ *     Btanh -> pack per pool window, cutting every position's tile out
+ *     of the transposed image by word shifts and never building its
+ *     count tensor (repro_apc_conv_pool_btanh_pack); an APC FC layer —
+ *     or an unpooled APC conv over its patch rows — runs count ->
+ *     Btanh -> pack per row tile, or the output layer's count sums
+ *     (repro_apc_fc_btanh_pack).
+ *  2. *Tile* to the cache: the FC kernel re-reads its transposed input
+ *     tile once per output channel, so the tile is sized (TILE_BYTES) to
+ *     stay resident across the channel loop; the conv stage's
+ *     transposed image, per-window tiles and count scratch fit L1/L2
+ *     beside its bank.  Counting rows are laid out so the cycle loop
+ *     vectorizes (count_layout: word-major for widths that are a
+ *     multiple of 8 bytes).
+ *  3. *Lay weights out once*: repro_layout_bank (the FC layout) and
+ *     repro_layout_conv_bank (the conv stage's channel-minor layout,
+ *     over weights permuted into its gather plan's tile order) write a
+ *     weight bank when the backend is built, and every counting kernel
+ *     reads that stored bank and plan — no call copies weights or
+ *     re-derives a gather.
  *  4. *One lane per independent chain*: the conv stage's per-channel
- *     max pool and Btanh counters step in lockstep, so they run one
- *     output channel per lane of GCC/Clang vector types (LANES; no
- *     intrinsics, so the tier needs a compiler with vector extensions
- *     and builds under either of build.py's flag sets).  A serial clamp
- *     chain per channel left the core waiting on its latency.
+ *     pool and Btanh counters step in lockstep, so they run one output
+ *     channel per lane of GCC/Clang vector types (LANES; no intrinsics,
+ *     so the tier needs a compiler with vector extensions and builds
+ *     under either of build.py's flag sets).  A serial clamp chain per
+ *     channel left the core waiting on its latency.
  *
  * All kernels are pure functions of their arguments writing distinct
  * output buffers, so concurrent calls from serving threads are safe
@@ -64,35 +61,6 @@
 #else
 #define API __attribute__((visibility("default")))
 #endif
-
-/* ------------------------------------------------------------------ */
-/* tables                                                             */
-/* ------------------------------------------------------------------ */
-
-/* spread_tab[b]: the 8 bits of b spread into the 8 byte lanes of a
- * uint64 — byte lane t holds bit (7 - t), i.e. *cycle* t of the packed
- * big-endian byte.  Adding spread words accumulates eight per-cycle
- * column counters in parallel; lanes saturate only after 255 adds, so
- * the column counter flushes into int32 totals every 255 streams. */
-static uint64_t spread_tab[256];
-static uint8_t pc8[256];
-
-static void init_tables(void)
-{
-    for (int b = 0; b < 256; b++) {
-        uint64_t v = 0;
-        int ones = 0;
-        for (int t = 0; t < 8; t++) {
-            uint64_t bit = (uint64_t)((b >> (7 - t)) & 1);
-            v |= bit << (8 * t);
-            ones += (int)bit;
-        }
-        spread_tab[b] = v;
-        pc8[b] = (uint8_t)ones;
-    }
-}
-
-__attribute__((constructor)) static void ctor_tables(void) { init_tables(); }
 
 /* ------------------------------------------------------------------ */
 /* helpers                                                            */
@@ -175,130 +143,13 @@ static inline int64_t popcount_xor(const uint8_t *a, const uint8_t *b,
         c += popcnt64((uint64_t)(ua ^ ub));
     }
     for (; i < w; i++)
-        c += pc8[a[i] ^ b[i]];
+        c += popcnt64((uint64_t)(a[i] ^ b[i]));
     return c;
 }
 
 /* ------------------------------------------------------------------ */
 /* kernels                                                            */
 /* ------------------------------------------------------------------ */
-
-/* transpose_pack: packed bank (R, n, nbytes) -> (R, L, W), row t of
- * each output block holding the n streams' bits at cycle t (big-endian,
- * zero-padded to W bytes).  Drop-in for repro.sc.ops.transpose_pack. */
-API int repro_transpose_pack(const uint8_t *in, int64_t R, int64_t n,
-                             int64_t nbytes, int64_t L, int64_t W,
-                             uint8_t *out)
-{
-    memset(out, 0, (size_t)(R * L * W));
-    for (int64_t r = 0; r < R; r++)
-        transpose_rows(in + r * n * nbytes, NULL, n, nbytes, L, W, 8,
-                       out + r * L * W);
-    return 0;
-}
-
-/* Per-row popcount: (rows, nbytes) -> int64 counts.  Backs both
- * ops.popcount and ops.popcount_sum (identical on zero-padded data). */
-API int repro_popcount_rows(const uint8_t *in, int64_t rows, int64_t nbytes,
-                            int64_t *out)
-{
-    for (int64_t r = 0; r < rows; r++) {
-        const uint8_t *a = in + r * nbytes;
-        int64_t c = 0, i = 0;
-        for (; i + 8 <= nbytes; i += 8) {
-            uint64_t u;
-            memcpy(&u, a + i, 8);
-            c += popcnt64(u);
-        }
-        for (; i < nbytes; i++)
-            c += pc8[a[i]];
-        out[r] = c;
-    }
-    return 0;
-}
-
-/* Fused transpose_pack + popcount_sum: per-cycle column counts of a
- * packed bank (R, n, nbytes) -> (R, L) int16, without materializing
- * the transposed bank.  Eight cycle counters ride the byte lanes of
- * one uint64 accumulator per byte position (see spread_tab); lanes
- * flush into int32 totals every 255 streams.  `approximate` applies
- * the APC LSB patch: the output LSB is the exact LSB with the last
- * stream's contribution dropped (repro.sc.adders.apc_count).  */
-API int repro_column_counts(const uint8_t *in, int64_t R, int64_t n,
-                            int64_t nbytes, int64_t L, int approximate,
-                            int16_t *out)
-{
-    int64_t kmax = (L + 7) / 8;
-    if (kmax > nbytes)
-        kmax = nbytes;
-    int use_tot = n > 255;      /* byte lanes saturate after 255 adds */
-    for (int64_t r = 0; r < R; r++) {
-        const uint8_t *base = in + r * n * nbytes;
-        const uint8_t *last = base + (n - 1) * nbytes;
-        /* 64 cycles (8 byte positions) per pass: the 8 lane
-         * accumulators live in registers and each stream row
-         * contributes one fully-unrolled 8-byte visit. */
-        for (int64_t kb = 0; kb < kmax; kb += 8) {
-            int64_t kw = (kmax - kb < 8) ? kmax - kb : 8;
-            uint64_t a[8] = {0, 0, 0, 0, 0, 0, 0, 0};
-            int32_t tot[64];
-            if (use_tot)
-                memset(tot, 0, sizeof(tot));
-            int64_t pending = 0;
-            const uint8_t *col = base + kb;
-            if (kw == 8 && !use_tot) {
-                for (int64_t j = 0; j < n; j++) {
-                    const uint8_t *p = col + j * nbytes;
-                    a[0] += spread_tab[p[0]];
-                    a[1] += spread_tab[p[1]];
-                    a[2] += spread_tab[p[2]];
-                    a[3] += spread_tab[p[3]];
-                    a[4] += spread_tab[p[4]];
-                    a[5] += spread_tab[p[5]];
-                    a[6] += spread_tab[p[6]];
-                    a[7] += spread_tab[p[7]];
-                }
-            } else {
-                for (int64_t j = 0; j < n; j++) {
-                    const uint8_t *p = col + j * nbytes;
-                    for (int64_t i = 0; i < kw; i++)
-                        a[i] += spread_tab[p[i]];
-                    if (use_tot && ++pending == 255) {
-                        for (int i = 0; i < 8; i++) {
-                            for (int t = 0; t < 8; t++)
-                                tot[i * 8 + t] +=
-                                    (int32_t)((a[i] >> (8 * t)) & 0xFF);
-                            a[i] = 0;
-                        }
-                        pending = 0;
-                    }
-                }
-                if (use_tot && pending)
-                    for (int i = 0; i < 8; i++)
-                        for (int t = 0; t < 8; t++)
-                            tot[i * 8 + t] +=
-                                (int32_t)((a[i] >> (8 * t)) & 0xFF);
-            }
-            for (int64_t i = 0; i < kw; i++) {
-                int64_t k = kb + i;
-                int64_t t1 = L - 8 * k;
-                if (t1 > 8)
-                    t1 = 8;
-                for (int64_t t = 0; t < t1; t++) {
-                    int32_t c = use_tot
-                        ? tot[i * 8 + t]
-                        : (int32_t)((a[i] >> (8 * t)) & 0xFF);
-                    if (approximate) {
-                        int32_t b = (last[k] >> (7 - t)) & 1;
-                        c = (c & ~1) | ((c ^ b) & 1);
-                    }
-                    out[r * L + 8 * k + t] = (int16_t)c;
-                }
-            }
-        }
-    }
-    return 0;
-}
 
 /* Counting layout of one transposed bank (DESIGN.md, "Native kernel
  * tier"): how the L cycle rows of W bytes are laid out and how each
@@ -323,12 +174,10 @@ typedef struct {
     int64_t tstride, kstride;   /* transpose_rows strides of the layout */
     int64_t lastb, lastk;   /* byte of the last input; its word */
     int sh;                 /* its bit within that byte (MSB first) */
-    int apx;                /* 1 to apply the LSB patch */
     uint64_t lastmask;      /* its bit within the loaded word */
 } count_layout;
 
-static count_layout make_layout(int64_t n, int64_t L, int64_t W,
-                                int approximate)
+static count_layout make_layout(int64_t n, int64_t L, int64_t W)
 {
     count_layout cl;
     uint8_t bytes[8] = {0, 0, 0, 0, 0, 0, 0, 0};
@@ -341,7 +190,6 @@ static count_layout make_layout(int64_t n, int64_t L, int64_t W,
     cl.lastb = (n - 1) >> 3;
     cl.lastk = cl.lastb >> 3;
     cl.sh = 7 - (int)((n - 1) & 7);
-    cl.apx = approximate ? 1 : 0;
     cl.lastmask = 0;
     if (W == 4) {
         uint32_t m;
@@ -365,14 +213,15 @@ static inline uint64_t load64(const uint8_t *p)
 /* Lay a packed weight bank (C, n, nbytes) out for counting: each
  * channel's n streams bit-transposed into the (L, W) cycle rows of
  * count_layout (word-major when W % 8 == 0).  The exact backend calls
- * this once per counting layer at construction (the fused conv stage's
- * layers use repro_layout_conv_bank instead); the inner-product and FC
- * kernels read the stored bank as is, so no call copies weights. */
+ * this once per FC layer, output layer and unpooled APC conv at
+ * construction (the pooled conv stages use repro_layout_conv_bank
+ * instead); the FC kernel reads the stored bank as is, so no call copies
+ * weights. */
 API int repro_layout_bank(const uint8_t *w, int64_t C, int64_t n,
                           int64_t nbytes, int64_t L, int64_t W,
                           uint8_t *out)
 {
-    const count_layout cl = make_layout(n, L, W, 0);
+    const count_layout cl = make_layout(n, L, W);
     memset(out, 0, (size_t)(C * L * W));
     for (int64_t c = 0; c < C; c++)
         transpose_rows(w + c * n * nbytes, NULL, n, nbytes, L, cl.tstride,
@@ -381,12 +230,11 @@ API int repro_layout_bank(const uint8_t *w, int64_t C, int64_t n,
 }
 
 /* APC counts of one transposed input row block xr against one weight
- * channel wr (both in the layout of cl): out[t], t < L. */
+ * channel wr (both in the layout of cl), LSB patched: out[t], t < L. */
 static inline void count_cycles(const count_layout *cl, const uint8_t *xr,
                                 const uint8_t *wr, int16_t *out)
 {
     const int64_t n = cl->n, L = cl->L, W = cl->W;
-    const int apx = cl->apx;
     if (W == 4) {
         const uint32_t m = (uint32_t)cl->lastmask;
         for (int64_t t = 0; t < L; t++) {
@@ -396,7 +244,7 @@ static inline void count_cycles(const count_layout *cl, const uint8_t *xr,
             uint32_t v = ua ^ ub;
             int64_t cnt = n - popcnt64((uint64_t)v);
             int prod = 1 ^ ((v & m) != 0);
-            out[t] = (int16_t)(cnt ^ (prod & apx));
+            out[t] = (int16_t)(cnt ^ prod);
         }
     } else if (cl->words) {
         for (int64_t t = 0; t < L; t++)
@@ -407,14 +255,12 @@ static inline void count_cycles(const count_layout *cl, const uint8_t *xr,
                 out[t] = (int16_t)(out[t] - popcnt64(load64(xk + 8 * t)
                                                      ^ load64(wk + 8 * t)));
         }
-        if (apx) {
-            const uint8_t *xk = xr + 8 * cl->lastk * L;
-            const uint8_t *wk = wr + 8 * cl->lastk * L;
-            const uint64_t m = cl->lastmask;
-            for (int64_t t = 0; t < L; t++) {
-                uint64_t v = load64(xk + 8 * t) ^ load64(wk + 8 * t);
-                out[t] = (int16_t)(out[t] ^ (1 ^ ((v & m) != 0)));
-            }
+        const uint8_t *xk = xr + 8 * cl->lastk * L;
+        const uint8_t *wk = wr + 8 * cl->lastk * L;
+        const uint64_t m = cl->lastmask;
+        for (int64_t t = 0; t < L; t++) {
+            uint64_t v = load64(xk + 8 * t) ^ load64(wk + 8 * t);
+            out[t] = (int16_t)(out[t] ^ (1 ^ ((v & m) != 0)));
         }
     } else {
         const int64_t lastb = cl->lastb;
@@ -423,7 +269,7 @@ static inline void count_cycles(const count_layout *cl, const uint8_t *xr,
             const uint8_t *a = xr + t * W, *b = wr + t * W;
             int64_t cnt = n - popcount_xor(a, b, W);
             int prod = 1 ^ (((a[lastb] ^ b[lastb]) >> sh) & 1);
-            out[t] = (int16_t)(cnt ^ (prod & apx));
+            out[t] = (int16_t)(cnt ^ prod);
         }
     }
 }
@@ -437,7 +283,7 @@ static inline void count_cycles(const count_layout *cl, const uint8_t *xr,
  * halved the chain time at LeNet-5 fc1's shapes).  Callers pass K as a
  * constant <= 4, so the inlined loop keeps every state in a register.
  * (The conv stage runs its chains one channel per SIMD lane instead:
- * max_btanh_lanes.) */
+ * pool_btanh_lanes.) */
 static inline void btanh_pack_rows(int K, const int16_t *cnt, int64_t L,
                                    int64_t n, int64_t hi, int64_t half,
                                    uint8_t *o, int64_t ostride)
@@ -467,7 +313,7 @@ static inline void btanh_pack_rows(int K, const int16_t *cnt, int64_t L,
 }
 
 /* Bytes of transposed input tile kept cache-resident across the
- * channel loop of the inner-product kernels. */
+ * channel loop of the FC kernel. */
 #define TILE_BYTES (1 << 19)
 
 /* Rows of L x W transposed bytes per TILE_BYTES tile, in [1, R] (1 when
@@ -493,45 +339,9 @@ static void transpose_tile(const count_layout *cl, const uint8_t *x,
                        cl->tstride, cl->kstride, buf + rr * L * W);
 }
 
-/* Fused exact-backend inner product (ExactBackend._apc_counts):
- *
- *   counts[c, r, t] = n - popcount(xT[r, t, :] ^ wT[c, t, :])
- *
- * with the APC LSB patch applied from the last input's product bit
- * (read out of the XOR of the transposed rows — no separate last-bit
- * planes).  x is the packed input bank (R, n, nbytes); bank is the
- * weight bank (C, L, W) as repro_layout_bank laid it out; out is
- * (C, R, L) int16.
- *
- * The input is transposed tile-by-tile into a scratch buffer sized to
- * TILE_BYTES, in the counting layout of count_layout, then every
- * output channel streams over the cached tile — the transposition is
- * fused into the counting pass and the working set never leaves the
- * cache. */
-API int repro_apc_inner_counts(const uint8_t *x, const uint8_t *bank,
-                               int64_t R, int64_t C, int64_t n,
-                               int64_t nbytes, int64_t L, int64_t W,
-                               int approximate, int16_t *out)
-{
-    const count_layout cl = make_layout(n, L, W, approximate);
-    const int64_t Rb = tile_rows(R, L, W);
-    uint8_t *buf = (uint8_t *)malloc((size_t)(Rb * L * W));
-    if (!buf)
-        return -1;
-    for (int64_t r0 = 0; r0 < R; r0 += Rb) {
-        int64_t rn = (R - r0 < Rb) ? R - r0 : Rb;
-        transpose_tile(&cl, x, r0, rn, nbytes, buf);
-        for (int64_t c = 0; c < C; c++)
-            for (int64_t rr = 0; rr < rn; rr++)
-                count_cycles(&cl, buf + rr * L * W, bank + c * L * W,
-                             out + (c * R + r0 + rr) * L);
-    }
-    free(buf);
-    return 0;
-}
-
-/* One APC fully-connected layer (ExactBackend._fc_layer): inner
- * product -> APC count -> Btanh -> pack in one call, without the
+/* One APC fully-connected layer (ExactBackend._fc_layer), or an
+ * unpooled APC conv over its patch rows (ExactBackend._conv_layer):
+ * inner product -> APC count -> Btanh -> pack in one call, without the
  * (C, R, L) count tensor.
  *
  *   x[r, j, :]    (R, n, nbytes) packed input bank, bias row included
@@ -540,8 +350,8 @@ API int repro_apc_inner_counts(const uint8_t *x, const uint8_t *bank,
  *   sums is not NULL (the decoded output layer),
  *   sums[r, c]    (R, C) the APC counts summed over all L cycles.
  *
- * A row tile is transposed once as in repro_apc_inner_counts; then per
- * channel the counts of every row of the tile go into an Rb x L int16
+ * The input is transposed tile by tile (transpose_tile: rows of
+ * TILE_BYTES, in the counting layout), then per channel the counts of every row of the tile go into an Rb x L int16
  * scratch before any Btanh chain starts (a count read right after its
  * vector store stalls the serial chain ~3x), and each row's chain packs
  * straight into its output row, already image-major. */
@@ -551,7 +361,7 @@ API int repro_apc_fc_btanh_pack(const uint8_t *x, int64_t R, int64_t n,
                                 int64_t n_states, uint8_t *bits,
                                 int64_t *sums)
 {
-    const count_layout cl = make_layout(n, L, W, 1);
+    const count_layout cl = make_layout(n, L, W);
     const int64_t Rb = tile_rows(R, L, W), ob = (L + 7) / 8;
     const int64_t hi = n_states - 1, half = n_states / 2;
     uint8_t *buf = (uint8_t *)malloc((size_t)(Rb * L * W));
@@ -614,41 +424,12 @@ API int repro_stanh_lut(const uint8_t *in, int64_t rows, int64_t nbytes,
     return 0;
 }
 
-/* Saturating up/down counter scan (repro.sc.fsm.saturating_counter):
- * per row, state += inc[t], clamped into [0, hi]; output bit t is
- * (updated state >= threshold).  int64 and int32 increment variants
- * avoid a cast of the (often large) count tensors. */
-#define DEFINE_SATC(name, T)                                              \
-API int name(const T *inc, int64_t rows, int64_t Tn, int64_t hi,          \
-             int64_t init, int64_t threshold, uint8_t *out)               \
-{                                                                         \
-    for (int64_t r = 0; r < rows; r++) {                                  \
-        const T *a = inc + r * Tn;                                        \
-        uint8_t *o = out + r * Tn;                                        \
-        int64_t s = init;                                                 \
-        for (int64_t t = 0; t < Tn; t++) {                                \
-            /* s is in [0, hi]: capping the add at hi - s keeps it from   \
-             * wrapping, and a negative add cannot wrap from s >= 0. */   \
-            int64_t d = (int64_t)a[t];                                    \
-            s += d < hi - s ? d : hi - s;                                 \
-            if (s < 0)                                                    \
-                s = 0;                                                    \
-            o[t] = (uint8_t)(s >= threshold);                             \
-        }                                                                 \
-    }                                                                     \
-    return 0;                                                             \
-}
-
-DEFINE_SATC(repro_saturating_counter_i64, int64_t)
-DEFINE_SATC(repro_saturating_counter_i32, int32_t)
-
-
 /* ------------------------------------------------------------------ */
 /* the APC conv stage: one SIMD lane per output channel               */
 /* ------------------------------------------------------------------ */
 
 /* Channels per lane group.  The conv stage runs every output channel's
- * max pool and Btanh counter in one lane of GCC/Clang vector types (no
+ * pool and Btanh counter in one lane of GCC/Clang vector types (no
  * intrinsics) and pads the channel axis of its bank and count scratch to
  * a multiple of LANES.  What keeps GCC 12 from lowering the lanes to
  * scalar or shuffle-bound code (both measured):
@@ -913,33 +694,47 @@ static void store_lane_bytes(const i32xL *v, int64_t lanes, uint8_t *o,
         o[i * stride] = (uint8_t)b[i];
 }
 
-/* APC-Max-Btanh (Section 4.4) of one pool window for LANES channels at
- * once, one channel per lane:
+/* Pool kinds of the conv stage (its `pool` argument): the accumulator
+ * max pool of APC-Max-Btanh or the rounded average of APC-Avg-Btanh. */
+#define POOL_MAX 0
+#define POOL_AVG 1
+
+/* APC-Max-Btanh or APC-Avg-Btanh (Section 4.4) of one pool window for
+ * LANES channels at once, one channel per lane:
  *
  *   cnt[(k * L + t) * Cp + i]   count of candidate k < 4 at cycle t,
  *                               lane i (the window's count scratch)
  *   o[i * ostride + 0 .. nb)    packed Btanh output of lane i < lanes
  *
- * in one pass per lane: the accumulator max pool of
- * blocks.pooling.apc_max_pool (segment 0 takes candidate 0; segment
- * j > 0 takes the first-index argmax of the candidates' totals through
- * segment j - 1), the Btanh saturating counter over the winner's counts
- * (state += 2*count - n clamped into [0, hi], init and threshold half,
- * output bit = state >= half) and the big-endian pack, padding bits
- * zero.  One byte per lane is stored every 8 cycles.
+ * in one pass per lane: the pool, the Btanh saturating counter over the
+ * pooled counts (state += 2*count - n clamped into [0, hi], init and
+ * threshold half, output bit = state >= half) and the big-endian pack,
+ * padding bits zero.  One byte per lane is stored every 8 cycles.  The
+ * pool is
+ *
+ *  - POOL_MAX, the accumulator max pool of blocks.pooling.apc_max_pool:
+ *    segment 0 takes candidate 0; segment j > 0 takes the first-index
+ *    argmax of the candidates' totals through segment j - 1 (L must be
+ *    a multiple of segment);
+ *  - POOL_AVG, blocks.pooling.apc_average_pool with "nearest" rounding:
+ *    (c0 + c1 + c2 + c3 + 2) >> 2 per cycle, an arithmetic shift, so it
+ *    floors as the oracle's // does (callers pass segment = L).
+ *
+ * Callers pass `pool` as a literal, so each inlined copy keeps only its
+ * own pool's code.
  *
  * Lane widths: the state is int64 — before its clamp it reaches
  * min(hi, half + n * t) + n at cycle t, inside int64 for every n_states;
  * the candidates' totals are int64 (they reach n * L), fed by int32
- * sums flushed every segment or SUM32_CYCLES cycles; the counts and the
- * increment 2*count - n are int32, the increment wrapping as the NumPy
- * oracle's int32 does.  The clamps and the threshold test are sign
- * shifts (x >> 63 is -1 exactly when x < 0), which keeps the serial
- * chain in plain vector arithmetic.  L must be a multiple of segment. */
-static void max_btanh_lanes(const int32_t *cnt, int64_t Cp, int64_t L,
-                            int64_t segment, int64_t n, int64_t hi,
-                            int64_t half, int64_t lanes, uint8_t *o,
-                            int64_t ostride)
+ * sums flushed every segment or SUM32_CYCLES cycles; the counts, their
+ * 4-sum and the increment 2*count - n are int32, the increment wrapping
+ * as the NumPy oracle's int32 does.  The clamps and the threshold test
+ * are sign shifts (x >> 63 is -1 exactly when x < 0), which keeps the
+ * serial chain in plain vector arithmetic. */
+static inline __attribute__((always_inline)) void
+pool_btanh_lanes(int pool, const int32_t *cnt, int64_t Cp, int64_t L,
+                 int64_t segment, int64_t n, int64_t hi, int64_t half,
+                 int64_t lanes, uint8_t *o, int64_t ostride)
 {
     const i64xH zero = {0};
     const i64xH hiv = zero + hi, below = zero + (half - 1);
@@ -960,10 +755,15 @@ static void max_btanh_lanes(const int32_t *cnt, int64_t Cp, int64_t L,
                 i32xL c[4];
                 for (int k = 0; k < 4; k++) {
                     memcpy(&c[k], cnt + (k * L + t) * Cp, sizeof c[k]);
-                    sum[k] += c[k];
+                    if (pool == POOL_MAX)
+                        sum[k] += c[k];
                 }
-                u32xL src = (u32xL)((c[0] & sel[0]) | (c[1] & sel[1])
-                                    | (c[2] & sel[2]) | (c[3] & sel[3]));
+                u32xL src;
+                if (pool == POOL_AVG)
+                    src = (u32xL)((c[0] + c[1] + c[2] + c[3] + 2) >> 2);
+                else
+                    src = (u32xL)((c[0] & sel[0]) | (c[1] & sel[1])
+                                  | (c[2] & sel[2]) | (c[3] & sel[3]));
                 i32xL inc = (i32xL)(2 * src - n32);
                 i64xH d[2] = {LO64(inc), HI64(inc)};
                 for (int h = 0; h < 2; h++) {
@@ -978,11 +778,14 @@ static void max_btanh_lanes(const int32_t *cnt, int64_t Cp, int64_t L,
                     acc[0] = acc[1] = zero;
                 }
             }
-            for (int k = 0; k < 4; k++) {
-                tot[k][0] += LO64(sum[k]);
-                tot[k][1] += HI64(sum[k]);
-            }
+            if (pool == POOL_MAX)
+                for (int k = 0; k < 4; k++) {
+                    tot[k][0] += LO64(sum[k]);
+                    tot[k][1] += HI64(sum[k]);
+                }
         }
+        if (pool == POOL_AVG)
+            continue;
         i64xH m[4][2];
         for (int h = 0; h < 2; h++) {
             i64xH best = tot[0][h];
@@ -1005,8 +808,8 @@ static void max_btanh_lanes(const int32_t *cnt, int64_t Cp, int64_t L,
     }
 }
 
-/* One APC conv stage with max pooling (ExactBackend._conv_layer):
- * inner product -> APC count -> max pool -> Btanh -> pack, per pool
+/* One pooled APC conv stage (ExactBackend._conv_layer): inner product
+ * -> APC count -> max or average pool -> Btanh -> pack, per pool
  * window, without the (C, B, P, L) count tensor.
  *
  *   x[b, s, :]       (B, S, nbytes) packed input bank, bias row included
@@ -1018,6 +821,8 @@ static void max_btanh_lanes(const int32_t *cnt, int64_t Cp, int64_t L,
  *   bank             (words, L, Cp) conv lane bank laid out by
  *                    repro_layout_conv_bank, inputs in tile order
  *   windows[w, 0..3] (Wn, 4) positions in [0, P) of each 2x2 window
+ *   pool, segment    POOL_MAX with its segment (L a multiple of it), or
+ *                    POOL_AVG (segment unread)
  *   out[b, c, w, :]  (B, C, Wn, nbytes) packed Btanh output bits,
  *                    image-major
  *
@@ -1026,7 +831,7 @@ static void max_btanh_lanes(const int32_t *cnt, int64_t Cp, int64_t L,
  * four positions' tiles is cut out of that buffer by word shifts, one
  * run at a time (cut_tile); the tiles are counted against every channel
  * at once into a (4, L, Cp) int32 scratch, channel-minor
- * (count_lanes); only then does max_btanh_lanes run per group of LANES
+ * (count_lanes); only then does pool_btanh_lanes run per group of LANES
  * channels, storing each channel's byte every 8 cycles.  Finishing the
  * counts first keeps their stores out of the counters' serial clamp
  * chains.  Working set per window: the image buffer
@@ -1034,16 +839,16 @@ static void max_btanh_lanes(const int32_t *cnt, int64_t Cp, int64_t L,
  * 16 * L * Cp bytes and the bank L * W * Cp bytes — at LeNet-5 layer 1,
  * L = 64: 24 KiB + 16 KiB + 64 KiB in L1/L2 beside a 256 KiB
  * L2-resident bank.  Every allocation is freed on every return. */
-API int repro_apc_conv_max_btanh_pack(const uint8_t *x, int64_t B,
-                                      int64_t S, int64_t nbytes,
-                                      const int64_t *image,
-                                      const int64_t *runs, int64_t R,
-                                      const int64_t *sources, int64_t n,
-                                      const uint8_t *bank,
-                                      int64_t C, int64_t L, int64_t W,
-                                      const int64_t *windows, int64_t Wn,
-                                      int64_t segment, int64_t n_states,
-                                      uint8_t *out)
+API int repro_apc_conv_pool_btanh_pack(const uint8_t *x, int64_t B,
+                                       int64_t S, int64_t nbytes,
+                                       const int64_t *image,
+                                       const int64_t *runs, int64_t R,
+                                       const int64_t *sources, int64_t n,
+                                       const uint8_t *bank,
+                                       int64_t C, int64_t L, int64_t W,
+                                       const int64_t *windows, int64_t Wn,
+                                       int pool, int64_t segment,
+                                       int64_t n_states, uint8_t *out)
 {
     const int64_t ws = lane_word(W), words = W / ws, Cp = lane_pad(C);
     const int64_t ob = (L + 7) / 8, lastk = (n - 1) / (8 * ws);
@@ -1074,10 +879,16 @@ API int repro_apc_conv_max_btanh_pack(const uint8_t *x, int64_t B,
             else
                 count_lanes32(tile, (const uint32_t *)bank, L, T64, C, Cp,
                               words, lastk, m32, n, cnt);
-            for (int64_t g = 0; g < C; g += LANES)
-                max_btanh_lanes(cnt + g, Cp, L, segment, n, hi, half,
-                                C - g < LANES ? C - g : LANES,
-                                out + ((b * C + g) * Wn + w) * ob, Wn * ob);
+            for (int64_t g = 0; g < C; g += LANES) {
+                const int64_t lanes = C - g < LANES ? C - g : LANES;
+                uint8_t *o = out + ((b * C + g) * Wn + w) * ob;
+                if (pool == POOL_AVG)
+                    pool_btanh_lanes(POOL_AVG, cnt + g, Cp, L, L, n, hi,
+                                     half, lanes, o, Wn * ob);
+                else
+                    pool_btanh_lanes(POOL_MAX, cnt + g, Cp, L, segment, n,
+                                     hi, half, lanes, o, Wn * ob);
+            }
         }
     }
     free(img);

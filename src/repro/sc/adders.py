@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import numpy as np
 
-import repro.native as native
 from repro.sc import ops
 from repro.utils.validation import check_stream_length
 
@@ -110,11 +109,6 @@ def _column_counts(streams: np.ndarray, length: int,
             f"packed data last axis is {streams.shape[-1]} bytes but "
             f"length {length} requires {nbytes}"
         )
-    if native.enabled():
-        # Native tier: fused transpose+count, register-resident byte-lane
-        # accumulators — never materializes the unpacked bit tensor.
-        return native.column_counts(streams[..., :nbytes], length,
-                                    approximate)
     front = np.ascontiguousarray(np.moveaxis(streams[..., :nbytes], -2, 0))
     batch = front.shape[1:-1]
     # The APC approximation can emit n + 1, so uint8 is safe up to n = 254.

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import numpy as np
 
-import repro.native as native
 from repro.utils.validation import check_positive_int
 
 __all__ = ["saturating_counter"]
@@ -92,13 +91,9 @@ def saturating_counter(
     if T == 0:
         return np.empty(inc.shape, dtype=bool)
     if inc.dtype == np.uint64:
-        # Both tiers count in int64.  An increment >= hi saturates from
-        # any state, so capping at 2**63 - 1 is exact where a cast wraps.
+        # Count in int64.  An increment >= hi saturates from any state,
+        # so capping at 2**63 - 1 is exact where a cast wraps.
         inc = np.minimum(inc, np.uint64(2**63 - 1)).astype(np.int64)
-    if native.enabled():
-        # Native tier: a plain sequential scan beats the blocked
-        # composition once the per-cycle step is one compiled clamp.
-        return native.saturating_counter(inc, n_states, init, threshold)
     B = _block_size(T)
     # int32 is ample unless a block's partial sums could overflow it; for
     # narrow increment dtypes the dtype bound settles it without a scan.

@@ -30,7 +30,6 @@ import functools
 
 import numpy as np
 
-import repro.native as native
 from repro.utils.validation import check_stream_length
 
 __all__ = [
@@ -40,6 +39,8 @@ __all__ = [
     "pack_bits",
     "unpack_bits",
     "popcount",
+    "ROW_ALIGN",
+    "transposed_width",
     "transpose_pack",
     "popcount_sum",
     "and_",
@@ -127,11 +128,8 @@ def popcount(data: np.ndarray, length: int | None = None) -> np.ndarray:
     Relies on the module invariant that padding bits are zero (see the
     module docstring); under it the count over all stored bytes equals the
     count over the ``length`` valid bits.  When ``length`` is given the
-    packed width is validated against it.
-
-    Runs in the native kernel tier when armed (bit-identical; see
-    :mod:`repro.native`), else on uint64 words through
-    ``numpy.bitwise_count``.
+    packed width is validated against it.  Counts run on uint64 words
+    through ``numpy.bitwise_count``.
     """
     data = np.asarray(data)
     if length is not None:
@@ -142,20 +140,31 @@ def popcount(data: np.ndarray, length: int | None = None) -> np.ndarray:
                 f"packed data last axis is {data.shape[-1]} bytes but "
                 f"length {length} requires {nbytes}"
             )
-    if data.dtype == np.uint8 and data.ndim and native.enabled():
-        return native.popcount_rows(data)
     return np.bitwise_count(_as_words(data)).sum(axis=-1, dtype=np.int64)
 
 
-def transpose_pack(data: np.ndarray, length: int, align: int = 4,
+#: byte multiple every transposed cycle row is zero-padded to
+ROW_ALIGN = 4
+
+
+def transposed_width(n: int) -> int:
+    """Bytes ``W`` per cycle row of ``n`` transposed streams: ``ceil(n/8)``
+    rounded up to :data:`ROW_ALIGN` (the layout of
+    :func:`transpose_pack` and of the native counting banks)."""
+    width = (n + 7) // 8
+    return width + (-width) % ROW_ALIGN
+
+
+def transpose_pack(data: np.ndarray, length: int,
                    chunk_budget: int | None = None) -> np.ndarray:
     """Re-pack cycle-major streams as cycle-indexed input-bit rows.
 
     ``data`` is a packed bank ``(..., n, nbytes)`` (n streams, stream
     axis last).  The result is ``(..., length, W)`` where row ``t`` holds
     the ``n`` streams' bits *at cycle t*, packed big-endian and
-    zero-padded to a ``W`` that is a multiple of ``align`` bytes — so
-    :func:`popcount_sum` can count whole rows in word view.
+    zero-padded to ``W = transposed_width(n)`` bytes, a multiple of
+    :data:`ROW_ALIGN` — so :func:`popcount_sum` can count whole rows in
+    word view.
 
     This is the layout behind the engine's transposed counting strategy
     (DESIGN.md, "layer-graph engine"): a per-cycle sum across ``n``
@@ -173,14 +182,9 @@ def transpose_pack(data: np.ndarray, length: int, align: int = 4,
     data = np.asarray(data, dtype=np.uint8)
     if data.ndim < 2:
         raise ValueError("expected shape (..., n, nbytes)")
-    if data.shape[-1] * 8 >= length and native.enabled():
-        # Native tier: one cache-tiled 8x8-block pass, no unpacked
-        # transient at all (chunk_budget is moot — results identical).
-        return native.transpose_pack(data, length, align)
     batch = data.shape[:-2]
     n = data.shape[-2]
-    width = (n + 7) // 8
-    width += (-width) % align
+    width = transposed_width(n)
     flat = data.reshape((-1,) + data.shape[-2:])
     rows = flat.shape[0]
     if chunk_budget is None:
@@ -208,8 +212,6 @@ def popcount_sum(data: np.ndarray, dtype=np.int64) -> np.ndarray:
     ``int16`` to keep the result tensors small.
     """
     data = np.ascontiguousarray(data)
-    if data.dtype == np.uint8 and data.ndim and native.enabled():
-        return native.popcount_rows(data).astype(dtype, copy=False)
     word = next((word for word, width in ((np.uint64, 8), (np.uint32, 4),
                                           (np.uint16, 2))
                  if data.shape[-1] % width == 0), np.uint8)

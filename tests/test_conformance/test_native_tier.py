@@ -2,9 +2,11 @@
 
 Arming the native tier must change **zero output bits** anywhere — these
 tests assert bit-identity kernel by kernel (hypothesis properties biased
-toward the awkward lengths: ``L % 8 != 0`` and ``L % 64 != 0``), then at
-the whole-engine level (exact-backend logits with dispatch on vs off),
-and finally that the capability layer degrades gracefully: a box with no
+toward the awkward lengths: ``L % 8 != 0`` and ``L % 64 != 0``): the
+Stanh walk, the pooled APC conv stage under both pool kinds and the APC
+FC layer, each against the NumPy composition it replaces; then at the
+whole-engine level (exact-backend logits with dispatch on vs off), and
+finally that the capability layer degrades gracefully: a box with no
 compiler imports fine and falls back to NumPy, ``REPRO_NATIVE=0``
 disables the tier, and ``REPRO_NATIVE=1`` turns a silent fallback into a
 loud import error.
@@ -21,10 +23,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.native as native
-from repro.blocks.pooling import apc_max_pool
+from repro.blocks.pooling import apc_average_pool, apc_max_pool
+from repro.core.config import PoolKind
 from repro.engine.exact import channel_minor_order, numpy_apc_counts
 from repro.native import build as native_build
-from repro.sc import activation, adders, fsm, ops
+from repro.sc import activation, ops
 
 needs_native = pytest.mark.skipif(not native.available(),
                                   reason="native kernel tier not built")
@@ -50,52 +53,6 @@ def random_bits(data, shape, length):
 @needs_native
 @settings(max_examples=40, deadline=None)
 @given(data=st.data(), length=lengths, shape=batch_shapes,
-       n=st.integers(min_value=1, max_value=12),
-       approximate=st.booleans())
-def test_column_counts_bit_identical(data, length, shape, n, approximate):
-    packed = ops.pack_bits(random_bits(data, shape + (n,), length))
-    count = adders.apc_count if approximate else adders.parallel_counter
-    with native.override(True):
-        got = count(packed, length)
-    with native.override(False):
-        ref = count(packed, length)
-    assert got.dtype == ref.dtype
-    np.testing.assert_array_equal(got, ref)
-
-
-@needs_native
-@settings(max_examples=40, deadline=None)
-@given(data=st.data(), length=lengths, shape=batch_shapes,
-       n=st.integers(min_value=1, max_value=40))
-def test_transpose_pack_bit_identical(data, length, shape, n):
-    packed = ops.pack_bits(random_bits(data, shape + (n,), length))
-    with native.override(True):
-        got = ops.transpose_pack(packed, length)
-    with native.override(False):
-        ref = ops.transpose_pack(packed, length)
-    assert got.shape == ref.shape and got.dtype == ref.dtype
-    np.testing.assert_array_equal(got, ref)
-
-
-@needs_native
-@settings(max_examples=40, deadline=None)
-@given(data=st.data(), length=lengths, shape=batch_shapes)
-def test_popcount_bit_identical(data, length, shape):
-    packed = ops.pack_bits(random_bits(data, shape, length))
-    with native.override(True):
-        got = ops.popcount(packed, length)
-        got_sum = ops.popcount_sum(packed, dtype=np.int16)
-    with native.override(False):
-        ref = ops.popcount(packed, length)
-        ref_sum = ops.popcount_sum(packed, dtype=np.int16)
-    np.testing.assert_array_equal(got, ref)
-    assert got_sum.dtype == ref_sum.dtype
-    np.testing.assert_array_equal(got_sum, ref_sum)
-
-
-@needs_native
-@settings(max_examples=40, deadline=None)
-@given(data=st.data(), length=lengths, shape=batch_shapes,
        n_states=st.integers(min_value=2, max_value=64))
 def test_stanh_packed_bit_identical(data, length, shape, n_states):
     packed = ops.pack_bits(random_bits(data, shape, length))
@@ -109,27 +66,6 @@ def test_stanh_packed_bit_identical(data, length, shape, n_states):
                                       threshold=threshold)
     np.testing.assert_array_equal(got, ref)
     assert ops.padding_is_zero(got, length)
-
-
-@needs_native
-@settings(max_examples=40, deadline=None)
-@given(data=st.data(), shape=batch_shapes,
-       T=st.integers(min_value=1, max_value=150),
-       n_states=st.integers(min_value=1, max_value=40),
-       dtype=st.sampled_from([np.int16, np.int32, np.int64]))
-def test_saturating_counter_bit_identical(data, shape, T, n_states, dtype):
-    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-    inc = rng.integers(-30, 31, size=shape + (T,)).astype(dtype)
-    init = int(rng.integers(0, n_states))
-    threshold = int(rng.integers(0, n_states + 2))
-    with native.override(True):
-        got = fsm.saturating_counter(inc, n_states, init=init,
-                                     threshold=threshold)
-    with native.override(False):
-        ref = fsm.saturating_counter(inc, n_states, init=init,
-                                     threshold=threshold)
-    assert got.dtype == ref.dtype
-    np.testing.assert_array_equal(got, ref)
 
 
 # Input counts reaching every counting layout of the native kernels:
@@ -149,51 +85,33 @@ input_counts = st.one_of(
 def _oracle_counts(x, w, n, length):
     """The exact backend's NumPy counting path (the oracle) on packed
     banks ``x (R, n, nb)`` and ``w (C, n, nb)``."""
-    with native.override(False):
-        wT = ops.transpose_pack(w, length)
-        w_last = ops.unpack_bits(w[:, -1, :], length)
-        return numpy_apc_counts(x, wT, w_last, n, length)
+    wT = ops.transpose_pack(w, length)
+    w_last = ops.unpack_bits(w[:, -1, :], length)
+    return numpy_apc_counts(x, wT, w_last, n, length)
 
 
-def _numpy_counts(x, w, n, length):
-    """The oracle counts plus the native
-    :class:`~repro.native.WeightBank` of ``w``."""
-    return _oracle_counts(x, w, n, length), native.weight_bank(w, length)
-
-
-@needs_native
-@settings(max_examples=40, deadline=None)
-@given(data=st.data(), length=lengths, n=input_counts,
-       rows=st.integers(min_value=1, max_value=5),
-       channels=st.integers(min_value=1, max_value=4))
-def test_apc_inner_counts_bit_identical(data, length, n, rows, channels):
-    """The fused exact-backend inner product against the NumPy
-    arithmetic of ``ExactBackend._apc_counts``."""
-    x = ops.pack_bits(random_bits(data, (rows, n), length))
-    w = ops.pack_bits(random_bits(data, (channels, n), length))
-    ref, bank = _numpy_counts(x, w, n, length)
-    got = native.apc_inner_counts(x, bank)
-    assert got.dtype == ref.dtype
-    np.testing.assert_array_equal(got, ref)
-
-
-def _conv_stage_numpy(x, table, w, windows, length, segment, n_states,
-                      order=None):
-    """The exact backend's NumPy APC conv stage with max pooling:
-    gather, count, ``apc_max_pool``, ``btanh_counts``, ``pack_bits``,
-    image-major — plus the native :class:`~repro.native.ConvBank` of
-    ``w`` gathering through ``table`` in image ``order`` (default: the
-    rows' own order)."""
+def _conv_stage_numpy(x, table, w, windows, length, pool, segment,
+                      n_states, order=None):
+    """The exact backend's NumPy pooled APC conv stage: gather, count,
+    ``apc_max_pool`` or ``apc_average_pool``, ``btanh_counts``,
+    ``pack_bits``, image-major — plus the native
+    :class:`~repro.native.ConvBank` of ``w`` gathering through ``table``
+    in image ``order`` (default: the rows' own order)."""
     B, S, nb = x.shape
     (P, n), C = table.shape, w.shape[0]
     counts = _oracle_counts(x[:, table].reshape(B * P, n, nb), w, n, length)
-    counts = counts.reshape(C, B, P, length)
-    with native.override(False):
-        pooled = apc_max_pool(counts[:, :, windows], segment)
-        out = ops.pack_bits(activation.btanh_counts(pooled, n, n_states))
+    grouped = counts.reshape(C, B, P, length)[:, :, windows]
+    if pool is PoolKind.AVG:
+        pooled = apc_average_pool(grouped)
+    else:
+        pooled = apc_max_pool(grouped, segment)
+    out = ops.pack_bits(activation.btanh_counts(pooled, n, n_states))
     order = np.arange(S) if order is None else order
     return (out.transpose(1, 0, 2, 3),
             native.conv_bank(w, length, table, order))
+
+
+pools = st.sampled_from([PoolKind.MAX, PoolKind.AVG])
 
 
 @needs_native
@@ -209,17 +127,19 @@ def _conv_stage_numpy(x, table, w, windows, length, segment, n_states,
        channels=st.one_of(st.integers(min_value=1, max_value=4),
                           st.sampled_from([15, 16, 17, 33, 50])),
        n_windows=st.integers(min_value=1, max_value=4),
-       inputs=st.sampled_from(["random", "sparse", "equal"]))
-def test_apc_conv_max_btanh_pack_bit_identical(data, segment, n_segments,
-                                               n, n_states, batch,
-                                               channels, n_windows,
-                                               inputs):
-    """The fused conv stage against the NumPy composition, over both
-    lane-bank word sizes and every row width, channel counts within one
-    lane group and across several (15, 16, 17, 33, 50), lengths whose
-    last byte is zero-padded (e.g. 12 × 3), mostly-zero inputs (the
-    image transpose's zero-block skip), all-equal patches that tie every
-    window's candidates, and the rows' own or a shuffled image order."""
+       inputs=st.sampled_from(["random", "sparse", "equal"]),
+       pool=pools)
+def test_apc_conv_pool_btanh_pack_bit_identical(data, segment, n_segments,
+                                                n, n_states, batch,
+                                                channels, n_windows,
+                                                inputs, pool):
+    """The fused conv stage against the NumPy composition under both
+    pool kinds, over both lane-bank word sizes and every row width,
+    channel counts within one lane group and across several (15, 16, 17,
+    33, 50), lengths whose last byte is zero-padded (e.g. 12 × 3),
+    mostly-zero inputs (the image transpose's zero-block skip), all-equal
+    patches that tie every window's candidates, and the rows' own or a
+    shuffled image order."""
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     length = segment * n_segments
     S = int(rng.integers(1, 2 * n + 2))
@@ -234,10 +154,10 @@ def test_apc_conv_max_btanh_pack_bit_identical(data, segment, n_segments,
     w = ops.pack_bits(rng.random((channels, n, length)) < 0.5)
     windows = rng.integers(0, P, size=(n_windows, 4))
     order = rng.permutation(S) if data.draw(st.booleans()) else None
-    ref, bank = _conv_stage_numpy(x, table, w, windows, length, segment,
-                                  n_states, order)
-    got = native.apc_conv_max_btanh_pack(x, bank, windows, segment,
-                                         n_states)
+    ref, bank = _conv_stage_numpy(x, table, w, windows, length, pool,
+                                  segment, n_states, order)
+    got = native.apc_conv_pool_btanh_pack(x, bank, windows, pool, segment,
+                                          n_states)
     assert got.dtype == ref.dtype and got.shape == ref.shape
     np.testing.assert_array_equal(got, ref)
     assert ops.padding_is_zero(got, length)
@@ -270,11 +190,14 @@ _CONV_GEOMETRIES = {
 @needs_native
 @pytest.mark.parametrize("geometry", sorted(_CONV_GEOMETRIES))
 @pytest.mark.parametrize("inputs", ["random", "background"])
-def test_apc_conv_max_btanh_pack_conv_geometries(geometry, inputs):
+@pytest.mark.parametrize("pool", [PoolKind.MAX, PoolKind.AVG],
+                         ids=["max", "avg"])
+def test_apc_conv_pool_btanh_pack_conv_geometries(geometry, inputs, pool):
     """The fused conv stage over real conv patch tables in the exact
     backend's channel-minor image order — where runs of ``k·C`` inputs
-    merge and cross word boundaries — against the NumPy composition, on
-    random inputs and on a mostly all-zero (image background) batch."""
+    merge and cross word boundaries — against the NumPy composition
+    under both pool kinds, on random inputs and on a mostly all-zero
+    (image background) batch."""
     cin, h, w_, kernel, channels, n_states = _CONV_GEOMETRIES[geometry]
     table, windows, order = _conv_geometry(cin, h, w_, kernel)
     rng = np.random.default_rng(cin * h * w_)
@@ -284,10 +207,10 @@ def test_apc_conv_max_btanh_pack_conv_geometries(geometry, inputs):
         bits &= rng.random((2, S, 1)) < 0.05
     x = ops.pack_bits(bits)
     w = ops.pack_bits(rng.random((channels, table.shape[1], length)) < 0.5)
-    ref, bank = _conv_stage_numpy(x, table, w, windows, length, 16,
+    ref, bank = _conv_stage_numpy(x, table, w, windows, length, pool, 16,
                                   n_states, order)
-    np.testing.assert_array_equal(
-        native.apc_conv_max_btanh_pack(x, bank, windows, 16, n_states), ref)
+    np.testing.assert_array_equal(native.apc_conv_pool_btanh_pack(
+        x, bank, windows, pool, 16, n_states), ref)
 
 
 @needs_native
@@ -312,11 +235,12 @@ def test_conv_bank_merges_patch_rows_into_runs(geometry, runs):
 
 @needs_native
 @pytest.mark.parametrize("seed", range(6))
-def test_apc_conv_max_btanh_pack_any_table(seed):
+def test_apc_conv_pool_btanh_pack_any_table(seed):
     """Any table gives a correct plan: random tables with repeated
     sources, a last column that is not the highest source (the APC LSB
     patch must still read the table's last column), and a shuffled
-    image order, over both lane-word sizes."""
+    image order, over both lane-word sizes and (by seed) both pool
+    kinds."""
     rng = np.random.default_rng(seed)
     n = int(rng.choice([3, 26, 40, 70, 130, 501]))
     S = int(rng.integers(2, 2 * n))
@@ -329,42 +253,44 @@ def test_apc_conv_max_btanh_pack_any_table(seed):
     x = ops.pack_bits(rng.random((2, S, length)) < 0.5)
     w = ops.pack_bits(rng.random((channels, n, length)) < 0.5)
     windows = rng.integers(0, P, size=(3, 4))
-    ref, bank = _conv_stage_numpy(x, table, w, windows, length, 16, 41,
-                                  order)
+    pool = (PoolKind.MAX, PoolKind.AVG)[seed // 2 % 2]
+    ref, bank = _conv_stage_numpy(x, table, w, windows, length, pool, 16,
+                                  41, order)
     assert int(bank.runs.sum()) == n
-    np.testing.assert_array_equal(
-        native.apc_conv_max_btanh_pack(x, bank, windows, 16, 41), ref)
+    np.testing.assert_array_equal(native.apc_conv_pool_btanh_pack(
+        x, bank, windows, pool, 16, 41), ref)
 
 
 @needs_native
-def test_apc_conv_max_btanh_pack_never_overflows_its_lanes():
-    """The Btanh state reaches ``hi + n`` and a pool total ``n·L``.  At
-    ``n_states`` up to ``2**63 - 1`` neither clamp can bind within L
-    cycles, so the bits must equal those of the smallest such
-    ``n_states``, ``2·n·L + 3`` (where the NumPy oracle is exact); a
-    segment longer than 65 536 cycles crosses the int32 partial sums
-    that feed the int64 totals."""
+def test_apc_conv_pool_btanh_pack_never_overflows_its_lanes():
+    """The Btanh state reaches ``hi + n`` and a max-pool total ``n·L``.
+    At ``n_states`` up to ``2**63 - 1`` neither clamp can bind within L
+    cycles, so under either pool kind the bits must equal those of the
+    smallest such ``n_states``, ``2·n·L + 3`` (where the NumPy oracle is
+    exact); a segment longer than 65 536 cycles crosses the int32
+    partial sums that feed the int64 totals."""
     rng = np.random.default_rng(11)
     n, channels = 26, 17
     x = ops.pack_bits(rng.random((1, 40, 24)) < 0.5)
     table = rng.integers(0, 40, size=(8, n))
     w = ops.pack_bits(rng.random((channels, n, 24)) < 0.5)
     windows = np.arange(8).reshape(2, 4)
-    ref, bank = _conv_stage_numpy(x, table, w, windows, 24, 8,
-                                  2 * n * 24 + 3)
-    for n_states in (2**62 + 1, 2**63 - 1):
-        got = native.apc_conv_max_btanh_pack(x, bank, windows, 8,
-                                             n_states)
-        np.testing.assert_array_equal(got, ref)
+    for pool in (PoolKind.MAX, PoolKind.AVG):
+        ref, bank = _conv_stage_numpy(x, table, w, windows, 24, pool, 8,
+                                      2 * n * 24 + 3)
+        for n_states in (2**62 + 1, 2**63 - 1):
+            got = native.apc_conv_pool_btanh_pack(x, bank, windows, pool,
+                                                  8, n_states)
+            np.testing.assert_array_equal(got, ref)
     segment = 65_544
     x = ops.pack_bits(rng.random((1, 6, 2 * segment)) < 0.5)
     table = rng.integers(0, 6, size=(4, 3))
     w = ops.pack_bits(rng.random((channels, 3, 2 * segment)) < 0.5)
     windows = np.arange(4).reshape(1, 4)
     ref, bank = _conv_stage_numpy(x, table, w, windows, 2 * segment,
-                                  segment, 5)
-    np.testing.assert_array_equal(native.apc_conv_max_btanh_pack(
-        x, bank, windows, segment, 5), ref)
+                                  PoolKind.MAX, segment, 5)
+    np.testing.assert_array_equal(native.apc_conv_pool_btanh_pack(
+        x, bank, windows, PoolKind.MAX, segment, 5), ref)
 
 
 #: a zero 2-channel bank of n = 3 (W = 4) at L = 16, built without C
@@ -385,7 +311,8 @@ _ROW_MAJOR = np.zeros((2, 16, 4), np.uint8)
 
 def _bad_conv_stage_args(**bad):
     args = dict(x=np.zeros((1, 5, 2), np.uint8), bank=_CONV_BANK,
-                windows=np.zeros((1, 4), int), segment=16, n_states=6)
+                windows=np.zeros((1, 4), int), pool=PoolKind.MAX,
+                segment=16, n_states=6)
     args.update(bad)
     return args
 
@@ -400,16 +327,34 @@ def _bad_conv_stage_args(**bad):
     (dict(windows=np.zeros((1, 4), float)), "windows"),
     (dict(windows=np.array([[0, 1, 2, 4]])), r"windows index outside \[0, 4\)"),
     (dict(windows=np.array([[0, -1, 2, 3]])), r"windows index outside \[0, 4\)"),
+    (dict(windows=np.zeros((1, 3), int), pool=PoolKind.AVG), "windows"),
     (dict(segment=12), "multiple of segment 12"),
     (dict(segment=0), "segment"),
     (dict(n_states=0), "n_states"),
+    (dict(n_states=0, pool=PoolKind.AVG), "n_states"),
 ])
-def test_apc_conv_max_btanh_pack_rejects_before_c(bad, match, monkeypatch):
+def test_apc_conv_pool_btanh_pack_rejects_before_c(bad, match, monkeypatch):
     """Bad arguments raise ``ValueError`` in the wrapper; with the
     library handle removed, reaching C would be an AttributeError."""
     monkeypatch.setattr(native, "_lib", None)
     with pytest.raises(ValueError, match=match):
-        native.apc_conv_max_btanh_pack(**_bad_conv_stage_args(**bad))
+        native.apc_conv_pool_btanh_pack(**_bad_conv_stage_args(**bad))
+
+
+def test_apc_conv_pool_btanh_pack_pool_kind(monkeypatch):
+    """The pool kind is the plan's ``PoolKind``, required; average
+    pooling reads no segment, so one the stream length cannot carry
+    passes the wrapper (and, with the library handle removed, reaches
+    C as an AttributeError)."""
+    monkeypatch.setattr(native, "_lib", None)
+    for pool in ("max", None, 1):
+        with pytest.raises(TypeError, match="PoolKind"):
+            native.apc_conv_pool_btanh_pack(
+                **_bad_conv_stage_args(pool=pool))
+    for segment in (12, 0):
+        with pytest.raises(AttributeError):
+            native.apc_conv_pool_btanh_pack(**_bad_conv_stage_args(
+                pool=PoolKind.AVG, segment=segment))
 
 
 @pytest.mark.parametrize("bad,match", [
@@ -435,8 +380,8 @@ def test_conv_bank_rejects_before_c(bad, match, monkeypatch):
         native.conv_bank(**args)
 
 
-# FC input counts: every counting layout (W = 4, word-major, bytewise)
-# up to LeNet-5 fc1's n = 801 (W = 104, word-major).
+# FC input counts: every counting layout of input_counts and the wide
+# word-major rows up to LeNet-5 fc1's n = 801 (W = 104).
 fc_input_counts = st.one_of(
     input_counts,
     st.integers(min_value=257, max_value=801),
@@ -446,16 +391,16 @@ fc_input_counts = st.one_of(
 
 def _fc_numpy(x, w, n, length, n_states):
     """The exact backend's NumPy FC composition: counts, ``btanh_counts``,
-    ``pack_bits``, image-major — and the output layer's count sums."""
-    counts, bank = _numpy_counts(x, w, n, length)
-    with native.override(False):
-        bits = ops.pack_bits(activation.btanh_counts(counts, n, n_states))
+    ``pack_bits``, image-major — and the output layer's count sums —
+    plus the native :class:`~repro.native.WeightBank` of ``w``."""
+    counts = _oracle_counts(x, w, n, length)
+    bits = ops.pack_bits(activation.btanh_counts(counts, n, n_states))
     sums = counts.sum(axis=-1, dtype=np.int64).T
-    return bits.transpose(1, 0, 2), sums, bank
+    return bits.transpose(1, 0, 2), sums, native.weight_bank(w, length)
 
 
 @needs_native
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(data=st.data(), length=lengths, n=fc_input_counts,
        n_states=st.one_of(st.sampled_from([1, 2, 1002]),
                           st.integers(min_value=0, max_value=40).map(
@@ -465,7 +410,12 @@ def _fc_numpy(x, w, n, length, n_states):
 def test_apc_fc_btanh_pack_bit_identical(data, length, n, n_states, rows,
                                          channels):
     """The fused FC layer and the output layer's sums against the NumPy
-    composition, over every counting layout and ``L % 8 != 0``."""
+    composition, over every counting layout of ``count_cycles`` —
+    ``W`` = 4, 8, 12, 16, 20 and 32 for ``n`` up to 256, the last input
+    (the APC LSB patch) in word 0, 1 or 3, and wider word-major rows —
+    and ``L % 8 != 0``.  The FC kernel is the only caller of
+    ``count_cycles``, so this pins the per-cycle counts of every
+    layout."""
     x = ops.pack_bits(random_bits(data, (rows, n), length))
     w = ops.pack_bits(random_bits(data, (channels, n), length))
     ref_bits, ref_sums, bank = _fc_numpy(x, w, n, length, n_states)
@@ -491,9 +441,6 @@ def test_apc_fc_btanh_pack_partial_tiles(rows):
     np.testing.assert_array_equal(native.apc_fc_btanh_pack(x, bank, 1002),
                                   ref_bits)
     np.testing.assert_array_equal(native.apc_fc_sums(x, bank), ref_sums)
-    ref_counts, _ = _numpy_counts(x, w, n, length)
-    np.testing.assert_array_equal(native.apc_inner_counts(x, bank),
-                                  ref_counts)
 
 
 @pytest.mark.parametrize("bad,match", [
@@ -516,17 +463,14 @@ def test_apc_fc_btanh_pack_rejects_before_c(bad, match, monkeypatch):
 
 
 _KERNEL_BANKS = [
-    (lambda bank: native.apc_inner_counts(np.zeros((2, 3, 2), np.uint8),
-                                          bank), "WeightBank", _CONV_BANK),
     (lambda bank: native.apc_fc_btanh_pack(np.zeros((2, 3, 2), np.uint8),
                                            bank, 6), "WeightBank", _CONV_BANK),
     (lambda bank: native.apc_fc_sums(np.zeros((2, 3, 2), np.uint8), bank),
      "WeightBank", _CONV_BANK),
-    (lambda bank: native.apc_conv_max_btanh_pack(
+    (lambda bank: native.apc_conv_pool_btanh_pack(
         **_bad_conv_stage_args(bank=bank)), "ConvBank", _BANK),
 ]
-_KERNEL_IDS = ["inner_counts", "fc_btanh_pack", "fc_sums",
-               "conv_max_btanh_pack"]
+_KERNEL_IDS = ["fc_btanh_pack", "fc_sums", "conv_pool_btanh_pack"]
 
 
 @pytest.mark.parametrize("call,kind,other", _KERNEL_BANKS, ids=_KERNEL_IDS)
@@ -638,8 +582,7 @@ def test_conv_bank_layout(n, channels, word):
     table = np.append(np.arange(n - 1)[::-1], n - 1)[None]
     bank = native.conv_bank(w, length, table, np.arange(n))
     perm = np.append(np.arange(n - 1)[::-1], n - 1)
-    with native.override(False):
-        rows = ops.transpose_pack(w[:, perm], length)  # (C, L, W) bytes
+    rows = ops.transpose_pack(w[:, perm], length)      # (C, L, W) bytes
     words = rows.view(np.dtype(word).newbyteorder(">")).astype(word)
     assert bank.data.dtype == word and not bank.data.flags.writeable
     assert bank.data.shape == (words.shape[2], length,
@@ -654,7 +597,7 @@ def test_conv_bank_layout(n, channels, word):
 # ----------------------------------------------------------------------
 
 def _assert_logits_tier_invariant(kinds, pooling, length, **backend_opts):
-    from repro.core.config import NetworkConfig, PoolKind
+    from repro.core.config import NetworkConfig
     from repro.engine.exact import ExactBackend
     from repro.engine.plan import compile_plan
     from repro.nn.zoo import build_lenet5
@@ -676,9 +619,10 @@ def _assert_logits_tier_invariant(kinds, pooling, length, **backend_opts):
     # hardware pooling segment, 16)
     (("APC", "MUX", "APC"), "MAX", 144),
     (("MUX", "APC", "APC"), "AVG", 136),
-    # both conv stages through the fused max-pool kernel (layer 1 at
-    # K = 1002)
+    # both conv stages through the fused conv kernel (layer 1 at
+    # K = 1002), under each pool kind
     (("APC", "APC", "APC"), "MAX", 144),
+    (("APC", "APC", "APC"), "AVG", 72),
 ])
 def test_exact_backend_logits_bit_identical(kinds, pooling, length):
     _assert_logits_tier_invariant(kinds, pooling, length)
@@ -725,10 +669,10 @@ def test_import_works_with_no_compiler(tmp_path):
         "assert not native.available(), native.status()\n"
         "status = native.status()\n"
         "assert status['reason'], status\n"
-        "from repro.sc import adders, ops\n"
+        "from repro.sc import activation, ops\n"
         "packed = ops.pack_bits(np.ones((4, 100), dtype=np.uint8))\n"
-        "assert ops.popcount(packed, 100).tolist() == [100] * 4\n"
-        "assert adders.apc_count(packed, 100).shape == (100,)\n"
+        "out = activation.stanh_packed(packed, 100, 8)\n"
+        "assert ops.popcount(out, 100).tolist() == [100] * 4\n"
         "print('fallback ok:', status['reason'])\n",
         tmp_path, REPRO_NATIVE_CC=str(tmp_path / "no-such-cc"))
     assert proc.returncode == 0, proc.stderr
@@ -742,9 +686,10 @@ def test_repro_native_0_disables_tier(tmp_path):
         "assert not native.available()\n"
         "assert not native.enabled()\n"
         "assert native.status()['reason'] == 'disabled by REPRO_NATIVE=0'\n"
-        "from repro.sc import ops\n"
+        "from repro.sc import activation, ops\n"
         "packed = ops.pack_bits(np.ones((2, 65), dtype=np.uint8))\n"
-        "assert ops.popcount(packed, 65).tolist() == [65, 65]\n",
+        "out = activation.stanh_packed(packed, 65, 8)\n"
+        "assert ops.popcount(out, 65).tolist() == [65, 65]\n",
         tmp_path, REPRO_NATIVE="0")
     assert proc.returncode == 0, proc.stderr
 

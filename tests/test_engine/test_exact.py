@@ -300,19 +300,35 @@ class TestNativeTierRecord:
             got = Engine(model, cfg, backend="exact", seed=2).backend
         return ref, got
 
-    def test_fc_layers_build_no_count_tensor(self, tiny_trained_lenet,
-                                             images, monkeypatch):
-        """On the native tier each APC FC layer is one fused call: the
-        count kernel and the NumPy Btanh are never reached, and the
+    @pytest.mark.parametrize("model_name,kinds,pooling", [
+        ("lenet5", ("MUX", "MUX", "APC"), PoolKind.AVG),
+        ("lenet5", ("APC", "APC", "APC"), PoolKind.AVG),
+        ("lenet5", ("APC", "APC", "APC"), PoolKind.MAX),
+        # conv3's last conv is unpooled: an FC layer over its patch rows
+        ("conv3", ("APC", "APC", "APC", "APC"), PoolKind.AVG),
+        ("conv3", ("APC", "APC", "APC", "APC"), PoolKind.MAX),
+    ], ids=["lenet5-MMA-avg", "lenet5-AAA-avg", "lenet5-AAA-max",
+            "conv3-avg", "conv3-max"])
+    def test_apc_layers_build_no_count_tensor(self, tiny_trained_lenet,
+                                              zoo_trained, images,
+                                              model_name, kinds, pooling,
+                                              monkeypatch):
+        """On the native tier every APC layer — pooled conv (either pool
+        kind), unpooled conv, FC and output — is one fused call: the
+        NumPy counting and the NumPy Btanh are never reached, and the
         logits match the NumPy tier's bit for bit."""
-        ref, got = self._backends(tiny_trained_lenet, ("MUX", "MUX", "APC"))
+        from repro.engine import exact
+
+        model = (tiny_trained_lenet if model_name == "lenet5"
+                 else zoo_trained[model_name])
+        ref, got = self._backends(model, kinds, pooling)
         flat = images.reshape(len(images), -1)
         expected = ref.forward_independent(flat)
 
         def unreachable(*args, **kwargs):
             raise AssertionError("a count tensor was built")
 
-        monkeypatch.setattr(native, "apc_inner_counts", unreachable)
+        monkeypatch.setattr(exact, "numpy_apc_counts", unreachable)
         monkeypatch.setattr(activation, "btanh_counts", unreachable)
         np.testing.assert_array_equal(got.forward_independent(flat),
                                       expected)
@@ -321,8 +337,8 @@ class TestNativeTierRecord:
                                            images):
         """A backend keeps one bank per counting layer, in the form its
         construction-time tier reads, whatever the dispatch later says:
-        a conv lane bank for the max-pooled APC conv stage, a counting
-        bank for every other counting layer."""
+        a conv lane bank for the pooled APC conv stage, a counting bank
+        for every other counting layer."""
         ref, got = self._backends(tiny_trained_lenet, ("APC", "MUX", "APC"),
                                   PoolKind.MAX)
         assert got.native_tier and not ref.native_tier

@@ -6,11 +6,12 @@ counters, blocked clamp-composition FSM scan, cached LFSR orbits) must be
 awkward lengths the padding logic exists for: odd lengths, ``L % 8 != 0``
 and ``L % 64 != 0``, and arbitrary batch shapes.
 
-Every dispatch-sensitive test runs once per kernel tier via the
-``kernel_tier`` fixture: the native compiled tier (skipped where not
-built) and the NumPy ``bitwise_count`` path with native dispatch pinned
-off — so the pure path stays exercised on boxes where the native tier
-would otherwise shadow it.
+The one kernel here that still dispatches to the native tier,
+``activation.stanh_packed``, runs once per tier via the ``kernel_tier``
+fixture: the native compiled tier (skipped where not built) and the
+NumPy byte-LUT path with native dispatch pinned off — so the pure path
+stays exercised on boxes where the native tier would otherwise shadow
+it.  Every other kernel here has one path.
 """
 
 from unittest import mock
@@ -59,7 +60,7 @@ def random_bits(data, shape, length):
 
 @settings(max_examples=60, deadline=None)
 @given(data=st.data(), length=lengths, shape=batch_shapes)
-def test_popcount_matches_unpacked(kernel_tier, data, length, shape):
+def test_popcount_matches_unpacked(data, length, shape):
     bits = random_bits(data, shape, length)
     packed = ops.pack_bits(bits)
     ref = bits.sum(axis=-1, dtype=np.int64)
@@ -71,8 +72,7 @@ def test_popcount_matches_unpacked(kernel_tier, data, length, shape):
 @given(data=st.data(), shape=batch_shapes,
        segment=st.integers(min_value=1, max_value=40),
        nseg=st.integers(min_value=1, max_value=12))
-def test_segment_popcount_matches_unpacked(kernel_tier, data, shape,
-                                           segment, nseg):
+def test_segment_popcount_matches_unpacked(data, shape, segment, nseg):
     length = segment * nseg
     if length > (1 << 22):
         return
@@ -142,8 +142,7 @@ def test_mux_select_broadcast_selects_match_reference(data, length, leads,
 @given(data=st.data(), length=lengths, shape=batch_shapes,
        n=st.integers(min_value=1, max_value=12),
        budget=st.sampled_from([1, 64, 1 << 20]))
-def test_column_counters_match_unpacked(kernel_tier, data, length, shape, n,
-                                        budget):
+def test_column_counters_match_unpacked(data, length, shape, n, budget):
     bits = random_bits(data, shape + (n,), length)
     packed = ops.pack_bits(bits)
     exact_ref = bits.sum(axis=-2, dtype=np.int16)
@@ -156,9 +155,8 @@ def test_column_counters_match_unpacked(kernel_tier, data, length, shape, n,
     np.testing.assert_array_equal(approx, approx_ref)
 
 
-def test_column_counters_wide_summand_axis(kernel_tier):
-    """n > 254 forces the int16 accumulator (numpy) / lane-flush (native)
-    path."""
+def test_column_counters_wide_summand_axis():
+    """n > 254 forces the int16 accumulator path."""
     rng = np.random.default_rng(0)
     bits = rng.random((300, 40)) < 0.5
     packed = ops.pack_bits(bits)
@@ -185,8 +183,7 @@ def _counter_loop_reference(inc, n_states, init, threshold):
        T=st.integers(min_value=1, max_value=150),
        n_states=st.integers(min_value=1, max_value=24),
        block=st.one_of(st.none(), st.integers(min_value=1, max_value=20)))
-def test_saturating_counter_matches_loop(kernel_tier, data, shape, T,
-                                         n_states, block):
+def test_saturating_counter_matches_loop(data, shape, T, n_states, block):
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     inc = rng.integers(-30, 31, size=shape + (T,))
     init = int(rng.integers(0, n_states))
@@ -213,7 +210,7 @@ uint64s = st.one_of(st.integers(min_value=0, max_value=2**64 - 1),
        n_states=st.one_of(st.integers(min_value=1, max_value=2**63 - 1),
                           st.integers(min_value=2**63 - 4,
                                       max_value=2**63 - 1)))
-def test_saturating_counter_never_wraps(kernel_tier, data, dtype, n_states):
+def test_saturating_counter_never_wraps(data, dtype, n_states):
     # Full-range int64 and uint64 increments against a Python-int
     # reference: no add may wrap, however close the state sits to either
     # int64 bound, and no uint64 increment >= 2**63 may turn negative.
@@ -298,14 +295,15 @@ def test_popcount_rejects_mismatched_width():
 @settings(max_examples=40, deadline=None)
 @given(data=st.data(), length=lengths, shape=batch_shapes,
        n=st.integers(min_value=1, max_value=40))
-def test_transpose_pack_round_trips_bits(kernel_tier, data, length, shape, n):
+def test_transpose_pack_round_trips_bits(data, length, shape, n):
     """transpose_pack: row t of the result holds the n streams' bits at
-    cycle t (zero-padded to the word alignment)."""
+    cycle t (zero-padded to ``transposed_width(n)`` bytes)."""
     bits = random_bits(data, shape + (n,), length)        # (..., n, L)
     packed = ops.pack_bits(bits)
     t = ops.transpose_pack(packed, length)                # (..., L, W)
     assert t.shape[:-2] == shape and t.shape[-2] == length
-    assert t.shape[-1] % 4 == 0
+    assert t.shape[-1] == ops.transposed_width(n)
+    assert t.shape[-1] % ops.ROW_ALIGN == 0 and t.shape[-1] * 8 >= n
     back = np.unpackbits(t, axis=-1)[..., :n]             # (..., L, n)
     np.testing.assert_array_equal(back, np.swapaxes(bits, -1, -2))
 
@@ -313,7 +311,7 @@ def test_transpose_pack_round_trips_bits(kernel_tier, data, length, shape, n):
 @settings(max_examples=40, deadline=None)
 @given(data=st.data(), nbytes=st.integers(min_value=1, max_value=20),
        shape=batch_shapes)
-def test_popcount_sum_counts_all_bytes(kernel_tier, data, nbytes, shape):
+def test_popcount_sum_counts_all_bytes(data, nbytes, shape):
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     packed = rng.integers(0, 256, shape + (nbytes,), dtype=np.uint8)
     ref = np.unpackbits(packed, axis=-1).sum(axis=-1, dtype=np.int64)
@@ -326,8 +324,7 @@ def test_popcount_sum_counts_all_bytes(kernel_tier, data, nbytes, shape):
 @given(data=st.data(), length=lengths,
        n=st.integers(min_value=1, max_value=24),
        rows=st.integers(min_value=1, max_value=6))
-def test_transposed_counting_matches_apc_count(kernel_tier, data, length, n,
-                                               rows):
+def test_transposed_counting_matches_apc_count(data, length, n, rows):
     """The engine's transposed counting identity:
     count = n - popcount(xT ^ wT), LSB patched with the last product bit
     — must equal the word-level APC counter bit for bit."""
