@@ -46,47 +46,40 @@ The package is organised bottom-up, mirroring the paper:
 ``repro.analysis``
     Measurement harnesses that regenerate every table and figure of the
     paper's evaluation (see EXPERIMENTS.md for the index).
+The names below are imported on first access, so a process loads only
+the subpackages it uses (``import repro.sc`` does not build the engine).
 """
 
-from repro.sc.bitstream import Bitstream
-from repro.sc.encoding import Encoding
-from repro.sc.rng import IdealSNG, LfsrSNG, StreamFactory
-from repro.core.config import (
-    FEBKind,
-    PoolKind,
-    LayerConfig,
-    NetworkConfig,
-    TABLE6_CONFIGS,
-)
-from repro.core.feature_extraction import (
-    FeatureExtractionBlock,
-    MuxAvgStanh,
-    MuxMaxStanh,
-    ApcAvgBtanh,
-    ApcMaxBtanh,
-    make_feb,
-)
-from repro.engine import Engine
+import importlib
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "Bitstream",
-    "Encoding",
-    "IdealSNG",
-    "LfsrSNG",
-    "StreamFactory",
-    "FEBKind",
-    "PoolKind",
-    "LayerConfig",
-    "NetworkConfig",
-    "TABLE6_CONFIGS",
-    "FeatureExtractionBlock",
-    "MuxAvgStanh",
-    "MuxMaxStanh",
-    "ApcAvgBtanh",
-    "ApcMaxBtanh",
-    "make_feb",
-    "Engine",
-    "__version__",
-]
+#: Each top-level name and the module that defines it.
+_EXPORTS = {
+    "Bitstream": "repro.sc.bitstream",
+    "Encoding": "repro.sc.encoding",
+    "IdealSNG": "repro.sc.rng",
+    "LfsrSNG": "repro.sc.rng",
+    "StreamFactory": "repro.sc.rng",
+    "FEBKind": "repro.core.config",
+    "PoolKind": "repro.core.config",
+    "LayerConfig": "repro.core.config",
+    "NetworkConfig": "repro.core.config",
+    "TABLE6_CONFIGS": "repro.core.config",
+    "FeatureExtractionBlock": "repro.core.feature_extraction",
+    "MuxAvgStanh": "repro.core.feature_extraction",
+    "MuxMaxStanh": "repro.core.feature_extraction",
+    "ApcAvgBtanh": "repro.core.feature_extraction",
+    "ApcMaxBtanh": "repro.core.feature_extraction",
+    "make_feb": "repro.core.feature_extraction",
+    "Engine": "repro.engine",
+}
+
+__all__ = [*_EXPORTS, "__version__"]
+
+
+def __getattr__(name):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(module), name)

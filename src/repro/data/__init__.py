@@ -8,32 +8,37 @@ changes, blur and sensor noise (see DESIGN.md for the substitution
 rationale).  Shapes and label semantics match MNIST exactly
 (28×28 grayscale, 10 classes), so the entire SC pipeline downstream is
 identical to the paper's.
+
+Only the names a process uses are imported, on first access: the
+engine reads :func:`to_bipolar` and :func:`cache_dir` and never loads
+the generator, the trainer or scipy.
 """
 
-from repro.data.glyphs import DIGIT_GLYPHS, render_glyph
-from repro.data.scenes import SCENE_KINDS, Scene, SceneCell, SceneGenerator
-from repro.data.synthetic_mnist import SyntheticMNIST, generate_dataset, to_bipolar
-from repro.data.cache import (
-    cache_dir,
-    get_dataset,
-    get_trained_lenet,
-    get_trained_model,
-    TrainedModel,
-)
+import importlib
 
-__all__ = [
-    "DIGIT_GLYPHS",
-    "render_glyph",
-    "SyntheticMNIST",
-    "generate_dataset",
-    "to_bipolar",
-    "SCENE_KINDS",
-    "Scene",
-    "SceneCell",
-    "SceneGenerator",
-    "cache_dir",
-    "get_dataset",
-    "get_trained_lenet",
-    "get_trained_model",
-    "TrainedModel",
-]
+#: Each public name and the module that defines it.
+_EXPORTS = {
+    "DIGIT_GLYPHS": "repro.data.glyphs",
+    "render_glyph": "repro.data.glyphs",
+    "to_bipolar": "repro.data.images",
+    "SyntheticMNIST": "repro.data.synthetic_mnist",
+    "generate_dataset": "repro.data.synthetic_mnist",
+    "SCENE_KINDS": "repro.data.scenes",
+    "Scene": "repro.data.scenes",
+    "SceneCell": "repro.data.scenes",
+    "SceneGenerator": "repro.data.scenes",
+    "cache_dir": "repro.data.cache",
+    "get_dataset": "repro.data.cache",
+    "get_trained_lenet": "repro.data.cache",
+    "get_trained_model": "repro.data.cache",
+    "TrainedModel": "repro.data.cache",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(module), name)

@@ -2,8 +2,12 @@
 
 Training the LeNet-5 takes a couple of minutes; the benchmark harnesses
 would otherwise re-train it per table.  Artifacts are cached under
-``$REPRO_CACHE_DIR`` (default ``~/.cache/repro-scdcnn``), keyed by their
-generation parameters, and are plain ``.npz`` files.
+:func:`cache_dir`, keyed by their generation parameters, and are plain
+``.npz`` files.
+
+The generator and the trainer are imported by the functions that run
+them, so a process that only needs :func:`cache_dir` (a calibration
+lookup) loads neither.
 """
 
 from __future__ import annotations
@@ -14,9 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.data.synthetic_mnist import generate_dataset, to_bipolar
-from repro.nn.trainer import Trainer, evaluate_error_rate
-from repro.nn.zoo import build_zoo_model, get_spec
+from repro.data.images import to_bipolar
 
 __all__ = ["cache_dir", "get_dataset", "get_trained_model",
            "get_trained_lenet", "TrainedModel"]
@@ -29,9 +31,15 @@ DEFAULT_EPOCHS = 6
 
 
 def cache_dir() -> Path:
-    """The artifact cache directory (created on demand)."""
+    """The artifact cache directory (created on demand):
+    ``$REPRO_CACHE_DIR``, else ``$XDG_CACHE_HOME/repro-scdcnn``, else
+    ``~/.cache/repro-scdcnn``."""
     root = os.environ.get("REPRO_CACHE_DIR")
-    path = Path(root) if root else Path.home() / ".cache" / "repro-scdcnn"
+    if root:
+        path = Path(root)
+    else:
+        xdg = os.environ.get("XDG_CACHE_HOME")
+        path = (Path(xdg) if xdg else Path.home() / ".cache") / "repro-scdcnn"
     path.mkdir(parents=True, exist_ok=True)
     return path
 
@@ -47,6 +55,8 @@ def get_dataset(n_train: int = DEFAULT_TRAIN, n_test: int = DEFAULT_TEST,
         data = np.load(path)
         return (data["x_train"], data["y_train"],
                 data["x_test"], data["y_test"])
+    from repro.data.synthetic_mnist import generate_dataset
+
     x_train, y_train, x_test, y_test = generate_dataset(n_train, n_test, seed)
     np.savez_compressed(path, x_train=x_train, y_train=y_train,
                         x_test=x_test, y_test=y_test)
@@ -96,6 +106,9 @@ def get_trained_model(model_name: str = "lenet5", pooling: str = "max",
     (for ``"lenet5"`` the key is unchanged from the pre-zoo cache, so
     existing artifacts stay warm).
     """
+    from repro.nn.trainer import Trainer, evaluate_error_rate
+    from repro.nn.zoo import build_zoo_model, get_spec
+
     if pooling not in ("max", "avg"):
         raise ValueError(f"pooling must be 'max' or 'avg', got {pooling!r}")
     x_train, y_train, x_test, y_test = get_dataset(n_train, n_test, seed)

@@ -35,7 +35,7 @@ import dataclasses
 
 import numpy as np
 
-from repro.data.synthetic_mnist import IMAGE_SIZE, NUM_CLASSES, SyntheticMNIST
+from repro.data.images import IMAGE_SIZE, NUM_CLASSES
 from repro.utils.seeding import spawn_rng
 from repro.utils.validation import check_positive_int
 
@@ -170,6 +170,10 @@ class SceneGenerator:
     """
 
     def __init__(self, seed: int = 0):
+        # Imported here: the engine and the serving stack read
+        # :class:`Scene` and never generate one.
+        from repro.data.synthetic_mnist import SyntheticMNIST
+
         self.seed = int(seed)
         # The sampler's own stream is never consumed — every sample()
         # call below threads the per-scene rng explicitly.

@@ -12,25 +12,27 @@ perturbed with:
 The perturbation magnitudes are chosen so a LeNet-5 reaches a few-percent
 error rate, leaving headroom to observe SC-induced degradation — matching
 the role MNIST plays in the paper.
+
+The transform helpers import :mod:`scipy.ndimage` when they first run,
+so only a process that generates digits loads scipy.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy import ndimage
 
 from repro.data.glyphs import DIGIT_GLYPHS, render_glyph
+from repro.data.images import IMAGE_SIZE, NUM_CLASSES, to_bipolar
 from repro.utils.seeding import spawn_rng
 from repro.utils.validation import check_positive_int
 
 __all__ = ["SyntheticMNIST", "generate_dataset", "to_bipolar"]
 
-IMAGE_SIZE = 28
-NUM_CLASSES = 10
-
 
 def _random_affine(img: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Apply a random rotation/scale/shear/translation (inverse mapping)."""
+    from scipy import ndimage
+
     size = img.shape[0]
     angle = rng.uniform(-0.26, 0.26)  # ±15 degrees
     scale_r = rng.uniform(0.85, 1.15)
@@ -57,6 +59,8 @@ def _random_affine(img: np.ndarray, rng: np.random.Generator) -> np.ndarray:
 def _elastic(img: np.ndarray, rng: np.random.Generator,
              alpha: float = 4.0, sigma: float = 4.0) -> np.ndarray:
     """Elastic distortion with a smoothed random displacement field."""
+    from scipy import ndimage
+
     size = img.shape[0]
     dr = ndimage.gaussian_filter(rng.uniform(-1, 1, (size, size)), sigma) * alpha
     dc = ndimage.gaussian_filter(rng.uniform(-1, 1, (size, size)), sigma) * alpha
@@ -68,6 +72,8 @@ def _elastic(img: np.ndarray, rng: np.random.Generator,
 
 def _stroke_width(img: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Randomly thicken or thin strokes with grey-level morphology."""
+    from scipy import ndimage
+
     roll = rng.random()
     if roll < 0.3:
         return ndimage.grey_dilation(img, size=(2, 2))
@@ -78,6 +84,8 @@ def _stroke_width(img: np.ndarray, rng: np.random.Generator) -> np.ndarray:
 
 def _finish(img: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Blur + noise + clip to [0, 1]."""
+    from scipy import ndimage
+
     img = ndimage.gaussian_filter(img, rng.uniform(0.4, 0.9))
     img = img + rng.normal(0.0, 0.04, img.shape)
     return np.clip(img, 0.0, 1.0)
@@ -142,8 +150,3 @@ def generate_dataset(n_train: int, n_test: int, seed: int = 0):
     x_train, y_train = train_gen.batch(n_train)
     x_test, y_test = test_gen.batch(n_test)
     return x_train, y_train, x_test, y_test
-
-
-def to_bipolar(images: np.ndarray) -> np.ndarray:
-    """Map [0, 1] images to the bipolar SC input range [-1, 1]."""
-    return images * 2.0 - 1.0

@@ -32,8 +32,8 @@ import dataclasses
 
 import numpy as np
 
+from repro.data.images import to_bipolar
 from repro.data.scenes import Scene
-from repro.data.synthetic_mnist import to_bipolar
 
 __all__ = [
     "window_origins",

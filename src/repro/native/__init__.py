@@ -6,9 +6,9 @@ layer of the exact backend — the pooled APC conv stage (count → max or
 average pool → Btanh → pack per pool window) and the APC FC layer
 (count → Btanh → pack, or the output layer's count sums), which also
 runs an unpooled APC conv over its patch rows — plus the Stanh byte-LUT
-walk.  Each is a bit-identical re-implementation of its NumPy
-composition; the pure NumPy paths remain the conformance oracle and the
-fallback.
+walk and the ideal SNG's PCG64 draw → compare → pack.  Each is a
+bit-identical re-implementation of its NumPy composition; the pure
+NumPy paths remain the conformance oracle and the fallback.
 
 The counting kernels read weights laid out once (the exact backend does
 it at construction), so no call copies weights: the FC kernel a
@@ -40,16 +40,17 @@ Capability protocol
 * unset — best effort: build/load if a toolchain exists, else record
   the reason and fall back to NumPy.
 
-All wrappers return freshly-allocated arrays.  In ``repro.sc`` only
-``activation.stanh_packed`` dispatches here, per call, when ``enabled()``
-is true; the exact backend checks ``enabled()`` once, when it is built.
+All wrappers return freshly-allocated arrays.  In ``repro.sc``
+``activation.stanh_packed`` and ``rng.IdealSNG.generate`` dispatch here,
+per call, when ``enabled()`` is true; the exact backend checks
+``enabled()`` once, when it is built.
 """
 
 from __future__ import annotations
 
 import contextlib
 import os
-from ctypes import POINTER, c_int, c_int64, c_uint8
+from ctypes import POINTER, c_int, c_int64, c_uint8, c_uint64
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,6 +71,7 @@ __all__ = [
     "apc_fc_sums",
     "stanh_lut",
     "apc_conv_pool_btanh_pack",
+    "sng_pcg64_pack",
 ]
 
 _ENV = "REPRO_NATIVE"
@@ -82,6 +84,7 @@ _env_setting = os.environ.get(_ENV)
 
 _u8p = POINTER(c_uint8)
 _i64p = POINTER(c_int64)
+_u64p = POINTER(c_uint64)
 
 
 def _configure(lib) -> None:
@@ -103,6 +106,9 @@ def _configure(lib) -> None:
         c_int64, _u8p, c_int64, c_int64, c_int64, _i64p, c_int64, c_int,
         c_int64, c_int64, _u8p]
     lib.repro_apc_conv_pool_btanh_pack.restype = c_int
+    lib.repro_sng_pcg64_pack.argtypes = [
+        _u64p, _u64p, c_int64, c_int64, _u8p]
+    lib.repro_sng_pcg64_pack.restype = c_int
 
 
 def _try_load() -> None:
@@ -556,4 +562,41 @@ def apc_conv_pool_btanh_pack(x: np.ndarray, bank: ConvBank,
         bank.n, _ptr(bank.data, _u8p), C, L, bank.width,
         _ptr(windows, _i64p), Wn, int(avg), segment,
         n_states, _ptr(out, _u8p)))
+    return out
+
+
+_U64 = (1 << 64) - 1
+
+
+def sng_pcg64_pack(bit_generator: np.random.PCG64, probs: np.ndarray,
+                   length: int) -> np.ndarray:
+    """Ideal-SNG streams in one pass: ``random((R, length)) < probs[:,
+    None]`` over ``bit_generator``, packed → ``(R, ceil(length/8))``
+    uint8, leaving the generator where that ``random()`` call would.
+
+    The kernel compares 53-bit draws against ``ceil(p * 2**53)``,
+    computed here (NaN and ``p <= 0`` give 0, ``p >= 1`` gives
+    ``2**53``).  Runs under the generator's lock.
+    """
+    if type(bit_generator) is not np.random.PCG64:
+        raise TypeError(f"expected a numpy PCG64 bit generator, got "
+                        f"{type(bit_generator).__name__}")
+    probs = np.asarray(probs, dtype=np.float64)
+    if probs.ndim != 1:
+        raise ValueError(f"expected probs (R,), got {probs.shape}")
+    length = check_positive_int(length, "length")
+    thresholds = np.where(probs > 0.0,
+                          np.ceil(np.minimum(probs, 1.0) * 2.0 ** 53),
+                          0.0).astype(np.uint64)
+    out = np.empty((probs.shape[0], (length + 7) // 8), dtype=np.uint8)
+    with bit_generator.lock:
+        state = bit_generator.state
+        s, inc = state["state"]["state"], state["state"]["inc"]
+        words = np.array([s >> 64, s & _U64, inc >> 64, inc & _U64],
+                         dtype=np.uint64)
+        _check(_lib.repro_sng_pcg64_pack(
+            _ptr(words, _u64p), _ptr(thresholds, _u64p), probs.shape[0],
+            length, _ptr(out, _u8p)))
+        state["state"]["state"] = (int(words[0]) << 64) | int(words[1])
+        bit_generator.state = state
     return out

@@ -3,11 +3,12 @@
  * C99, no Python.h: the library is a plain shared object loaded via
  * ctypes (see repro/native/__init__.py), compiled at build or first
  * import by repro/native/build.py with whatever system toolchain is
- * present.  It holds one kernel per APC layer of the exact backend and
- * the Stanh walk; each is a bit-identical re-implementation of a NumPy
- * composition (ExactBackend's counting -> pool -> Btanh -> pack, and
- * repro.sc.activation.stanh_packed) — arming the tier must change zero
- * output bits, which the conformance suite enforces.
+ * present.  It holds one kernel per APC layer of the exact backend, the
+ * Stanh walk and the ideal SNG; each is a bit-identical
+ * re-implementation of a NumPy composition (ExactBackend's counting ->
+ * pool -> Btanh -> pack, repro.sc.activation.stanh_packed, and
+ * IdealSNG's PCG64 draw -> compare -> pack) — arming the tier must
+ * change zero output bits, which the conformance suite enforces.
  *
  * Four design rules (DESIGN.md, "Native kernel tier"):
  *
@@ -421,6 +422,115 @@ API int repro_stanh_lut(const uint8_t *in, int64_t rows, int64_t nbytes,
         }
         o[nbytes - 1] &= last_mask;
     }
+    return 0;
+}
+
+/* ------------------------------------------------------------------ */
+/* the ideal SNG: PCG64 stepped, compared and packed in one pass      */
+/* ------------------------------------------------------------------ */
+
+/* PCG64's 128-bit state word (a GCC/Clang type; __extension__ keeps
+ * -std=c99 -pedantic quiet). */
+__extension__ typedef unsigned __int128 u128;
+
+#define PCG_MULT (((u128)0x2360ED051FC65DA4ULL << 64) | 0x4385DF649FCCF645ULL)
+
+/* Interleaved PCG64 chains, and the values one row segment compares
+ * (a multiple of 8, so segments start on a byte). */
+#define SNG_CHAINS 4
+#define SNG_SEGMENT 256
+
+/* PCG64's XSL-RR 128/64 output of a state. */
+static inline uint64_t pcg_output(u128 s)
+{
+    const uint64_t x = (uint64_t)(s >> 64) ^ (uint64_t)s;
+    const unsigned r = (unsigned)(s >> 122);
+    return (x >> r) | (x << ((64 - r) & 63));
+}
+
+/* Draws one value per chain into v, as 53-bit integers, and steps
+ * each chain SNG_CHAINS values on. */
+static inline void sng_round(u128 *ch, u128 mult, u128 step, uint64_t *v)
+{
+    for (int j = 0; j < SNG_CHAINS; j++) {
+        v[j] = pcg_output(ch[j]) >> 11;
+        ch[j] = ch[j] * mult + step;
+    }
+}
+
+/* Packs the k comparisons v[i] < thr MSB-first into ceil(k/8) bytes. */
+static inline void sng_pack(const uint64_t *v, int64_t k, uint64_t thr,
+                            uint8_t *o)
+{
+    for (int64_t q = 0; q < k / 8; q++) {
+        unsigned acc = 0;
+        for (int b = 0; b < 8; b++)
+            acc |= (unsigned)(v[8 * q + b] < thr) << (7 - b);
+        o[q] = (uint8_t)acc;
+    }
+    if (k % 8) {
+        unsigned acc = 0;
+        for (int64_t i = k & ~(int64_t)7; i < k; i++)
+            acc |= (unsigned)(v[i] < thr) << (7 - (i & 7));
+        o[k / 8] = (uint8_t)acc;
+    }
+}
+
+/* Ideal SNG (repro.sc.rng.IdealSNG.generate): rows x L values of
+ * NumPy's PCG64 in C order, exactly what Generator.random((rows, L))
+ * draws, with bit t of row r set when value (r, t) is below that row's
+ * probability, packed MSB-first into out (rows, ceil(L/8)).  random()
+ * returns (next64 >> 11) * 2^-53, so u < p <=> (next64 >> 11) <
+ * thresholds[r] = ceil(p * 2^53) (0 for NaN or p <= 0, 2^53 for
+ * p >= 1; computed by the caller).  state is {state_hi, state_lo,
+ * inc_hi, inc_lo} and is left where random() would leave it.
+ *
+ * Value i comes from chain i % SNG_CHAINS, which holds the state of the
+ * next value it produces and steps SNG_CHAINS values at a time, so the
+ * chains' 128-bit multiplies do not wait on each other.  Values are
+ * drawn in whole rounds, one per chain, into buf; the at most
+ * SNG_CHAINS - 1 a row segment leaves over start the next one, and the
+ * state of the last value is kept from the round that drew it. */
+API int repro_sng_pcg64_pack(uint64_t *state, const uint64_t *thresholds,
+                             int64_t rows, int64_t L, uint8_t *out)
+{
+    const u128 inc = ((u128)state[2] << 64) | state[3];
+    const u128 m2 = PCG_MULT * PCG_MULT;
+    const u128 mult = m2 * m2;
+    const u128 step = inc * (m2 * PCG_MULT + m2 + PCG_MULT + 1);
+    const int64_t nbytes = (L + 7) / 8;
+    u128 s = ((u128)state[0] << 64) | state[1];
+    u128 ch[SNG_CHAINS], last = s;
+    uint64_t buf[SNG_SEGMENT + SNG_CHAINS];
+    int64_t have = 0, left = rows * L;      /* values not yet drawn */
+
+    for (int j = 0; j < SNG_CHAINS; j++) {
+        s = s * PCG_MULT + inc;
+        ch[j] = s;
+    }
+    for (int64_t r = 0; r < rows; r++) {
+        for (int64_t t = 0; t < L; t += SNG_SEGMENT) {
+            const int64_t k = L - t < SNG_SEGMENT ? L - t : SNG_SEGMENT;
+            const int64_t rounds = (k - have + SNG_CHAINS - 1) / SNG_CHAINS;
+            /* the call's last value falls in this segment's last round */
+            const int final = rounds > 0 && left <= SNG_CHAINS * rounds;
+            uint64_t *v = buf + have;
+            for (int64_t i = 0; i < rounds - final; i++, v += SNG_CHAINS)
+                sng_round(ch, mult, step, v);
+            if (final) {
+                last = ch[left - SNG_CHAINS * (rounds - 1) - 1];
+                sng_round(ch, mult, step, v);
+            }
+            left -= SNG_CHAINS * rounds;
+            have += SNG_CHAINS * rounds;
+            sng_pack(buf, k, thresholds[r], out + r * nbytes + t / 8);
+            have -= k;
+            for (int64_t i = 0; i < have; i++)
+                buf[i] = buf[k + i];
+        }
+    }
+    state[0] = (uint64_t)(last >> 64);
+    state[1] = (uint64_t)last;
     return 0;
 }
 

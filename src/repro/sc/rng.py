@@ -19,7 +19,10 @@ cycle.  Two generators are provided:
 
 Both draw, compare and pack in row chunks of at most :data:`CHUNK_BYTES`
 of comparator values, so a bank's transient memory is bounded whatever
-its size.
+its size.  With the native tier enabled, :class:`IdealSNG` instead steps
+PCG64, compares and packs in one C pass that holds no comparator values
+at all (:func:`repro.native.sng_pcg64_pack`); the chunked path stays the
+oracle.
 
 :class:`StreamFactory` bundles an SNG with seed management and exposes the
 high-level ``streams(values, length)`` API used by all function blocks.
@@ -29,6 +32,7 @@ from __future__ import annotations
 
 import numpy as np
 
+import repro.native as native
 from repro.sc import ops
 from repro.sc.bitstream import Bitstream
 from repro.sc.encoding import Encoding, to_probability
@@ -120,6 +124,23 @@ class IdealSNG(_ComparatorSNG):
         twin = IdealSNG(seed=self._seed)
         twin._rng.bit_generator.state = self._rng.bit_generator.state
         return twin
+
+    def generate(self, probs: np.ndarray, length: int) -> np.ndarray:
+        """Generate packed streams with ones-probability ``probs``.
+
+        On the native tier a PCG64 generator runs as one
+        :func:`repro.native.sng_pcg64_pack` pass, bit-identical to the
+        chunked NumPy path and leaving the same generator state; any
+        other bit generator takes the chunked path.
+        """
+        bit_generator = self._rng.bit_generator
+        if not (native.enabled()
+                and type(bit_generator) is np.random.PCG64):
+            return super().generate(probs, length)
+        length = check_stream_length(length)
+        probs = np.asarray(probs, dtype=np.float64)
+        out = native.sng_pcg64_pack(bit_generator, probs.reshape(-1), length)
+        return out.reshape(probs.shape + out.shape[-1:])
 
     def draw(self, rows: int, length: int):
         """PCG64 uniforms for ``rows`` streams, in row chunks.

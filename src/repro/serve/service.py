@@ -42,8 +42,8 @@ from repro.core.config import (
     resolve_kinds,
     resolve_pooling,
 )
+from repro.data.images import to_bipolar
 from repro.data.scenes import Scene
-from repro.data.synthetic_mnist import to_bipolar
 from repro.engine import get_backend
 from repro.engine.engine import as_image_batch
 from repro.engine.plan import normalize_weight_bits

@@ -17,6 +17,19 @@ class TestCacheDir:
     def test_env_override(self, temp_cache):
         assert cache_dir() == temp_cache
 
+    def test_order_repro_then_xdg_then_home(self, tmp_path, monkeypatch):
+        """``REPRO_CACHE_DIR``, else ``$XDG_CACHE_HOME/repro-scdcnn``
+        (as the native build cache honours it), else the home cache."""
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "own"))
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
+        assert cache_dir() == tmp_path / "own"
+        monkeypatch.delenv("REPRO_CACHE_DIR")
+        assert cache_dir() == tmp_path / "xdg" / "repro-scdcnn"
+        assert cache_dir().is_dir()
+        monkeypatch.delenv("XDG_CACHE_HOME")
+        monkeypatch.setenv("HOME", str(tmp_path / "home"))
+        assert cache_dir() == tmp_path / "home" / ".cache" / "repro-scdcnn"
+
 
 class TestGetDataset:
     def test_generates_and_caches(self, temp_cache):
